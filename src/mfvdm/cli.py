@@ -141,9 +141,7 @@ def _compute_bundles(config: ExperimentConfig, graph, ks) -> dict:
                 f"Eigensolve failed at frequency k={k}: {exc}",
                 residuals=exc.residuals,
             ) from exc
-        tmp = path.with_suffix(".tmp.npz")
-        mio.save_bundle(bundle, tmp)
-        tmp.replace(path)
+        mio.save_bundle(bundle, path)
         return k, bundle
 
     ks = sorted(set(ks))

@@ -4,17 +4,17 @@ W_k(i, j) = w_ij * exp(i*k*alpha_ij) on edges and 0 elsewhere; the alpha
 antisymmetry convention makes W_k Hermitian.  S_k = D^{-1/2} W_k D^{-1/2}
 shares the sparsity pattern and has spectrum inside [-1, 1].
 
-Only the strict upper triangle is stored; the mirrored conjugate half is
-applied on the fly by the matvec kernel.
+The strict upper triangle is the stored form; the full Hermitian matrix is
+built from it once, as a scipy CSR array, and every matvec is a CSR product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
-from mfvdm import kernels
 from mfvdm.errors import ParameterError, ZeroDegreeError
 from mfvdm.graph import AlignmentGraph
 
@@ -24,13 +24,19 @@ __all__ = ["SparseHermitian", "DegreeVector", "build_wk", "degrees",
 
 @dataclass(frozen=True)
 class SparseHermitian:
-    """Hermitian matrix stored as its strict upper triangle (rows < cols)."""
+    """Hermitian matrix given by its strict upper triangle (rows < cols).
+
+    ``csr`` holds the full matrix, both triangles, built once from the
+    triangle; duplicate entries are summed.
+    """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     k: int
+    csr: scipy.sparse.csr_array = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows",
@@ -40,18 +46,21 @@ class SparseHermitian:
         object.__setattr__(self, "values",
                            np.ascontiguousarray(self.values,
                                                 dtype=np.complex128))
+        full = scipy.sparse.coo_array(
+            (np.concatenate([self.values, np.conj(self.values)]),
+             (np.concatenate([self.rows, self.cols]),
+              np.concatenate([self.cols, self.rows]))),
+            shape=(self.n, self.n),
+        )
+        object.__setattr__(self, "csr", full.tocsr())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product applying both triangle halves."""
-        return kernels.hermitian_matvec(self.rows, self.cols, self.values,
-                                        x, self.n)
+        """A @ x for a vector, or for an (n, m) block of column vectors."""
+        return self.csr @ x
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the full Hermitian matrix (tests and small oracles)."""
-        dense = np.zeros((self.n, self.n), dtype=np.complex128)
-        dense[self.rows, self.cols] = self.values
-        dense[self.cols, self.rows] = np.conj(self.values)
-        return dense
+        """Materialize the full Hermitian matrix (dense solver and oracles)."""
+        return self.csr.toarray()
 
 
 @dataclass(frozen=True)

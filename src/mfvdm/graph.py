@@ -105,14 +105,6 @@ class AlignmentGraph:
         graph.validate()
         return graph
 
-    def adjacency_sets(self) -> list:
-        """Per-node neighbor sets (both orientations)."""
-        adj: list = [set() for _ in range(self.n)]
-        for r, c in zip(self.rows.tolist(), self.cols.tolist()):
-            adj[r].add(c)
-            adj[c].add(r)
-        return adj
-
 
 @dataclass(frozen=True)
 class RewireDiagnostics:

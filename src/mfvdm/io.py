@@ -3,7 +3,8 @@
 All text output prints floats with 17 significant digits so that values
 round-trip exactly and repeated runs produce byte-identical files.  The
 eigen-bundle cache is keyed by (graph content hash, k, m); cached entries
-are plain npz archives.
+are plain npz archives, written atomically so that processes sharing one
+cache never see a half-written entry.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -272,16 +275,35 @@ def bundle_cache_path(cache_dir, graph_digest: str, k: int, m: int) -> Path:
 
 
 def save_bundle(bundle: SpectralBundle, path) -> None:
-    np.savez(path, k=bundle.k, eigenvalues=bundle.eigenvalues,
-             eigenvectors=bundle.eigenvectors)
+    """Write a bundle to ``path`` atomically.
+
+    The archive goes to a temp file of this writer's own in the same
+    directory and is then renamed onto ``path``, so concurrent writers of
+    one entry never truncate each other and readers see whole files only.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                               dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, k=bundle.k, eigenvalues=bundle.eigenvalues,
+                     eigenvectors=bundle.eigenvectors)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_bundle(path) -> SpectralBundle | None:
-    """Load a cached bundle; None if the file is absent."""
-    path = Path(path)
-    if not path.exists():
+    """Load a cached bundle; None if the file is absent or unreadable.
+
+    An unreadable entry (truncated, not an npz, missing arrays) is a cache
+    miss, so the caller recomputes the bundle and overwrites it.
+    """
+    try:
+        with np.load(path) as data:
+            return SpectralBundle(k=int(data["k"]),
+                                  eigenvalues=data["eigenvalues"],
+                                  eigenvectors=data["eigenvectors"])
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
-    with np.load(path) as data:
-        return SpectralBundle(k=int(data["k"]),
-                              eigenvalues=data["eigenvalues"],
-                              eigenvectors=data["eigenvectors"])

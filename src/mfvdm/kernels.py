@@ -1,79 +1,22 @@
-"""Backend selection for the hot kernels.
+"""Hot inner kernels shared by the embedding stages.
 
-The compiled extension is optional: if it is missing (or disabled via the
-``MFVDM_DISABLE_EXT`` environment variable) pure-numpy implementations are
-used instead.  Both backends expose the same two operations:
-
-``hermitian_matvec``
-    Apply a Hermitian matrix stored as its strict upper triangle to a
-    complex vector.
 ``accumulate_abs2``
     In-place ``acc += |z|**2`` for a complex block ``z``.
 
-The numpy implementations are importable directly (``hermitian_matvec_numpy``,
-``accumulate_abs2_numpy``) for benchmarking and cross-checks.
+The Hermitian matvec is a scipy CSR product on ``SparseHermitian``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ext = None
-if not os.environ.get("MFVDM_DISABLE_EXT"):
-    try:
-        from mfvdm import _kernels_ext as _ext  # type: ignore[no-redef]
-    except ImportError:
-        _ext = None
 
 
 def backend() -> str:
-    """Name of the active backend: ``"cython"`` or ``"numpy"``."""
-    return "cython" if _ext is not None else "numpy"
+    """Name of the kernel implementation; always ``"numpy"``."""
+    return "numpy"
 
 
-def hermitian_matvec_numpy(rows: np.ndarray, cols: np.ndarray,
-                           values: np.ndarray, x: np.ndarray,
-                           n: int) -> np.ndarray:
-    """A @ x for the half-stored Hermitian A, vectorised over edges."""
-    upper = values * x[cols]
-    lower = np.conj(values) * x[rows]
-    out = np.empty(n, dtype=np.complex128)
-    out.real = np.bincount(rows, weights=upper.real, minlength=n)
-    out.real += np.bincount(cols, weights=lower.real, minlength=n)
-    out.imag = np.bincount(rows, weights=upper.imag, minlength=n)
-    out.imag += np.bincount(cols, weights=lower.imag, minlength=n)
-    return out
-
-
-def hermitian_matvec_ext(rows: np.ndarray, cols: np.ndarray,
-                         values: np.ndarray, x: np.ndarray,
-                         n: int) -> np.ndarray:
-    """A @ x via the compiled single-pass kernel."""
-    out = np.zeros(n, dtype=np.complex128)
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    _ext.hermitian_matvec(rows, cols, values.view(np.float64),
-                          x.view(np.float64), out.view(np.float64))
-    return out
-
-
-def accumulate_abs2_numpy(acc: np.ndarray, z: np.ndarray) -> None:
+def accumulate_abs2(acc: np.ndarray, z: np.ndarray) -> None:
     """acc += z.real**2 + z.imag**2, in place."""
     acc += z.real ** 2
     acc += z.imag ** 2
-
-
-def accumulate_abs2_ext(acc: np.ndarray, z: np.ndarray) -> None:
-    """acc += |z|**2 via the compiled fused kernel."""
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    _ext.accumulate_abs2(acc, z.view(np.float64))
-
-
-if _ext is not None:
-    hermitian_matvec = hermitian_matvec_ext
-    accumulate_abs2 = accumulate_abs2_ext
-else:
-    hermitian_matvec = hermitian_matvec_numpy
-    accumulate_abs2 = accumulate_abs2_numpy

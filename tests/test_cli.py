@@ -159,6 +159,23 @@ class TestCache:
         assert list(shared.glob("bundle_*.npz"))
         assert not (out / "cache").exists()
 
+    def test_truncated_bundle_is_recomputed(self, tmp_path, monkeypatch):
+        from mfvdm.io import CACHE_ENV, load_bundle
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        args = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--baselines", "vdm", "--seed", "3")
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert _run(*args, "--out", str(clean)) == 0
+        assert _run(*args, "--out", str(out)) == 0
+        (bundle,) = (out / "cache").glob("bundle_*_k1_*.npz")
+        whole = bundle.read_bytes()
+        bundle.write_bytes(whole[:len(whole) // 2])
+        assert _run(*args, "--out", str(out)) == 0
+        assert _tree_digest(out) == _tree_digest(clean)
+        assert load_bundle(bundle) is not None
+        assert sorted(p.name for p in (out / "cache").iterdir()) == sorted(
+            p.name for p in (clean / "cache").iterdir())
+
 
 class TestExternalGraph:
     def test_graph_flag_implies_external(self, tmp_path):

@@ -1,5 +1,8 @@
 """File formats: round-trips, strict parsing, cache behavior."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,46 @@ class TestBundleCache:
 
     def test_load_absent_returns_none(self, tmp_path):
         assert load_bundle(tmp_path / "nope.npz") is None
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage",
+                                        "missing_array"])
+    def test_unreadable_bundle_is_a_miss(self, tmp_path, damage):
+        bundle = SpectralBundle(k=1, eigenvalues=np.array([1.0, 0.5]),
+                                eigenvectors=np.eye(2, dtype=complex))
+        path = tmp_path / "bundle.npz"
+        save_bundle(bundle, path)
+        whole = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(whole[:len(whole) // 2])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "garbage":
+            path.write_bytes(b"not an npz archive\n" * 10)
+        else:
+            np.savez(path, k=1, eigenvalues=bundle.eigenvalues)
+        assert load_bundle(path) is None
+
+    def test_concurrent_writers_leave_one_whole_bundle(self, tmp_path):
+        rng = np.random.default_rng(5)
+        bundles = [
+            SpectralBundle(k=2, eigenvalues=np.linspace(1, 0.5, 8),
+                           eigenvectors=rng.normal(size=(400, 8)) + 0j)
+            for _ in range(4)
+        ]
+        path = tmp_path / "bundle.npz"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(
+                    lambda b: [save_bundle(b, path) for _ in range(5)],
+                    bundles, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        back = load_bundle(path)
+        assert any(np.array_equal(back.eigenvectors, b.eigenvectors)
+                   for b in bundles)
+        assert [p.name for p in tmp_path.iterdir()] == ["bundle.npz"]
 
     def test_cache_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_ENV, raising=False)

@@ -1,27 +1,25 @@
-"""Backend parity: compiled kernels against numpy and dense oracles."""
-
-import os
-import subprocess
-import sys
+"""Hot kernels against oracles: SparseHermitian's CSR matvec, accumulate_abs2."""
 
 import numpy as np
 import pytest
 
 from mfvdm import kernels
+from mfvdm.connection import SparseHermitian
 
 
 def _random_half_stored(rng, n, nnz):
+    # Upper-triangle entries drawn with replacement, so duplicates occur.
     rows = rng.integers(0, n - 1, nnz).astype(np.int64)
     cols = (rows + 1 + rng.integers(0, n, nnz) % (n - 1 - rows)).astype(
         np.int64
     )
     values = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
-    return rows, cols, values
+    return SparseHermitian(n=n, rows=rows, cols=cols, values=values, k=1)
 
 
-def _dense_from_half(n, rows, cols, values):
-    dense = np.zeros((n, n), dtype=np.complex128)
-    for r, c, v in zip(rows, cols, values):
+def _dense_from_half(matrix):
+    dense = np.zeros((matrix.n, matrix.n), dtype=np.complex128)
+    for r, c, v in zip(matrix.rows, matrix.cols, matrix.values):
         dense[r, c] += v
         dense[c, r] += np.conj(v)
     return dense
@@ -30,66 +28,33 @@ def _dense_from_half(n, rows, cols, values):
 @pytest.mark.parametrize("n,nnz", [(2, 1), (17, 40), (120, 800)])
 def test_matvec_matches_dense_oracle(n, nnz):
     rng = np.random.default_rng(42)
-    rows, cols, values = _random_half_stored(rng, n, nnz)
-    dense = _dense_from_half(n, rows, cols, values)
+    matrix = _random_half_stored(rng, n, nnz)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    expected = dense @ x
-    for impl in (kernels.hermitian_matvec, kernels.hermitian_matvec_numpy):
-        got = impl(rows, cols, values, x, n)
-        assert np.abs(got - expected).max() < 1e-12 * max(
-            1.0, np.abs(expected).max()
-        )
-
-
-def test_matvec_backends_agree_tightly():
-    rng = np.random.default_rng(7)
-    rows, cols, values = _random_half_stored(rng, 300, 4000)
-    x = rng.normal(size=300) + 1j * rng.normal(size=300)
-    a = kernels.hermitian_matvec(rows, cols, values, x, 300)
-    b = kernels.hermitian_matvec_numpy(rows, cols, values, x, 300)
-    assert np.abs(a - b).max() < 1e-13 * np.abs(a).max()
+    expected = _dense_from_half(matrix) @ x
+    got = matrix.matvec(x)
+    assert np.abs(got - expected).max() < 1e-12 * max(
+        1.0, np.abs(expected).max()
+    )
 
 
 def test_accumulate_abs2_matches_numpy():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(40, 60)) + 1j * rng.normal(size=(40, 60))
-    acc_a = rng.normal(size=(40, 60)).copy()
-    acc_b = acc_a.copy()
-    kernels.accumulate_abs2(acc_a, z)
-    kernels.accumulate_abs2_numpy(acc_b, z)
-    assert np.abs(acc_a - acc_b).max() < 1e-12
+    acc = rng.normal(size=(40, 60))
+    expected = acc + np.abs(z) ** 2
+    kernels.accumulate_abs2(acc, z)
+    assert np.abs(acc - expected).max() < 1e-12
 
 
 def test_backend_reports_a_known_name():
-    assert kernels.backend() in ("cython", "numpy")
-
-
-def test_disable_env_var_forces_numpy_backend():
-    # The child must import the same checkout as this process, whether it
-    # runs from a source tree, an editable install or a plain install, so
-    # the directory holding the imported package goes first on its path.
-    package_root = os.path.dirname(os.path.dirname(kernels.__file__))
-    env = dict(os.environ, MFVDM_DISABLE_EXT="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    code = ("import mfvdm.kernels as k; "
-            "print(k.backend()); print(k.__file__)")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    backend, child_file = out.stdout.splitlines()
-    assert os.path.samefile(child_file, kernels.__file__)
-    assert backend == "numpy"
+    assert kernels.backend() == "numpy"
 
 
 def test_noncontiguous_inputs_are_accepted():
     rng = np.random.default_rng(11)
-    rows, cols, values = _random_half_stored(rng, 50, 200)
+    matrix = _random_half_stored(rng, 50, 200)
     x2 = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
-    got = kernels.hermitian_matvec(rows, cols, values, x2[:, 0], 50)
-    want = kernels.hermitian_matvec_numpy(rows, cols, values,
-                                          x2[:, 0].copy(), 50)
-    assert np.abs(got - want).max() < 1e-12
+    assert not x2[:, 0].flags.c_contiguous
+    got = matrix.matvec(x2[:, 0])
+    want = _dense_from_half(matrix) @ x2[:, 0].copy()
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
