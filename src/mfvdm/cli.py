@@ -1,5 +1,12 @@
 """Command-line pipeline: generate, embed, nn, align, pipeline, spectrum.
 
+``pipeline`` runs the whole chain for every p in ``--p``: ground truth and
+graphs, the eigenbundles of each frequency, NN search, FFT alignment, and
+the scores.  ``generate``, ``embed``, ``nn`` and ``align`` run the same
+chain up to their own stage (``generate`` for every p, the others for one
+p) and write that prefix's artifacts under ``pipeline``'s file names.
+``spectrum`` writes the eigenvalue-cluster report of a sphere graph.
+
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
 failure.  All stochastic stages derive their randomness from the single
 config seed, so any command rerun with the same inputs reproduces its
@@ -9,13 +16,17 @@ output files byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from mfvdm.alignment import align_neighbors
-from mfvdm.config import ExperimentConfig, load_config_file, resolve_config
+from mfvdm.config import (
+    ExperimentConfig,
+    _parse_value,
+    load_config_file,
+    resolve_config,
+)
 from mfvdm.connection import build_sk, degrees
 from mfvdm.embedding import (
     baseline_embedding,
@@ -75,57 +86,54 @@ def _echo_params(config: ExperimentConfig, p: float) -> dict:
     return params
 
 
+def _reuse_or_build(path: Path, read, write, build):
+    """The artifact at ``path`` if the file exists, else build and write it."""
+    if path.exists():
+        return read(path)
+    value = build()
+    write(value, path)
+    return value
+
+
 def _truth_and_clean_graph(config: ExperimentConfig):
-    """Deterministically build (or reload) ground truth and clean graph."""
+    """Ground truth and the graph every p starts from.
+
+    An external graph has no truth; a synthetic truth and its k-NN graph
+    are built once (or reloaded from ``--out``).
+    """
+    if config.manifold == "external":
+        return None, mio.read_graph(config.graph_path)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    truth_path = out / "truth.txt"
-    graph_path = out / "graph_clean.txt"
-    if truth_path.exists():
-        truth = mio.read_truth(truth_path)
-    else:
-        truth = make_truth(config.manifold, config.n, config.seed,
+    truth = _reuse_or_build(
+        out / "truth.txt", mio.read_truth, mio.write_truth,
+        lambda: make_truth(config.manifold, config.n, config.seed,
                            radius_major=config.radius_major,
                            radius_minor=config.radius_minor,
-                           area_uniform=config.area_uniform)
-        mio.write_truth(truth, truth_path)
-    if graph_path.exists():
-        graph = mio.read_graph(graph_path)
-    else:
-        graph = build_clean_knn_graph(truth, config.kappa_build,
+                           area_uniform=config.area_uniform))
+    clean = _reuse_or_build(
+        out / "graph_clean.txt", mio.read_graph, mio.write_graph,
+        lambda: build_clean_knn_graph(truth, config.kappa_build,
                                       weight_mode=config.weight_mode,
-                                      sigma=config.sigma)
-        mio.write_graph(graph, graph_path)
-    return truth, graph
+                                      sigma=config.sigma))
+    return truth, clean
 
 
 def _graph_for_p(config: ExperimentConfig, clean_graph, p: float):
-    """Clean graph at p=1, else the rewired graph (reloaded if on disk)."""
-    if p >= 1.0:
+    """The graph as given at p=1 or when external, else rewired at p."""
+    if p >= 1.0 or config.manifold == "external":
         return clean_graph
-    out = Path(config.out_dir)
-    path = out / f"graph_p{_p_tag(p)}.txt"
-    if path.exists():
-        return mio.read_graph(path)
-    noisy = rewire_graph(clean_graph, p, config.seed)
-    mio.write_graph(noisy, path)
-    return noisy
+    return _reuse_or_build(
+        Path(config.out_dir) / f"graph_p{_p_tag(p)}.txt", mio.read_graph,
+        mio.write_graph, lambda: rewire_graph(clean_graph, p, config.seed))
 
 
-def _resolve_graph(config: ExperimentConfig, p: float):
-    """Graph for one run: external file, or synthetic clean/rewired."""
-    if config.manifold == "external":
-        return None, mio.read_graph(config.graph_path)
-    truth, clean = _truth_and_clean_graph(config)
-    return truth, _graph_for_p(config, clean, p)
-
-
-def _compute_bundles(config: ExperimentConfig, graph, ks) -> dict:
+def _compute_bundles(config: ExperimentConfig, graph, ks, m: int) -> dict:
     """Top-m eigenpairs per frequency, through the on-disk cache."""
     cache = mio.cache_dir_for(config.out_dir)
     digest = mio.graph_hash(graph)
     degree_vector = degrees(graph)
-    m = min(config.m_k, graph.n)
+    m = min(m, graph.n)
 
     def solve(k: int):
         path = mio.bundle_cache_path(cache, digest, k, m)
@@ -153,13 +161,6 @@ def _compute_bundles(config: ExperimentConfig, graph, ks) -> dict:
     return dict(results)
 
 
-def _frequencies(config: ExperimentConfig) -> list:
-    ks = list(range(1, config.k_max + 1))
-    if "dm" in config.baselines:
-        ks.append(0)
-    return ks
-
-
 def _method_embedding(method: str, bundles, config: ExperimentConfig):
     if method == "mfvdm":
         chosen = [bundles[k] for k in range(1, config.k_max + 1)]
@@ -171,41 +172,52 @@ def _method_embedding(method: str, bundles, config: ExperimentConfig):
     raise ConfigError(f"Unknown method {method!r}.")
 
 
-def _run_methods(config: ExperimentConfig, truth, graph, p: float) -> None:
-    """NN search, alignment and scoring for every requested method."""
-    out = Path(config.out_dir) / f"p{_p_tag(p)}"
-    out.mkdir(parents=True, exist_ok=True)
-    _stage(f"embed p={_p_tag(p)}")
-    bundles = _compute_bundles(config, graph, _frequencies(config))
-    for method in ["mfvdm", *config.baselines]:
-        _stage(f"{method} p={_p_tag(p)}")
-        embeddings = _method_embedding(method, bundles, config)
-        neighbors = nn_search(embeddings, config.kappa_search,
-                              workers=config.workers)
-        mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
-        table = None
-        if method != "dm":
-            table = align_neighbors(embeddings, neighbors, config.t_fft)
-            mio.write_alignment_csv(table, out / f"align_{method}.csv")
-        if truth is not None:
-            params = _echo_params(config, p)
-            report = score_nn(neighbors, truth, method=method, params=params)
-            if table is not None:
-                report = merge_reports(
-                    report,
-                    score_alignment(table, truth, method=method,
-                                    params=params),
-                )
-            mio.write_eval_report(report, out / f"report_{method}")
+def _run(config: ExperimentConfig, p_values, last: str) -> None:
+    """Run the chain for each p and stop after stage ``last``.
 
-
-def cmd_generate(config: ExperimentConfig, p_values) -> None:
-    if config.manifold == "external":
+    The stages are generate (truth and graphs), embed (eigenbundles for
+    every frequency), nn (neighbor search and its scores) and align (FFT
+    angles, merged into the same reports).  Every command is a prefix of
+    this chain, so a stage writes the same files whichever command ran it.
+    """
+    if last == "generate" and config.manifold == "external":
         raise ConfigError("generate needs a synthetic manifold.")
     _stage("generate")
     truth, clean = _truth_and_clean_graph(config)
     for p in p_values:
-        _graph_for_p(config, clean, p)
+        tag = _p_tag(p)
+        _stage(f"generate p={tag}")
+        graph = _graph_for_p(config, clean, p)
+        if last == "generate":
+            continue
+        _stage(f"embed p={tag}")
+        ks = range(0 if "dm" in config.baselines else 1, config.k_max + 1)
+        bundles = _compute_bundles(config, graph, ks, config.m_k)
+        if last == "embed":
+            continue
+        out = Path(config.out_dir) / f"p{tag}"
+        out.mkdir(parents=True, exist_ok=True)
+        params = _echo_params(config, p)
+        for method in ["mfvdm", *config.baselines]:
+            _stage(f"{method} p={tag}")
+            embeddings = _method_embedding(method, bundles, config)
+            neighbors = nn_search(embeddings, config.kappa_search,
+                                  workers=config.workers)
+            mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
+            table = None
+            if last == "align" and method != "dm":
+                table = align_neighbors(embeddings, neighbors, config.t_fft)
+                mio.write_alignment_csv(table, out / f"align_{method}.csv")
+            if truth is not None:
+                report = score_nn(neighbors, truth, method=method,
+                                  params=params)
+                if table is not None:
+                    report = merge_reports(
+                        report,
+                        score_alignment(table, truth, method=method,
+                                        params=params),
+                    )
+                mio.write_eval_report(report, out / f"report_{method}")
 
 
 def _single_p(p_values) -> float:
@@ -214,62 +226,24 @@ def _single_p(p_values) -> float:
     return p_values[0]
 
 
+def cmd_generate(config: ExperimentConfig, p_values) -> None:
+    _run(config, p_values, "generate")
+
+
 def cmd_embed(config: ExperimentConfig, p_values) -> None:
-    p = _single_p(p_values)
-    _stage("generate")
-    _, graph = _resolve_graph(config, p)
-    _stage("embed")
-    _compute_bundles(config, graph, _frequencies(config))
+    _run(config, [_single_p(p_values)], "embed")
 
 
 def cmd_nn(config: ExperimentConfig, p_values) -> None:
-    p = _single_p(p_values)
-    _stage("generate")
-    truth, graph = _resolve_graph(config, p)
-    _stage("embed")
-    bundles = _compute_bundles(config, graph, _frequencies(config))
-    out = Path(config.out_dir) / f"p{_p_tag(p)}"
-    out.mkdir(parents=True, exist_ok=True)
-    for method in ["mfvdm", *config.baselines]:
-        _stage(f"nn {method}")
-        embeddings = _method_embedding(method, bundles, config)
-        neighbors = nn_search(embeddings, config.kappa_search,
-                              workers=config.workers)
-        mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
-        if truth is not None:
-            report = score_nn(neighbors, truth, method=method,
-                              params=_echo_params(config, p))
-            mio.write_eval_report(report, out / f"report_{method}_nn")
+    _run(config, [_single_p(p_values)], "nn")
 
 
 def cmd_align(config: ExperimentConfig, p_values) -> None:
-    p = _single_p(p_values)
-    _stage("generate")
-    truth, graph = _resolve_graph(config, p)
-    _stage("embed")
-    bundles = _compute_bundles(config, graph, _frequencies(config))
-    out = Path(config.out_dir) / f"p{_p_tag(p)}"
-    out.mkdir(parents=True, exist_ok=True)
-    for method in ["mfvdm", *config.baselines]:
-        if method == "dm":
-            continue
-        _stage(f"align {method}")
-        embeddings = _method_embedding(method, bundles, config)
-        neighbors = nn_search(embeddings, config.kappa_search,
-                              workers=config.workers)
-        table = align_neighbors(embeddings, neighbors, config.t_fft)
-        mio.write_alignment_csv(table, out / f"align_{method}.csv")
-        if truth is not None:
-            report = score_alignment(table, truth, method=method,
-                                     params=_echo_params(config, p))
-            mio.write_eval_report(report, out / f"report_{method}_align")
+    _run(config, [_single_p(p_values)], "align")
 
 
 def cmd_pipeline(config: ExperimentConfig, p_values) -> None:
-    for p in p_values:
-        _stage(f"generate p={_p_tag(p)}")
-        truth, graph = _resolve_graph(config, p)
-        _run_methods(config, truth, graph, p)
+    _run(config, p_values, "align")
 
 
 def cmd_spectrum(config: ExperimentConfig, p_values) -> None:
@@ -279,16 +253,16 @@ def cmd_spectrum(config: ExperimentConfig, p_values) -> None:
         )
     p = _single_p(p_values)
     _stage("generate")
-    _, graph = _resolve_graph(config, p)
+    _, clean = _truth_and_clean_graph(config)
+    graph = _graph_for_p(config, clean, p)
     _stage("spectrum")
-    m = min(config.spectrum_m, graph.n)
-    spectrum_config = dataclasses.replace(config, m_k=m)
-    bundles = _compute_bundles(spectrum_config, graph,
-                               list(config.spectrum_ks))
+    bundles = _compute_bundles(config, graph, config.spectrum_ks,
+                               config.spectrum_m)
     out = Path(config.out_dir) / f"p{_p_tag(p)}"
     out.mkdir(parents=True, exist_ok=True)
     for k in config.spectrum_ks:
-        report = spectral_report(bundles[k], config.kappa_build, config.n,
+        # h describes the graph that was solved, not the config's n.
+        report = spectral_report(bundles[k], config.kappa_build, graph.n,
                                  manifold=config.manifold)
         mio.write_spectral_report(report, out / f"spectrum_k{k}")
 
@@ -353,18 +327,11 @@ def _overrides(args: argparse.Namespace) -> dict:
         "workers": args.workers,
         "t_fft": args.tfft,
     }
-    if args.baselines is not None:
-        overrides["baselines"] = tuple(
-            part.strip() for part in args.baselines.split(",")
-            if part.strip()
-        )
-    if args.ks is not None:
-        try:
-            overrides["spectrum_ks"] = tuple(
-                int(part) for part in args.ks.split(",") if part.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"Bad --ks value {args.ks!r}: {exc}") from exc
+    # Comma lists parse exactly as they do in a config file.
+    for name, text in (("baselines", args.baselines),
+                       ("spectrum_ks", args.ks)):
+        if text is not None:
+            overrides[name] = _parse_value(name, text)
     if args.graph is not None and args.manifold is None:
         overrides["manifold"] = "external"
     return overrides
@@ -379,12 +346,9 @@ def main(argv=None) -> int:
         file_values = (load_config_file(args.config)
                        if args.config else {})
         overrides = _overrides(args)
-        p_override = args.p if args.p is not None else None
         config = resolve_config(file_values, overrides)
-        if p_override is not None:
-            p_values = _parse_p_list(p_override)
-        else:
-            p_values = [config.p]
+        p_values = (_parse_p_list(args.p) if args.p is not None
+                    else [config.p])
         _COMMANDS[args.command](config, p_values)
         return 0
     except (ConfigError, UnsupportedManifoldError) as exc:

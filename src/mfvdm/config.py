@@ -131,9 +131,9 @@ def _parse_value(name: str, text: str):
         if isinstance(default, float):
             return float(text)
         if isinstance(default, tuple):
-            if not text:
-                return ()
-            parts = tuple(part.strip() for part in text.split(","))
+            # Empty parts are skipped: "dm," and "dm" are the same list.
+            parts = tuple(part.strip() for part in text.split(",")
+                          if part.strip())
             if name in ("spectrum_ks",):
                 return tuple(int(part) for part in parts)
             return parts

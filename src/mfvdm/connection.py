@@ -89,25 +89,29 @@ def degrees(graph: AlignmentGraph) -> DegreeVector:
     return DegreeVector(deg=deg)
 
 
-def build_wk(graph: AlignmentGraph, k: int) -> SparseHermitian:
-    """Frequency-k affinity W_k(i, j) = w_ij * exp(i*k*alpha_ij)."""
+def _wk_values(graph: AlignmentGraph, k: int) -> np.ndarray:
+    """W_k on the stored edges: w_ij * exp(i*k*alpha_ij)."""
     if k < 0 or int(k) != k:
         raise ParameterError(f"Frequency k must be a nonnegative integer. "
                              f"Got {k}.")
-    values = graph.weights * np.exp(1j * k * graph.angles)
     if k == 0:
-        values = graph.weights.astype(np.complex128)
+        return graph.weights.astype(np.complex128)
+    return graph.weights * np.exp(1j * k * graph.angles)
+
+
+def build_wk(graph: AlignmentGraph, k: int) -> SparseHermitian:
+    """Frequency-k affinity W_k(i, j) = w_ij * exp(i*k*alpha_ij)."""
     return SparseHermitian(n=graph.n, rows=graph.rows, cols=graph.cols,
-                           values=values, k=int(k))
+                           values=_wk_values(graph, k), k=int(k))
 
 
 def build_sk(graph: AlignmentGraph, k: int,
              degree_vector: DegreeVector | None = None) -> SparseHermitian:
     """Degree-normalized affinity S_k = D^{-1/2} W_k D^{-1/2}."""
-    wk = build_wk(graph, k)
+    values = _wk_values(graph, k)
     if degree_vector is None:
         degree_vector = degrees(graph)
     inv_sqrt = 1.0 / np.sqrt(degree_vector.deg)
-    values = wk.values * inv_sqrt[wk.rows] * inv_sqrt[wk.cols]
-    return SparseHermitian(n=graph.n, rows=wk.rows, cols=wk.cols,
+    values = values * inv_sqrt[graph.rows] * inv_sqrt[graph.cols]
+    return SparseHermitian(n=graph.n, rows=graph.rows, cols=graph.cols,
                            values=values, k=int(k))

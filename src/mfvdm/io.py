@@ -50,25 +50,27 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _graph_lines(graph: AlignmentGraph) -> list:
-    lines = [f"n {graph.n}\n"]
-    for r, c, w, a in zip(graph.rows.tolist(), graph.cols.tolist(),
-                          graph.weights.tolist(), graph.angles.tolist()):
-        lines.append(f"{r} {c} {_fmt(w)} {_fmt(a)}\n")
-    return lines
-
-
 def write_graph(graph: AlignmentGraph, path) -> None:
     """Write the edge-list format: header ``n <count>``, lines ``i j w a``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_graph_lines(graph))
+        handle.write(f"n {graph.n}\n")
+        handle.writelines(
+            f"{r} {c} {_fmt(w)} {_fmt(a)}\n"
+            for r, c, w, a in zip(graph.rows.tolist(), graph.cols.tolist(),
+                                  graph.weights.tolist(),
+                                  graph.angles.tolist()))
 
 
 def graph_hash(graph: AlignmentGraph) -> str:
-    """Content hash of the canonical serialization."""
-    digest = hashlib.sha256()
-    for line in _graph_lines(graph):
-        digest.update(line.encode("utf-8"))
+    """Content hash of n and the edge arrays' little-endian bytes.
+
+    The arrays hold exactly the values ``write_graph`` round-trips, so a
+    graph and its reloaded file hash alike.
+    """
+    digest = hashlib.sha256(f"n {graph.n}\n".encode("utf-8"))
+    for array, dtype in ((graph.rows, "<i8"), (graph.cols, "<i8"),
+                         (graph.weights, "<f8"), (graph.angles, "<f8")):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
     return digest.hexdigest()
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from mfvdm import cli
+from mfvdm import io as mio
+from mfvdm.config import load_config_file
 from mfvdm.errors import ConvergenceError
 from mfvdm.io import read_graph
 
@@ -132,6 +134,69 @@ class TestPipeline:
         assert _tree_digest(rerun) == _tree_digest(pipeline_out)
 
 
+class TestStagePrefixes:
+    """Every stage command is ``pipeline`` cut short, for one p."""
+
+    ARGS = ("--manifold", "sphere", *SMALL, "--p", "0.4",
+            "--baselines", "dm,vdm", "--seed", "3")
+
+    @pytest.fixture(scope="class")
+    def full(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("full") / "out"
+        assert _run("pipeline", *self.ARGS, "--out", str(out)) == 0
+        return out
+
+    def test_align_writes_the_pipeline_tree(self, full, tmp_path):
+        out = tmp_path / "out"
+        assert _run("align", *self.ARGS, "--out", str(out)) == 0
+        assert _tree_digest(out) == _tree_digest(full)
+
+    def test_nn_writes_the_pipeline_nn_artifacts(self, full, tmp_path):
+        out = tmp_path / "out"
+        assert _run("nn", *self.ARGS, "--out", str(out)) == 0
+        written = _tree_digest(out / "p0.4")
+        reference = _tree_digest(full / "p0.4")
+        for method in ("mfvdm", "vdm", "dm"):
+            for name in (f"nn_{method}.csv", f"report_{method}_nn_hist.csv"):
+                assert written[name] == reference[name]
+            scalars = json.loads(
+                (out / "p0.4" / f"report_{method}_scalars.json").read_text())
+            full_scalars = json.loads(
+                (full / "p0.4" / f"report_{method}_scalars.json").read_text())
+            assert {key: full_scalars[key] for key in scalars} == scalars
+            assert "nn_mean" in scalars
+            assert "align_median_abs_deg" not in scalars
+        assert not [name for name in written if "align" in name]
+
+    def test_embed_writes_graphs_and_bundles_only(self, full, tmp_path):
+        out = tmp_path / "out"
+        assert _run("embed", *self.ARGS, "--out", str(out)) == 0
+        assert sorted(_tree_digest(out)) == [
+            "graph_clean.txt", "graph_p0.4.txt", "truth.txt"]
+        assert (sorted(p.name for p in (out / "cache").iterdir())
+                == sorted(p.name for p in (full / "cache").iterdir()))
+
+    def test_sweep_builds_truth_and_graphs_without_reading_them(
+            self, tmp_path, monkeypatch):
+        reads = {"read_truth": 0, "read_graph": 0}
+
+        def counted(name):
+            real = getattr(mio, name)
+
+            def wrapper(*args, **kwargs):
+                reads[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in reads:
+            monkeypatch.setattr(mio, name, counted(name))
+        out = tmp_path / "out"
+        assert _run("pipeline", "--manifold", "sphere", *SMALL,
+                    "--p", "1,0.3", "--seed", "3", "--out", str(out)) == 0
+        assert reads == {"read_truth": 0, "read_graph": 0}
+        assert (out / "graph_p0.3.txt").exists()
+
+
 class TestCache:
     def test_warm_embed_hits_cache(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -210,12 +275,50 @@ class TestSpectrum:
         assert abs(payload["h"] - 0.04) < 1e-12
         assert (out / "p1" / "spectrum_k1_spectrum.csv").exists()
 
+    def test_h_follows_the_solved_graph(self, tmp_path):
+        out = tmp_path / "out"
+        assert _run("generate", "--manifold", "sphere", "--n", "200",
+                    "--kappa-build", "10", "--p", "1", "--out", str(out),
+                    "--seed", "0", "--kappa", "10", "--kmax", "5") == 0
+        # A different --n reuses the 200-node graph already in --out.
+        assert _run("spectrum", "--manifold", "sphere", "--n", "300",
+                    "--kappa-build", "10", "--ks", "1", "--p", "1",
+                    "--out", str(out), "--seed", "0", "--kappa", "10",
+                    "--kmax", "5") == 0
+        payload = json.loads(
+            (out / "p1" / "spectrum_k1_clusters.json").read_text()
+        )
+        assert payload["h"] == 2.0 * 10 / 200
+
     def test_rejects_torus(self, tmp_path):
         code = _run("spectrum", "--manifold", "torus", "--n", "100",
                     "--kappa-build", "5", "--p", "1",
                     "--out", str(tmp_path / "out"), "--seed", "0",
                     "--kappa", "10", "--kmax", "5")
         assert code == 1
+
+
+class TestCommaLists:
+    @pytest.mark.parametrize("flag,key,text,expected", [
+        ("--baselines", "baselines", "dm,vdm", ("dm", "vdm")),
+        ("--baselines", "baselines", "dm,", ("dm",)),
+        ("--baselines", "baselines", " vdm , dm ", ("vdm", "dm")),
+        ("--ks", "spectrum_ks", "1,2,5", (1, 2, 5)),
+        ("--ks", "spectrum_ks", "3,", (3,)),
+    ])
+    def test_flag_and_config_line_agree(self, tmp_path, flag, key, text,
+                                        expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {text}\n")
+        args = cli.build_parser().parse_args(["pipeline", flag, text])
+        assert cli._overrides(args)[key] == expected
+        assert load_config_file(str(path))[key] == expected
+
+    @pytest.mark.parametrize("ks", ["1,x", "2.5"])
+    def test_bad_ks_is_a_config_error(self, tmp_path, ks):
+        assert _run("spectrum", "--manifold", "sphere", "--n", "100",
+                    "--kappa-build", "5", "--ks", ks, "--p", "1",
+                    "--out", str(tmp_path / "out")) == 1
 
 
 class TestExitCodes:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mfvdm import connection
 from mfvdm.connection import build_sk, build_wk, degrees
 from mfvdm.errors import ParameterError, ZeroDegreeError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph
@@ -128,6 +129,24 @@ class TestSk:
         a = build_sk(random_graph, 2)
         b = build_sk(random_graph, 2, degree_vector=deg)
         assert np.array_equal(a.values, b.values)
+
+    def test_builds_one_matrix_per_call(self, random_graph, monkeypatch):
+        built = []
+        post_init = connection.SparseHermitian.__post_init__
+
+        def counted(self):
+            built.append(self.k)
+            post_init(self)
+
+        monkeypatch.setattr(connection.SparseHermitian, "__post_init__",
+                            counted)
+        sk = build_sk(random_graph, 3, degrees(random_graph))
+        assert built == [3]
+        wk = build_wk(random_graph, 3)
+        deg = degrees(random_graph).deg
+        scale = 1.0 / np.sqrt(deg)
+        expected = wk.values * scale[wk.rows] * scale[wk.cols]
+        assert np.array_equal(sk.values, expected)
 
     def test_k_zero_top_eigenvector_is_sqrt_degree(self, random_graph):
         sk = build_sk(random_graph, 0)

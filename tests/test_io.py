@@ -63,6 +63,11 @@ class TestGraphFormat:
         assert h1 == graph_hash(graph)
         assert h1 != h2
 
+    def test_hash_survives_a_file_round_trip(self, graph, tmp_path):
+        path = tmp_path / "g.txt"
+        write_graph(graph, path)
+        assert graph_hash(read_graph(path)) == graph_hash(graph)
+
     @pytest.mark.parametrize("body,message", [
         ("x 3\n0 1 1.0 0.5\n", "first line"),
         ("n\n", "first line"),
