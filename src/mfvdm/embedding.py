@@ -216,9 +216,13 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
               workers: int = 1) -> NeighborList:
     """Exact kappa-NN under the squared diffusion distance.
 
-    All-pairs distances are evaluated in fixed-size node blocks; a stable
-    sort breaks distance ties by lower node index.  The result is identical
-    for any worker count.
+    All-pairs distances are evaluated in fixed-size node blocks.  Each row
+    keeps its kappa smallest distances by partial selection and orders them
+    by (distance, index), so ties break to the lower node index exactly as
+    a stable sort of the whole row would.  A row whose kappa-th distance is
+    tied with an unselected entry, or is not finite, is fully sorted with a
+    stable sort instead.  The result is identical for any worker count and
+    block size.
 
     Parameters
     ----------
@@ -246,9 +250,20 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
         block = np.arange(start, min(start + block_size, n))
         dist_sq = embeddings.distance_sq_block(block)
         dist_sq[np.arange(block.size), block] = np.inf
-        order = np.argsort(dist_sq, axis=1, kind="stable")[:, :kappa]
+        rows = np.arange(block.size)[:, None]
+        cand = np.argpartition(dist_sq, kappa - 1, axis=1)[:, :kappa]
+        cand_dist = dist_sq[rows, cand]
+        order = cand[rows, np.lexsort((cand, cand_dist), axis=1)]
+        # The selection is the stable sort's prefix only when exactly kappa
+        # entries lie at or below the kappa-th distance (argpartition puts
+        # it, or a NaN, in the last candidate column).
+        kth = cand_dist[:, -1]
+        tied = ~np.isfinite(kth) | (
+            np.count_nonzero(dist_sq <= kth[:, None], axis=1) > kappa)
+        order[tied] = np.argsort(dist_sq[tied], axis=1,
+                                 kind="stable")[:, :kappa]
         indices[block] = order
-        distances[block] = dist_sq[np.arange(block.size)[:, None], order]
+        distances[block] = dist_sq[rows, order]
 
     starts = range(0, n, block_size)
     if workers > 1:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -46,19 +47,22 @@ __all__ = [
 CACHE_ENV = "MFVDM_CACHE_DIR"
 
 
+# The one float format of every text output: 17 significant digits.
+_FLOAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return "%.17g" % x
+    return _FLOAT % x
 
 
 def write_graph(graph: AlignmentGraph, path) -> None:
     """Write the edge-list format: header ``n <count>``, lines ``i j w a``."""
+    rows = zip(graph.rows.tolist(), graph.cols.tolist(),
+               graph.weights.tolist(), graph.angles.tolist())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"n {graph.n}\n")
-        handle.writelines(
-            f"{r} {c} {_fmt(w)} {_fmt(a)}\n"
-            for r, c, w, a in zip(graph.rows.tolist(), graph.cols.tolist(),
-                                  graph.weights.tolist(),
-                                  graph.angles.tolist()))
+        template = f"%d %d {_FLOAT} {_FLOAT}\n"
+        handle.writelines(template % row for row in rows)
 
 
 def graph_hash(graph: AlignmentGraph) -> str:
@@ -74,8 +78,17 @@ def graph_hash(graph: AlignmentGraph) -> str:
     return digest.hexdigest()
 
 
+_EDGE_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("w", "<f8"),
+                        ("a", "<f8")])
+
+
 def read_graph(path) -> AlignmentGraph:
-    """Parse the edge-list format back into a validated AlignmentGraph."""
+    """Parse the edge-list format back into a validated AlignmentGraph.
+
+    The body is parsed by one ``np.loadtxt`` call and checked on arrays.
+    An error names the first offending line, as a line-by-line reader
+    would.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -87,54 +100,86 @@ def read_graph(path) -> AlignmentGraph:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise GraphFileError(f"{path}: bad header {lines[0]!r}.") from exc
-    rows, cols, weights, angles = [], [], [], []
-    seen = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise GraphFileError(f"{path}:{lineno}: expected 'i j w alpha'. "
-                                 f"Got {raw.strip()!r}.")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w, a = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise GraphFileError(f"{path}:{lineno}: {exc}") from exc
-        if i == j:
-            raise GraphFileError(f"{path}:{lineno}: self-loop {i}.")
-        if not i < j:
-            raise GraphFileError(f"{path}:{lineno}: edges must have i < j.")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphFileError(f"{path}:{lineno}: endpoint out of range.")
-        if (i, j) in seen:
-            raise GraphFileError(f"{path}:{lineno}: duplicate edge "
-                                 f"({i}, {j}).")
-        if w <= 0.0:
-            raise GraphFileError(f"{path}:{lineno}: weight must be > 0.")
-        if not 0.0 <= a < TWO_PI:
-            raise GraphFileError(f"{path}:{lineno}: alpha must lie in "
-                                 f"[0, 2*pi).")
-        seen.add((i, j))
-        rows.append(i)
-        cols.append(j)
-        weights.append(w)
-        angles.append(a)
-    order = np.argsort(np.asarray(rows, dtype=np.int64) * n
-                       + np.asarray(cols, dtype=np.int64), kind="stable")
+    body = lines[1:]
     try:
-        graph = AlignmentGraph(
-            n=n,
-            rows=np.asarray(rows, dtype=np.int64)[order],
-            cols=np.asarray(cols, dtype=np.int64)[order],
-            weights=np.asarray(weights)[order],
-            angles=np.asarray(angles)[order],
-        )
+        with warnings.catch_warnings():
+            # Some numpy releases parse a float literal such as "0.7" into
+            # an int field with only a DeprecationWarning; reject it instead.
+            warnings.simplefilter("error", DeprecationWarning)
+            edges = (np.loadtxt(body, dtype=_EDGE_DTYPE, comments=None,
+                                ndmin=1)
+                     if any(line.strip() for line in body)
+                     else np.empty(0, dtype=_EDGE_DTYPE))
+    except (ValueError, DeprecationWarning) as exc:
+        edges, error = _parse_edge_lines(path, body, exc)
+        _check_edges(path, body, n, edges)
+        raise error from exc
+    _check_edges(path, body, n, edges)
+    rows, cols = edges["i"], edges["j"]
+    order = np.argsort(rows * n + cols, kind="stable")
+    try:
+        graph = AlignmentGraph(n=n, rows=rows[order], cols=cols[order],
+                               weights=edges["w"][order],
+                               angles=edges["a"][order])
         graph.validate()
     except ParameterError as exc:
         raise GraphFileError(f"{path}: {exc}") from exc
     return graph
+
+
+def _parse_edge_lines(path, body, rejection):
+    """Find the first edge line that does not parse, for the error report.
+
+    Used only when ``np.loadtxt`` rejects the body. Returns the edges before
+    that line and the error naming it; when Python's parsers take every line
+    (a literal such as ``1_0``), the error is ``np.loadtxt``'s ``rejection``.
+    """
+    limit = np.iinfo(np.int64)
+    records = []
+    for lineno, raw in enumerate(body, start=2):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            error = GraphFileError(f"{path}:{lineno}: expected 'i j w alpha'. "
+                                   f"Got {raw.strip()!r}.")
+            break
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            w, a = float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            error = GraphFileError(f"{path}:{lineno}: {exc}")
+            break
+        if not (limit.min <= i <= limit.max and limit.min <= j <= limit.max):
+            error = GraphFileError(f"{path}:{lineno}: endpoint out of range.")
+            break
+        records.append((i, j, w, a))
+    else:
+        error = GraphFileError(f"{path}: {rejection}")
+    return np.array(records, dtype=_EDGE_DTYPE), error
+
+
+def _check_edges(path, body, n: int, edges: np.ndarray) -> None:
+    """Raise GraphFileError for the first edge that fails a check."""
+    i, j, w, a = (edges[name] for name in ("i", "j", "w", "a"))
+    repeated = np.ones(i.shape, dtype=bool)
+    repeated[np.unique(i * n + j, return_index=True)[1]] = False
+    checks = (
+        (i == j, "self-loop {i}."),
+        (i > j, "edges must have i < j."),
+        ((i < 0) | (i >= n) | (j < 0) | (j >= n), "endpoint out of range."),
+        (repeated, "duplicate edge ({i}, {j})."),
+        (w <= 0.0, "weight must be > 0."),
+        (~((0.0 <= a) & (a < TWO_PI)), "alpha must lie in [0, 2*pi)."),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not np.any(bad):
+        return
+    row = int(np.argmax(bad))
+    message = next(text for mask, text in checks if mask[row])
+    lineno = [k for k, raw in enumerate(body, start=2) if raw.strip()][row]
+    raise GraphFileError(f"{path}:{lineno}: "
+                         + message.format(i=int(i[row]), j=int(j[row])))
 
 
 def write_truth(truth, path) -> None:
@@ -186,24 +231,25 @@ def read_truth(path):
 
 def write_nn_csv(neighbors: NeighborList, path) -> None:
     """CSV rows (node, rank, neighbor, squared_distance), rank 1 nearest."""
+    n, kappa = neighbors.n, neighbors.kappa
+    rows = zip(np.repeat(np.arange(n), kappa).tolist(),
+               np.tile(np.arange(1, kappa + 1), n).tolist(),
+               neighbors.indices.ravel().tolist(),
+               neighbors.distances_sq.ravel().tolist())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("node,rank,neighbor,squared_distance\n")
-        for i in range(neighbors.n):
-            for rank in range(neighbors.kappa):
-                handle.write(
-                    f"{i},{rank + 1},{neighbors.indices[i, rank]},"
-                    f"{_fmt(neighbors.distances_sq[i, rank])}\n"
-                )
+        template = f"%d,%d,%d,{_FLOAT}\n"
+        handle.writelines(template % row for row in rows)
 
 
 def write_alignment_csv(table: AlignmentTable, path) -> None:
     """CSV rows (i, j, alpha_hat_radians, objective_value)."""
+    rows = zip(table.i.tolist(), table.j.tolist(), table.alpha_hat.tolist(),
+               table.objective.tolist())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("i,j,alpha_hat_radians,objective_value\n")
-        for a, b, alpha, obj in zip(table.i.tolist(), table.j.tolist(),
-                                    table.alpha_hat.tolist(),
-                                    table.objective.tolist()):
-            handle.write(f"{a},{b},{_fmt(alpha)},{_fmt(obj)}\n")
+        template = f"%d,%d,{_FLOAT},{_FLOAT}\n"
+        handle.writelines(template % row for row in rows)
 
 
 def _write_histogram(edges: np.ndarray, counts: np.ndarray, path) -> None:

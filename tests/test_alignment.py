@@ -182,6 +182,17 @@ class TestAlignNeighbors:
         assert np.array_equal(table.i, np.repeat(np.arange(250), 4))
         assert np.array_equal(table.j, nn.indices.ravel())
 
+    def test_chunk_size_bitwise_invariant(self, clean_instance):
+        _, _, emb = clean_instance
+        nn = nn_search(emb, kappa=16)
+        lo = np.minimum(np.repeat(np.arange(250), 16), nn.indices.ravel())
+        hi = np.maximum(np.repeat(np.arange(250), 16), nn.indices.ravel())
+        assert np.unique(lo * 250 + hi).size > 3 * 512
+        small = align_neighbors(emb, nn, chunk=512)
+        large = align_neighbors(emb, nn, chunk=8192)
+        assert np.array_equal(small.alpha_hat, large.alpha_hat)
+        assert np.array_equal(small.objective, large.objective)
+
     def test_frame_rotation_shifts_estimate(self, clean_instance):
         # Rotating node j's features by e^{ik theta} multiplies z(k) by
         # e^{-ik theta}, shifting the estimated angle by -theta.

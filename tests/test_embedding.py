@@ -217,6 +217,31 @@ class TestNNSearch:
         assert got.indices[0, 0] == 2
         assert got.distances_sq[0, 0] == 0.0
 
+    def test_quantized_ties_match_stable_sort_oracle(self):
+        # Binary features repeat rows and distances, so exact ties sit
+        # inside the top kappa and, for some kappa, straddle its boundary.
+        rng = np.random.default_rng(8)
+        phi = (rng.integers(0, 2, size=(40, 3))
+               + 1j * rng.integers(0, 2, size=(40, 3)))
+        phi[:, 0] += 1.0
+        emb = EmbeddingSet(features=(FrequencyFeatures(k=1, t=1, phi=phi),))
+        dist = emb.distance_sq_block(np.arange(40))
+        np.fill_diagonal(dist, np.inf)
+        order = np.argsort(dist, axis=1, kind="stable")
+        straddled = 0
+        for kappa in range(1, 40):
+            kth = dist[np.arange(40), order[:, kappa - 1]]
+            straddled += np.count_nonzero(
+                np.count_nonzero(dist <= kth[:, None], axis=1) > kappa)
+            for block_size, workers in ((512, 1), (7, 1), (7, 3), (1, 2)):
+                got = nn_search(emb, kappa, block_size=block_size,
+                                workers=workers)
+                assert np.array_equal(got.indices, order[:, :kappa])
+                assert np.array_equal(
+                    got.distances_sq,
+                    np.take_along_axis(dist, order[:, :kappa], axis=1))
+        assert straddled > 100
+
     def test_worker_count_bitwise_invariant(self, small_instance):
         _, bundles = small_instance
         emb = build_embedding_set(bundles, t=1)

@@ -1,6 +1,7 @@
 """File formats: round-trips, strict parsing, cache behavior."""
 
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -81,13 +82,58 @@ class TestGraphFormat:
         ("n 3\n0 1 1.0 6.4\n", "alpha"),
         ("n 3\n0 1 1.0 -0.1\n", "alpha"),
         ("n 3\n0 1 one 0.5\n", "could not convert"),
+        ("n 3\n0.0 1 1.0 0.5\n1 2 1.0 0.5\n", "invalid literal"),
+        ("n 3\n1e0 2 1.0 0.5\n0 1 1.0 0.5\n", "invalid literal"),
+        # Python's int() takes "1_1", np.loadtxt does not: still an error.
+        ("n 12\n1 1_1 1.0 0.5\n", "could not convert string '1_1'"),
         ("n 3\n0 1 1.0 0.5\n", "no incident edges"),  # node 2 isolated
+        ("n 3\n  \n\n", "no edges"),
     ])
     def test_rejects_malformed(self, tmp_path, body, message):
         path = tmp_path / "bad.txt"
         path.write_text(body)
         with pytest.raises(GraphFileError, match=message.replace("(", "\\(")):
             read_graph(path)
+
+    @pytest.mark.parametrize("body,message", [
+        # The blank line counts: the duplicate is file line 5.
+        ("n 3\n0 1 1.0 0.5\n\n1 2 1.0 0.5\n0 1 1.0 0.6\n",
+         ":5: duplicate edge (0, 1)."),
+        ("n 3\n0 1 1.0 0.5\n1 2 1.0 0.5\n0 2 -1.0 0.5\n",
+         ":4: weight must be > 0."),
+        # A failed check reports before a later line that does not parse.
+        ("n 4\n0 1 1.0 0.5\n2 2 1.0 0.5\n1 x 1.0 0.5\n", ":3: self-loop 2."),
+        ("n 4\n0 1 1.0 0.5\n1 2 1.0 0.5\n\n1 3 1.0\n",
+         ":5: expected 'i j w alpha'"),
+        ("n 4\n0 1 1.0 0.5\n1 2 1.0 0.5\n1 3 1.0 0.5\n2 3 1.0 7.0\n",
+         ":5: alpha must lie"),
+        ("n 4\n0 1 1.0 0.5\n0 99999999999999999999 1.0 0.5\n",
+         ":3: endpoint out of range."),
+    ])
+    def test_error_names_the_first_offending_line(self, tmp_path, body,
+                                                  message):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        with pytest.raises(GraphFileError) as info:
+            read_graph(path)
+        assert str(info.value).startswith(f"{path}{message}")
+
+    def test_deprecation_warning_is_a_rejection(self, tmp_path,
+                                                monkeypatch):
+        """A numpy that reads "0.0" in an int field as 0 with a warning."""
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(lines, **kwargs):
+            warnings.warn("float literal in an int field", DeprecationWarning)
+            return loadtxt([line.replace("0.0 ", "0 ") for line in lines],
+                           **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "bad.txt"
+        path.write_text("n 3\n0 1 1.0 0.5\n0.0 2 1.0 0.5\n")
+        with pytest.raises(GraphFileError) as info:
+            read_graph(path)
+        assert str(info.value).startswith(f"{path}:3: invalid literal")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(GraphFileError):
@@ -163,6 +209,35 @@ class TestCsvFormats:
         write_nn_csv(nn, path)
         text = path.read_text().splitlines()[1].split(",")[3]
         assert float(text) == value
+
+
+def test_writers_match_per_row_reference(graph, tmp_path):
+    """The batched writers emit the bytes of a row-by-row f-string writer."""
+    rng = np.random.default_rng(5)
+    fmt = "%.17g".__mod__
+    nn = NeighborList(indices=rng.integers(0, 100, size=(7, 3)),
+                      distances_sq=rng.random((7, 3)) * 10.0 ** -rng.integers(
+                          0, 20, size=(7, 3)))
+    table = AlignmentTable(i=rng.integers(0, 100, 9),
+                           j=rng.integers(0, 100, 9),
+                           alpha_hat=rng.random(9) * 6.0,
+                           objective=np.r_[rng.normal(size=8), 0.0])
+    want = {
+        "nn.csv": "node,rank,neighbor,squared_distance\n" + "".join(
+            f"{i},{r + 1},{nn.indices[i, r]},{fmt(nn.distances_sq[i, r])}\n"
+            for i in range(nn.n) for r in range(nn.kappa)),
+        "align.csv": "i,j,alpha_hat_radians,objective_value\n" + "".join(
+            f"{a},{b},{fmt(x)},{fmt(y)}\n" for a, b, x, y in zip(
+                table.i, table.j, table.alpha_hat, table.objective)),
+        "graph.txt": f"n {graph.n}\n" + "".join(
+            f"{r} {c} {fmt(w)} {fmt(a)}\n" for r, c, w, a in zip(
+                graph.rows, graph.cols, graph.weights, graph.angles)),
+    }
+    write_nn_csv(nn, tmp_path / "nn.csv")
+    write_alignment_csv(table, tmp_path / "align.csv")
+    write_graph(graph, tmp_path / "graph.txt")
+    for name, text in want.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
 
 
 class TestReports:
