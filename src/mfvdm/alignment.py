@@ -4,8 +4,9 @@ For a pair (i, j) the per-frequency inner products z(k) = <phi_k(i),
 phi_k(j)> behave like e^{i*k*alpha_ij} times a nonnegative kernel weight, so
 the common angle is recovered as the maximizer of f(alpha) =
 Re sum_k z(k) e^{-i*k*alpha}.  The objective is evaluated on a grid of T
-angles with one zero-padded FFT and the peak is refined by fitting a
-parabola through its three surrounding samples.
+angles as one real matrix product, [Re z, Im z] times a table of cos(k*alpha_m)
+and sin(k*alpha_m), and the peak is refined by fitting a parabola through its
+three surrounding samples.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 1024
-# Pairs per FFT batch.  Rows are independent, so the size never changes a
-# result.  On the default grid a 512-pair block is 8 MB and is reused from
-# the heap; 8192 pairs allocated, faulted in and streamed three 130 MB
-# arrays per batch.
+# Pairs per grid-evaluation batch.  Rows are independent, so the size never
+# changes a result.  On the default grid a 512-pair block of objective values
+# is 4 MB, small enough to be reused from the heap instead of being faulted
+# in anew for every batch.
 DEFAULT_CHUNK = 512
 
 
@@ -116,11 +117,50 @@ def _check_grid(grid_length: int, k_max: int) -> None:
         )
 
 
-def _objective_grid(z: np.ndarray, grid_length: int) -> np.ndarray:
-    """f(alpha_m) = Re sum_k z(k) e^{-ik alpha_m} on alpha_m = 2 pi m / T."""
-    padded = np.zeros(z.shape[:-1] + (grid_length,), dtype=np.complex128)
-    padded[..., 1:z.shape[-1] + 1] = z
-    return np.real(np.fft.fft(padded, axis=-1))
+def _grid_table(k_max: int, grid_length: int) -> np.ndarray:
+    """(2*k_max, T) rows cos(k alpha_m), then sin(k alpha_m), k = 1..k_max.
+
+    The phase k*m is reduced mod T in integers, so every entry is the cosine
+    or sine of an angle in [0, 2 pi) on alpha_m = 2 pi m / T.
+    """
+    _check_grid(grid_length, k_max)
+    steps = np.outer(np.arange(1, k_max + 1), np.arange(grid_length))
+    phase = TWO_PI * (steps % grid_length) / grid_length
+    return np.concatenate([np.cos(phase), np.sin(phase)])
+
+
+def _objective_grid(z: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """f(alpha_m) = Re sum_k z(k) e^{-ik alpha_m} for rows of z, (pairs, T).
+
+    Re(z e^{-ik alpha}) = Re z cos(k alpha) + Im z sin(k alpha), so the grid
+    is one real product against ``_grid_table``.
+    """
+    parts = np.concatenate([z.real, z.imag], axis=1)
+    if parts.shape[0] == 1:
+        # BLAS sends a one-row product to gemv, which rounds differently
+        # from the gemm used for larger batches.  Two rows keep a row's
+        # values independent of the batch it is evaluated in.
+        return (np.concatenate([parts, parts]) @ table)[:1]
+    return parts @ table
+
+
+def _estimate_rows(z: np.ndarray, table: np.ndarray, chunk: int):
+    """(alpha, objective) for the rows of z, evaluated ``chunk`` at a time."""
+    flat = ~np.any(z, axis=1)
+    if np.any(flat):
+        raise UndefinedAlignmentError(
+            f"{int(np.count_nonzero(flat))} pair(s) have all-zero z."
+        )
+    grid_length = table.shape[1]
+    alpha = np.empty(z.shape[0])
+    objective = np.empty(z.shape[0])
+    for start in range(0, z.shape[0], chunk):
+        stop = min(start + chunk, z.shape[0])
+        values = _objective_grid(z[start:stop], table)
+        alpha[start:stop], objective[start:stop] = _refine_peaks(
+            values, grid_length
+        )
+    return alpha, objective
 
 
 def _refine_peaks(values: np.ndarray, grid_length: int):
@@ -148,7 +188,7 @@ def estimate_angle(sequence, grid_length: int = DEFAULT_GRID) -> AngleEstimate:
     sequence : AlignmentSequence or complex array
         z(k) values, index l holding frequency l+1.
     grid_length : int
-        FFT length T, a power of two with T >= 4*k_max.
+        Grid length T, a power of two with T >= 4*k_max.
 
     Returns
     -------
@@ -161,12 +201,11 @@ def estimate_angle(sequence, grid_length: int = DEFAULT_GRID) -> AngleEstimate:
     """
     z = sequence.z if isinstance(sequence, AlignmentSequence) \
         else np.asarray(sequence, dtype=np.complex128)
-    _check_grid(grid_length, z.shape[0])
+    table = _grid_table(z.shape[0], grid_length)
     if not np.any(z):
         raise UndefinedAlignmentError("All z(k) vanish; the alignment "
                                       "objective is flat.")
-    values = _objective_grid(z[None, :], grid_length)
-    alpha, objective = _refine_peaks(values, grid_length)
+    alpha, objective = _estimate_rows(z[None, :], table, 1)
     return AngleEstimate(alpha_hat=float(alpha[0]),
                          objective=float(objective[0]),
                          grid_length=grid_length)
@@ -176,21 +215,7 @@ def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID,
                     chunk: int = DEFAULT_CHUNK):
     """Batched estimate_angle over rows of z, (pairs, k_max) -> two arrays."""
     z = np.asarray(z, dtype=np.complex128)
-    _check_grid(grid_length, z.shape[1])
-    flat = ~np.any(z, axis=1)
-    if np.any(flat):
-        raise UndefinedAlignmentError(
-            f"{int(np.count_nonzero(flat))} pair(s) have all-zero z."
-        )
-    alpha = np.empty(z.shape[0])
-    objective = np.empty(z.shape[0])
-    for start in range(0, z.shape[0], chunk):
-        stop = min(start + chunk, z.shape[0])
-        values = _objective_grid(z[start:stop], grid_length)
-        alpha[start:stop], objective[start:stop] = _refine_peaks(
-            values, grid_length
-        )
-    return alpha, objective
+    return _estimate_rows(z, _grid_table(z.shape[1], grid_length), chunk)
 
 
 def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
@@ -217,13 +242,14 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     lo_u = keys // n
     hi_u = keys % n
 
+    table = _grid_table(embeddings.k_max, grid_length)
     alpha_u = np.empty(keys.shape[0])
     objective_u = np.empty(keys.shape[0])
     for start in range(0, keys.shape[0], chunk):
         stop = min(start + chunk, keys.shape[0])
         z = _sequence_matrix(embeddings, lo_u[start:stop], hi_u[start:stop])
-        alpha_u[start:stop], objective_u[start:stop] = estimate_angles(
-            z, grid_length, chunk=chunk
+        alpha_u[start:stop], objective_u[start:stop] = _estimate_rows(
+            z, table, chunk
         )
 
     alpha = np.where(ii <= jj, alpha_u[inverse],

@@ -1,7 +1,7 @@
 """Command-line pipeline: generate, embed, nn, align, pipeline, spectrum.
 
 ``pipeline`` runs the whole chain for every p in ``--p``: ground truth and
-graphs, the eigenbundles of each frequency, NN search, FFT alignment, and
+graphs, the eigenbundles of each frequency, NN search, grid alignment, and
 the scores.  ``generate``, ``embed``, ``nn`` and ``align`` run the same
 chain up to their own stage (``generate`` for every p, the others for one
 p) and write that prefix's artifacts under ``pipeline``'s file names.
@@ -137,7 +137,7 @@ def _compute_bundles(config: ExperimentConfig, graph, ks, m: int) -> dict:
 
     def solve(k: int):
         path = mio.bundle_cache_path(cache, digest, k, m)
-        bundle = mio.load_bundle(path)
+        bundle = mio.load_bundle(path, k=k, shape=(graph.n, m))
         if bundle is not None:
             print(f"[embed] k={k} cache hit", flush=True)
             return k, bundle
@@ -176,7 +176,7 @@ def _run(config: ExperimentConfig, p_values, last: str) -> None:
     """Run the chain for each p and stop after stage ``last``.
 
     The stages are generate (truth and graphs), embed (eigenbundles for
-    every frequency), nn (neighbor search and its scores) and align (FFT
+    every frequency), nn (neighbor search and its scores) and align (grid
     angles, merged into the same reports).  Every command is a prefix of
     this chain, so a stage writes the same files whichever command ran it.
     """

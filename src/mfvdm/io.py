@@ -342,16 +342,24 @@ def save_bundle(bundle: SpectralBundle, path) -> None:
         raise
 
 
-def load_bundle(path) -> SpectralBundle | None:
+def load_bundle(path, k: int | None = None,
+                shape: tuple | None = None) -> SpectralBundle | None:
     """Load a cached bundle; None if the file is absent or unreadable.
 
     An unreadable entry (truncated, not an npz, missing arrays) is a cache
-    miss, so the caller recomputes the bundle and overwrites it.
+    miss, so the caller recomputes the bundle and overwrites it.  So is an
+    entry whose stored frequency differs from ``k`` or whose eigenvectors
+    are not of ``shape`` (n, m); a None argument is not checked.
     """
     try:
-        with np.load(path) as data:
-            return SpectralBundle(k=int(data["k"]),
-                                  eigenvalues=data["eigenvalues"],
-                                  eigenvectors=data["eigenvectors"])
+        with open(path, "rb") as handle, np.load(handle) as data:
+            bundle = SpectralBundle(k=int(data["k"]),
+                                    eigenvalues=data["eigenvalues"],
+                                    eigenvectors=data["eigenvectors"])
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
+    if k is not None and bundle.k != k:
+        return None
+    if shape is not None and bundle.eigenvectors.shape != tuple(shape):
+        return None
+    return bundle

@@ -1,10 +1,15 @@
-"""Pairwise angle estimation: FFT objective, refinement, batch paths."""
+"""Pairwise angle estimation: grid objective, refinement, batch paths.
+
+The objective grid is checked against a zero-padded FFT of z, the textbook
+evaluation of the same truncated Fourier sum."""
 
 import numpy as np
 import pytest
 
 from mfvdm.alignment import (
     AlignmentSequence,
+    _grid_table,
+    _objective_grid,
     align_neighbors,
     alignment_sequence,
     estimate_angle,
@@ -68,6 +73,45 @@ class TestSequences:
         dm = build_embedding_set([bundle0], t=1, mode="linear")
         with pytest.raises(ParameterError):
             alignment_sequence(dm, 0, 1)
+
+
+def fft_objective(z, grid_length):
+    """Reference grid: f(alpha_m) as the real part of a length-T FFT of z
+    placed at indices 1..k_max of a zero sequence."""
+    padded = np.zeros(z.shape[:-1] + (grid_length,), dtype=np.complex128)
+    padded[..., 1:z.shape[-1] + 1] = z
+    return np.real(np.fft.fft(padded, axis=-1))
+
+
+class TestObjectiveGrid:
+    # Grids shorter than 4*k_max are rejected, so (64, 50) is left out.
+    @pytest.mark.parametrize("grid_length,k_max", [
+        (t, k) for t in (64, 256, 1024, 4096) for k in (1, 2, 5, 10, 16, 50)
+        if t >= 4 * k
+    ])
+    def test_matches_fft_oracle(self, grid_length, k_max):
+        rng = np.random.default_rng(grid_length + k_max)
+        scale = rng.uniform(1e-3, 1e3, size=(40, 1))
+        z = scale * (rng.normal(size=(40, k_max))
+                     + 1j * rng.normal(size=(40, k_max)))
+        table = _grid_table(k_max, grid_length)
+        got = _objective_grid(z, table)
+        want = fft_objective(z, grid_length)
+        bound = 16 * np.finfo(float).eps * np.abs(z).sum(axis=1)
+        assert np.all(np.abs(got - want) <= bound[:, None])
+
+    @pytest.mark.parametrize("k_max", [1, 10, 50])
+    def test_rows_independent_of_batch_size(self, k_max):
+        rng = np.random.default_rng(k_max)
+        z = rng.normal(size=(2000, k_max)) + 1j * rng.normal(
+            size=(2000, k_max))
+        table = _grid_table(k_max, 1024)
+        whole = _objective_grid(z, table)
+        for size in (1, 2, 3, 7, 511, 512, 513):
+            for start in range(0, 2000, size):
+                part = _objective_grid(z[start:start + size], table)
+                assert np.array_equal(part, whole[start:start + size]), \
+                    (size, start)
 
 
 class TestEstimateAngle:

@@ -241,6 +241,22 @@ class TestCache:
         assert sorted(p.name for p in (out / "cache").iterdir()) == sorted(
             p.name for p in (clean / "cache").iterdir())
 
+    def test_bundle_of_another_k_is_recomputed(self, tmp_path, monkeypatch):
+        from mfvdm.io import CACHE_ENV, load_bundle
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        args = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--baselines", "vdm", "--seed", "3")
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert _run(*args, "--out", str(clean)) == 0
+        assert _run(*args, "--out", str(out)) == 0
+        (k1,) = (out / "cache").glob("bundle_*_k1_*.npz")
+        (k2,) = (out / "cache").glob("bundle_*_k2_*.npz")
+        k1.write_bytes(k2.read_bytes())
+        assert load_bundle(k1).k == 2
+        assert _run(*args, "--out", str(out)) == 0
+        assert _tree_digest(out) == _tree_digest(clean)
+        assert load_bundle(k1).k == 1
+
 
 class TestExternalGraph:
     def test_graph_flag_implies_external(self, tmp_path):

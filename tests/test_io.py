@@ -323,6 +323,18 @@ class TestBundleCache:
             np.savez(path, k=1, eigenvalues=bundle.eigenvalues)
         assert load_bundle(path) is None
 
+    @pytest.mark.parametrize("wanted", [
+        {"k": 2}, {"shape": (20, 4)}, {"shape": (19, 5)},
+        {"k": 3, "shape": (5, 20)},
+    ])
+    def test_mismatched_bundle_is_a_miss(self, tmp_path, wanted):
+        bundle = SpectralBundle(k=3, eigenvalues=np.linspace(1, 0.5, 5),
+                                eigenvectors=np.ones((20, 5), dtype=complex))
+        path = tmp_path / "bundle.npz"
+        save_bundle(bundle, path)
+        assert load_bundle(path, **wanted) is None
+        assert load_bundle(path, k=3, shape=(20, 5)) is not None
+
     def test_concurrent_writers_leave_one_whole_bundle(self, tmp_path):
         rng = np.random.default_rng(5)
         bundles = [
