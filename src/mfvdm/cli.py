@@ -35,7 +35,6 @@ from mfvdm.embedding import (
 )
 from mfvdm.errors import (
     ConfigError,
-    ConvergenceError,
     GraphFileError,
     MfvdmError,
     UnsupportedManifoldError,
@@ -141,14 +140,7 @@ def _compute_bundles(config: ExperimentConfig, graph, ks, m: int) -> dict:
         if bundle is not None:
             print(f"[embed] k={k} cache hit", flush=True)
             return k, bundle
-        matrix = build_sk(graph, k, degree_vector)
-        try:
-            bundle = top_eigenpairs(matrix, m)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"Eigensolve failed at frequency k={k}: {exc}",
-                residuals=exc.residuals,
-            ) from exc
+        bundle = top_eigenpairs(build_sk(graph, k, degree_vector), m)
         mio.save_bundle(bundle, path)
         return k, bundle
 

@@ -1,10 +1,12 @@
 """File formats: graphs, ground truth, CSVs, reports, and the bundle cache.
 
 All text output prints floats with 17 significant digits so that values
-round-trip exactly and repeated runs produce byte-identical files.  The
-eigen-bundle cache is keyed by (graph content hash, k, m); cached entries
-are plain npz archives, written atomically so that processes sharing one
-cache never see a half-written entry.
+round-trip exactly and repeated runs produce byte-identical files.  Every
+artifact, bundles included, is written to a hidden temp file beside its
+target and renamed into place, so a write that fails or is killed never
+leaves a partial file under the artifact's name, and writers sharing one
+bundle cache never see each other's half-written entry.  The eigen-bundle
+cache is keyed by (graph content hash, k, m); entries are npz archives.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,18 +53,42 @@ CACHE_ENV = "MFVDM_CACHE_DIR"
 _FLOAT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT % x
+@contextmanager
+def _replacing(path, mode: str = "x"):
+    """Yield a new file ``.<name>.<hex>.tmp`` beside ``path``, made by
+    exclusive create (so it gets a plain ``open``'s mode).  It is renamed
+    onto ``path`` when the block ends, or removed if the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_table(path, header: str, template: str, *columns) -> None:
+    """Write ``header``, then one ``template % row`` line per row of the
+    equal-length 1-D ``columns``."""
+    rows = zip(*(column.tolist() for column in columns))
+    with _replacing(path) as handle:
+        handle.write(header)
+        handle.writelines(template % row for row in rows)
+
+
+def _write_json(payload: dict, path) -> None:
+    with _replacing(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def write_graph(graph: AlignmentGraph, path) -> None:
     """Write the edge-list format: header ``n <count>``, lines ``i j w a``."""
-    rows = zip(graph.rows.tolist(), graph.cols.tolist(),
-               graph.weights.tolist(), graph.angles.tolist())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"n {graph.n}\n")
-        template = f"%d %d {_FLOAT} {_FLOAT}\n"
-        handle.writelines(template % row for row in rows)
+    _write_table(path, f"n {graph.n}\n", f"%d %d {_FLOAT} {_FLOAT}\n",
+                 graph.rows, graph.cols, graph.weights, graph.angles)
 
 
 def graph_hash(graph: AlignmentGraph) -> str:
@@ -184,22 +210,18 @@ def _check_edges(path, body, n: int, edges: np.ndarray) -> None:
 
 def write_truth(truth, path) -> None:
     """Serialize a ground truth (sphere rotations or torus angles)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        if isinstance(truth, SphereTruth):
-            handle.write("manifold sphere\n")
-            handle.write(f"n {truth.n}\n")
-            for row in truth.rotations.reshape(truth.n, 9):
-                handle.write(" ".join(_fmt(x) for x in row) + "\n")
-        elif isinstance(truth, TorusTruth):
-            handle.write("manifold torus\n")
-            handle.write(f"n {truth.n}\n")
-            handle.write(f"radii {_fmt(truth.radius_major)} "
-                         f"{_fmt(truth.radius_minor)}\n")
-            for u, v, a in zip(truth.u.tolist(), truth.v.tolist(),
-                               truth.frame_angles.tolist()):
-                handle.write(f"{_fmt(u)} {_fmt(v)} {_fmt(a)}\n")
-        else:
-            raise ParameterError(f"Unknown truth type {type(truth)!r}.")
+    if isinstance(truth, SphereTruth):
+        _write_table(path, f"manifold sphere\nn {truth.n}\n",
+                     " ".join([_FLOAT] * 9) + "\n",
+                     *truth.rotations.reshape(truth.n, 9).T)
+    elif isinstance(truth, TorusTruth):
+        radii = (f"radii {_FLOAT} {_FLOAT}\n"
+                 % (truth.radius_major, truth.radius_minor))
+        _write_table(path, f"manifold torus\nn {truth.n}\n{radii}",
+                     f"{_FLOAT} {_FLOAT} {_FLOAT}\n",
+                     truth.u, truth.v, truth.frame_angles)
+    else:
+        raise ParameterError(f"Unknown truth type {type(truth)!r}.")
 
 
 def read_truth(path):
@@ -232,32 +254,22 @@ def read_truth(path):
 def write_nn_csv(neighbors: NeighborList, path) -> None:
     """CSV rows (node, rank, neighbor, squared_distance), rank 1 nearest."""
     n, kappa = neighbors.n, neighbors.kappa
-    rows = zip(np.repeat(np.arange(n), kappa).tolist(),
-               np.tile(np.arange(1, kappa + 1), n).tolist(),
-               neighbors.indices.ravel().tolist(),
-               neighbors.distances_sq.ravel().tolist())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("node,rank,neighbor,squared_distance\n")
-        template = f"%d,%d,%d,{_FLOAT}\n"
-        handle.writelines(template % row for row in rows)
+    _write_table(path, "node,rank,neighbor,squared_distance\n",
+                 f"%d,%d,%d,{_FLOAT}\n", np.repeat(np.arange(n), kappa),
+                 np.tile(np.arange(1, kappa + 1), n),
+                 neighbors.indices.ravel(), neighbors.distances_sq.ravel())
 
 
 def write_alignment_csv(table: AlignmentTable, path) -> None:
     """CSV rows (i, j, alpha_hat_radians, objective_value)."""
-    rows = zip(table.i.tolist(), table.j.tolist(), table.alpha_hat.tolist(),
-               table.objective.tolist())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("i,j,alpha_hat_radians,objective_value\n")
-        template = f"%d,%d,{_FLOAT},{_FLOAT}\n"
-        handle.writelines(template % row for row in rows)
+    _write_table(path, "i,j,alpha_hat_radians,objective_value\n",
+                 f"%d,%d,{_FLOAT},{_FLOAT}\n", table.i, table.j,
+                 table.alpha_hat, table.objective)
 
 
-def _write_histogram(edges: np.ndarray, counts: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("bin_lo,bin_hi,count\n")
-        for lo, hi, c in zip(edges[:-1].tolist(), edges[1:].tolist(),
-                             counts.tolist()):
-            handle.write(f"{_fmt(lo)},{_fmt(hi)},{c}\n")
+def _write_histogram(path, edges: np.ndarray, counts: np.ndarray) -> None:
+    _write_table(path, "bin_lo,bin_hi,count\n", f"{_FLOAT},{_FLOAT},%d\n",
+                 edges[:-1], edges[1:], counts)
 
 
 def write_eval_report(report: EvalReport, prefix) -> list:
@@ -267,20 +279,17 @@ def write_eval_report(report: EvalReport, prefix) -> list:
     scalars = {"method": report.method, "params": report.params}
     if report.nn_counts is not None:
         path = prefix.with_name(prefix.name + "_nn_hist.csv")
-        _write_histogram(report.nn_bin_edges, report.nn_counts, path)
+        _write_histogram(path, report.nn_bin_edges, report.nn_counts)
         written.append(path)
         scalars["nn_mean"] = report.nn_mean
         scalars["nn_median"] = report.nn_median
     if report.align_counts is not None:
         path = prefix.with_name(prefix.name + "_align_hist.csv")
-        _write_histogram(report.align_bin_edges_deg, report.align_counts,
-                         path)
+        _write_histogram(path, report.align_bin_edges_deg, report.align_counts)
         written.append(path)
         scalars["align_median_abs_deg"] = report.align_median_abs_deg
     path = prefix.with_name(prefix.name + "_scalars.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scalars, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(scalars, path)
     written.append(path)
     return written
 
@@ -289,10 +298,9 @@ def write_spectral_report(report: SpectralReport, prefix) -> list:
     """Emit the bottom spectrum CSV and a cluster/theory JSON."""
     prefix = Path(prefix)
     csv_path = prefix.with_name(prefix.name + "_spectrum.csv")
-    with open(csv_path, "w", encoding="utf-8") as handle:
-        handle.write("index,one_minus_lambda\n")
-        for idx, val in enumerate(report.one_minus_lambda.tolist()):
-            handle.write(f"{idx},{_fmt(val)}\n")
+    values = report.one_minus_lambda
+    _write_table(csv_path, "index,one_minus_lambda\n", f"%d,{_FLOAT}\n",
+                 np.arange(values.size), values)
     json_path = prefix.with_name(prefix.name + "_clusters.json")
     payload = {
         "k": report.k,
@@ -304,9 +312,7 @@ def write_spectral_report(report: SpectralReport, prefix) -> list:
         "leading_gap": report.leading_gap,
         "theory_leading_gap": report.theory_leading_gap,
     }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(payload, json_path)
     return [csv_path, json_path]
 
 
@@ -325,21 +331,12 @@ def bundle_cache_path(cache_dir, graph_digest: str, k: int, m: int) -> Path:
 def save_bundle(bundle: SpectralBundle, path) -> None:
     """Write a bundle to ``path`` atomically.
 
-    The archive goes to a temp file of this writer's own in the same
-    directory and is then renamed onto ``path``, so concurrent writers of
-    one entry never truncate each other and readers see whole files only.
+    Each writer fills a temp file of its own, so concurrent writers of one
+    entry never truncate each other and readers see whole files only.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
-                               dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, k=bundle.k, eigenvalues=bundle.eigenvalues,
-                     eigenvectors=bundle.eigenvectors)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _replacing(path, "xb") as handle:
+        np.savez(handle, k=bundle.k, eigenvalues=bundle.eigenvalues,
+                 eigenvectors=bundle.eigenvectors)
 
 
 def load_bundle(path, k: int | None = None,

@@ -1,7 +1,11 @@
 """Command-line interface: artifacts, determinism, caching, exit codes."""
 
+import functools
 import hashlib
 import json
+import os
+import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ from mfvdm import io as mio
 from mfvdm.config import load_config_file
 from mfvdm.errors import ConvergenceError
 from mfvdm.io import read_graph
+from mfvdm.spectral import top_eigenpairs
 
 
 def _run(*argv):
@@ -74,16 +79,29 @@ def pipeline_out(tmp_path_factory):
 class TestPipeline:
 
     def test_expected_artifact_set(self, pipeline_out):
+        files = {path.relative_to(pipeline_out).as_posix()
+                 for path in pipeline_out.rglob("*") if path.is_file()}
+        expected = {"truth.txt", "graph_clean.txt", "graph_p0.4.txt"}
         for tag in ("p1", "p0.4"):
-            base = pipeline_out / tag
             for method in ("mfvdm", "vdm", "dm"):
-                assert (base / f"nn_{method}.csv").exists()
-                assert (base / f"report_{method}_scalars.json").exists()
-                assert (base / f"report_{method}_nn_hist.csv").exists()
+                expected |= {f"{tag}/nn_{method}.csv",
+                             f"{tag}/report_{method}_scalars.json",
+                             f"{tag}/report_{method}_nn_hist.csv"}
             for method in ("mfvdm", "vdm"):
-                assert (base / f"align_{method}.csv").exists()
-                assert (base / f"report_{method}_align_hist.csv").exists()
-            assert not (base / "align_dm.csv").exists()
+                expected |= {f"{tag}/align_{method}.csv",
+                             f"{tag}/report_{method}_align_hist.csv"}
+        cache = files - expected
+        # Frequencies 0..5 for each of the clean and the rewired graph.
+        assert len(cache) == 12
+        assert all(re.fullmatch(r"cache/bundle_[0-9a-f]{16}_k[0-5]_m10\.npz",
+                                name) for name in cache)
+        assert files >= expected
+        # Artifacts get the mode a plain open gives, bundles included.
+        umask = os.umask(0)
+        os.umask(umask)
+        for name in ("p0.4/nn_mfvdm.csv", min(cache)):
+            mode = (pipeline_out / name).stat().st_mode
+            assert stat.S_IMODE(mode) == 0o666 & ~umask, name
 
     def test_nn_csv_shape(self, pipeline_out):
         lines = (pipeline_out / "p1" / "nn_mfvdm.csv").read_text()
@@ -258,6 +276,21 @@ class TestCache:
         assert load_bundle(k1).k == 1
 
 
+class TestCrashSafety:
+    def test_half_written_graph_is_rebuilt_on_rerun(self, tmp_path,
+                                                    monkeypatch, fail_writes):
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+        args = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--baselines", "vdm", "--seed", "3")
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert _run(*args, "--out", str(clean)) == 0
+        size = (clean / "graph_p0.4.txt").stat().st_size
+        with fail_writes("graph_p0.4.txt", size // 2):
+            assert _run(*args, "--out", str(out)) == 2
+        assert _run(*args, "--out", str(out)) == 0
+        assert _tree_digest(out, skip=()) == _tree_digest(clean, skip=())
+
+
 class TestExternalGraph:
     def test_graph_flag_implies_external(self, tmp_path):
         out = tmp_path / "out"
@@ -361,6 +394,17 @@ class TestExitCodes:
                     "--p", "1", "--out", str(tmp_path / "out"),
                     "--seed", "0", "--kappa", "5", "--tfft", "64")
         assert code == 3
+
+    def test_arpack_failure_names_its_frequency_once(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr(cli, "top_eigenpairs", functools.partial(
+            top_eigenpairs, dense_threshold=0, max_iters=1))
+        code = _run("embed", "--manifold", "torus", "--n", "60",
+                    "--kappa-build", "4", "--kmax", "2", "--mk", "5",
+                    "--p", "1", "--out", str(tmp_path / "out"),
+                    "--seed", "0", "--kappa", "5", "--tfft", "64")
+        assert code == 3
+        assert capsys.readouterr().err.count("frequency k=") == 1
 
     def test_success_is_zero(self, tmp_path):
         assert _run("generate", "--manifold", "torus", "--n", "60",

@@ -10,7 +10,13 @@ import pytest
 from mfvdm.alignment import AlignmentTable
 from mfvdm.embedding import NeighborList
 from mfvdm.errors import GraphFileError
-from mfvdm.evaluation import score_alignment, score_nn, spectral_report
+from mfvdm.evaluation import (
+    EvalReport,
+    SpectralReport,
+    score_alignment,
+    score_nn,
+    spectral_report,
+)
 from mfvdm.graph import build_clean_knn_graph, rewire_graph
 from mfvdm.io import (
     CACHE_ENV,
@@ -233,11 +239,111 @@ def test_writers_match_per_row_reference(graph, tmp_path):
             f"{r} {c} {fmt(w)} {fmt(a)}\n" for r, c, w, a in zip(
                 graph.rows, graph.cols, graph.weights, graph.angles)),
     }
+    sphere = make_truth("sphere", 6, seed=9)
+    torus = make_truth("torus", 7, seed=9, radius_major=1.0 / 3.0,
+                       radius_minor=0.2)
+    want["sphere.txt"] = f"manifold sphere\nn {sphere.n}\n" + "".join(
+        " ".join(fmt(x) for x in row) + "\n"
+        for row in sphere.rotations.reshape(sphere.n, 9))
+    want["torus.txt"] = (
+        f"manifold torus\nn {torus.n}\nradii {fmt(torus.radius_major)} "
+        f"{fmt(torus.radius_minor)}\n" + "".join(
+            f"{fmt(u)} {fmt(v)} {fmt(a)}\n" for u, v, a in zip(
+                torus.u, torus.v, torus.frame_angles)))
+    edges = np.sort(rng.normal(size=12) * 10.0 ** -rng.integers(0, 20, 12))
+    counts = rng.integers(0, 10 ** 6, 11)
+    report = EvalReport(method="mfvdm", params={}, nn_bin_edges=edges,
+                        nn_counts=counts, nn_mean=0.5, nn_median=0.25,
+                        align_bin_edges_deg=edges[::-1] * -180.0,
+                        align_counts=counts[::-1], align_median_abs_deg=1.5)
+    for name, lo_hi, column in (
+            ("nn_hist", edges, counts),
+            ("align_hist", edges[::-1] * -180.0, counts[::-1])):
+        want[f"report_{name}.csv"] = "bin_lo,bin_hi,count\n" + "".join(
+            f"{fmt(lo)},{fmt(hi)},{c}\n"
+            for lo, hi, c in zip(lo_hi[:-1], lo_hi[1:], column))
+    spectrum = SpectralReport(k=2, h=0.1, one_minus_lambda=rng.random(9)
+                              * 10.0 ** -rng.integers(0, 20, 9),
+                              cluster_sizes=(9,), cluster_means=(0.5,),
+                              theory_multiplicities=(9,),
+                              theory_one_minus=(0.5,), leading_gap=0.5,
+                              theory_leading_gap=0.5)
+    want["spectrum_spectrum.csv"] = "index,one_minus_lambda\n" + "".join(
+        f"{i},{fmt(v)}\n" for i, v in enumerate(spectrum.one_minus_lambda))
     write_nn_csv(nn, tmp_path / "nn.csv")
     write_alignment_csv(table, tmp_path / "align.csv")
     write_graph(graph, tmp_path / "graph.txt")
+    write_truth(sphere, tmp_path / "sphere.txt")
+    write_truth(torus, tmp_path / "torus.txt")
+    write_eval_report(report, tmp_path / "report")
+    write_spectral_report(spectrum, tmp_path / "spectrum")
     for name, text in want.items():
         assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+
+def _artifact_writers(graph):
+    """One call per public writer, each writing into a given directory."""
+    rng = np.random.default_rng(8)
+    edges = np.linspace(0.0, np.pi, 21)
+    counts = rng.integers(0, 50, 20)
+    report = EvalReport(method="mfvdm", params={"p": "0.4"},
+                        nn_bin_edges=edges, nn_counts=counts, nn_mean=0.5,
+                        nn_median=0.25, align_bin_edges_deg=edges * 10.0,
+                        align_counts=counts, align_median_abs_deg=1.5)
+    spectrum = spectral_report(
+        SpectralBundle(k=1, eigenvalues=1.0 - np.geomspace(1e-3, 0.5, 8),
+                       eigenvectors=np.eye(8, dtype=complex)),
+        kappa_build=60, n=3000)
+    bundle = SpectralBundle(k=2, eigenvalues=np.linspace(1, 0.5, 4),
+                            eigenvectors=rng.normal(size=(30, 4)) + 0j)
+    nn = NeighborList(indices=rng.integers(0, 40, size=(40, 3)),
+                      distances_sq=rng.random((40, 3)))
+    table = AlignmentTable(i=np.arange(40), j=np.arange(40)[::-1],
+                           alpha_hat=rng.random(40), objective=rng.random(40))
+    return {
+        "graph": lambda out: write_graph(graph, out / "g.txt"),
+        "sphere_truth": lambda out: write_truth(
+            make_truth("sphere", 20, seed=1), out / "sphere.txt"),
+        "torus_truth": lambda out: write_truth(
+            make_truth("torus", 20, seed=1), out / "torus.txt"),
+        "nn": lambda out: write_nn_csv(nn, out / "nn.csv"),
+        "alignment": lambda out: write_alignment_csv(table, out / "al.csv"),
+        "eval_report": lambda out: write_eval_report(report, out / "rep"),
+        "spectral_report": lambda out: write_spectral_report(
+            spectrum, out / "spec"),
+        "bundle": lambda out: save_bundle(bundle, out / "bundle.npz"),
+    }
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("writer,victim", [
+    ("graph", "g.txt"), ("sphere_truth", "sphere.txt"),
+    ("torus_truth", "torus.txt"), ("nn", "nn.csv"), ("alignment", "al.csv"),
+    ("eval_report", "rep_nn_hist.csv"), ("eval_report", "rep_align_hist.csv"),
+    ("eval_report", "rep_scalars.json"),
+    ("spectral_report", "spec_spectrum.csv"),
+    ("spectral_report", "spec_clusters.json"), ("bundle", "bundle.npz"),
+])
+def test_failed_write_leaves_no_partial_artifact(graph, tmp_path, fail_writes,
+                                                 writer, victim, existed):
+    """A write that fails halfway leaves the target as it was, and no temp."""
+    write = _artifact_writers(graph)[writer]
+    reference, out = tmp_path / "reference", tmp_path / "out"
+    reference.mkdir()
+    out.mkdir()
+    write(reference)
+    whole = {path.name: path.read_bytes() for path in reference.iterdir()}
+    if existed:
+        for name in whole:
+            (out / name).write_bytes(b"previous\n")
+    with fail_writes(victim, len(whole[victim]) // 2):
+        with pytest.raises(OSError, match="injected write failure"):
+            write(out)
+    after = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(after) <= set(whole)
+    assert after.get(victim) == (b"previous\n" if existed else None)
+    for name, data in after.items():
+        assert data in (whole[name], b"previous\n"), name
 
 
 class TestReports:

@@ -73,6 +73,37 @@ def test_breakdown_restart_recovers_multiplicities():
     bundle.verify(sk, tol=1e-8)
 
 
+def _ring_sk(n):
+    """S_k of an n-cycle with unit weights and zero angles: W / 2."""
+    graph = AlignmentGraph.from_edges(
+        n=n, rows=np.r_[np.arange(n - 1), 0],
+        cols=np.r_[np.arange(1, n), n - 1],
+        weights=np.ones(n), angles=np.zeros(n),
+    )
+    return build_sk(graph, 1)
+
+
+def _ring_top(n, m):
+    """The closed form: the top m of cos(2 pi j / n), each j once."""
+    return np.sort(np.cos(2.0 * np.pi * np.arange(n) / n))[::-1][:m]
+
+
+def test_ring_keeps_every_double_eigenvalue():
+    # Every eigenvalue but 1 (and -1) of a ring is double.  ARPACK returns
+    # each double pair once at this size (max deviation 0.38 with
+    # dense_threshold=0); the default path must not.
+    bundle = top_eigenpairs(_ring_sk(50), m=10)
+    assert np.abs(bundle.eigenvalues - _ring_top(50, 10)).max() < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ARPACK (eigsh) returns one copy of a double eigenvalue of the ring "
+    "and no error; the residual check cannot see a missing copy"))
+def test_sparse_path_keeps_every_double_eigenvalue():
+    bundle = top_eigenpairs(_ring_sk(2100), m=6)
+    assert np.abs(bundle.eigenvalues - _ring_top(2100, 6)).max() < 1e-8
+
+
 def test_convergence_error_carries_residuals(medium_sk):
     """max_iters caps ARPACK's implicit restarts, not matvecs; one restart
     is too few for this fixture, so the solve must fail and report one
