@@ -101,7 +101,12 @@ def _truth_and_clean_graph(config: ExperimentConfig):
     are built once (or reloaded from ``--out``).
     """
     if config.manifold == "external":
-        return None, mio.read_graph(config.graph_path)
+        graph = mio.read_graph(config.graph_path)
+        if not 1 <= config.kappa_search < graph.n:
+            raise ConfigError(
+                f"kappa_search must satisfy 1 <= kappa_search < n={graph.n} "
+                f"of {config.graph_path}. Got {config.kappa_search}.")
+        return None, graph
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     truth = _reuse_or_build(
@@ -269,8 +274,38 @@ _COMMANDS = {
 }
 
 
+# (flag, config field, help) of every flag that sets one config field.  Its
+# value is parsed by the config parser, exactly as the line ``field = value``
+# in a config file would be.
+_FLAGS = (
+    ("--seed", "seed", "seed of every random stage"),
+    ("--kmax", "k_max", "highest frequency k of the embedding"),
+    ("--mk", "m_k", "eigenvectors per frequency"),
+    ("--t", "t", "diffusion time"),
+    ("--kappa", "kappa_search", "neighbors per node in the NN search"),
+    ("--kappa-build", "kappa_build",
+     "neighbors per node when building the graph"),
+    ("--n", "n", "node count of a synthetic manifold"),
+    ("--manifold", "manifold", "sphere, torus or external"),
+    ("--graph", "graph_path", "edge-list file for manifold=external"),
+    ("--out", "out_dir", "output directory"),
+    ("--workers", "workers", "worker threads"),
+    ("--baselines", "baselines", "comma list from: dm, vdm"),
+    ("--tfft", "t_fft", "grid angles of the alignment search"),
+    ("--ks", "spectrum_ks", "comma list of frequencies for spectrum"),
+)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error (unknown flag, missing command) as a
+    ConfigError, so it exits 1 like a bad config file line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mfvdm",
         description="Multi-frequency vector diffusion maps: joint "
                     "nearest-neighbor search and rotational alignment.",
@@ -280,51 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=str, default=None,
                          help="key = value config file")
-        cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--p", type=str, default=None,
                          help="keep probability, or comma list for sweeps")
-        cmd.add_argument("--kmax", type=int, default=None)
-        cmd.add_argument("--mk", type=int, default=None)
-        cmd.add_argument("--t", type=int, default=None)
-        cmd.add_argument("--kappa", type=int, default=None,
-                         help="neighbors per node in the NN search")
-        cmd.add_argument("--kappa-build", type=int, default=None,
-                         help="neighbors per node when building the graph")
-        cmd.add_argument("--n", type=int, default=None)
-        cmd.add_argument("--manifold", type=str, default=None)
-        cmd.add_argument("--graph", type=str, default=None,
-                         help="edge-list file for manifold=external")
-        cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--workers", type=int, default=None)
-        cmd.add_argument("--baselines", type=str, default=None,
-                         help="comma list from: dm, vdm")
-        cmd.add_argument("--tfft", type=int, default=None)
-        cmd.add_argument("--ks", type=str, default=None,
-                         help="comma list of frequencies for spectrum")
+        for flag, field, text in _FLAGS:
+            cmd.add_argument(flag, dest=field, help=text)
     return parser
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    overrides = {
-        "seed": args.seed,
-        "k_max": args.kmax,
-        "m_k": args.mk,
-        "t": args.t,
-        "kappa_search": args.kappa,
-        "kappa_build": args.kappa_build,
-        "n": args.n,
-        "manifold": args.manifold,
-        "graph_path": args.graph,
-        "out_dir": args.out,
-        "workers": args.workers,
-        "t_fft": args.tfft,
-    }
-    # Comma lists parse exactly as they do in a config file.
-    for name, text in (("baselines", args.baselines),
-                       ("spectrum_ks", args.ks)):
-        if text is not None:
-            overrides[name] = _parse_value(name, text)
-    if args.graph is not None and args.manifold is None:
+    overrides = {field: _parse_value(field, getattr(args, field))
+                 for _, field, _ in _FLAGS
+                 if getattr(args, field) is not None}
+    if args.graph_path is not None and args.manifold is None:
         overrides["manifold"] = "external"
     return overrides
 
@@ -332,9 +334,8 @@ def _overrides(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     global _CURRENT_STAGE
     _CURRENT_STAGE = "setup"
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         file_values = (load_config_file(args.config)
                        if args.config else {})
         overrides = _overrides(args)

@@ -19,6 +19,7 @@ __all__ = [
     "AlignmentGraph",
     "RewireDiagnostics",
     "build_clean_knn_graph",
+    "first_bad_edge",
     "rewire_graph",
 ]
 
@@ -62,7 +63,8 @@ class AlignmentGraph:
                 + np.bincount(self.cols, minlength=self.n))
 
     def validate(self) -> None:
-        """Check all structural invariants; raise ParameterError on violation."""
+        """Raise ParameterError on a broken invariant: the per-edge rules
+        of ``first_bad_edge``, then sorted edges and no isolated node."""
         if self.n < 1:
             raise ParameterError(f"Node count must be >= 1. Got {self.n}.")
         e = self.edge_count
@@ -71,18 +73,12 @@ class AlignmentGraph:
             raise ParameterError("Edge arrays must have equal length.")
         if e == 0:
             raise ParameterError("Graph has no edges.")
-        if self.rows.min(initial=0) < 0 or self.cols.max(initial=-1) >= self.n:
-            raise ParameterError("Edge endpoint out of range.")
-        if np.any(self.rows >= self.cols):
-            raise ParameterError("Edges must satisfy row < col "
-                                 "(no self-loops, canonical orientation).")
-        keys = self.rows * self.n + self.cols
-        if np.any(np.diff(keys) <= 0):
-            raise ParameterError("Edges must be sorted and free of duplicates.")
-        if np.any(self.weights <= 0.0):
-            raise ParameterError("Edge weights must be positive.")
-        if np.any((self.angles < 0.0) | (self.angles >= TWO_PI)):
-            raise ParameterError("Edge angles must lie in [0, 2*pi).")
+        bad = first_bad_edge(self.n, self.rows, self.cols, self.weights,
+                             self.angles)
+        if bad is not None:
+            raise ParameterError(bad[1])
+        if np.any(np.diff(self.rows * self.n + self.cols) < 0):
+            raise ParameterError("Edges must be sorted.")
         if np.any(self.degree_counts() == 0):
             bad = int(np.flatnonzero(self.degree_counts() == 0)[0])
             raise ParameterError(f"Node {bad} has no incident edges.")
@@ -90,7 +86,8 @@ class AlignmentGraph:
     @staticmethod
     def from_edges(n: int, rows: np.ndarray, cols: np.ndarray,
                    weights: np.ndarray, angles: np.ndarray) -> "AlignmentGraph":
-        """Canonicalize (orientation, sort order) and validate edge arrays."""
+        """Canonicalize (orientation, sort order) and validate edge arrays:
+        the constructor of every graph the package builds or reads."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
@@ -104,6 +101,31 @@ class AlignmentGraph:
                                weights=weights[order], angles=angles[order])
         graph.validate()
         return graph
+
+
+def first_bad_edge(n: int, rows: np.ndarray, cols: np.ndarray,
+                   weights: np.ndarray, angles: np.ndarray):
+    """The per-edge rules: ``(index, message)`` of the first edge, in input
+    order, that breaks one (the first rule it breaks), else None."""
+    repeated = np.ones(rows.shape, dtype=bool)
+    repeated[np.unique(rows * n + cols, return_index=True)[1]] = False
+    rules = (
+        (rows == cols, "self-loop {i}."),
+        (rows > cols, "edges must have i < j."),
+        ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n),
+         "endpoint out of range."),
+        (repeated, "duplicate edge ({i}, {j})."),
+        (weights <= 0.0, "weight must be > 0."),
+        (~np.isfinite(weights), "weight must be finite."),
+        (~((0.0 <= angles) & (angles < TWO_PI)),
+         "alpha must lie in [0, 2*pi)."),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if not np.any(bad):
+        return None
+    index = int(np.argmax(bad))
+    message = next(text for mask, text in rules if mask[index])
+    return index, message.format(i=int(rows[index]), j=int(cols[index]))
 
 
 @dataclass(frozen=True)
@@ -171,10 +193,7 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
         weights = np.exp(-truth.geodesics(rows, cols) ** 2 / sigma)
     else:
         weights = np.ones(rows.size)
-    graph = AlignmentGraph(n=n, rows=rows, cols=cols,
-                           weights=weights, angles=angles)
-    graph.validate()
-    return graph
+    return AlignmentGraph.from_edges(n, rows, cols, weights, angles)
 
 
 def rewire_graph(graph: AlignmentGraph, p: float, seed: int,
@@ -213,10 +232,8 @@ def rewire_graph(graph: AlignmentGraph, p: float, seed: int,
         adj[r].add(c)
         adj[c].add(r)
 
-    new_rows: list = []
-    new_cols: list = []
-    new_weights: list = []
-    new_angles: list = []
+    # rows, cols, weights and angles of the added edges, as drawn: i -> j
+    added: tuple = ([], [], [], [])
 
     def draw_partner(i: int) -> int:
         while True:
@@ -227,15 +244,8 @@ def rewire_graph(graph: AlignmentGraph, p: float, seed: int,
     def add_edge(i: int, j: int, weight: float, alpha: float) -> None:
         adj[i].add(j)
         adj[j].add(i)
-        if i < j:
-            new_rows.append(i)
-            new_cols.append(j)
-            new_angles.append(alpha)
-        else:
-            new_rows.append(j)
-            new_cols.append(i)
-            new_angles.append(wrap_two_pi(-alpha))
-        new_weights.append(weight)
+        for column, value in zip(added, (i, j, weight, alpha)):
+            column.append(value)
 
     skipped = 0
     removed = np.flatnonzero(~keep)
@@ -248,30 +258,18 @@ def rewire_graph(graph: AlignmentGraph, p: float, seed: int,
         add_edge(i, j, float(graph.weights[e]), float(rng.uniform(0.0, TWO_PI)))
 
     forced = 0
-    degree = np.bincount(graph.rows[keep], minlength=n)
-    degree += np.bincount(graph.cols[keep], minlength=n)
-    if new_rows:
-        degree += np.bincount(np.asarray(new_rows, dtype=np.int64),
-                              minlength=n)
-        degree += np.bincount(np.asarray(new_cols, dtype=np.int64),
-                              minlength=n)
-    for i in np.flatnonzero(degree == 0).tolist():
+    isolated = [i for i, partners in enumerate(adj) if not partners]
+    for i in isolated:
         if len(adj[i]) >= n - 1:
             continue
         j = draw_partner(i)
         add_edge(i, j, 1.0, float(rng.uniform(0.0, TWO_PI)))
         forced += 1
 
-    rows = np.concatenate([graph.rows[keep],
-                           np.asarray(new_rows, dtype=np.int64)])
-    cols = np.concatenate([graph.cols[keep],
-                           np.asarray(new_cols, dtype=np.int64)])
-    weights = np.concatenate([graph.weights[keep], np.asarray(new_weights)])
-    angles = np.concatenate([graph.angles[keep], np.asarray(new_angles)])
-    order = np.argsort(rows * n + cols, kind="stable")
-    rewired = AlignmentGraph(n=n, rows=rows[order], cols=cols[order],
-                             weights=weights[order], angles=angles[order])
-    rewired.validate()
+    rewired = AlignmentGraph.from_edges(n, *(
+        np.concatenate([old[keep], np.asarray(new, dtype=old.dtype)])
+        for old, new in zip((graph.rows, graph.cols, graph.weights,
+                             graph.angles), added)))
     if return_diagnostics:
         diagnostics = RewireDiagnostics(
             kept=int(np.count_nonzero(keep)),

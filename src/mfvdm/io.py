@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from mfvdm.alignment import AlignmentTable
-from mfvdm.angles import TWO_PI
 from mfvdm.embedding import NeighborList
 from mfvdm.errors import GraphFileError, ParameterError
 from mfvdm.evaluation import EvalReport, SpectralReport
-from mfvdm.graph import AlignmentGraph
+from mfvdm.graph import AlignmentGraph, first_bad_edge
 from mfvdm.sampling import SphereTruth, TorusTruth
 from mfvdm.spectral import SpectralBundle
 
@@ -141,16 +140,11 @@ def read_graph(path) -> AlignmentGraph:
         _check_edges(path, body, n, edges)
         raise error from exc
     _check_edges(path, body, n, edges)
-    rows, cols = edges["i"], edges["j"]
-    order = np.argsort(rows * n + cols, kind="stable")
     try:
-        graph = AlignmentGraph(n=n, rows=rows[order], cols=cols[order],
-                               weights=edges["w"][order],
-                               angles=edges["a"][order])
-        graph.validate()
+        return AlignmentGraph.from_edges(n, edges["i"], edges["j"],
+                                         edges["w"], edges["a"])
     except ParameterError as exc:
         raise GraphFileError(f"{path}: {exc}") from exc
-    return graph
 
 
 def _parse_edge_lines(path, body, rejection):
@@ -186,26 +180,14 @@ def _parse_edge_lines(path, body, rejection):
 
 
 def _check_edges(path, body, n: int, edges: np.ndarray) -> None:
-    """Raise GraphFileError for the first edge that fails a check."""
-    i, j, w, a = (edges[name] for name in ("i", "j", "w", "a"))
-    repeated = np.ones(i.shape, dtype=bool)
-    repeated[np.unique(i * n + j, return_index=True)[1]] = False
-    checks = (
-        (i == j, "self-loop {i}."),
-        (i > j, "edges must have i < j."),
-        ((i < 0) | (i >= n) | (j < 0) | (j >= n), "endpoint out of range."),
-        (repeated, "duplicate edge ({i}, {j})."),
-        (w <= 0.0, "weight must be > 0."),
-        (~((0.0 <= a) & (a < TWO_PI)), "alpha must lie in [0, 2*pi)."),
-    )
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if not np.any(bad):
+    """Raise GraphFileError naming the line of the first edge that breaks
+    one of ``first_bad_edge``'s rules."""
+    bad = first_bad_edge(n, edges["i"], edges["j"], edges["w"], edges["a"])
+    if bad is None:
         return
-    row = int(np.argmax(bad))
-    message = next(text for mask, text in checks if mask[row])
+    row, message = bad
     lineno = [k for k, raw in enumerate(body, start=2) if raw.strip()][row]
-    raise GraphFileError(f"{path}:{lineno}: "
-                         + message.format(i=int(i[row]), j=int(j[row])))
+    raise GraphFileError(f"{path}:{lineno}: {message}")
 
 
 def write_truth(truth, path) -> None:

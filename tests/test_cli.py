@@ -307,6 +307,20 @@ class TestExternalGraph:
         # no ground truth: no score reports
         assert not list((ext_out / "p1").glob("report_*"))
 
+    def test_kappa_is_checked_against_the_graph(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+        out = tmp_path / "out"
+        assert _run("generate", "--manifold", "torus", "--n", "40",
+                    "--kappa-build", "4", "--p", "1", "--out", str(out),
+                    "--seed", "0", "--kappa", "10", "--kmax", "2") == 0
+        ext_out = tmp_path / "ext"
+        code = _run("nn", "--graph", str(out / "graph_clean.txt"),
+                    "--p", "1", "--kappa", "45", "--kmax", "2",
+                    "--mk", "5", "--out", str(ext_out), "--tfft", "64")
+        assert code == 1
+        assert not list(ext_out.rglob("bundle_*.npz"))
+
 
 class TestSpectrum:
     def test_sphere_leading_cluster(self, tmp_path):
@@ -354,6 +368,7 @@ class TestCommaLists:
         ("--baselines", "baselines", " vdm , dm ", ("vdm", "dm")),
         ("--ks", "spectrum_ks", "1,2,5", (1, 2, 5)),
         ("--ks", "spectrum_ks", "3,", (3,)),
+        ("--n", "n", "250", 250),
     ])
     def test_flag_and_config_line_agree(self, tmp_path, flag, key, text,
                                         expected):
@@ -378,6 +393,11 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")) == 1
         assert _run("embed", "--manifold", "sphere", "--p", "0.5,0.6",
                     "--out", str(tmp_path / "out")) == 1
+        # A malformed or unknown flag is a configuration error too.
+        for flag, text in (("--n", "abc"), ("--kmax", "2.5"),
+                           ("--no-such-flag", "3")):
+            assert _run("pipeline", "--manifold", "sphere", flag, text,
+                        "--out", str(tmp_path / "out")) == 1
 
     def test_io_error_is_two(self, tmp_path):
         assert _run("nn", "--graph", str(tmp_path / "missing.txt"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mfvdm.angles import TWO_PI, wrap_pi
 from mfvdm.errors import ParameterError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph, rewire_graph
+from mfvdm.io import graph_hash
 from mfvdm.sampling import make_truth, optimal_inplane_angle
 
 
@@ -95,6 +96,8 @@ class TestCanonicalization:
         ([0], [1], [1.0], [TWO_PI], "angle at upper bound"),
         ([0], [1], [1.0], [0.1], "isolated node"),
         ([0], [3], [1.0], [0.1], "endpoint out of range"),
+        ([0, 1], [1, 2], [1.0, np.nan], [0.1, 0.2], "nan weight"),
+        ([0, 1], [1, 2], [np.inf, 1.0], [0.1, 0.2], "infinite weight"),
     ])
     def test_validate_rejects(self, rows, cols, weights, angles, what):
         graph = AlignmentGraph(n=3, rows=np.array(rows), cols=np.array(cols),
@@ -102,6 +105,28 @@ class TestCanonicalization:
                                angles=np.array(angles))
         with pytest.raises(ParameterError):
             graph.validate()
+
+
+class TestPinnedDigests:
+    """Content hashes of built and rewired graphs, recorded before both
+    builders went through ``AlignmentGraph.from_edges``: a change to that
+    constructor that reorders or reorients edges changes them."""
+
+    @pytest.mark.parametrize("manifold,clean_digest,rewired_digest", [
+        ("sphere",
+         "5636f0b8c1ea46dad10a762ec8e5a528da7feaf134566411c77cdef8851e0459",
+         "00974089b9a7487998538a6721e1a395c98c0818b2154eff443aeb1db8f19bba"),
+        ("torus",
+         "7cbd4b733dc15e8f384485069c0ccd7bad53882d0f0ba3f87a7d0cdb4ac14609",
+         "ea9b6e6f7c5282ac6c71d0f2775cf8603c479a20a8b2f87355ef75180f9bbda9"),
+    ])
+    def test_build_and_rewire_digests(self, manifold, clean_digest,
+                                      rewired_digest):
+        clean = build_clean_knn_graph(make_truth(manifold, 300, seed=11),
+                                      kappa_build=12)
+        assert graph_hash(clean) == clean_digest
+        assert graph_hash(rewire_graph(clean, p=0.4, seed=11)) \
+            == rewired_digest
 
 
 class TestRewire:

@@ -85,6 +85,8 @@ class TestGraphFormat:
         ("n 3\n0 3 1.0 0.5\n", "out of range"),
         ("n 3\n0 1 1.0 0.5\n0 1 1.0 0.6\n", "duplicate"),
         ("n 3\n0 1 0.0 0.5\n", "weight"),
+        ("n 3\n0 1 1.0 0.5\n1 2 nan 0.5\n", ":3: weight must be finite."),
+        ("n 3\n0 1 inf 0.5\n1 2 1.0 0.5\n", ":2: weight must be finite."),
         ("n 3\n0 1 1.0 6.4\n", "alpha"),
         ("n 3\n0 1 1.0 -0.1\n", "alpha"),
         ("n 3\n0 1 one 0.5\n", "could not convert"),
