@@ -1,5 +1,16 @@
 """Multi-frequency vector diffusion maps on angular-alignment graphs."""
 
+import os
+
+# ``--workers`` is the package's whole thread budget.  BLAS reads its thread
+# count once, when numpy or scipy first loads it, so it is pinned to one
+# thread here, before either is imported; a value the caller set wins.  A
+# BLAS pool inside every worker thread costs time, and a threaded reduction
+# makes results depend on the core count.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from mfvdm.angles import wrap_pi, wrap_two_pi
 from mfvdm.alignment import (
     AlignmentSequence,
@@ -32,6 +43,7 @@ from mfvdm.embedding import (
     normalized_affinity,
 )
 from mfvdm.errors import (
+    BadEdgeError,
     ConfigError,
     ConvergenceError,
     DegenerateAlignmentError,
@@ -78,6 +90,7 @@ __all__ = [
     "AlignmentSequence",
     "AlignmentTable",
     "AngleEstimate",
+    "BadEdgeError",
     "ConfigError",
     "ConvergenceError",
     "DegenerateAlignmentError",

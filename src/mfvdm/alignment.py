@@ -18,6 +18,7 @@ import numpy as np
 from mfvdm.angles import TWO_PI, wrap_two_pi
 from mfvdm.embedding import EmbeddingSet, NeighborList
 from mfvdm.errors import ParameterError, UndefinedAlignmentError
+from mfvdm.parallel import map_workers
 
 __all__ = [
     "AlignmentSequence",
@@ -220,12 +221,14 @@ def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID,
 
 def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
                     grid_length: int = DEFAULT_GRID,
-                    chunk: int = DEFAULT_CHUNK) -> AlignmentTable:
+                    chunk: int = DEFAULT_CHUNK,
+                    workers: int = 1) -> AlignmentTable:
     """Estimate alpha_hat for every (node, neighbor) pair.
 
     Each unordered pair is solved once in canonical orientation i < j; the
     reversed direction is reported as the negated angle with the same
-    objective value.
+    objective value.  The pairs are solved in ``chunk``-sized batches on
+    ``workers`` threads; neither changes a result.
 
     Returns
     -------
@@ -245,12 +248,15 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     table = _grid_table(embeddings.k_max, grid_length)
     alpha_u = np.empty(keys.shape[0])
     objective_u = np.empty(keys.shape[0])
-    for start in range(0, keys.shape[0], chunk):
+
+    def run_chunk(start: int) -> None:
         stop = min(start + chunk, keys.shape[0])
         z = _sequence_matrix(embeddings, lo_u[start:stop], hi_u[start:stop])
         alpha_u[start:stop], objective_u[start:stop] = _estimate_rows(
             z, table, chunk
         )
+
+    map_workers(run_chunk, range(0, keys.shape[0], chunk), workers)
 
     alpha = np.where(ii <= jj, alpha_u[inverse],
                      wrap_two_pi(-alpha_u[inverse]))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from mfvdm.alignment import align_neighbors
@@ -46,6 +45,7 @@ from mfvdm.evaluation import (
     spectral_report,
 )
 from mfvdm.graph import build_clean_knn_graph, rewire_graph
+from mfvdm.parallel import map_workers
 from mfvdm.sampling import make_truth
 from mfvdm.spectral import top_eigenpairs
 from mfvdm import io as mio
@@ -149,13 +149,7 @@ def _compute_bundles(config: ExperimentConfig, graph, ks, m: int) -> dict:
         mio.save_bundle(bundle, path)
         return k, bundle
 
-    ks = sorted(set(ks))
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(solve, ks))
-    else:
-        results = [solve(k) for k in ks]
-    return dict(results)
+    return dict(map_workers(solve, sorted(set(ks)), config.workers))
 
 
 def _method_embedding(method: str, bundles, config: ExperimentConfig):
@@ -203,7 +197,8 @@ def _run(config: ExperimentConfig, p_values, last: str) -> None:
             mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
             table = None
             if last == "align" and method != "dm":
-                table = align_neighbors(embeddings, neighbors, config.t_fft)
+                table = align_neighbors(embeddings, neighbors, config.t_fft,
+                                        workers=config.workers)
                 mio.write_alignment_csv(table, out / f"align_{method}.csv")
             if truth is not None:
                 report = score_nn(neighbors, truth, method=method,

@@ -52,14 +52,19 @@ class ExperimentConfig:
                               f"Got {self.manifold!r}.")
         if self.manifold == "external" and not self.graph_path:
             raise ConfigError("manifold 'external' requires graph_path.")
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2. Got {self.n}.")
-        if not 1 <= self.kappa_build < self.n:
-            raise ConfigError(f"kappa_build must satisfy 1 <= kappa_build < "
-                              f"n={self.n}. Got {self.kappa_build}.")
-        if not 1 <= self.kappa_search < self.n:
-            raise ConfigError(f"kappa_search must satisfy 1 <= kappa_search "
-                              f"< n={self.n}. Got {self.kappa_search}.")
+        # An external graph brings its own node count, and n and kappa_build
+        # go unused; kappa_search is checked against the graph once read.
+        if self.manifold != "external":
+            if self.n < 2:
+                raise ConfigError(f"n must be >= 2. Got {self.n}.")
+            if not 1 <= self.kappa_build < self.n:
+                raise ConfigError(f"kappa_build must satisfy 1 <= "
+                                  f"kappa_build < n={self.n}. "
+                                  f"Got {self.kappa_build}.")
+            if not 1 <= self.kappa_search < self.n:
+                raise ConfigError(f"kappa_search must satisfy 1 <= "
+                                  f"kappa_search < n={self.n}. "
+                                  f"Got {self.kappa_search}.")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p must lie in [0, 1]. Got {self.p}.")
         if self.k_max < 1:

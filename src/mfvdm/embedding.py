@@ -11,13 +11,13 @@ diffusion distance d2 = 2 - 2*N.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mfvdm import kernels
 from mfvdm.errors import DegenerateEmbeddingError, ParameterError
+from mfvdm.parallel import map_workers
 from mfvdm.spectral import SpectralBundle
 
 __all__ = [
@@ -265,13 +265,7 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
         indices[block] = order
         distances[block] = dist_sq[rows, order]
 
-    starts = range(0, n, block_size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, starts))
-    else:
-        for start in starts:
-            run_block(start)
+    map_workers(run_block, range(0, n, block_size), workers)
     return NeighborList(indices=indices, distances_sq=distances)
 
 

@@ -17,6 +17,14 @@ class ParameterError(MfvdmError, ValueError):
     """An operation received an argument outside its contract."""
 
 
+class BadEdgeError(ParameterError):
+    """An edge breaks a per-edge rule; ``index`` is its input position."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class DegenerateAlignmentError(MfvdmError):
     """In-plane alignment is undefined (antipodal viewing directions)."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mfvdm.angles import TWO_PI, wrap_two_pi
-from mfvdm.errors import ParameterError
+from mfvdm.errors import BadEdgeError, ParameterError
 from mfvdm.rng import substream
 
 __all__ = [
@@ -62,9 +62,10 @@ class AlignmentGraph:
         return (np.bincount(self.rows, minlength=self.n)
                 + np.bincount(self.cols, minlength=self.n))
 
-    def validate(self) -> None:
+    def validate(self, edge_rules: bool = True) -> None:
         """Raise ParameterError on a broken invariant: the per-edge rules
-        of ``first_bad_edge``, then sorted edges and no isolated node."""
+        of ``first_bad_edge`` (as BadEdgeError; skipped if ``edge_rules``
+        is False), then sorted edges and no isolated node."""
         if self.n < 1:
             raise ParameterError(f"Node count must be >= 1. Got {self.n}.")
         e = self.edge_count
@@ -73,10 +74,9 @@ class AlignmentGraph:
             raise ParameterError("Edge arrays must have equal length.")
         if e == 0:
             raise ParameterError("Graph has no edges.")
-        bad = first_bad_edge(self.n, self.rows, self.cols, self.weights,
-                             self.angles)
-        if bad is not None:
-            raise ParameterError(bad[1])
+        if edge_rules:
+            _raise_bad_edge(self.n, self.rows, self.cols, self.weights,
+                            self.angles)
         if np.any(np.diff(self.rows * self.n + self.cols) < 0):
             raise ParameterError("Edges must be sorted.")
         if np.any(self.degree_counts() == 0):
@@ -85,21 +85,33 @@ class AlignmentGraph:
 
     @staticmethod
     def from_edges(n: int, rows: np.ndarray, cols: np.ndarray,
-                   weights: np.ndarray, angles: np.ndarray) -> "AlignmentGraph":
+                   weights: np.ndarray, angles: np.ndarray,
+                   oriented: bool = False) -> "AlignmentGraph":
         """Canonicalize (orientation, sort order) and validate edge arrays:
-        the constructor of every graph the package builds or reads."""
+        the constructor of every graph the package builds or reads.
+
+        The per-edge rules run once, on the edges in input order, after each
+        edge is turned to i < j with its angle negated and wrapped.  With
+        ``oriented`` they run on the edges as given instead, so i > j or an
+        angle outside [0, 2*pi) is an error, as in an edge-list file.  A
+        broken rule raises BadEdgeError with the edge's input index.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
         angles = np.asarray(angles, dtype=float)
+        if oriented:
+            _raise_bad_edge(n, rows, cols, weights, angles)
         flip = rows > cols
         lo = np.where(flip, cols, rows)
         hi = np.where(flip, rows, cols)
         angles = wrap_two_pi(np.where(flip, -angles, angles))
+        if not oriented:
+            _raise_bad_edge(n, lo, hi, weights, angles)
         order = np.argsort(lo * n + hi, kind="stable")
         graph = AlignmentGraph(n=n, rows=lo[order], cols=hi[order],
                                weights=weights[order], angles=angles[order])
-        graph.validate()
+        graph.validate(edge_rules=False)
         return graph
 
 
@@ -126,6 +138,12 @@ def first_bad_edge(n: int, rows: np.ndarray, cols: np.ndarray,
     index = int(np.argmax(bad))
     message = next(text for mask, text in rules if mask[index])
     return index, message.format(i=int(rows[index]), j=int(cols[index]))
+
+
+def _raise_bad_edge(n: int, rows, cols, weights, angles) -> None:
+    bad = first_bad_edge(n, rows, cols, weights, angles)
+    if bad is not None:
+        raise BadEdgeError(*bad)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from mfvdm.alignment import AlignmentTable
 from mfvdm.embedding import NeighborList
-from mfvdm.errors import GraphFileError, ParameterError
+from mfvdm.errors import BadEdgeError, GraphFileError, ParameterError
 from mfvdm.evaluation import EvalReport, SpectralReport
 from mfvdm.graph import AlignmentGraph, first_bad_edge
 from mfvdm.sampling import SphereTruth, TorusTruth
@@ -139,10 +139,13 @@ def read_graph(path) -> AlignmentGraph:
         edges, error = _parse_edge_lines(path, body, exc)
         _check_edges(path, body, n, edges)
         raise error from exc
-    _check_edges(path, body, n, edges)
     try:
         return AlignmentGraph.from_edges(n, edges["i"], edges["j"],
-                                         edges["w"], edges["a"])
+                                         edges["w"], edges["a"],
+                                         oriented=True)
+    except BadEdgeError as exc:
+        raise GraphFileError(
+            f"{path}:{_edge_line(body, exc.index)}: {exc}") from exc
     except ParameterError as exc:
         raise GraphFileError(f"{path}: {exc}") from exc
 
@@ -186,8 +189,12 @@ def _check_edges(path, body, n: int, edges: np.ndarray) -> None:
     if bad is None:
         return
     row, message = bad
-    lineno = [k for k, raw in enumerate(body, start=2) if raw.strip()][row]
-    raise GraphFileError(f"{path}:{lineno}: {message}")
+    raise GraphFileError(f"{path}:{_edge_line(body, row)}: {message}")
+
+
+def _edge_line(body, row: int) -> int:
+    """File line number of edge ``row``; blank lines count as lines."""
+    return [k for k, raw in enumerate(body, start=2) if raw.strip()][row]
 
 
 def write_truth(truth, path) -> None:

@@ -1,6 +1,6 @@
 """Equivalence gate: compare two ``pipeline`` output trees.
 
-A change that moves only the last bits of the alignment objective passes
+A change that moves only the last bits of floating-point results passes
 this gate against its parent; any other difference fails it.  Usage::
 
     python tests/compare_trees.py PARENT_OUT CHANGE_OUT
@@ -11,14 +11,35 @@ largest deviations it saw and exits 0.
 The rules, fixed before anything is compared:
 
 * Both trees hold the same files.
-* Every file except ``align_*.csv`` and ``report_*_scalars.json`` is
-  byte-identical.  That includes the NN CSVs, the histogram CSVs, truth,
-  graphs and the eigenbundle cache.
+* ``nn_*.csv``: the header and the (node, rank, neighbor) columns are
+  identical, so every method keeps the same neighbors in the same order;
+  squared_distance agrees within ``NN_DISTANCE_ATOL`` absolute.  A squared
+  diffusion distance lies in [0, 4]; last-bit moves of the eigenvectors
+  (about 1e-13) and of the summation order move it by a few 1e-13 at
+  most, and 1e-12 leaves room for that and for nothing larger.  Neighbors
+  whose distances tie to rounding (a clean torus has some at |d2| < 1e-15)
+  may trade ranks under any last-bit change; the rule reports that too,
+  and such a report needs reading, not a wider tolerance.
+* ``bundle_*.npz`` (the eigenbundle cache): the same k and shapes;
+  eigenvalues agree within ``EIGENVALUE_ATOL`` absolute (they lie in
+  [-1, 1], and ARPACK's rounding moves them by a few 1e-15); eigenvectors
+  agree as subspaces.  Eigenvalues less than ``EIGEN_CLUSTER_GAP`` apart
+  form one cluster, since a rounding change may rotate the vectors of a
+  cluster among themselves and the embedding distances do not see that.
+  For each cluster the sine of the largest principal angle between the two
+  spans must be at most ``SUBSPACE_SIN_TOL``.  Across a gap of 1e-4 a
+  1e-15 residual turns a vector by about 1e-11, so 1e-10 is last-bit noise.
 * ``align_*.csv``: the header and the (i, j) columns are identical; alpha_hat
   agrees within ``ANGLE_TOL_RAD`` on the circle; the objective agrees within
   ``OBJECTIVE_RTOL`` relative to the larger magnitude.
 * ``report_*_scalars.json``: the same keys; float values agree to
-  ``SCALAR_DIGITS`` significant digits; all other values are equal.
+  ``SCALAR_DIGITS`` significant digits; all other values are equal.  An
+  angle in degrees (a key ending in ``_deg``, such as the median absolute
+  alignment error) may also differ by ``ANGLE_TOL_RAD`` in degrees: each
+  pair's error moves no further than its alpha_hat, so neither does their
+  median.  Without that floor a median that is itself rounding noise (1e-7
+  degrees on a clean torus) fails on a 1e-14 rad move.
+* Every other file (truth, graphs, histogram CSVs) is byte-identical.
 """
 
 from __future__ import annotations
@@ -33,6 +54,10 @@ import numpy as np
 
 ANGLE_TOL_RAD = 1e-9
 OBJECTIVE_RTOL = 1e-12
+NN_DISTANCE_ATOL = 1e-12
+EIGENVALUE_ATOL = 1e-12
+EIGEN_CLUSTER_GAP = 1e-4
+SUBSPACE_SIN_TOL = 1e-10
 SCALAR_DIGITS = 10
 # Agreement to d significant digits: |a - b| <= 0.5 * 10^(1-d) * max(|a|, |b|).
 SCALAR_RTOL = 0.5 * 10.0 ** (1 - SCALAR_DIGITS)
@@ -47,6 +72,9 @@ class TreeComparison:
     max_angle_rad: float = 0.0
     max_objective_rel: float = 0.0
     max_scalar_rel: float = 0.0
+    max_nn_distance: float = 0.0
+    max_eigenvalue: float = 0.0
+    max_subspace_sin: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -80,40 +108,99 @@ def _compare_bytes(name: str, a: Path, b: Path, result) -> None:
                                f"{_first_difference(left, right)}")
 
 
-def _read_alignment(path: Path):
+def _read_csv(path: Path):
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
         body = np.loadtxt(handle, delimiter=",", ndmin=2)
     return header, body
 
 
-def _compare_alignment(name: str, a: Path, b: Path, result) -> None:
-    header_a, left = _read_alignment(a)
-    header_b, right = _read_alignment(b)
+def _keyed_rows(name: str, a: Path, b: Path, keys: int, label: str, result):
+    """Both CSV bodies if the headers and the first ``keys`` columns are
+    identical, else None after recording the mismatch."""
+    header_a, left = _read_csv(a)
+    header_b, right = _read_csv(b)
     if header_a != header_b or left.shape != right.shape:
         result.problems.append(f"{name}: header or row count differs")
+        return None
+    differs = np.any(left[:, :keys] != right[:, :keys], axis=1)
+    if np.any(differs):
+        row = int(np.flatnonzero(differs)[0])
+        result.problems.append(f"{name}: {label} differs at data row "
+                               f"{row + 1}")
+        return None
+    return left, right
+
+
+def _within(name: str, label: str, values: np.ndarray, tol: float,
+            result, unit: str = "data row") -> float:
+    """Record the values beyond ``tol``; returns the largest value."""
+    if not values.size:
+        return 0.0
+    worst = int(values.argmax())
+    bad = np.count_nonzero(values > tol)
+    if bad:
+        result.problems.append(
+            f"{name}: {bad} {label} value(s) beyond {tol:g}, worst "
+            f"{values[worst]:.3g} at {unit} {worst + 1}")
+    return float(values[worst])
+
+
+def _compare_alignment(name: str, a: Path, b: Path, result) -> None:
+    rows = _keyed_rows(name, a, b, 2, "pair", result)
+    if rows is None:
         return
-    if not np.array_equal(left[:, :2], right[:, :2]):
-        row = int(np.flatnonzero(np.any(left[:, :2] != right[:, :2],
-                                        axis=1))[0])
-        result.problems.append(f"{name}: pair differs at data row {row + 1}")
-        return
+    left, right = rows
     turn = np.abs(left[:, 2] - right[:, 2]) % (2.0 * math.pi)
     angle = np.minimum(turn, 2.0 * math.pi - turn)
-    objective = _relative(left[:, 3], right[:, 3])
-    if angle.size:
-        result.max_angle_rad = max(result.max_angle_rad, float(angle.max()))
-        result.max_objective_rel = max(result.max_objective_rel,
-                                       float(objective.max()))
-    for label, values, tol in (("alpha_hat", angle, ANGLE_TOL_RAD),
-                               ("objective", objective, OBJECTIVE_RTOL)):
-        bad = np.flatnonzero(values > tol)
-        if bad.size:
-            worst = int(values.argmax())
-            result.problems.append(
-                f"{name}: {bad.size} {label} value(s) beyond {tol:g}, "
-                f"worst {values[worst]:.3g} at data row {worst + 1}"
-            )
+    result.max_angle_rad = max(result.max_angle_rad, _within(
+        name, "alpha_hat", angle, ANGLE_TOL_RAD, result))
+    result.max_objective_rel = max(result.max_objective_rel, _within(
+        name, "objective", _relative(left[:, 3], right[:, 3]),
+        OBJECTIVE_RTOL, result))
+
+
+def _compare_nn(name: str, a: Path, b: Path, result) -> None:
+    rows = _keyed_rows(name, a, b, 3, "neighbor", result)
+    if rows is None:
+        return
+    left, right = rows
+    result.max_nn_distance = max(result.max_nn_distance, _within(
+        name, "squared_distance", np.abs(left[:, 3] - right[:, 3]),
+        NN_DISTANCE_ATOL, result))
+
+
+def _projector_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """||u u^H - v v^H||_2: for orthonormal bases, the sine of the largest
+    principal angle between the spans.  It is read off the R factor of
+    [u v], so no n x n projector is formed; a basis that is not orthonormal
+    (a scaled vector) shows up in it too."""
+    r = np.linalg.qr(np.hstack([u, v]), mode="r")
+    r_u, r_v = r[:, :u.shape[1]], r[:, u.shape[1]:]
+    return float(np.linalg.norm(r_u @ r_u.conj().T - r_v @ r_v.conj().T, 2))
+
+
+def _compare_bundle(name: str, a: Path, b: Path, result) -> None:
+    with np.load(a) as x, np.load(b) as y:
+        left = {key: x[key] for key in x.files}
+        right = {key: y[key] for key in y.files}
+    if (sorted(left) != sorted(right) or int(left["k"]) != int(right["k"])
+            or left["eigenvectors"].shape != right["eigenvectors"].shape
+            or left["eigenvalues"].shape != right["eigenvalues"].shape):
+        result.problems.append(f"{name}: arrays, k or shapes differ")
+        return
+    values = left["eigenvalues"]
+    result.max_eigenvalue = max(result.max_eigenvalue, _within(
+        name, "eigenvalue", np.abs(values - right["eigenvalues"]),
+        EIGENVALUE_ATOL, result, "column"))
+    cuts = np.flatnonzero(np.abs(np.diff(values)) >= EIGEN_CLUSTER_GAP) + 1
+    sines = np.array([
+        _projector_distance(left["eigenvectors"][:, cluster],
+                            right["eigenvectors"][:, cluster])
+        for cluster in np.split(np.arange(values.size), cuts)])
+    result.max_subspace_sin = max(result.max_subspace_sin, _within(
+        name, "eigenvector subspace", sines, SUBSPACE_SIN_TOL, result,
+        "cluster"))
 
 
 def _compare_scalars(name: str, a: Path, b: Path, result) -> None:
@@ -127,13 +214,25 @@ def _compare_scalars(name: str, a: Path, b: Path, result) -> None:
         x, y = left[key], right[key]
         if isinstance(x, float) and isinstance(y, float):
             rel = float(_relative(np.array(x), np.array(y)))
+            floor = (math.degrees(ANGLE_TOL_RAD) if key.endswith("_deg")
+                     else 0.0)
             result.max_scalar_rel = max(result.max_scalar_rel, rel)
-            if rel > SCALAR_RTOL:
+            if rel > SCALAR_RTOL and abs(x - y) > floor:
                 result.problems.append(
                     f"{name}: {key} {x!r} != {y!r} to {SCALAR_DIGITS} "
                     f"significant digits")
         elif x != y:
             result.problems.append(f"{name}: {key} {x!r} != {y!r}")
+
+
+# (name prefix, name suffix, comparison) of every file that need not be
+# byte-identical.
+_RULES = (
+    ("nn_", ".csv", _compare_nn),
+    ("align_", ".csv", _compare_alignment),
+    ("bundle_", ".npz", _compare_bundle),
+    ("report_", "_scalars.json", _compare_scalars),
+)
 
 
 def compare_trees(parent_out, change_out) -> TreeComparison:
@@ -147,12 +246,10 @@ def compare_trees(parent_out, change_out) -> TreeComparison:
     for name in sorted(left & right):
         a, b = parent_out / name, change_out / name
         base = Path(name).name
-        if base.startswith("align_") and base.endswith(".csv"):
-            _compare_alignment(name, a, b, result)
-        elif base.startswith("report_") and base.endswith("_scalars.json"):
-            _compare_scalars(name, a, b, result)
-        else:
-            _compare_bytes(name, a, b, result)
+        compare = next((rule for prefix, suffix, rule in _RULES
+                        if base.startswith(prefix) and base.endswith(suffix)),
+                       _compare_bytes)
+        compare(name, a, b, result)
         result.files += 1
     return result
 
@@ -169,7 +266,10 @@ def main(argv=None) -> int:
     print(f"{'FAIL' if result.problems else 'PASS'}: {result.files} files; "
           f"max |d alpha| {result.max_angle_rad:.3g} rad, "
           f"max objective rel {result.max_objective_rel:.3g}, "
-          f"max scalar rel {result.max_scalar_rel:.3g}")
+          f"max scalar rel {result.max_scalar_rel:.3g}, "
+          f"max |d nn distance| {result.max_nn_distance:.3g}, "
+          f"max |d eigenvalue| {result.max_eigenvalue:.3g}, "
+          f"max subspace sine {result.max_subspace_sin:.3g}")
     return 1 if result.problems else 0
 
 

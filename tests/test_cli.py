@@ -6,6 +6,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from mfvdm import io as mio
 from mfvdm.config import load_config_file
 from mfvdm.errors import ConvergenceError
 from mfvdm.io import read_graph
-from mfvdm.spectral import top_eigenpairs
+from mfvdm.spectral import DENSE_THRESHOLD, top_eigenpairs
 
 
 def _run(*argv):
@@ -321,6 +323,24 @@ class TestExternalGraph:
         assert code == 1
         assert not list(ext_out.rglob("bundle_*.npz"))
 
+    @pytest.mark.parametrize("kappa", ["5", "30"])
+    def test_config_n_bounds_nothing(self, tmp_path, monkeypatch, kappa):
+        """With --graph, n and kappa_build go unused: --n 20 with the
+        default kappa_build=150, or --kappa 30 >= n, is no error when the
+        graph has 40 nodes."""
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+        out = tmp_path / "out"
+        assert _run("generate", "--manifold", "torus", "--n", "40",
+                    "--kappa-build", "4", "--p", "1", "--out", str(out),
+                    "--seed", "0", "--kappa", "10", "--kmax", "2") == 0
+        ext_out = tmp_path / "ext"
+        code = _run("nn", "--graph", str(out / "graph_clean.txt"),
+                    "--n", "20", "--kappa", kappa, "--p", "1", "--kmax", "2",
+                    "--mk", "5", "--out", str(ext_out), "--tfft", "64")
+        assert code == 0
+        rows = (ext_out / "p1" / "nn_mfvdm.csv").read_text().splitlines()
+        assert len(rows) == 1 + 40 * int(kappa)
+
 
 class TestSpectrum:
     def test_sphere_leading_cluster(self, tmp_path):
@@ -431,3 +451,51 @@ class TestExitCodes:
                     "--kappa-build", "4", "--p", "1",
                     "--out", str(tmp_path / "out"), "--seed", "0",
                     "--kappa", "5", "--kmax", "3") == 0
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**extra):
+    """This process's environment without BLAS thread settings, with the
+    package's sources first on the path."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in _BLAS_VARS and k != mio.CACHE_ENV}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env.update(extra)
+    return env
+
+
+class TestThreads:
+    def test_import_pins_blas_to_one_thread(self):
+        probe = ("import os, sys; import mfvdm; "
+                 "print(*(os.environ[k] for k in sys.argv[1:]))")
+        for extra, expected in (({}, "1 1 1"),
+                                ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1")):
+            done = subprocess.run([sys.executable, "-c", probe, *_BLAS_VARS],
+                                  env=_child_env(**extra), capture_output=True,
+                                  text=True, check=True)
+            assert done.stdout.split() == expected.split()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs to pin a run to")
+    def test_core_count_does_not_change_outputs(self, tmp_path):
+        """The sparse eigensolver, NN search and alignment give the same
+        bytes on one CPU and on two."""
+        cpus = sorted(os.sched_getaffinity(0))
+        trees = []
+        for allowed in ({cpus[0]}, set(cpus[:2])):
+            out = tmp_path / f"cpus{len(allowed)}"
+            subprocess.run(
+                [sys.executable, "-m", "mfvdm.cli", "pipeline",
+                 "--n", str(DENSE_THRESHOLD + 100), "--kappa-build", "30",
+                 "--kappa", "10", "--kmax", "3", "--mk", "6", "--tfft", "64",
+                 "--seed", "1", "--out", str(out)],
+                env=_child_env(), check=True, stdout=subprocess.DEVNULL,
+                preexec_fn=lambda allowed=allowed: os.sched_setaffinity(
+                    0, allowed))
+            trees.append(_tree_digest(out, skip=()))
+        assert trees[0] == trees[1]

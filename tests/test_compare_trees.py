@@ -4,10 +4,12 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
-from compare_trees import compare_trees, main
+from compare_trees import ANGLE_TOL_RAD, compare_trees, main
 from mfvdm import cli
+from mfvdm import io as mio
 
 PIPELINE = ["pipeline", "--manifold", "sphere", "--n", "200",
             "--kappa-build", "15", "--kappa", "8", "--kmax", "4", "--mk", "8",
@@ -17,7 +19,10 @@ PIPELINE = ["pipeline", "--manifold", "sphere", "--n", "200",
 @pytest.fixture(scope="module")
 def tree(tmp_path_factory):
     out = tmp_path_factory.mktemp("gate") / "out"
-    assert cli.main([*PIPELINE, "--out", str(out)]) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        # The bundle cache goes to out/cache, where the gate compares it.
+        patch.delenv(mio.CACHE_ENV, raising=False)
+        assert cli.main([*PIPELINE, "--out", str(out)]) == 0
     return out
 
 
@@ -74,16 +79,114 @@ def test_swapped_nn_rows_fail(tree, copy):
     assert any("nn_mfvdm.csv" in p for p in result.problems)
 
 
-def test_scalar_sixth_digit_fails(tree, copy):
+def _edit_nn_row(path, number, edit):
+    def rewrite(line):
+        node, rank, neighbor, distance = line.rstrip("\n").split(",")
+        node, rank, neighbor, distance = edit(node, rank, neighbor,
+                                              float(distance))
+        return f"{node},{rank},{neighbor},{distance!r}\n"
+
+    _edit_line(path, number, rewrite)
+
+
+def test_swapped_neighbor_fails(tree, copy):
+    path = copy / "p0.4" / "nn_mfvdm.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    first, second = lines[3].split(","), lines[4].split(",")
+    first[2], second[2] = second[2], first[2]
+    lines[3], lines[4] = ",".join(first), ",".join(second)
+    path.write_text("".join(lines), encoding="utf-8")
+    result = compare_trees(tree, copy)
+    assert any("nn_mfvdm.csv: neighbor differs at data row 3" in p
+               for p in result.problems), result.problems
+
+
+def test_nn_distance_moved_fails(tree, copy):
+    _edit_nn_row(copy / "p0.4" / "nn_vdm.csv", 7,
+                 lambda *row: (*row[:3], row[3] + 1e-9))
+    result = compare_trees(tree, copy)
+    assert any("nn_vdm.csv" in p and "squared_distance" in p
+               for p in result.problems), result.problems
+
+
+def test_last_bit_nn_distance_passes(tree, copy):
+    _edit_nn_row(copy / "p0.4" / "nn_vdm.csv", 7,
+                 lambda *row: (*row[:3], math.nextafter(row[3], 4.0)))
+    result = compare_trees(tree, copy)
+    assert result.ok, result.problems
+    assert 0.0 < result.max_nn_distance < 1e-15
+
+
+def _edit_bundle(copy, k, edit):
+    path = next((copy / "cache").glob(f"bundle_*_k{k}_m*.npz"))
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def test_last_bit_bundle_passes(tree, copy):
+    def nudge(arrays):
+        arrays["eigenvalues"][1] = math.nextafter(arrays["eigenvalues"][1],
+                                                  0.0)
+        arrays["eigenvectors"][5, 2] *= 1.0 + 2.0 ** -52
+
+    _edit_bundle(copy, 2, nudge)
+    result = compare_trees(tree, copy)
+    assert result.ok, result.problems
+    assert 0.0 < result.max_eigenvalue < 1e-15
+    assert 0.0 < result.max_subspace_sin < 1e-14
+
+
+@pytest.mark.parametrize("edit,what", [
+    (lambda a: a["eigenvalues"].__setitem__(3, a["eigenvalues"][3] + 1e-9),
+     "eigenvalue"),
+    (lambda a: a["eigenvectors"].__setitem__(
+        (slice(None), [0, 1]), a["eigenvectors"][:, [1, 0]]),
+     "eigenvector subspace"),
+    (lambda a: a["eigenvectors"].__setitem__(
+        (slice(None), 4), 2.0 * a["eigenvectors"][:, 4]),
+     "eigenvector subspace"),
+], ids=["eigenvalue", "swapped-vectors", "scaled-vector"])
+def test_bundle_drift_fails(tree, copy, edit, what):
+    _edit_bundle(copy, 3, edit)
+    result = compare_trees(tree, copy)
+    assert any("_k3_" in p and what in p for p in result.problems), \
+        result.problems
+
+
+def _edit_scalar(copy, key, edit):
     path = copy / "p0.4" / "report_mfvdm_scalars.json"
     scalars = json.loads(path.read_text(encoding="utf-8"))
-    value = scalars["nn_mean"]
-    scalars["nn_mean"] = value + 10.0 ** (math.floor(math.log10(value)) - 5)
+    scalars[key] = edit(scalars[key])
     path.write_text(json.dumps(scalars, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+
+
+def test_scalar_sixth_digit_fails(tree, copy):
+    _edit_scalar(copy, "nn_mean", lambda value: value + 10.0 ** (
+        math.floor(math.log10(value)) - 5))
     result = compare_trees(tree, copy)
     assert not result.ok
     assert any("nn_mean" in p for p in result.problems)
+
+
+def test_angle_scalar_within_floor_passes(tree, copy):
+    floor_deg = math.degrees(ANGLE_TOL_RAD)
+    _edit_scalar(copy, "align_median_abs_deg",
+                 lambda value: value + 0.5 * floor_deg)
+    result = compare_trees(tree, copy)
+    assert result.ok, result.problems
+    # Beyond ten significant digits, so only the floor lets it pass.
+    assert result.max_scalar_rel > 1e-9
+
+
+def test_angle_scalar_real_change_fails(tree, copy):
+    _edit_scalar(copy, "align_median_abs_deg",
+                 lambda value: value + 1e-6)
+    result = compare_trees(tree, copy)
+    assert any("align_median_abs_deg" in p for p in result.problems)
 
 
 def test_missing_file_fails(tree, copy):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfvdm.angles import TWO_PI, wrap_pi
-from mfvdm.errors import ParameterError
+from mfvdm.errors import BadEdgeError, ParameterError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph, rewire_graph
 from mfvdm.io import graph_hash
 from mfvdm.sampling import make_truth, optimal_inplane_angle
@@ -85,6 +85,18 @@ class TestCanonicalization:
         assert graph.cols.tolist() == [1, 2]
         assert abs(graph.angles[1] - (TWO_PI - 0.5)) < 1e-15
         assert graph.weights.tolist() == [2.0, 1.0]
+
+    def test_from_edges_names_the_bad_edge_by_input_index(self):
+        edges = dict(n=4, rows=np.array([2, 0, 3, 3]),
+                     cols=np.array([1, 1, 2, 3]),
+                     weights=np.ones(4), angles=np.full(4, 0.5))
+        with pytest.raises(BadEdgeError, match="self-loop 3") as info:
+            AlignmentGraph.from_edges(**edges)
+        assert info.value.index == 3
+        # As given, (2, 1) already breaks the file rule i < j.
+        with pytest.raises(BadEdgeError, match="i < j") as info:
+            AlignmentGraph.from_edges(**edges, oriented=True)
+        assert info.value.index == 0
 
     @pytest.mark.parametrize("rows,cols,weights,angles,what", [
         ([0, 0], [1, 1], [1.0, 1.0], [0.1, 0.2], "duplicate edge"),

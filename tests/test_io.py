@@ -17,7 +17,9 @@ from mfvdm.evaluation import (
     score_nn,
     spectral_report,
 )
-from mfvdm.graph import build_clean_knn_graph, rewire_graph
+from mfvdm import graph as mgraph
+from mfvdm import io as mio
+from mfvdm.graph import build_clean_knn_graph, first_bad_edge, rewire_graph
 from mfvdm.io import (
     CACHE_ENV,
     bundle_cache_path,
@@ -117,6 +119,10 @@ class TestGraphFormat:
          ":5: alpha must lie"),
         ("n 4\n0 1 1.0 0.5\n0 99999999999999999999 1.0 0.5\n",
          ":3: endpoint out of range."),
+        ("n 3\n0 1 1.0 0.5\n\n2 1 1.0 0.5\n", ":4: edges must have i < j."),
+        # A header count below 1 still names the edge first.
+        ("n 0\n0 1 1.0 0.5\n", ":2: endpoint out of range."),
+        ("n 0\n", ": Node count must be >= 1. Got 0."),
     ])
     def test_error_names_the_first_offending_line(self, tmp_path, body,
                                                   message):
@@ -142,6 +148,20 @@ class TestGraphFormat:
         with pytest.raises(GraphFileError) as info:
             read_graph(path)
         assert str(info.value).startswith(f"{path}:3: invalid literal")
+
+    def test_edge_rules_run_once(self, graph, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return first_bad_edge(*args)
+
+        monkeypatch.setattr(mgraph, "first_bad_edge", counted)
+        monkeypatch.setattr(mio, "first_bad_edge", counted)
+        path = tmp_path / "g.txt"
+        write_graph(graph, path)
+        assert graph_hash(read_graph(path)) == graph_hash(graph)
+        assert calls == [graph.n]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(GraphFileError):
