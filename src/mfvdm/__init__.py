@@ -13,34 +13,21 @@ del _name
 
 from mfvdm.angles import wrap_pi, wrap_two_pi
 from mfvdm.alignment import (
-    AlignmentSequence,
     AlignmentTable,
-    AngleEstimate,
     align_neighbors,
-    alignment_sequence,
-    estimate_angle,
+    alignment_sequences,
     estimate_angles,
 )
 from mfvdm.config import ExperimentConfig, load_config_file, resolve_config
-from mfvdm.connection import (
-    DegreeVector,
-    SparseHermitian,
-    build_sk,
-    build_wk,
-    degrees,
-)
+from mfvdm.connection import SparseHermitian, build_sk, degrees
 from mfvdm.embedding import (
     EmbeddingSet,
     FrequencyFeatures,
     NeighborList,
-    affinity_k,
     baseline_embedding,
     build_embedding_set,
     build_features,
-    mfvdm_affinity,
-    mfvdm_distance,
     nn_search,
-    normalized_affinity,
 )
 from mfvdm.errors import (
     BadEdgeError,
@@ -75,7 +62,6 @@ from mfvdm.graph import (
 from mfvdm.sampling import (
     SphereTruth,
     TorusTruth,
-    geodesic_distance,
     make_truth,
     optimal_inplane_angle,
     sample_so3_uniform,
@@ -87,15 +73,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentGraph",
-    "AlignmentSequence",
     "AlignmentTable",
-    "AngleEstimate",
     "BadEdgeError",
     "ConfigError",
     "ConvergenceError",
     "DegenerateAlignmentError",
     "DegenerateEmbeddingError",
-    "DegreeVector",
     "EmbeddingSet",
     "EvalReport",
     "ExperimentConfig",
@@ -113,27 +96,20 @@ __all__ = [
     "UndefinedAlignmentError",
     "UnsupportedManifoldError",
     "ZeroDegreeError",
-    "affinity_k",
     "align_neighbors",
-    "alignment_sequence",
+    "alignment_sequences",
     "baseline_embedding",
     "build_clean_knn_graph",
     "build_embedding_set",
     "build_features",
     "build_sk",
-    "build_wk",
     "degrees",
     "detect_clusters",
-    "estimate_angle",
     "estimate_angles",
     "gauge_fix",
-    "geodesic_distance",
     "load_config_file",
     "make_truth",
-    "mfvdm_affinity",
-    "mfvdm_distance",
     "nn_search",
-    "normalized_affinity",
     "optimal_inplane_angle",
     "resolve_config",
     "rewire_graph",

@@ -21,11 +21,8 @@ from mfvdm.errors import ParameterError, UndefinedAlignmentError
 from mfvdm.parallel import map_workers
 
 __all__ = [
-    "AlignmentSequence",
-    "AngleEstimate",
     "AlignmentTable",
-    "alignment_sequence",
-    "estimate_angle",
+    "alignment_sequences",
     "estimate_angles",
     "align_neighbors",
 ]
@@ -36,32 +33,6 @@ DEFAULT_GRID = 1024
 # is 4 MB, small enough to be reused from the heap instead of being faulted
 # in anew for every batch.
 DEFAULT_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class AlignmentSequence:
-    """Inner products z(k) for one ordered pair; z[k-1] holds frequency k."""
-
-    i: int
-    j: int
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z",
-                           np.asarray(self.z, dtype=np.complex128))
-
-    @property
-    def k_max(self) -> int:
-        return self.z.shape[0]
-
-
-@dataclass(frozen=True)
-class AngleEstimate:
-    """Estimated angle in [0, 2*pi) with its objective value."""
-
-    alpha_hat: float
-    objective: float
-    grid_length: int
 
 
 @dataclass(frozen=True)
@@ -81,14 +52,15 @@ class AlignmentTable:
         object.__setattr__(self, "objective",
                            np.asarray(self.objective, dtype=float))
 
-    @property
-    def pair_count(self) -> int:
-        return self.i.shape[0]
 
+def alignment_sequences(embeddings: EmbeddingSet, ii: np.ndarray,
+                        jj: np.ndarray) -> np.ndarray:
+    """Inner products z(k) = <phi_k(i), phi_k(j)> for the index arrays
+    (ii, jj).
 
-def _sequence_matrix(embeddings: EmbeddingSet, ii: np.ndarray,
-                     jj: np.ndarray) -> np.ndarray:
-    """z(k) for pair arrays, (pairs, k_max); absent frequencies stay zero."""
+    Returns a (pairs, k_max) complex array whose column k-1 holds frequency
+    k; frequencies absent from the embedding stay zero.
+    """
     if embeddings.mode != "squared":
         raise ParameterError("Alignment needs phase-carrying features "
                              "(squared mode).")
@@ -99,15 +71,6 @@ def _sequence_matrix(embeddings: EmbeddingSet, ii: np.ndarray,
     for f in embeddings.features:
         z[:, f.k - 1] = np.sum(f.phi[ii] * np.conj(f.phi[jj]), axis=1)
     return z
-
-
-def alignment_sequence(embeddings: EmbeddingSet, i: int,
-                       j: int) -> AlignmentSequence:
-    """Inner products z(k) = <phi_k(i), phi_k(j)> for k = 1..k_max."""
-    ii = np.asarray([i], dtype=np.int64)
-    jj = np.asarray([j], dtype=np.int64)
-    return AlignmentSequence(i=int(i), j=int(j),
-                             z=_sequence_matrix(embeddings, ii, jj)[0])
 
 
 def _check_grid(grid_length: int, k_max: int) -> None:
@@ -181,40 +144,29 @@ def _refine_peaks(values: np.ndarray, grid_length: int):
     return alpha, objective
 
 
-def estimate_angle(sequence, grid_length: int = DEFAULT_GRID) -> AngleEstimate:
-    """Angle maximizing Re sum_k z(k) e^{-ik alpha} for one pair.
+def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID,
+                    chunk: int = DEFAULT_CHUNK):
+    """Angles maximizing Re sum_k z(k) e^{-ik alpha}, one per row of z.
 
     Parameters
     ----------
-    sequence : AlignmentSequence or complex array
-        z(k) values, index l holding frequency l+1.
+    z : (pairs, k_max) complex array
+        z(k) values; column l holds frequency l+1.
     grid_length : int
         Grid length T, a power of two with T >= 4*k_max.
+    chunk : int
+        Rows per grid-evaluation batch; no effect on the result.
 
     Returns
     -------
-    estimate : AngleEstimate
+    alpha, objective : (pairs,) arrays
+        Angles in [0, 2*pi) and the objective's value at each.
 
     Raises
     ------
     UndefinedAlignmentError
-        If all z(k) vanish (flat objective).
+        If all z(k) of some row vanish (flat objective).
     """
-    z = sequence.z if isinstance(sequence, AlignmentSequence) \
-        else np.asarray(sequence, dtype=np.complex128)
-    table = _grid_table(z.shape[0], grid_length)
-    if not np.any(z):
-        raise UndefinedAlignmentError("All z(k) vanish; the alignment "
-                                      "objective is flat.")
-    alpha, objective = _estimate_rows(z[None, :], table, 1)
-    return AngleEstimate(alpha_hat=float(alpha[0]),
-                         objective=float(objective[0]),
-                         grid_length=grid_length)
-
-
-def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID,
-                    chunk: int = DEFAULT_CHUNK):
-    """Batched estimate_angle over rows of z, (pairs, k_max) -> two arrays."""
     z = np.asarray(z, dtype=np.complex128)
     return _estimate_rows(z, _grid_table(z.shape[1], grid_length), chunk)
 
@@ -251,7 +203,8 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
 
     def run_chunk(start: int) -> None:
         stop = min(start + chunk, keys.shape[0])
-        z = _sequence_matrix(embeddings, lo_u[start:stop], hi_u[start:stop])
+        z = alignment_sequences(embeddings, lo_u[start:stop],
+                                hi_u[start:stop])
         alpha_u[start:stop], objective_u[start:stop] = _estimate_rows(
             z, table, chunk
         )

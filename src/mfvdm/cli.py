@@ -136,7 +136,7 @@ def _compute_bundles(config: ExperimentConfig, graph, ks, m: int) -> dict:
     """Top-m eigenpairs per frequency, through the on-disk cache."""
     cache = mio.cache_dir_for(config.out_dir)
     digest = mio.graph_hash(graph)
-    degree_vector = degrees(graph)
+    deg = degrees(graph)
     m = min(m, graph.n)
 
     def solve(k: int):
@@ -145,7 +145,7 @@ def _compute_bundles(config: ExperimentConfig, graph, ks, m: int) -> dict:
         if bundle is not None:
             print(f"[embed] k={k} cache hit", flush=True)
             return k, bundle
-        bundle = top_eigenpairs(build_sk(graph, k, degree_vector), m)
+        bundle = top_eigenpairs(build_sk(graph, k, deg), m)
         mio.save_bundle(bundle, path)
         return k, bundle
 

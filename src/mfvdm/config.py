@@ -8,6 +8,7 @@ report so outputs are self-describing.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 
 from mfvdm.errors import ConfigError
@@ -17,6 +18,9 @@ __all__ = ["ExperimentConfig", "load_config_file", "resolve_config"]
 _MANIFOLDS = ("sphere", "torus", "external")
 _WEIGHT_MODES = ("unit", "gaussian")
 _BASELINES = ("dm", "vdm")
+# The default thread budget: every CPU this process may run on.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class ExperimentConfig:
     sigma: float = 1.0
     baselines: tuple = ()
     out_dir: str = "out"
-    workers: int = 1
+    workers: int = _CPUS
     radius_major: float = 1.0
     radius_minor: float = 0.2
     area_uniform: bool = True
@@ -80,7 +84,7 @@ class ExperimentConfig:
         if self.weight_mode not in _WEIGHT_MODES:
             raise ConfigError(f"weight_mode must be one of {_WEIGHT_MODES}. "
                               f"Got {self.weight_mode!r}.")
-        if self.weight_mode == "gaussian" and self.sigma <= 0.0:
+        if self.weight_mode == "gaussian" and not self.sigma > 0.0:
             raise ConfigError(f"sigma must be > 0. Got {self.sigma}.")
         for b in self.baselines:
             if b not in _BASELINES:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mfvdm import kernels
 from mfvdm.errors import DegenerateEmbeddingError, ParameterError
 from mfvdm.parallel import map_workers
 from mfvdm.spectral import SpectralBundle
@@ -26,10 +25,6 @@ __all__ = [
     "NeighborList",
     "build_features",
     "build_embedding_set",
-    "affinity_k",
-    "mfvdm_affinity",
-    "normalized_affinity",
-    "mfvdm_distance",
     "nn_search",
     "baseline_embedding",
 ]
@@ -126,7 +121,8 @@ class EmbeddingSet:
         if self.mode == "squared":
             for f in self.features:
                 z = f.phi[block] @ f.phi.conj().T
-                kernels.accumulate_abs2(acc, z)
+                acc += z.real ** 2
+                acc += z.imag ** 2
         else:
             phi = self.features[0].phi
             acc += np.real(phi[block] @ phi.conj().T)
@@ -148,38 +144,6 @@ def build_embedding_set(bundles, t: int, mode: str = "squared") -> EmbeddingSet:
     """Assemble an EmbeddingSet from spectral bundles at diffusion time t."""
     features = tuple(build_features(b, t) for b in bundles)
     return EmbeddingSet(features=features, mode=mode)
-
-
-def affinity_k(features: FrequencyFeatures, i: int, j: int) -> float:
-    """Single-frequency affinity |<phi_k(i), phi_k(j)>|^2."""
-    inner = np.vdot(features.phi[j], features.phi[i])
-    return float(np.abs(inner) ** 2)
-
-
-def mfvdm_affinity(embeddings: EmbeddingSet, i: int, j: int) -> float:
-    """Multi-frequency affinity: sum of affinity_k over stored frequencies."""
-    if embeddings.mode != "squared":
-        raise ParameterError("mfvdm_affinity requires squared mode.")
-    return float(sum(affinity_k(f, i, j) for f in embeddings.features))
-
-
-def normalized_affinity(embeddings: EmbeddingSet, i: int, j: int) -> float:
-    """Affinity normalized by embedding norms; 1 on the diagonal."""
-    if i == j:
-        return 1.0
-    if embeddings.mode == "squared":
-        affinity = mfvdm_affinity(embeddings, i, j)
-    else:
-        phi = embeddings.features[0].phi
-        affinity = float(np.real(np.vdot(phi[j], phi[i])))
-    return affinity / float(embeddings.norms[i] * embeddings.norms[j])
-
-
-def mfvdm_distance(embeddings: EmbeddingSet, i: int, j: int) -> float:
-    """Squared diffusion distance d2 = 2 - 2*N(i, j); 0 on the diagonal."""
-    if i == j:
-        return 0.0
-    return 2.0 - 2.0 * normalized_affinity(embeddings, i, j)
 
 
 @dataclass(frozen=True)

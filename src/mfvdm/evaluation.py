@@ -47,16 +47,6 @@ class EvalReport:
     align_counts: np.ndarray | None = None
     align_median_abs_deg: float | None = None
 
-    def align_mass_within(self, bound_deg: float) -> float:
-        """Fraction of alignment errors with |error| <= bound_deg."""
-        if self.align_counts is None:
-            raise ParameterError("Report has no alignment histogram.")
-        centers = 0.5 * (self.align_bin_edges_deg[:-1]
-                         + self.align_bin_edges_deg[1:])
-        total = self.align_counts.sum()
-        inside = self.align_counts[np.abs(centers) <= bound_deg].sum()
-        return float(inside) / float(total)
-
 
 @dataclass(frozen=True)
 class SpectralReport:

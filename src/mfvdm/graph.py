@@ -190,7 +190,7 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
         )
     if weight_mode not in ("unit", "gaussian"):
         raise ParameterError(f"Unknown weight_mode {weight_mode!r}.")
-    if weight_mode == "gaussian" and sigma <= 0.0:
+    if weight_mode == "gaussian" and not sigma > 0.0:
         raise ParameterError(f"sigma must be > 0. Got {sigma}.")
     neighbors = np.empty((n, kappa_build), dtype=np.int64)
     for start in range(0, n, block_size):

@@ -223,19 +223,20 @@ def read_truth(path):
     try:
         manifold = lines[0].split()[1]
         n = int(lines[1].split()[1])
+        if manifold not in ("sphere", "torus"):
+            raise GraphFileError(f"{path}: unknown manifold {manifold!r}.")
+        rows = lines[2:] if manifold == "sphere" else lines[3:]
+        if len(rows) != n:
+            raise GraphFileError(f"{path}: header says n {n}, but "
+                                 f"{len(rows)} data rows follow.")
+        data = np.array([[float(x) for x in line.split()] for line in rows])
         if manifold == "sphere":
-            data = np.array([[float(x) for x in line.split()]
-                             for line in lines[2:2 + n]])
             return SphereTruth(rotations=data.reshape(n, 3, 3))
-        if manifold == "torus":
-            _, big_r, small_r = lines[2].split()
-            data = np.array([[float(x) for x in line.split()]
-                             for line in lines[3:3 + n]])
-            return TorusTruth(u=data[:, 0], v=data[:, 1],
-                              frame_angles=data[:, 2],
-                              radius_major=float(big_r),
-                              radius_minor=float(small_r))
-        raise GraphFileError(f"{path}: unknown manifold {manifold!r}.")
+        _, big_r, small_r = lines[2].split()
+        return TorusTruth(u=data[:, 0], v=data[:, 1],
+                          frame_angles=data[:, 2],
+                          radius_major=float(big_r),
+                          radius_minor=float(small_r))
     except (IndexError, ValueError) as exc:
         raise GraphFileError(f"{path}: malformed truth file: {exc}") from exc
 

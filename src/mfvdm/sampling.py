@@ -23,7 +23,6 @@ __all__ = [
     "sample_so3_uniform",
     "optimal_inplane_angle",
     "sample_torus_uniform",
-    "geodesic_distance",
     "make_truth",
 ]
 
@@ -199,17 +198,6 @@ class TorusTruth:
     def n(self) -> int:
         return self.u.shape[0]
 
-    @property
-    def positions(self) -> np.ndarray:
-        """Embedded coordinates in 3-space, (n, 3)."""
-        big_r, small_r = self.radius_major, self.radius_minor
-        ring = big_r + small_r * np.cos(self.u)
-        return np.stack(
-            [ring * np.cos(self.v), ring * np.sin(self.v),
-             small_r * np.sin(self.u)],
-            axis=1,
-        )
-
     def pair_angle(self, i: int, j: int) -> float:
         """True alignment alpha_ij = alpha_i - alpha_j."""
         return wrap_two_pi(self.frame_angles[i] - self.frame_angles[j])
@@ -286,11 +274,6 @@ def sample_torus_uniform(n: int, radius_major: float, radius_minor: float,
     frame_angles = rng.uniform(0.0, TWO_PI, size=n)
     return TorusTruth(u=u, v=v, frame_angles=frame_angles,
                       radius_major=radius_major, radius_minor=radius_minor)
-
-
-def geodesic_distance(truth, i: int, j: int) -> float:
-    """Base-manifold distance between nodes i and j of a ground truth."""
-    return truth.geodesic(i, j)
 
 
 def make_truth(manifold: str, n: int, seed: int, radius_major: float = 1.0,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from mfvdm.connection import SparseHermitian
-from mfvdm.errors import ConvergenceError, MfvdmError, ParameterError
+from mfvdm.errors import ConvergenceError, ParameterError
 from mfvdm.rng import substream
 
 __all__ = ["SpectralBundle", "gauge_fix", "top_eigenpairs",
@@ -47,28 +47,6 @@ class SpectralBundle:
     @property
     def n(self) -> int:
         return self.eigenvectors.shape[0]
-
-    def verify(self, matrix: SparseHermitian | None = None,
-               tol: float = 1e-8, normalized: bool = True) -> None:
-        """Check ordering, range, orthonormality and (optionally) residuals."""
-        lam = self.eigenvalues
-        if np.any(np.diff(lam) > 0.0):
-            raise MfvdmError("Eigenvalues are not sorted descending.")
-        if normalized and np.any(np.abs(lam) > 1.0 + tol):
-            raise MfvdmError(
-                f"Eigenvalues leave [-1, 1] by {np.abs(lam).max() - 1.0:g}."
-            )
-        gram = self.eigenvectors.conj().T @ self.eigenvectors
-        ortho = np.abs(gram - np.eye(self.m)).max()
-        if ortho > tol:
-            raise MfvdmError(f"Eigenvectors not orthonormal: deviation "
-                             f"{ortho:g} exceeds {tol:g}.")
-        if matrix is not None:
-            resid = _residuals(matrix, lam, self.eigenvectors)
-            if np.any(resid > tol):
-                a = int(np.argmax(resid > tol))
-                raise MfvdmError(f"Residual {resid[a]:g} of eigenpair {a} "
-                                 f"exceeds {tol:g}.")
 
 
 def gauge_fix(vectors: np.ndarray) -> np.ndarray:

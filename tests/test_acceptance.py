@@ -22,18 +22,16 @@ import numpy as np
 import pytest
 
 from mfvdm import (
+    EmbeddingSet,
     align_neighbors,
-    alignment_sequence,
+    alignment_sequences,
     baseline_embedding,
     build_clean_knn_graph,
     build_embedding_set,
     build_sk,
-    build_wk,
-    estimate_angle,
+    estimate_angles,
     make_truth,
-    mfvdm_distance,
     nn_search,
-    normalized_affinity,
     rewire_graph,
     score_alignment,
     score_nn,
@@ -44,6 +42,7 @@ from mfvdm import (
 from mfvdm import cli
 from mfvdm.graph import AlignmentGraph
 from mfvdm.spectral import SpectralBundle
+from oracles import affinity_k, mfvdm_distance, normalized_affinity
 
 N = 3000
 KAPPA_BUILD = 60
@@ -301,13 +300,12 @@ class TestCriterion6:
             # (a) untruncated affinity equals |S_k^(2t)(i, j)|^2
             aff_err = 0.0
             for features, k in zip(emb.features, ks):
-                gram = features.phi @ features.phi.conj().T
+                single = EmbeddingSet(features=(features,))
                 aff_err = max(aff_err, float(
-                    np.abs(np.abs(gram) ** 2
+                    np.abs(single.affinity_block(np.arange(n))
                            - np.abs(powers[k]) ** 2).max()))
             pairs = rng.integers(0, n, size=(50, 2))
             for i, j in pairs:
-                from mfvdm import affinity_k
                 for features, k in zip(emb.features, ks):
                     direct = affinity_k(features, int(i), int(j))
                     aff_err = max(aff_err, abs(
@@ -316,13 +314,11 @@ class TestCriterion6:
                                 f"{name} affinity err {aff_err:.1e}"))
 
             # (b) z(k) equals the dense power entry
-            z_err = 0.0
-            for i, j in rng.integers(0, n, size=(100, 2)):
-                if i == j:
-                    continue
-                seq = alignment_sequence(emb, int(i), int(j))
-                for pos, k in enumerate(ks):
-                    z_err = max(z_err, abs(seq.z[pos] - powers[k][i, j]))
+            ii, jj = rng.integers(0, n, size=(100, 2)).T
+            ii, jj = ii[ii != jj], jj[ii != jj]
+            z = alignment_sequences(emb, ii, jj)
+            z_err = max(float(np.abs(z[:, pos] - powers[k][ii, jj]).max())
+                        for pos, k in enumerate(ks))
             checks.append(_mark(z_err < 1e-10, f"z err {z_err:.1e}"))
 
             # (c) d2 = 2 - 2N, cross-checked against the explicit
@@ -331,14 +327,15 @@ class TestCriterion6:
             for i, j in rng.integers(0, n, size=(20, 2)):
                 if i == j:
                     continue
-                d2 = mfvdm_distance(emb, int(i), int(j))
+                d2 = emb.distance_sq_block([int(i)])[0, j]
                 ident = 2.0 - 2.0 * normalized_affinity(emb, int(i), int(j))
                 vi = _outer_vector(emb.features, int(i))
                 vj = _outer_vector(emb.features, int(j))
                 vi /= np.linalg.norm(vi)
                 vj /= np.linalg.norm(vj)
                 oracle = float(np.linalg.norm(vi - vj) ** 2)
-                d_err = max(d_err, abs(d2 - ident), abs(d2 - oracle))
+                d_err = max(d_err, abs(d2 - ident), abs(d2 - oracle),
+                            abs(mfvdm_distance(emb, int(i), int(j)) - oracle))
             checks.append(_mark(d_err < 1e-12, f"d2 err {d_err:.1e}"))
 
         # (d) refined angle matches a one-million-point grid argmax
@@ -347,19 +344,18 @@ class TestCriterion6:
         emb = build_embedding_set(bundles, t=T_DIFF)
         grid = 2.0 * np.pi * np.arange(1_000_000) / 1_000_000
         phase = np.exp(-1j * grid)
+        ii, jj = rng.integers(0, graph.n, size=(25, 2)).T
+        ii, jj = ii[ii != jj], jj[ii != jj]
+        z = alignment_sequences(emb, ii, jj)
+        alpha_hat, _ = estimate_angles(z)
         angle_err = 0.0
-        for i, j in rng.integers(0, graph.n, size=(25, 2)):
-            if i == j:
-                continue
-            seq = alignment_sequence(emb, int(i), int(j))
+        for row, alpha in zip(z, alpha_hat):
             acc = np.zeros_like(phase)
-            for z in seq.z[::-1]:
-                acc = (acc + z) * phase
-            objective = acc.real
-            alpha_grid = grid[int(np.argmax(objective))]
-            estimate = estimate_angle(seq)
+            for zk in row[::-1]:
+                acc = (acc + zk) * phase
+            alpha_grid = grid[int(np.argmax(acc.real))]
             angle_err = max(angle_err, abs(float(
-                wrap_pi(estimate.alpha_hat - alpha_grid))))
+                wrap_pi(alpha - alpha_grid))))
         tol = 2.0 * np.pi / 1_000_000 + 1e-3
         checks.append(_mark(angle_err < tol,
                             f"grid-argmax angle err {angle_err:.1e}"))
@@ -388,10 +384,14 @@ def _random_unitary(rng, size: int) -> np.ndarray:
 
 
 def _pair_angles(emb, pairs):
-    return np.array([
-        estimate_angle(alignment_sequence(emb, int(i), int(j))).alpha_hat
-        for i, j in pairs
-    ])
+    ii, jj = np.asarray(pairs).T
+    return estimate_angles(alignment_sequences(emb, ii, jj))[0]
+
+
+def _normalized(emb, pairs):
+    """The library's normalized affinity N = 1 - d2/2 of each pair."""
+    return np.array([1.0 - 0.5 * emb.distance_sq_block([i])[0, j]
+                     for i, j in pairs])
 
 
 class TestCriterion7:
@@ -405,10 +405,9 @@ class TestCriterion7:
         herm_ok = True
         spec_err = 0.0
         for k in ks:
-            dense_w = build_wk(graph, k).to_dense()
-            herm_ok = herm_ok and np.array_equal(dense_w,
-                                                 dense_w.conj().T)
-            values = np.linalg.eigvalsh(build_sk(graph, k).to_dense())
+            dense = build_sk(graph, k).to_dense()
+            herm_ok = herm_ok and np.array_equal(dense, dense.conj().T)
+            values = np.linalg.eigvalsh(dense)
             spec_err = max(spec_err, float(max(-1.0 - values.min(),
                                                values.max() - 1.0, 0.0)))
         checks.append(_mark(herm_ok, "Hermitian symmetry exact"))
@@ -428,9 +427,8 @@ class TestCriterion7:
         pairs = [(i, j) for i, j in rng.integers(0, graph.n, size=(20, 2))
                  if i != j]
         gauge_err = max(
-            max(abs(normalized_affinity(emb, i, j)
-                    - normalized_affinity(emb_gauged, i, j))
-                for i, j in pairs),
+            float(np.max(np.abs(_normalized(emb, pairs)
+                                - _normalized(emb_gauged, pairs)))),
             float(np.max(np.abs(wrap_pi(_pair_angles(emb, pairs)
                                         - _pair_angles(emb_gauged, pairs))))),
         )
@@ -453,9 +451,8 @@ class TestCriterion7:
         emb_mixed = build_embedding_set(mixed, t=T_DIFF)
         cpairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         cluster_err = max(
-            max(abs(normalized_affinity(emb_base, i, j)
-                    - normalized_affinity(emb_mixed, i, j))
-                for i, j in cpairs),
+            float(np.max(np.abs(_normalized(emb_base, cpairs)
+                                - _normalized(emb_mixed, cpairs)))),
             float(np.max(np.abs(wrap_pi(
                 _pair_angles(emb_base, cpairs)
                 - _pair_angles(emb_mixed, cpairs))))),

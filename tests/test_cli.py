@@ -418,12 +418,26 @@ class TestExitCodes:
                            ("--no-such-flag", "3")):
             assert _run("pipeline", "--manifold", "sphere", flag, text,
                         "--out", str(tmp_path / "out")) == 1
+        # NaN compares false with everything, so "sigma <= 0" let it pass.
+        config = tmp_path / "nan.cfg"
+        config.write_text("weight_mode = gaussian\nsigma = nan\n")
+        assert _run("generate", "--config", str(config), "--n", "200",
+                    "--out", str(tmp_path / "out")) == 1
 
     def test_io_error_is_two(self, tmp_path):
         assert _run("nn", "--graph", str(tmp_path / "missing.txt"),
                     "--p", "1", "--out", str(tmp_path / "out"),
                     "--kappa", "5", "--kmax", "2", "--n", "50",
                     "--kappa-build", "5", "--mk", "5", "--tfft", "64") == 2
+        # A truth file with fewer rows than its header's n.
+        out = tmp_path / "short"
+        args = ("generate", "--manifold", "torus", "--n", "50",
+                "--kappa-build", "4", "--kappa", "5", "--p", "1",
+                "--out", str(out))
+        assert _run(*args) == 0
+        truth = out / "truth.txt"
+        truth.write_text("".join(truth.read_text().splitlines(True)[:-10]))
+        assert _run(*args) == 2
 
     def test_numerical_error_is_three(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -484,10 +498,18 @@ class TestThreads:
                         reason="needs two CPUs to pin a run to")
     def test_core_count_does_not_change_outputs(self, tmp_path):
         """The sparse eigensolver, NN search and alignment give the same
-        bytes on one CPU and on two."""
+        bytes on one CPU and on two.  ``workers`` defaults to the CPU
+        count, so the two runs also use one and two worker threads."""
         cpus = sorted(os.sched_getaffinity(0))
         trees = []
         for allowed in ({cpus[0]}, set(cpus[:2])):
+            probe = subprocess.run(
+                [sys.executable, "-c", "from mfvdm.config import "
+                 "ExperimentConfig; print(ExperimentConfig().workers)"],
+                env=_child_env(), check=True, capture_output=True, text=True,
+                preexec_fn=lambda allowed=allowed: os.sched_setaffinity(
+                    0, allowed))
+            assert int(probe.stdout) == len(allowed)
             out = tmp_path / f"cpus{len(allowed)}"
             subprocess.run(
                 [sys.executable, "-m", "mfvdm.cli", "pipeline",

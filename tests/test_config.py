@@ -1,5 +1,7 @@
 """Configuration defaults, file parsing and override precedence."""
 
+import os
+
 import pytest
 
 from mfvdm.config import ExperimentConfig, load_config_file, resolve_config
@@ -21,6 +23,9 @@ def test_defaults_are_valid_and_match_contract():
     assert config.radius_major == 1.0
     assert config.radius_minor == 0.2
     assert config.weight_mode == "unit"
+    assert config.workers == (len(os.sched_getaffinity(0))
+                              if hasattr(os, "sched_getaffinity")
+                              else os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -44,6 +49,7 @@ def test_defaults_are_valid_and_match_contract():
     {"radius_major": 0.1},
     {"spectrum_ks": (0,)},
     {"spectrum_m": 0},
+    {"weight_mode": "gaussian", "sigma": float("nan")},
 ])
 def test_validation_rejects(overrides):
     with pytest.raises(ConfigError):

@@ -7,19 +7,18 @@ from mfvdm.connection import build_sk
 from mfvdm.embedding import (
     EmbeddingSet,
     FrequencyFeatures,
-    affinity_k,
     baseline_embedding,
     build_embedding_set,
     build_features,
-    mfvdm_affinity,
-    mfvdm_distance,
     nn_search,
-    normalized_affinity,
 )
 from mfvdm.errors import DegenerateEmbeddingError, ParameterError
 from mfvdm.graph import build_clean_knn_graph
 from mfvdm.sampling import make_truth
 from mfvdm.spectral import SpectralBundle, top_eigenpairs
+from oracles import affinity_k, mfvdm_affinity, mfvdm_distance
+
+ALL = np.arange(60)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +38,11 @@ def _outer_vectors(bundle, t):
     for i in range(n):
         out[i] = np.outer(scaled[i], np.conj(scaled[i])).ravel()
     return out
+
+
+def _normalized(emb):
+    """The library's normalized affinities N = 1 - d2/2, all pairs."""
+    return 1.0 - 0.5 * emb.distance_sq_block(np.arange(emb.n))
 
 
 class TestFeatures:
@@ -65,30 +69,29 @@ class TestAffinityOracles:
         rng = np.random.default_rng(1)
         for bundle in bundles:
             dense = build_sk(graph, bundle.k).to_dense()
-            power = np.linalg.matrix_power(dense, 2 * t)
+            want = np.abs(np.linalg.matrix_power(dense, 2 * t)) ** 2
             feats = build_features(bundle, t)
+            single = EmbeddingSet(features=(feats,))
+            assert np.abs(single.affinity_block(ALL) - want).max() < 1e-10
             for _ in range(15):
                 i, j = (int(a) for a in rng.integers(0, 60, 2))
-                want = float(np.abs(power[i, j]) ** 2)
-                assert abs(affinity_k(feats, i, j) - want) < 1e-10
+                assert abs(affinity_k(feats, i, j) - want[i, j]) < 1e-10
 
     def test_affinity_is_inner_product_of_outer_vectors(self, small_instance):
         _, bundles = small_instance
         bundle = bundles[1]
-        feats = build_features(bundle, t=2)
+        single = EmbeddingSet(features=(build_features(bundle, t=2),))
         vecs = _outer_vectors(bundle, t=2)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            i, j = (int(a) for a in rng.integers(0, 60, 2))
-            inner = np.vdot(vecs[j], vecs[i])
-            assert abs(inner.imag) < 1e-12
-            assert abs(affinity_k(feats, i, j) - inner.real) < 1e-12
+        inner = vecs @ vecs.conj().T
+        assert np.abs(inner.imag).max() < 1e-12
+        assert np.abs(single.affinity_block(ALL) - inner.real).max() < 1e-12
 
     def test_multi_frequency_affinity_sums(self, small_instance):
         _, bundles = small_instance
         emb = build_embedding_set(bundles, t=1)
         per_k = [build_features(b, 1) for b in bundles]
         want = sum(affinity_k(f, 3, 17) for f in per_k)
+        assert abs(emb.affinity_block([3])[0, 17] - want) < 1e-13
         assert abs(mfvdm_affinity(emb, 3, 17) - want) < 1e-13
 
 
@@ -99,13 +102,9 @@ class TestNormalizedDistance:
         emb = build_embedding_set(bundles, t=1)
         stacked = np.hstack([_outer_vectors(b, 1) for b in bundles])
         unit = stacked / np.linalg.norm(stacked, axis=1, keepdims=True)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            i, j = (int(a) for a in rng.integers(0, 60, 2))
-            if i == j:
-                continue
-            want = float(np.linalg.norm(unit[i] - unit[j]) ** 2)
-            assert abs(mfvdm_distance(emb, i, j) - want) < 1e-12
+        want = np.sum(np.abs(unit[:, None, :] - unit[None, :, :]) ** 2,
+                      axis=2)
+        assert np.abs(emb.distance_sq_block(ALL) - want).max() < 1e-12
 
     def test_norms_match_outer_vector_norms(self, small_instance):
         _, bundles = small_instance
@@ -117,25 +116,18 @@ class TestNormalizedDistance:
     def test_bounds_and_diagonal(self, small_instance):
         _, bundles = small_instance
         emb = build_embedding_set(bundles, t=1)
-        for i in range(0, 60, 7):
-            assert normalized_affinity(emb, i, i) == 1.0
-            assert mfvdm_distance(emb, i, i) == 0.0
-            for j in range(0, 60, 5):
-                aff = normalized_affinity(emb, i, j)
-                assert -1e-12 <= aff <= 1.0 + 1e-12
-                d2 = mfvdm_distance(emb, i, j)
-                assert -1e-12 <= d2 <= 2.0 + 1e-12
+        d2 = emb.distance_sq_block(ALL)
+        assert np.all(np.diag(d2) == 0.0)
+        assert d2.min() >= -1e-12 and d2.max() <= 2.0 + 1e-12
 
     def test_triangle_inequality_after_sqrt(self, small_instance):
         _, bundles = small_instance
         emb = build_embedding_set(bundles, t=1)
+        dist = np.sqrt(np.maximum(emb.distance_sq_block(ALL), 0.0))
         rng = np.random.default_rng(4)
         for _ in range(100):
             i, j, l = (int(a) for a in rng.integers(0, 60, 3))
-            dij = np.sqrt(max(mfvdm_distance(emb, i, j), 0.0))
-            dil = np.sqrt(max(mfvdm_distance(emb, i, l), 0.0))
-            dlj = np.sqrt(max(mfvdm_distance(emb, l, j), 0.0))
-            assert dij <= dil + dlj + 1e-9
+            assert dist[i, j] <= dist[i, l] + dist[l, j] + 1e-9
 
     def test_block_api_matches_scalar(self, small_instance):
         _, bundles = small_instance
@@ -288,8 +280,9 @@ class TestBaselines:
         i, j = 3, 11
         want = float(np.real(np.vdot(phi[j], phi[i])))
         want /= float(dm.norms[i] * dm.norms[j])
-        assert abs(normalized_affinity(dm, i, j) - want) < 1e-13
-        assert mfvdm_distance(dm, 4, 4) == 0.0
+        assert abs(_normalized(dm)[i, j] - want) < 1e-13
+        assert dm.distance_sq_block([4])[0, 4] == 0.0
+        assert abs(mfvdm_distance(dm, i, j) - 2.0 * (1.0 - want)) < 1e-13
 
     def test_rejects_other_frequencies(self, small_instance):
         _, bundles = small_instance
@@ -320,12 +313,9 @@ def test_gauge_invariance_of_affinities(small_instance):
     rotated = SpectralBundle(k=bundle.k, eigenvalues=bundle.eigenvalues,
                              eigenvectors=bundle.eigenvectors
                              * phases[None, :])
-    a = build_embedding_set([bundle], t=1)
-    b = build_embedding_set([rotated], t=1)
-    for _ in range(20):
-        i, j = (int(x) for x in rng.integers(0, 60, 2))
-        assert abs(normalized_affinity(a, i, j)
-                   - normalized_affinity(b, i, j)) < 1e-10
+    a = _normalized(build_embedding_set([bundle], t=1))
+    b = _normalized(build_embedding_set([rotated], t=1))
+    assert np.abs(a - b).max() < 1e-10
 
 
 def test_cluster_rotation_invariance_exact_degeneracy():
@@ -350,9 +340,6 @@ def test_cluster_rotation_invariance_exact_degeneracy():
     mixed_vecs[:, 1:] = mixed_vecs[:, 1:] @ q
     mixed = SpectralBundle(k=0, eigenvalues=bundle.eigenvalues,
                            eigenvectors=mixed_vecs)
-    a = build_embedding_set([bundle], t=2)
-    b = build_embedding_set([mixed], t=2)
-    for i in range(n):
-        for j in range(n):
-            assert abs(normalized_affinity(a, i, j)
-                       - normalized_affinity(b, i, j)) < 1e-8
+    a = _normalized(build_embedding_set([bundle], t=2))
+    b = _normalized(build_embedding_set([mixed], t=2))
+    assert np.abs(a - b).max() < 1e-8

@@ -71,6 +71,12 @@ class TestBuild:
             build_clean_knn_graph(small_truth, kappa_build=3,
                                   weight_mode="cubic")
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_rejects_bad_sigma(self, small_truth, sigma):
+        with pytest.raises(ParameterError, match="sigma"):
+            build_clean_knn_graph(small_truth, kappa_build=3,
+                                  weight_mode="gaussian", sigma=sigma)
+
 
 class TestCanonicalization:
     def test_from_edges_flips_orientation_and_negates_angle(self):

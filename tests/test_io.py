@@ -204,6 +204,17 @@ class TestTruthFormat:
         with pytest.raises(GraphFileError):
             read_truth(tmp_path / "absent.txt")
 
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    @pytest.mark.parametrize("change", ["truncated", "extended"])
+    def test_row_count_must_match_header(self, tmp_path, manifold, change):
+        path = tmp_path / "t.txt"
+        write_truth(make_truth(manifold, 50, seed=1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines = lines[:-10] if change == "truncated" else lines + lines[-1:]
+        path.write_text("".join(lines))
+        with pytest.raises(GraphFileError, match="header says n 50"):
+            read_truth(path)
+
 
 class TestCsvFormats:
     def test_nn_csv_layout(self, tmp_path):

@@ -8,6 +8,7 @@ from mfvdm.errors import ConvergenceError, MfvdmError, ParameterError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph
 from mfvdm.sampling import make_truth
 from mfvdm.spectral import SpectralBundle, gauge_fix, top_eigenpairs
+from oracles import verify
 
 
 @pytest.fixture(scope="module")
@@ -27,21 +28,21 @@ def test_two_node_closed_form():
     assert np.abs(bundle.eigenvalues - np.array([1.0, -1.0])).max() < 1e-14
     assert np.abs(np.abs(bundle.eigenvectors)
                   - 1.0 / np.sqrt(2.0)).max() < 1e-14
-    bundle.verify(sk, tol=1e-12)
+    verify(bundle, sk, tol=1e-12)
 
 
 def test_dense_path_matches_full_eigh(medium_sk):
     bundle = top_eigenpairs(medium_sk, m=20)
     vals = np.linalg.eigvalsh(medium_sk.to_dense())
     assert np.abs(bundle.eigenvalues - vals[::-1][:20]).max() < 1e-12
-    bundle.verify(medium_sk, tol=1e-10)
+    verify(bundle, medium_sk, tol=1e-10)
 
 
 def test_sparse_path_matches_dense_path(medium_sk):
     dense = top_eigenpairs(medium_sk, m=15)
     sparse = top_eigenpairs(medium_sk, m=15, dense_threshold=0)
     assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9
-    sparse.verify(medium_sk, tol=1e-8)
+    verify(sparse, medium_sk, tol=1e-8)
 
 
 def test_sparse_path_matches_dense_oracle_above_threshold():
@@ -51,7 +52,7 @@ def test_sparse_path_matches_dense_oracle_above_threshold():
     bundle = top_eigenpairs(sk, m=10)
     ref = np.linalg.eigvalsh(sk.to_dense())[::-1][:10]
     assert np.abs(bundle.eigenvalues - ref).max() < 1e-8
-    bundle.verify(sk, tol=1e-8)
+    verify(bundle, sk, tol=1e-8)
 
 
 def test_breakdown_restart_recovers_multiplicities():
@@ -70,7 +71,7 @@ def test_breakdown_restart_recovers_multiplicities():
     bundle = top_eigenpairs(sk, m=8, dense_threshold=0)
     want = np.array([1.0] * 4 + [-1.0] * 4)
     assert np.abs(bundle.eigenvalues - want).max() < 1e-10
-    bundle.verify(sk, tol=1e-8)
+    verify(bundle, sk, tol=1e-8)
 
 
 def _ring_sk(n):
@@ -172,17 +173,17 @@ class TestVerify:
         bundle = SpectralBundle(k=1, eigenvalues=np.array([0.1, 0.5]),
                                 eigenvectors=np.eye(2, dtype=complex))
         with pytest.raises(MfvdmError):
-            bundle.verify()
+            verify(bundle)
 
     def test_rejects_out_of_range(self):
         bundle = SpectralBundle(k=1, eigenvalues=np.array([1.5, 0.5]),
                                 eigenvectors=np.eye(2, dtype=complex))
         with pytest.raises(MfvdmError):
-            bundle.verify()
+            verify(bundle)
 
     def test_rejects_nonorthonormal(self):
         vecs = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         bundle = SpectralBundle(k=1, eigenvalues=np.array([0.5, 0.4]),
                                 eigenvectors=vecs)
         with pytest.raises(MfvdmError):
-            bundle.verify()
+            verify(bundle)
