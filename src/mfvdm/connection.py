@@ -11,12 +11,15 @@ triangle, as a scipy CSR array, and every matvec is a CSR product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from mfvdm.errors import ParameterError, ZeroDegreeError
 from mfvdm.graph import AlignmentGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = ["SparseHermitian", "degrees", "build_sk"]
 
@@ -34,6 +37,10 @@ class SparseHermitian:
                       k: int) -> SparseHermitian:
         """The matrix whose strict upper triangle (rows < cols) holds
         ``values``; duplicate entries are summed."""
+        # Imported here so that runs which solve nothing (cache hits,
+        # ``generate``, config errors) never load scipy.
+        import scipy.sparse
+
         values = np.asarray(values, dtype=np.complex128)
         full = scipy.sparse.coo_array(
             (np.concatenate([values, np.conj(values)]),

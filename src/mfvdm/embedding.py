@@ -6,11 +6,12 @@ kernel S_k^{2t}(i, j).  The multi-frequency affinity sums |<., .>|^2 over
 frequencies ("squared" mode); the scalar diffusion-maps baseline uses the
 plain real inner product of its single feature block ("linear" mode).
 Normalizing by per-node embedding norms turns affinity into the squared
-diffusion distance d2 = 2 - 2*N.
+diffusion distance d2 = max(0, 2 - 2*N).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,13 @@ __all__ = [
     "nn_search",
     "baseline_embedding",
 ]
+
+# The distance chunks' ``rows`` side is zero-padded to a multiple of this
+# many nodes, which covers the column unroll of the BLAS zgemm kernels.
+_TILE = 8
+# Largest complex product per distance chunk; small enough to stay in cache
+# while it is squared and summed.
+_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -116,28 +124,86 @@ class EmbeddingSet:
 
     def affinity_block(self, block: np.ndarray) -> np.ndarray:
         """Unnormalized affinities from nodes in ``block`` to all nodes."""
-        block = np.asarray(block, dtype=np.int64)
-        acc = np.zeros((block.size, self.n))
-        if self.mode == "squared":
-            for f in self.features:
-                z = f.phi[block] @ f.phi.conj().T
-                acc += z.real ** 2
-                acc += z.imag ** 2
-        else:
-            phi = self.features[0].phi
-            acc += np.real(phi[block] @ phi.conj().T)
-        return acc
+        return self._strip(block, distances=False)
 
     def distance_sq_block(self, block: np.ndarray) -> np.ndarray:
         """Squared diffusion distances from ``block`` to all nodes."""
         block = np.asarray(block, dtype=np.int64)
-        normalized = self.affinity_block(block)
-        normalized /= self.norms[block][:, None]
-        normalized /= self.norms[None, :]
-        dist_sq = 2.0 - 2.0 * normalized
+        dist_sq = self._strip(block)
         # diagonal is exactly zero by definition
         dist_sq[np.arange(block.size), block] = 0.0
         return dist_sq
+
+    def _strip(self, rows, distances: bool = True) -> np.ndarray:
+        """``_chunks`` of ``rows`` against all nodes, as one array."""
+        rows = np.asarray(rows, dtype=np.int64)
+        strip = np.empty((rows.size, self.n))
+        for lo, chunk in self._chunks(rows, 0, distances):
+            strip[:, lo:lo + len(chunk)] = chunk.T
+        return strip
+
+    def _chunks(self, rows: np.ndarray, start: int, distances: bool = True):
+        """Squared distances (or affinities) between the ``rows`` nodes and
+        the nodes [start, n), in chunks: yields (lo, chunk) where
+        chunk[c, r] is the pair (lo + c, rows[r]).  Each chunk is a view of
+        a buffer the next one overwrites.  The package's one distance
+        definition.
+
+        Each frequency's product goes into one reused complex buffer, is
+        squared in place through its float view and added into one real
+        accumulator, which then becomes d2 = max(0, 2 - 2 acc / (norm_i
+        norm_j)) in place.  Rounding alone can put 2 - 2N a few ulps below
+        0 for nodes at the same point, hence the clamp.
+
+        Every pair gets the same bits wherever it falls in a chunk and
+        whichever of its nodes is in ``rows``: |<phi(i), phi(j)>|^2 from
+        BLAS is symmetric in i and j, and so is the single divide.  The
+        BLAS edge kernels round differently, though, so the ``rows`` side
+        is zero-padded to whole ``_TILE`` tiles; and numpy sends a product
+        with one output row to gemv, so no chunk is a single row unless the
+        whole range is (then its one pair is a node with itself).
+        """
+        width = rows.size
+        padded = -(-width // _TILE) * _TILE
+        length = self.n - start
+        lhs = []
+        for f in self.features:
+            conj = np.zeros((padded, f.m), dtype=np.complex128)
+            np.conjugate(f.phi[rows], out=conj[:width])
+            lhs.append(conj.T)
+        # Halved, so that acc / (norm_i * half_norm_j) is exactly
+        # 2 acc / (norm_i norm_j): scaling by 2 commutes with rounding.
+        half_norms = np.ones(padded)
+        half_norms[:width] = 0.5 * self.norms[rows]
+        # Chunks of equal length to one row, at most _CHUNK_BYTES each
+        # unless that would leave a chunk a single row.
+        count = max(1, min(-(-length * padded * 16 // _CHUNK_BYTES),
+                           length // 2))
+        bounds = start + length * np.arange(count + 1) // count
+        size = np.diff(bounds).max()
+        buf = np.empty((size, padded), dtype=np.complex128)
+        acc_buf = np.empty((size, padded))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out = buf[:hi - lo]
+            parts = out.view(np.float64)  # real and imaginary parts
+            acc = acc_buf[:hi - lo]
+            acc.fill(0.0)
+            for f, conj in zip(self.features, lhs):
+                np.matmul(f.phi[lo:hi], conj, out=out)
+                if self.mode == "squared":
+                    np.square(parts, out=parts)
+                    acc += parts[:, 0::2]
+                    acc += parts[:, 1::2]
+                else:
+                    acc += parts[:, 0::2]
+            if distances:
+                norm_prod = parts[:, :padded]
+                np.multiply(self.norms[lo:hi, None], half_norms[None, :],
+                            out=norm_prod)
+                acc /= norm_prod
+                np.subtract(2.0, acc, out=acc)
+                np.maximum(acc, 0.0, out=acc)
+            yield int(lo), acc[:, :width]
 
 
 def build_embedding_set(bundles, t: int, mode: str = "squared") -> EmbeddingSet:
@@ -172,21 +238,55 @@ class NeighborList:
             raise ParameterError("Index and distance shapes differ.")
         if np.any(self.indices == np.arange(self.n)[:, None]):
             raise ParameterError("A node lists itself as neighbor.")
+        if np.any(self.distances_sq < 0.0):
+            raise ParameterError("A squared distance is negative.")
         if np.any(np.diff(self.distances_sq, axis=1) < 0.0):
             raise ParameterError("Distances are not nondecreasing.")
+
+
+def _smallest(dist_sq: np.ndarray, kappa: int) -> np.ndarray:
+    """Column positions of the ``kappa`` smallest entries of each row under
+    (distance, position), in no particular order.
+
+    Partial selection finds them; a row whose kappa-th distance is tied
+    with an unselected entry, or is not finite, takes the prefix of a
+    stable sort instead.
+    """
+    if kappa >= dist_sq.shape[1]:
+        return np.broadcast_to(np.arange(dist_sq.shape[1]), dist_sq.shape)
+    cand = np.argpartition(dist_sq, kappa - 1, axis=1)[:, :kappa]
+    # The selection is the stable sort's prefix only when exactly kappa
+    # entries lie at or below the kappa-th distance (argpartition puts
+    # it, or a NaN, in the last candidate column).
+    kth = np.take_along_axis(dist_sq, cand[:, -1:], axis=1)
+    tied = ~np.isfinite(kth[:, 0]) | (
+        np.count_nonzero(dist_sq <= kth, axis=1) > kappa)
+    cand[tied] = np.argsort(dist_sq[tied], axis=1, kind="stable")[:, :kappa]
+    return cand
 
 
 def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
               workers: int = 1) -> NeighborList:
     """Exact kappa-NN under the squared diffusion distance.
 
-    All-pairs distances are evaluated in fixed-size node blocks.  Each row
-    keeps its kappa smallest distances by partial selection and orders them
-    by (distance, index), so ties break to the lower node index exactly as
-    a stable sort of the whole row would.  A row whose kappa-th distance is
-    tied with an unselected entry, or is not finite, is fully sorted with a
-    stable sort instead.  The result is identical for any worker count and
-    block size.
+    The distance is symmetric, so each pair is evaluated once.  Nodes are
+    cut into blocks I of ``block_size``; block I's strip holds its rows
+    against the columns [start of I, n).  The strip gives each of its rows
+    its kappa nearest candidates in those columns, and each later column
+    its kappa nearest among the block's nodes.  Every candidate list is
+    merged into its node's running top kappa by (distance, index), a total
+    order, so the result is the prefix of a stable sort of the whole row:
+    ties break to the lower node index, and the result is identical for
+    any worker count and block size.
+
+    Memory: each worker holds one strip of b * n doubles at a time, with
+    b = ``block_size`` rounded up to a multiple of 8.  While it fills the
+    strip it also holds the chunk buffers and selects from each chunk (at
+    most 7 MiB together); then it selects from the strip, with int64
+    indices and, for rows tied at the kappa-th distance, a sorted copy of
+    those rows.  Peak memory stays within
+    workers * max((16 + 8 + 8) * b * n, 8 * b * n + 7 MiB) bytes, plus the
+    n * kappa result and the candidates of one merge.
 
     Parameters
     ----------
@@ -194,9 +294,9 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
     kappa : int
         Neighbors per node, 1 <= kappa < n.
     block_size : int
-        Rows per distance block; no effect on the result.
+        Nodes per strip; no effect on the result.
     workers : int
-        Thread count for block evaluation.
+        Thread count for strip evaluation.
 
     Returns
     -------
@@ -207,30 +307,39 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
         raise ParameterError(
             f"kappa must satisfy 1 <= kappa < n={n}. Got {kappa}."
         )
-    indices = np.empty((n, kappa), dtype=np.int64)
-    distances = np.empty((n, kappa))
+    # Each node's running top kappa, as d2 + 1j * index: numpy sorts
+    # complex numbers by real part, then imaginary part, which is the
+    # (distance, index) order.  Placeholders (NaN, n) sort after every node.
+    best = np.full((n, kappa), complex(np.nan, n))
+    lock = threading.Lock()
 
-    def run_block(start: int) -> None:
-        block = np.arange(start, min(start + block_size, n))
-        dist_sq = embeddings.distance_sq_block(block)
-        dist_sq[np.arange(block.size), block] = np.inf
-        rows = np.arange(block.size)[:, None]
-        cand = np.argpartition(dist_sq, kappa - 1, axis=1)[:, :kappa]
-        cand_dist = dist_sq[rows, cand]
-        order = cand[rows, np.lexsort((cand, cand_dist), axis=1)]
-        # The selection is the stable sort's prefix only when exactly kappa
-        # entries lie at or below the kappa-th distance (argpartition puts
-        # it, or a NaN, in the last candidate column).
-        kth = cand_dist[:, -1]
-        tied = ~np.isfinite(kth) | (
-            np.count_nonzero(dist_sq <= kth[:, None], axis=1) > kappa)
-        order[tied] = np.argsort(dist_sq[tied], axis=1,
-                                 kind="stable")[:, :kappa]
-        indices[block] = order
-        distances[block] = dist_sq[rows, order]
+    def merge(first: int, dist_sq: np.ndarray, cand: np.ndarray,
+              offset: int) -> None:
+        """Merge candidate columns ``cand`` of ``dist_sq``, node
+        ``offset + cand``, into the lists of nodes first, first + 1, ..."""
+        new = np.take_along_axis(dist_sq, cand, axis=1) + 1j * (cand + offset)
+        nodes = slice(first, first + cand.shape[0])
+        with lock:
+            best[nodes] = np.sort(np.hstack([best[nodes], new]), axis=1,
+                                  kind="stable")[:, :kappa]
 
-    map_workers(run_block, range(0, n, block_size), workers)
-    return NeighborList(indices=indices, distances_sq=distances)
+    def run_strip(start: int) -> None:
+        stop = min(start + block_size, n)
+        width = stop - start
+        strip = np.empty((width, n - start))
+        for lo, chunk in embeddings._chunks(np.arange(start, stop), start):
+            strip[:, lo - start:lo - start + len(chunk)] = chunk.T
+            # Nodes after the block take their candidates from it here.
+            later = max(lo, stop)
+            part = chunk[later - lo:]
+            if len(part):
+                merge(later, part, _smallest(part, kappa), start)
+        strip[np.arange(width), np.arange(width)] = np.inf
+        merge(start, strip, _smallest(strip, kappa), start)
+
+    map_workers(run_strip, range(0, n, block_size), workers)
+    return NeighborList(indices=best.imag.astype(np.int64),
+                        distances_sq=best.real.copy())
 
 
 def baseline_embedding(bundle: SpectralBundle, t: int) -> EmbeddingSet:

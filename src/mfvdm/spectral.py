@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from mfvdm.connection import SparseHermitian
 from mfvdm.errors import ConvergenceError, ParameterError
@@ -73,6 +72,9 @@ def _residuals(matrix: SparseHermitian, values: np.ndarray,
 
 def _sparse_top(matrix: SparseHermitian, m: int, tol: float,
                 max_iters: int | None, seed: int) -> SpectralBundle:
+    # Loaded on first use, like scipy.sparse in SparseHermitian.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     n = matrix.n
     # The stream keeps the name of the solver it first seeded, so a given
     # seed still draws the same start vector.

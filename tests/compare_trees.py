@@ -6,20 +6,25 @@ this gate against its parent; any other difference fails it.  Usage::
     python tests/compare_trees.py PARENT_OUT CHANGE_OUT
 
 It prints every mismatch and exits 1 if there is one, else prints the
-largest deviations it saw and exits 0.
+largest deviations it saw and exits 0.  Notes (near-tie rank trades,
+negative distances) are printed either way.
 
 The rules, fixed before anything is compared:
 
 * Both trees hold the same files.
-* ``nn_*.csv``: the header and the (node, rank, neighbor) columns are
-  identical, so every method keeps the same neighbors in the same order;
+* ``nn_*.csv``: the header and the (node, rank) columns are identical,
+  and each node keeps the same set of neighbors.  Each neighbor's
   squared_distance agrees within ``NN_DISTANCE_ATOL`` absolute.  A squared
   diffusion distance lies in [0, 4]; last-bit moves of the eigenvectors
   (about 1e-13) and of the summation order move it by a few 1e-13 at
-  most, and 1e-12 leaves room for that and for nothing larger.  Neighbors
-  whose distances tie to rounding (a clean torus has some at |d2| < 1e-15)
-  may trade ranks under any last-bit change; the rule reports that too,
-  and such a report needs reading, not a wider tolerance.
+  most, and 1e-12 leaves room for that and for nothing larger.
+  Near-tie rule: within one node's rows, two neighbors may trade ranks
+  only if their squared distances agree within ``NN_DISTANCE_ATOL`` in
+  both trees.  Rounding decides the order of such neighbors (a clean
+  torus has nodes at mutual |d2| < 1e-15), so any last-bit change may
+  reorder them.  Every trade is listed as a note, and so is every
+  negative squared distance: the search clamps d2 at 0, but trees written
+  before the clamp hold a few at -1e-15.
 * ``bundle_*.npz`` (the eigenbundle cache): the same k and shapes;
   eigenvalues agree within ``EIGENVALUE_ATOL`` absolute (they lie in
   [-1, 1], and ARPACK's rounding moves them by a few 1e-15); eigenvectors
@@ -29,9 +34,11 @@ The rules, fixed before anything is compared:
   For each cluster the sine of the largest principal angle between the two
   spans must be at most ``SUBSPACE_SIN_TOL``.  Across a gap of 1e-4 a
   1e-15 residual turns a vector by about 1e-11, so 1e-10 is last-bit noise.
-* ``align_*.csv``: the header and the (i, j) columns are identical; alpha_hat
-  agrees within ``ANGLE_TOL_RAD`` on the circle; the objective agrees within
-  ``OBJECTIVE_RTOL`` relative to the larger magnitude.
+* ``align_*.csv``: the header and the i column are identical, and each
+  node i keeps the same set of j.  Rows are matched by (i, j) within a
+  node, since they follow the neighbor order, which near ties may change.
+  alpha_hat agrees within ``ANGLE_TOL_RAD`` on the circle; the objective
+  agrees within ``OBJECTIVE_RTOL`` relative to the larger magnitude.
 * ``report_*_scalars.json``: the same keys; float values agree to
   ``SCALAR_DIGITS`` significant digits; all other values are equal.  An
   angle in degrees (a key ending in ``_deg``, such as the median absolute
@@ -65,9 +72,11 @@ SCALAR_RTOL = 0.5 * 10.0 ** (1 - SCALAR_DIGITS)
 
 @dataclass
 class TreeComparison:
-    """Mismatches found, files compared, and the largest deviations seen."""
+    """Mismatches found, notes, files compared, and the largest deviations
+    seen."""
 
     problems: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
     files: int = 0
     max_angle_rad: float = 0.0
     max_objective_rel: float = 0.0
@@ -132,6 +141,28 @@ def _keyed_rows(name: str, a: Path, b: Path, keys: int, label: str, result):
     return left, right
 
 
+def _match_in_nodes(name: str, left: np.ndarray, right: np.ndarray,
+                    key: int, label: str, result):
+    """Row order ``perm`` with right[perm] holding left's (node, column
+    ``key``) pairs row for row, if every node (column 0) holds the same set
+    of keys in both; else None after recording the mismatch."""
+    by_left = np.lexsort((left[:, key], left[:, 0]))
+    by_right = np.lexsort((right[:, key], right[:, 0]))
+    pairs = [0, key]
+    differs = np.any(left[by_left][:, pairs] != right[by_right][:, pairs],
+                     axis=1)
+    if np.any(differs):
+        node = left[by_left[np.flatnonzero(differs)[0]], 0]
+        row = int(np.flatnonzero(left[:, 0] == node)[0])
+        result.problems.append(f"{name}: {label} differs at data row "
+                               f"{row + 1} (node {node:.0f} has another "
+                               f"{label} set)")
+        return None
+    perm = np.empty_like(by_left)
+    perm[by_left] = by_right
+    return perm
+
+
 def _within(name: str, label: str, values: np.ndarray, tol: float,
             result, unit: str = "data row") -> float:
     """Record the values beyond ``tol``; returns the largest value."""
@@ -147,10 +178,18 @@ def _within(name: str, label: str, values: np.ndarray, tol: float,
 
 
 def _compare_alignment(name: str, a: Path, b: Path, result) -> None:
-    rows = _keyed_rows(name, a, b, 2, "pair", result)
+    rows = _keyed_rows(name, a, b, 1, "node", result)
     if rows is None:
         return
     left, right = rows
+    perm = _match_in_nodes(name, left, right, 1, "pair", result)
+    if perm is None:
+        return
+    moved = np.unique(left[perm != np.arange(perm.size), 0])
+    if moved.size:
+        result.notes.append(f"{name}: rows of {moved.size} node(s) reordered "
+                            f"(first node {moved[0]:.0f})")
+    right = right[perm]
     turn = np.abs(left[:, 2] - right[:, 2]) % (2.0 * math.pi)
     angle = np.minimum(turn, 2.0 * math.pi - turn)
     result.max_angle_rad = max(result.max_angle_rad, _within(
@@ -161,13 +200,53 @@ def _compare_alignment(name: str, a: Path, b: Path, result) -> None:
 
 
 def _compare_nn(name: str, a: Path, b: Path, result) -> None:
-    rows = _keyed_rows(name, a, b, 3, "neighbor", result)
+    rows = _keyed_rows(name, a, b, 2, "node or rank", result)
     if rows is None:
         return
     left, right = rows
+    perm = _match_in_nodes(name, left, right, 2, "neighbor", result)
+    if perm is None:
+        return
+    right = right[perm]
+    for node in np.unique(left[perm != np.arange(perm.size), 0]):
+        at = np.flatnonzero(left[:, 0] == node)
+        _check_trades(name, node, at, left[at], right[at], result)
+    for tree, body in (("parent", left), ("change", right)):
+        negative = body[:, 3] < 0.0
+        if np.any(negative):
+            result.notes.append(
+                f"{name}: {np.count_nonzero(negative)} negative "
+                f"squared_distance value(s) in the {tree} tree, down to "
+                f"{body[negative, 3].min():.3g}")
     result.max_nn_distance = max(result.max_nn_distance, _within(
         name, "squared_distance", np.abs(left[:, 3] - right[:, 3]),
         NN_DISTANCE_ATOL, result))
+
+
+def _check_trades(name: str, node: float, at: np.ndarray, left: np.ndarray,
+                  right: np.ndarray, result) -> None:
+    """One node's rows, matched by neighbor: every pair of neighbors whose
+    ranks trade must be tied within ``NN_DISTANCE_ATOL`` in both trees."""
+    rank_left, rank_right = left[:, 1], right[:, 1]
+    traded = ((rank_left[:, None] - rank_left[None, :])
+              * (rank_right[:, None] - rank_right[None, :]) < 0.0)
+    gap = np.maximum(np.abs(left[:, 3, None] - left[None, :, 3]),
+                     np.abs(right[:, 3, None] - right[None, :, 3]))
+    untied = traded & (gap > NN_DISTANCE_ATOL)
+    if np.any(untied):
+        x, y = np.argwhere(untied)[0]
+        row = at[min(x, y)] + 1
+        result.problems.append(
+            f"{name}: neighbor differs at data row {row} (node {node:.0f}: "
+            f"neighbors {left[x, 2]:.0f} and {left[y, 2]:.0f} trade ranks "
+            f"{left[x, 1]:.0f} and {left[y, 1]:.0f}, d2 apart by "
+            f"{gap[x, y]:.3g})")
+    else:
+        moved = rank_left != rank_right
+        result.notes.append(
+            f"{name}: node {node:.0f} ranks "
+            f"{','.join(f'{r:.0f}' for r in np.sort(rank_left[moved]))} "
+            f"trade among neighbors tied within {NN_DISTANCE_ATOL:g}")
 
 
 def _projector_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -261,6 +340,8 @@ def main(argv=None) -> int:
         print("usage: compare_trees.py PARENT_OUT CHANGE_OUT", file=sys.stderr)
         return 2
     result = compare_trees(*args)
+    for note in result.notes:
+        print(f"NOTE {note}")
     for problem in result.problems:
         print(f"MISMATCH {problem}")
     print(f"{'FAIL' if result.problems else 'PASS'}: {result.files} files; "

@@ -493,6 +493,50 @@ class TestThreads:
                                   text=True, check=True)
             assert done.stdout.split() == expected.split()
 
+    def test_import_does_not_load_scipy(self):
+        probe = ("import sys, mfvdm.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=_child_env(), capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_blas_pin_holds_when_scipy_loads_in_a_worker(self):
+        """A sparse solve on a worker thread is the first to load scipy;
+        the thread settings, and scipy's own OpenBLAS where it exports its
+        thread count, still say one thread."""
+        probe = """
+import ctypes, glob, os, sys
+import numpy as np
+from mfvdm.connection import build_sk
+from mfvdm.graph import AlignmentGraph
+from mfvdm.parallel import map_workers
+from mfvdm.spectral import top_eigenpairs
+assert "scipy" not in sys.modules
+n = 40
+rows = np.arange(n)
+graph = AlignmentGraph.from_edges(n=n, rows=np.minimum(rows, (rows + 1) % n),
+                                  cols=np.maximum(rows, (rows + 1) % n),
+                                  weights=np.ones(n), angles=np.zeros(n))
+map_workers(lambda k: top_eigenpairs(build_sk(graph, k), 4,
+                                     dense_threshold=10), [1, 2], 2)
+assert "scipy.sparse.linalg" in sys.modules
+import scipy
+counts = []
+for lib in glob.glob(os.path.join(os.path.dirname(scipy.__file__) + ".libs",
+                                  "*openblas*")):
+    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        func = getattr(ctypes.CDLL(lib), name, None)
+        if func is not None:
+            counts.append(func())
+            break
+print(*(os.environ[k] for k in sys.argv[1:]), *counts)
+"""
+        done = subprocess.run([sys.executable, "-c", probe, *_BLAS_VARS],
+                              env=_child_env(), capture_output=True,
+                              text=True, check=True)
+        assert set(done.stdout.split()) == {"1"}
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs two CPUs to pin a run to")

@@ -1,4 +1,5 @@
-"""The equivalence gate: identical trees pass, each kind of drift fails."""
+"""The equivalence gate: identical trees pass, each kind of drift fails,
+and near-tied neighbors may trade ranks."""
 
 import json
 import math
@@ -193,3 +194,85 @@ def test_missing_file_fails(tree, copy):
     (copy / "p0.4" / "report_vdm_align_hist.csv").unlink()
     result = compare_trees(tree, copy)
     assert any("only in the parent tree" in p for p in result.problems)
+
+
+def _tie_node_zero(tree, target):
+    """A copy of ``tree`` in which node 0's ranks 3 and 4 (data rows 3 and
+    4 of nn_mfvdm.csv) share rank 3's squared distance: a near tie."""
+    shutil.copytree(tree, target)
+    path = target / "p0.4" / "nn_mfvdm.csv"
+    tied = float(path.read_text(encoding="utf-8").splitlines()[3]
+                 .split(",")[3])
+    _edit_nn_row(path, 4, lambda *row: (*row[:3], tied))
+    return target, tied
+
+
+def _swap_rank_three_and_four(change):
+    """Swap node 0's neighbors at ranks 3 and 4, and their alignment rows."""
+    path = change / "p0.4" / "nn_mfvdm.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    first, second = lines[3].split(","), lines[4].split(",")
+    first[2:], second[2:] = second[2:], first[2:]
+    lines[3], lines[4] = ",".join(first), ",".join(second)
+    path.write_text("".join(lines), encoding="utf-8")
+    align = change / "p0.4" / "align_mfvdm.csv"
+    lines = align.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3], lines[4] = lines[4], lines[3]
+    align.write_text("".join(lines), encoding="utf-8")
+
+
+def test_tied_swap_passes_with_a_note(tree, tmp_path):
+    base, _ = _tie_node_zero(tree, tmp_path / "base")
+    change = tmp_path / "change"
+    shutil.copytree(base, change)
+    _swap_rank_three_and_four(change)
+    result = compare_trees(base, change)
+    assert result.ok, result.problems
+    assert any("nn_mfvdm.csv: node 0 ranks 3,4 trade" in note
+               for note in result.notes), result.notes
+    assert any("align_mfvdm.csv: rows of 1 node(s) reordered" in note
+               for note in result.notes), result.notes
+    assert main([str(base), str(change)]) == 0
+
+
+def test_swap_tied_in_one_tree_only_fails(tree, tmp_path):
+    # Each distance moves by 0.9e-12, within NN_DISTANCE_ATOL, but the two
+    # are 1.8e-12 apart in the change, so they may not trade ranks there.
+    base, tied = _tie_node_zero(tree, tmp_path / "base")
+    change = tmp_path / "change"
+    shutil.copytree(base, change)
+    path = change / "p0.4" / "nn_mfvdm.csv"
+    _edit_nn_row(path, 3, lambda *row: (*row[:3], tied - 0.9e-12))
+    _edit_nn_row(path, 4, lambda *row: (*row[:3], tied + 0.9e-12))
+    _swap_rank_three_and_four(change)
+    result = compare_trees(base, change)
+    assert len(result.problems) == 1, result.problems
+    assert "nn_mfvdm.csv: neighbor differs at data row 3" in \
+        result.problems[0]
+
+
+def test_changed_neighbor_set_fails(tree, copy):
+    path = copy / "p0.4" / "nn_mfvdm.csv"
+    listed = {int(line.split(",")[2]) for line in
+              path.read_text(encoding="utf-8").splitlines()[1:9]}
+    other = min(set(range(1, 200)) - listed)
+    _edit_nn_row(path, 8, lambda node, rank, _, d2: (node, rank, other, d2))
+    result = compare_trees(tree, copy)
+    assert any("nn_mfvdm.csv: neighbor differs at data row 1 (node 0 has "
+               "another neighbor set)" in p for p in result.problems), \
+        result.problems
+
+
+def test_clamped_negative_distance_is_noted(tree, tmp_path):
+    base = tmp_path / "base"
+    shutil.copytree(tree, base)
+    _edit_nn_row(base / "p0.4" / "nn_vdm.csv", 1,
+                 lambda *row: (*row[:3], -4.4e-16))
+    change = tmp_path / "change"
+    shutil.copytree(base, change)
+    _edit_nn_row(change / "p0.4" / "nn_vdm.csv", 1,
+                 lambda *row: (*row[:3], 0.0))
+    result = compare_trees(base, change)
+    assert result.ok, result.problems
+    assert result.notes == ["p0.4/nn_vdm.csv: 1 negative squared_distance "
+                            "value(s) in the parent tree, down to -4.4e-16"]

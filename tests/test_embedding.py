@@ -1,12 +1,17 @@
 """Embeddings, affinities, diffusion distances and exact NN search."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mfvdm import embedding
 from mfvdm.connection import build_sk
 from mfvdm.embedding import (
     EmbeddingSet,
     FrequencyFeatures,
+    NeighborList,
     baseline_embedding,
     build_embedding_set,
     build_features,
@@ -43,6 +48,25 @@ def _outer_vectors(bundle, t):
 def _normalized(emb):
     """The library's normalized affinities N = 1 - d2/2, all pairs."""
     return 1.0 - 0.5 * emb.distance_sq_block(np.arange(emb.n))
+
+
+def _random_embedding(n, ks=(1, 2, 3), m=4, mode="squared", seed=0):
+    """Random complex features, one (n, m) block per frequency."""
+    rng = np.random.default_rng(seed)
+    features = tuple(
+        FrequencyFeatures(k=k, t=1, phi=rng.normal(size=(n, m))
+                          + 1j * rng.normal(size=(n, m)))
+        for k in ks)
+    return EmbeddingSet(features=features, mode=mode)
+
+
+def _stable_sort_oracle(emb, kappa):
+    """Brute force: every row of the full distance matrix, self excluded,
+    stably sorted; the first kappa indices and their distances."""
+    dist = emb.distance_sq_block(np.arange(emb.n)).copy()
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :kappa]
+    return order, np.take_along_axis(dist, order, axis=1)
 
 
 class TestFeatures:
@@ -249,6 +273,113 @@ class TestNNSearch:
         b = nn_search(emb, kappa=7, block_size=512)
         assert np.array_equal(a.indices, b.indices)
         assert np.abs(a.distances_sq - b.distances_sq).max() < 1e-12
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("block_size,kappa", [
+        (16, 5),   # n = 60 is not a multiple of 16; the last strip has 12
+        (16, 20),  # kappa above the block size and the last strip's width
+        (7, 9),    # last strip of width 4, below kappa
+        (50, 30),  # last strip of width 10
+    ])
+    def test_strips_match_brute_force(self, small_instance, block_size,
+                                      kappa, workers):
+        _, bundles = small_instance
+        emb = build_embedding_set(bundles, t=1)
+        got = nn_search(emb, kappa, block_size=block_size, workers=workers)
+        got.validate()
+        order, dist = _stable_sort_oracle(emb, kappa)
+        assert np.array_equal(got.indices, order)
+        assert np.array_equal(got.distances_sq, dist)
+
+    @pytest.mark.parametrize("ks,mode", [((1, 2, 3), "squared"),
+                                         ((0,), "linear")])
+    def test_tilings_are_bitwise_identical(self, ks, mode):
+        # 203 nodes, not a multiple of 4 or 8: BLAS tail kernels would show.
+        emb = _random_embedding(203, ks=ks, mode=mode)
+        order, dist = _stable_sort_oracle(emb, 11)
+        for block_size, workers in ((512, 1), (7, 1), (7, 3), (1, 2)):
+            got = nn_search(emb, 11, block_size=block_size, workers=workers)
+            assert np.array_equal(got.indices, order)
+            assert np.array_equal(got.distances_sq, dist)
+
+    @pytest.mark.parametrize("n", [60, 203])
+    @pytest.mark.parametrize("ks,mode", [((1, 2, 3), "squared"),
+                                         ((0,), "linear")])
+    def test_full_distance_block_is_exactly_symmetric(self, n, ks, mode):
+        emb = _random_embedding(n, ks=ks, mode=mode, seed=n)
+        d2 = emb.distance_sq_block(np.arange(n))
+        assert np.array_equal(d2, d2.T)
+        assert np.all(np.diag(d2) == 0.0)
+        assert d2.min() >= 0.0
+        # Any block of rows gets the same bits as the full matrix.
+        rows = np.array([5, 0, n - 1, 5, 33])
+        assert np.array_equal(emb.distance_sq_block(rows), d2[rows])
+
+    def test_merges_survive_thread_switches(self):
+        # Many strips, more workers than cores and a tiny switch interval,
+        # so merges into the shared running lists interleave; a lost
+        # update would leave some node off the oracle's list.
+        emb = _random_embedding(203)
+        order, dist = _stable_sort_oracle(emb, 11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = nn_search(emb, 11, block_size=3, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.indices, order)
+        assert np.array_equal(got.distances_sq, dist)
+
+    def test_chunking_does_not_change_bits(self, monkeypatch):
+        emb = _random_embedding(203)
+        want = emb.distance_sq_block(np.arange(203))
+        # Chunks of two or three rows; none may be a single row.
+        monkeypatch.setattr(embedding, "_CHUNK_BYTES", 16)
+        assert np.array_equal(emb.distance_sq_block(np.arange(203)), want)
+        got = nn_search(emb, 11, block_size=7, workers=2)
+        order, dist = _stable_sort_oracle(emb, 11)
+        assert np.array_equal(got.indices, order)
+        assert np.array_equal(got.distances_sq, dist)
+
+    def test_coincident_nodes_clamp_at_zero(self):
+        # Each node has a twin at the same point (its features times a unit
+        # phase), at d2 = 0 up to rounding; unclamped, rounding put four of
+        # the twelve twin distances below 0.
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))[:, None]
+        phi = np.vstack([rows, phase * rows])
+        emb = EmbeddingSet(features=(FrequencyFeatures(k=1, t=1, phi=phi),))
+        got = nn_search(emb, 3)
+        got.validate()
+        assert np.array_equal(got.indices[:, 0], (np.arange(12) + 6) % 12)
+        assert np.all(got.distances_sq[:, 0] >= 0.0)
+        assert np.all(got.distances_sq[:, 0] < 1e-12)
+
+    def test_validate_rejects_negative_distance(self):
+        neighbors = NeighborList(indices=[[1], [0]],
+                                 distances_sq=[[-1e-16], [0.0]])
+        with pytest.raises(ParameterError, match="negative"):
+            neighbors.validate()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_within_strip_budget(self, workers):
+        n, kappa, block_size = 1500, 10, 256
+        emb = _random_embedding(n, ks=range(1, 6), m=8)
+        tracemalloc.start()
+        try:
+            nn_search(emb, kappa, block_size=block_size, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # nn_search's documented budget (block_size is a multiple of 8):
+        # the strips, the n x kappa result, and one merge's candidates
+        # (five more n x kappa arrays of 16 bytes at most).
+        strip = block_size * n
+        result = 16 * n * kappa
+        budget = workers * max((16 + 8 + 8) * strip,
+                               8 * strip + 7 * 2 ** 20) + 6 * result
+        assert peak <= budget
 
     def test_rejects_bad_kappa(self, small_instance):
         _, bundles = small_instance
