@@ -17,10 +17,19 @@ def wrap_two_pi(angle):
     return wrapped
 
 
-def wrap_pi(angle):
-    """Wrap angles to [-pi, pi).  Scalar in, float out; array in, array out."""
-    wrapped = np.mod(np.asanyarray(angle) + np.pi, TWO_PI) - np.pi
-    wrapped = np.where(wrapped >= np.pi, wrapped - TWO_PI, wrapped)
+def wrap_pi(angle, out=None):
+    """Wrap angles to [-pi, pi).  Scalar in, float out; array in, array out.
+
+    ``out`` (a float array of the input's shape, which may be the input
+    itself) receives the result in place; no other temporary of that size
+    is made but a boolean mask.
+    """
+    if out is None:
+        out = np.empty(np.shape(angle))
+    np.add(angle, np.pi, out=out)
+    np.mod(out, TWO_PI, out=out)
+    out -= np.pi
+    np.subtract(out, TWO_PI, out=out, where=out >= np.pi)
     if np.ndim(angle) == 0:
-        return float(wrapped)
-    return wrapped
+        return float(out)
+    return out

@@ -16,6 +16,7 @@ output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from mfvdm.connection import build_sk, degrees
 from mfvdm.embedding import (
     baseline_embedding,
     build_embedding_set,
+    build_features,
     nn_search,
 )
 from mfvdm.errors import (
@@ -95,10 +97,13 @@ def _reuse_or_build(path: Path, read, write, build):
 
 
 def _truth_and_clean_graph(config: ExperimentConfig):
-    """Ground truth and the graph every p starts from.
+    """Ground truth, and a function that returns the graph every p starts
+    from.
 
-    An external graph has no truth; a synthetic truth and its k-NN graph
-    are built once (or reloaded from ``--out``).
+    An external graph has no truth and is read at once.  A synthetic truth
+    is built (or reloaded from ``--out``) at once, and its k-NN graph on the
+    function's first call only, so a rerun that finds each p's rewired
+    graph in ``--out`` never reads ``graph_clean.txt``.
     """
     if config.manifold == "external":
         graph = mio.read_graph(config.graph_path)
@@ -106,7 +111,7 @@ def _truth_and_clean_graph(config: ExperimentConfig):
             raise ConfigError(
                 f"kappa_search must satisfy 1 <= kappa_search < n={graph.n} "
                 f"of {config.graph_path}. Got {config.kappa_search}.")
-        return None, graph
+        return None, lambda: graph
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     truth = _reuse_or_build(
@@ -115,25 +120,30 @@ def _truth_and_clean_graph(config: ExperimentConfig):
                            radius_major=config.radius_major,
                            radius_minor=config.radius_minor,
                            area_uniform=config.area_uniform))
-    clean = _reuse_or_build(
+    clean = functools.cache(lambda: _reuse_or_build(
         out / "graph_clean.txt", mio.read_graph, mio.write_graph,
         lambda: build_clean_knn_graph(truth, config.kappa_build,
                                       weight_mode=config.weight_mode,
-                                      sigma=config.sigma))
+                                      sigma=config.sigma)))
     return truth, clean
 
 
-def _graph_for_p(config: ExperimentConfig, clean_graph, p: float):
-    """The graph as given at p=1 or when external, else rewired at p."""
+def _graph_for_p(config: ExperimentConfig, clean, p: float):
+    """The graph ``clean()`` as given at p=1 or when external, else rewired
+    at p."""
     if p >= 1.0 or config.manifold == "external":
-        return clean_graph
+        return clean()
     return _reuse_or_build(
         Path(config.out_dir) / f"graph_p{_p_tag(p)}.txt", mio.read_graph,
-        mio.write_graph, lambda: rewire_graph(clean_graph, p, config.seed))
+        mio.write_graph, lambda: rewire_graph(clean(), p, config.seed))
 
 
-def _compute_bundles(config: ExperimentConfig, graph, ks, m: int) -> dict:
-    """Top-m eigenpairs per frequency, through the on-disk cache."""
+def _compute_bundles(config: ExperimentConfig, graph, ks, m: int,
+                     keep=lambda bundle: bundle) -> dict:
+    """``keep`` of the top-m eigenpairs per frequency, through the on-disk
+    cache.  Each worker applies ``keep`` as soon as it has solved or loaded
+    its bundle, so a bundle outlives its worker only through what ``keep``
+    returns."""
     cache = mio.cache_dir_for(config.out_dir)
     digest = mio.graph_hash(graph)
     deg = degrees(graph)
@@ -144,22 +154,24 @@ def _compute_bundles(config: ExperimentConfig, graph, ks, m: int) -> dict:
         bundle = mio.load_bundle(path, k=k, shape=(graph.n, m))
         if bundle is not None:
             print(f"[embed] k={k} cache hit", flush=True)
-            return k, bundle
-        bundle = top_eigenpairs(build_sk(graph, k, deg), m)
-        mio.save_bundle(bundle, path)
-        return k, bundle
+        else:
+            bundle = top_eigenpairs(build_sk(graph, k, deg), m)
+            mio.save_bundle(bundle, path)
+        return k, keep(bundle)
 
     return dict(map_workers(solve, sorted(set(ks)), config.workers))
 
 
-def _method_embedding(method: str, bundles, config: ExperimentConfig):
+def _method_embedding(method: str, features, config: ExperimentConfig):
+    """The method's embedding from the per-frequency ``features``; the
+    methods share the feature blocks of their common frequencies."""
     if method == "mfvdm":
-        chosen = [bundles[k] for k in range(1, config.k_max + 1)]
-        return build_embedding_set(chosen, config.t, mode="squared")
+        chosen = [features[k] for k in range(1, config.k_max + 1)]
+        return build_embedding_set(chosen, mode="squared")
     if method == "vdm":
-        return baseline_embedding(bundles[1], config.t)
+        return baseline_embedding(features[1])
     if method == "dm":
-        return baseline_embedding(bundles[0], config.t)
+        return baseline_embedding(features[0])
     raise ConfigError(f"Unknown method {method!r}.")
 
 
@@ -175,41 +187,56 @@ def _run(config: ExperimentConfig, p_values, last: str) -> None:
         raise ConfigError("generate needs a synthetic manifold.")
     _stage("generate")
     truth, clean = _truth_and_clean_graph(config)
+    if last == "generate":
+        clean()  # written even when every p's rewired graph exists
     for p in p_values:
-        tag = _p_tag(p)
-        _stage(f"generate p={tag}")
+        _stage(f"generate p={_p_tag(p)}")
         graph = _graph_for_p(config, clean, p)
-        if last == "generate":
-            continue
-        _stage(f"embed p={tag}")
-        ks = range(0 if "dm" in config.baselines else 1, config.k_max + 1)
-        bundles = _compute_bundles(config, graph, ks, config.m_k)
-        if last == "embed":
-            continue
-        out = Path(config.out_dir) / f"p{tag}"
-        out.mkdir(parents=True, exist_ok=True)
-        params = _echo_params(config, p)
-        for method in ["mfvdm", *config.baselines]:
-            _stage(f"{method} p={tag}")
-            embeddings = _method_embedding(method, bundles, config)
-            neighbors = nn_search(embeddings, config.kappa_search,
-                                  workers=config.workers)
-            mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
-            table = None
-            if last == "align" and method != "dm":
-                table = align_neighbors(embeddings, neighbors, config.t_fft,
-                                        workers=config.workers)
-                mio.write_alignment_csv(table, out / f"align_{method}.csv")
-            if truth is not None:
-                report = score_nn(neighbors, truth, method=method,
-                                  params=params)
-                if table is not None:
-                    report = merge_reports(
-                        report,
-                        score_alignment(table, truth, method=method,
-                                        params=params),
-                    )
-                mio.write_eval_report(report, out / f"report_{method}")
+        if last != "generate":
+            _embed_and_score(config, truth, graph, p, last)
+
+
+def _embed_and_score(config: ExperimentConfig, truth, graph, p: float,
+                     last: str) -> None:
+    """The stages after generate, for one p.  Each bundle becomes its
+    features as soon as it is solved or loaded, and the methods share
+    them, so each frequency's features are held once and no bundle is."""
+    tag = _p_tag(p)
+    _stage(f"embed p={tag}")
+    ks = range(0 if "dm" in config.baselines else 1, config.k_max + 1)
+    features = _compute_bundles(
+        config, graph, ks, config.m_k,
+        keep=lambda bundle: build_features(bundle, config.t))
+    if last == "embed":
+        return
+    out = Path(config.out_dir) / f"p{tag}"
+    out.mkdir(parents=True, exist_ok=True)
+    params = _echo_params(config, p)
+    for method in ["mfvdm", *config.baselines]:
+        _stage(f"{method} p={tag}")
+        _run_method(config, method, features, truth, params, out, last)
+
+
+def _run_method(config: ExperimentConfig, method: str, features, truth,
+                params: dict, out: Path, last: str) -> None:
+    """One method's NN search, alignment and scores, written under ``out``."""
+    embeddings = _method_embedding(method, features, config)
+    neighbors = nn_search(embeddings, config.kappa_search,
+                          workers=config.workers)
+    mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
+    table = None
+    if last == "align" and method != "dm":
+        table = align_neighbors(embeddings, neighbors, config.t_fft,
+                                workers=config.workers)
+        mio.write_alignment_csv(table, out / f"align_{method}.csv")
+    if truth is not None:
+        report = score_nn(neighbors, truth, method=method, params=params)
+        if table is not None:
+            report = merge_reports(
+                report,
+                score_alignment(table, truth, method=method, params=params),
+            )
+        mio.write_eval_report(report, out / f"report_{method}")
 
 
 def _single_p(p_values) -> float:

@@ -206,10 +206,13 @@ class EmbeddingSet:
             yield int(lo), acc[:, :width]
 
 
-def build_embedding_set(bundles, t: int, mode: str = "squared") -> EmbeddingSet:
-    """Assemble an EmbeddingSet from spectral bundles at diffusion time t."""
-    features = tuple(build_features(b, t) for b in bundles)
-    return EmbeddingSet(features=features, mode=mode)
+def build_embedding_set(features, mode: str = "squared") -> EmbeddingSet:
+    """Assemble an EmbeddingSet from FrequencyFeatures, one per frequency.
+
+    The set refers to the given ``phi`` arrays, without copying them, so
+    embeddings built from shared features share their memory.
+    """
+    return EmbeddingSet(features=tuple(features), mode=mode)
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ def _smallest(dist_sq: np.ndarray, kappa: int) -> np.ndarray:
     return cand
 
 
-def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
+def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 256,
               workers: int = 1) -> NeighborList:
     """Exact kappa-NN under the squared diffusion distance.
 
@@ -286,7 +289,9 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
     indices and, for rows tied at the kappa-th distance, a sorted copy of
     those rows.  Peak memory stays within
     workers * max((16 + 8 + 8) * b * n, 8 * b * n + 7 MiB) bytes, plus the
-    n * kappa result and the candidates of one merge.
+    n * kappa result and the candidates of one merge.  At the default
+    b = 256 the first term is 8 KiB per node and worker: 82 MB per worker
+    at n = 10000.
 
     Parameters
     ----------
@@ -342,16 +347,16 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 512,
                         distances_sq=best.real.copy())
 
 
-def baseline_embedding(bundle: SpectralBundle, t: int) -> EmbeddingSet:
-    """Single-bundle baseline: DM from a k=0 bundle, VDM from a k=1 bundle.
+def baseline_embedding(features: FrequencyFeatures) -> EmbeddingSet:
+    """Single-frequency baseline: DM from k=0 features, VDM from k=1.
 
     The scalar DM baseline uses linear inner products of its real features;
     VDM is the multi-frequency pipeline restricted to k_max = 1.
     """
-    if bundle.k == 0:
-        return build_embedding_set([bundle], t, mode="linear")
-    if bundle.k == 1:
-        return build_embedding_set([bundle], t, mode="squared")
+    if features.k == 0:
+        return build_embedding_set([features], mode="linear")
+    if features.k == 1:
+        return build_embedding_set([features], mode="squared")
     raise ParameterError(
-        f"Baselines are defined for k=0 (DM) or k=1 (VDM). Got k={bundle.k}."
+        f"Baselines are defined for k=0 (DM) or k=1 (VDM). Got k={features.k}."
     )

@@ -146,6 +146,11 @@ def _raise_bad_edge(n: int, rows, cols, weights, angles) -> None:
         raise BadEdgeError(*bad)
 
 
+# Rows per neighbor selection within a distance block: the selection's int64
+# positions cover this many rows of the block at a time.
+_SELECT_ROWS = 64
+
+
 @dataclass(frozen=True)
 class RewireDiagnostics:
     """Edge bookkeeping for one rewiring pass."""
@@ -176,7 +181,12 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
     sigma : float
         Gaussian kernel width, used only in "gaussian" mode.
     block_size : int
-        Rows per distance block; has no effect on the result.
+        Rows per distance block.  Keep the default: the BLAS product behind
+        ``SphereTruth.geodesic_block`` rounds differently with the row
+        count (512-row and 100-row blocks differ by up to 4.4e-16), so
+        another size can change which of two near-tied nodes is a
+        neighbor.  Neighbors are selected ``_SELECT_ROWS`` rows at a time,
+        which changes nothing, since each row is selected on its own.
 
     Returns
     -------
@@ -194,11 +204,8 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
         raise ParameterError(f"sigma must be > 0. Got {sigma}.")
     neighbors = np.empty((n, kappa_build), dtype=np.int64)
     for start in range(0, n, block_size):
-        block = np.arange(start, min(start + block_size, n))
-        dist = truth.geodesic_block(block)
-        dist[np.arange(block.size), block] = np.inf
-        part = np.argpartition(dist, kappa_build - 1, axis=1)[:, :kappa_build]
-        neighbors[block] = part
+        _select_nearest(truth, np.arange(start, min(start + block_size, n)),
+                        neighbors[start:start + block_size])
     sources = np.repeat(np.arange(n, dtype=np.int64), kappa_build)
     targets = neighbors.ravel()
     lo = np.minimum(sources, targets)
@@ -212,6 +219,21 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
     else:
         weights = np.ones(rows.size)
     return AlignmentGraph.from_edges(n, rows, cols, weights, angles)
+
+
+def _select_nearest(truth, block: np.ndarray, out: np.ndarray) -> None:
+    """Fill row r of ``out`` with the nearest other nodes of node block[r],
+    as many as ``out`` has columns, in no particular order.
+
+    The distance block is selected from ``_SELECT_ROWS`` rows at a time, so
+    the int64 selection positions never span the whole block.
+    """
+    kappa = out.shape[1]
+    dist = truth.geodesic_block(block)
+    dist[np.arange(block.size), block] = np.inf
+    for lo in range(0, block.size, _SELECT_ROWS):
+        out[lo:lo + _SELECT_ROWS] = np.argpartition(
+            dist[lo:lo + _SELECT_ROWS], kappa - 1, axis=1)[:, :kappa]
 
 
 def rewire_graph(graph: AlignmentGraph, p: float, seed: int,

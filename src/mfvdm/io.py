@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 import zipfile
@@ -50,6 +51,9 @@ CACHE_ENV = "MFVDM_CACHE_DIR"
 
 # The one float format of every text output: 17 significant digits.
 _FLOAT = "%.17g"
+# Table lines formatted per chunk: the chunk's values become Python objects
+# (about 40 bytes each), so a writer's memory does not grow with the table.
+_CHUNK_LINES = 1 << 13
 
 
 @contextmanager
@@ -70,12 +74,21 @@ def _replacing(path, mode: str = "x"):
 
 
 def _write_table(path, header: str, template: str, *columns) -> None:
-    """Write ``header``, then one ``template % row`` line per row of the
-    equal-length 1-D ``columns``."""
-    rows = zip(*(column.tolist() for column in columns))
+    """Write ``header``, then one ``template % row`` line per element of
+    the equal-shape ``columns``, in row-major order.
+
+    Lines are formatted ``_CHUNK_LINES`` at a time, from slices along the
+    first axis, so a 2-D column (a broadcast view, say) is never copied
+    whole.
+    """
+    shape = columns[0].shape
+    step = max(1, _CHUNK_LINES // math.prod(shape[1:]))
     with _replacing(path) as handle:
         handle.write(header)
-        handle.writelines(template % row for row in rows)
+        for lo in range(0, shape[0], step):
+            rows = zip(*(column[lo:lo + step].ravel().tolist()
+                         for column in columns))
+            handle.writelines(template % row for row in rows)
 
 
 def _write_json(payload: dict, path) -> None:
@@ -243,11 +256,12 @@ def read_truth(path):
 
 def write_nn_csv(neighbors: NeighborList, path) -> None:
     """CSV rows (node, rank, neighbor, squared_distance), rank 1 nearest."""
-    n, kappa = neighbors.n, neighbors.kappa
+    shape = (neighbors.n, neighbors.kappa)
     _write_table(path, "node,rank,neighbor,squared_distance\n",
-                 f"%d,%d,%d,{_FLOAT}\n", np.repeat(np.arange(n), kappa),
-                 np.tile(np.arange(1, kappa + 1), n),
-                 neighbors.indices.ravel(), neighbors.distances_sq.ravel())
+                 f"%d,%d,%d,{_FLOAT}\n",
+                 np.broadcast_to(np.arange(shape[0])[:, None], shape),
+                 np.broadcast_to(np.arange(1, shape[1] + 1), shape),
+                 neighbors.indices, neighbors.distances_sq)
 
 
 def write_alignment_csv(table: AlignmentTable, path) -> None:

@@ -155,9 +155,11 @@ class SphereTruth:
         return np.arccos(np.clip(dots, -1.0, 1.0))
 
     def geodesic_block(self, block: np.ndarray) -> np.ndarray:
-        """Distances from each node in ``block`` to every node, (b, n)."""
+        """Distances from each node in ``block`` to every node, (b, n),
+        computed in place in the product's array."""
         dots = self.views[block] @ self.views.T
-        return np.arccos(np.clip(dots, -1.0, 1.0))
+        np.clip(dots, -1.0, 1.0, out=dots)
+        return np.arccos(dots, out=dots)
 
     @property
     def max_geodesic(self) -> float:
@@ -217,9 +219,15 @@ class TorusTruth:
         return np.hypot(self.radius_minor * du, self.radius_major * dv)
 
     def geodesic_block(self, block: np.ndarray) -> np.ndarray:
-        du = wrap_pi(self.u[block][:, None] - self.u[None, :])
-        dv = wrap_pi(self.v[block][:, None] - self.v[None, :])
-        return np.hypot(self.radius_minor * du, self.radius_major * dv)
+        """Distances from each node in ``block`` to every node, (b, n),
+        computed in place in two (b, n) arrays."""
+        du = np.subtract.outer(self.u[block], self.u)
+        dv = np.subtract.outer(self.v[block], self.v)
+        wrap_pi(du, out=du)
+        wrap_pi(dv, out=dv)
+        du *= self.radius_minor
+        dv *= self.radius_major
+        return np.hypot(du, dv, out=du)
 
     @property
     def max_geodesic(self) -> float:

@@ -5,13 +5,18 @@ this gate against its parent; any other difference fails it.  Usage::
 
     python tests/compare_trees.py PARENT_OUT CHANGE_OUT
 
-It prints every mismatch and exits 1 if there is one, else prints the
-largest deviations it saw and exits 0.  Notes (near-tie rank trades,
-negative distances) are printed either way.
+It prints every mismatch and exits 1 if there is one, else prints how
+many files are byte-identical and the largest deviations it saw in the
+others, and exits 0.  Notes (near-tie rank trades, negative distances) are
+printed either way.
 
 The rules, fixed before anything is compared:
 
 * Both trees hold the same files.
+* A file whose bytes are equal in both trees is identical, and no rule
+  below is applied to it: equal bytes meet every one of them.  (The
+  subspace rule would otherwise report a sine of a few 1e-15 for two
+  equal bundles, from the QR it takes.)
 * ``nn_*.csv``: the header and the (node, rank) columns are identical,
   and each node keeps the same set of neighbors.  Each neighbor's
   squared_distance agrees within ``NN_DISTANCE_ATOL`` absolute.  A squared
@@ -78,6 +83,7 @@ class TreeComparison:
     problems: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     files: int = 0
+    identical: int = 0
     max_angle_rad: float = 0.0
     max_objective_rel: float = 0.0
     max_scalar_rel: float = 0.0
@@ -110,11 +116,11 @@ def _first_difference(a: bytes, b: bytes) -> str:
     return f"{len(lines_a)} lines != {len(lines_b)} lines"
 
 
-def _compare_bytes(name: str, a: Path, b: Path, result) -> None:
+def _bytes_differ(name: str, a: Path, b: Path, result) -> None:
+    """Record a file that differs and that no rule below covers."""
     left, right = a.read_bytes(), b.read_bytes()
-    if left != right:
-        result.problems.append(f"{name}: differs at "
-                               f"{_first_difference(left, right)}")
+    result.problems.append(f"{name}: differs at "
+                           f"{_first_difference(left, right)}")
 
 
 def _read_csv(path: Path):
@@ -324,12 +330,15 @@ def compare_trees(parent_out, change_out) -> TreeComparison:
         result.problems.append(f"{name}: only in the {side} tree")
     for name in sorted(left & right):
         a, b = parent_out / name, change_out / name
+        result.files += 1
+        if a.read_bytes() == b.read_bytes():
+            result.identical += 1
+            continue
         base = Path(name).name
         compare = next((rule for prefix, suffix, rule in _RULES
                         if base.startswith(prefix) and base.endswith(suffix)),
-                       _compare_bytes)
+                       _bytes_differ)
         compare(name, a, b, result)
-        result.files += 1
     return result
 
 
@@ -344,7 +353,8 @@ def main(argv=None) -> int:
         print(f"NOTE {note}")
     for problem in result.problems:
         print(f"MISMATCH {problem}")
-    print(f"{'FAIL' if result.problems else 'PASS'}: {result.files} files; "
+    print(f"{'FAIL' if result.problems else 'PASS'}: {result.identical} of "
+          f"{result.files} files byte-identical; "
           f"max |d alpha| {result.max_angle_rad:.3g} rad, "
           f"max objective rel {result.max_objective_rel:.3g}, "
           f"max scalar rel {result.max_scalar_rel:.3g}, "

@@ -28,6 +28,7 @@ from mfvdm import (
     baseline_embedding,
     build_clean_knn_graph,
     build_embedding_set,
+    build_features,
     build_sk,
     estimate_angles,
     make_truth,
@@ -53,6 +54,11 @@ T_DIFF = 1
 H = 2.0 * KAPPA_BUILD / N
 
 REWIRE_SEEDS = {0.4: 101, 0.2: 102, 0.1: 103, 0.08: 104}
+
+
+def _embed(bundles):
+    """The MFVDM embedding of ``bundles`` at diffusion time T_DIFF."""
+    return build_embedding_set(build_features(b, T_DIFF) for b in bundles)
 
 
 class _Store:
@@ -88,10 +94,10 @@ class _Store:
         def build():
             if method == "mfvdm":
                 bundles = [self.bundle(p, k, M_K) for k in range(1, K_MAX + 1)]
-                return build_embedding_set(bundles, t=T_DIFF)
-            if method == "vdm":
-                return baseline_embedding(self.bundle(p, 1, M_K), t=T_DIFF)
-            return baseline_embedding(self.bundle(p, 0, M_K), t=T_DIFF)
+                return _embed(bundles)
+            k = 1 if method == "vdm" else 0
+            return baseline_embedding(
+                build_features(self.bundle(p, k, M_K), T_DIFF))
         return self._get(("embedding", method, p), build)
 
     def neighbors(self, method, p):
@@ -245,7 +251,7 @@ class TestCriterion5:
     def test_single_frequency_classifiers(self, store):
         singles = []
         for k in range(1, K_MAX + 1):
-            emb = build_embedding_set([store.bundle(0.2, k, M_K)], t=T_DIFF)
+            emb = _embed([store.bundle(0.2, k, M_K)])
             report = score_nn(nn_search(emb, kappa=KAPPA_SEARCH),
                               store.truth())
             singles.append(report.nn_mean)
@@ -294,7 +300,7 @@ class TestCriterion6:
         for name, graph in _small_graphs().items():
             n = graph.n
             bundles = [top_eigenpairs(build_sk(graph, k), m=n) for k in ks]
-            emb = build_embedding_set(bundles, t=T_DIFF)
+            emb = _embed(bundles)
             powers = {k: _dense_sk_power(graph, k, 2 * T_DIFF) for k in ks}
 
             # (a) untruncated affinity equals |S_k^(2t)(i, j)|^2
@@ -341,7 +347,7 @@ class TestCriterion6:
         # (d) refined angle matches a one-million-point grid argmax
         graph = _small_graphs()["rewired_n200"]
         bundles = [top_eigenpairs(build_sk(graph, k), m=graph.n) for k in ks]
-        emb = build_embedding_set(bundles, t=T_DIFF)
+        emb = _embed(bundles)
         grid = 2.0 * np.pi * np.arange(1_000_000) / 1_000_000
         phase = np.exp(-1j * grid)
         ii, jj = rng.integers(0, graph.n, size=(25, 2)).T
@@ -416,14 +422,14 @@ class TestCriterion7:
 
         # gauge invariance: per-eigenvector phases change nothing observable
         bundles = [top_eigenpairs(build_sk(graph, k), m=15) for k in ks]
-        emb = build_embedding_set(bundles, t=T_DIFF)
+        emb = _embed(bundles)
         gauged = []
         for bundle in bundles:
             phases = np.exp(2j * np.pi * rng.random(bundle.eigenvalues.size))
             gauged.append(SpectralBundle(
                 k=bundle.k, eigenvalues=bundle.eigenvalues,
                 eigenvectors=bundle.eigenvectors * phases[None, :]))
-        emb_gauged = build_embedding_set(gauged, t=T_DIFF)
+        emb_gauged = _embed(gauged)
         pairs = [(i, j) for i, j in rng.integers(0, graph.n, size=(20, 2))
                  if i != j]
         gauge_err = max(
@@ -447,8 +453,8 @@ class TestCriterion7:
             mixed.append(SpectralBundle(k=bundle.k,
                                         eigenvalues=bundle.eigenvalues,
                                         eigenvectors=vectors))
-        emb_base = build_embedding_set(base, t=T_DIFF)
-        emb_mixed = build_embedding_set(mixed, t=T_DIFF)
+        emb_base = _embed(base)
+        emb_mixed = _embed(mixed)
         cpairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         cluster_err = max(
             float(np.max(np.abs(_normalized(emb_base, cpairs)

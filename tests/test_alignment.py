@@ -15,7 +15,7 @@ from mfvdm.alignment import (
 )
 from mfvdm.angles import TWO_PI, wrap_pi
 from mfvdm.connection import build_sk
-from mfvdm.embedding import build_embedding_set, nn_search
+from mfvdm.embedding import build_embedding_set, build_features, nn_search
 from mfvdm.errors import ParameterError, UndefinedAlignmentError
 from mfvdm.graph import build_clean_knn_graph
 from mfvdm.sampling import make_truth
@@ -28,7 +28,7 @@ def clean_instance():
     graph = build_clean_knn_graph(truth, kappa_build=12)
     bundles = [top_eigenpairs(build_sk(graph, k), m=12)
                for k in (1, 2, 3, 4)]
-    emb = build_embedding_set(bundles, t=1)
+    emb = build_embedding_set(build_features(b, 1) for b in bundles)
     return truth, graph, emb
 
 
@@ -58,7 +58,7 @@ class TestSequences:
         # Untruncated features make z(k) the (i, j) entry of S_k^{2t}.
         bundles = [top_eigenpairs(build_sk(graph, k), m=250)
                    for k in (1, 2)]
-        full = build_embedding_set(bundles, t=1)
+        full = build_embedding_set(build_features(b, 1) for b in bundles)
         rng = np.random.default_rng(0)
         ii, jj = rng.integers(0, 250, (2, 10))
         z = alignment_sequences(full, ii, jj)
@@ -77,7 +77,7 @@ class TestSequences:
     def test_rejects_linear_mode(self, clean_instance):
         _, graph, _ = clean_instance
         bundle0 = top_eigenpairs(build_sk(graph, 0), m=10)
-        dm = build_embedding_set([bundle0], t=1, mode="linear")
+        dm = build_embedding_set([build_features(bundle0, 1)], mode="linear")
         with pytest.raises(ParameterError):
             _z(dm, 0, 1)
 

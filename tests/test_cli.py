@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, caching, exit codes."""
 
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +217,81 @@ class TestStagePrefixes:
                     "--p", "1,0.3", "--seed", "3", "--out", str(out)) == 0
         assert reads == {"read_truth": 0, "read_graph": 0}
         assert (out / "graph_p0.3.txt").exists()
+
+
+class TestMemory:
+    """What the pipeline holds: each frequency's features once, shared by
+    the methods, and no bundle; the clean graph only when it is needed."""
+
+    def test_no_bundle_outlives_its_features(self, tmp_path, monkeypatch):
+        bundles, searched = [], []
+
+        def spy(real):
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                if result is not None:
+                    bundles.append(weakref.ref(result))
+                return result
+            return wrapper
+
+        def search(embeddings, *args, **kwargs):
+            gc.collect()
+            assert bundles and not [ref for ref in bundles if ref()]
+            searched.append(embeddings)
+            return real_search(embeddings, *args, **kwargs)
+
+        real_search = cli.nn_search
+        monkeypatch.setattr(cli, "top_eigenpairs", spy(cli.top_eigenpairs))
+        monkeypatch.setattr(mio, "load_bundle", spy(mio.load_bundle))
+        monkeypatch.setattr(cli, "nn_search", search)
+        args = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--baselines", "vdm,dm", "--seed", "3", "--out",
+                str(tmp_path / "out"))
+        for _ in ("solved", "loaded"):
+            searched.clear()
+            assert _run(*args) == 0
+            mfvdm, vdm, dm = searched
+            assert mfvdm.frequencies == (1, 2, 3, 4, 5)
+            assert vdm.features[0].phi is mfvdm.features[0].phi
+            assert dm.frequencies == (0,)
+
+    # pipebench's sphere_warm workload: set-up primes --out with kappa 30,
+    # then each timed run reruns with kappa 50.
+    WARM = ("--manifold", "sphere", "--n", "2100", "--kappa-build", "60",
+            "--kmax", "10", "--mk", "20", "--p", "0.4", "--baselines",
+            "dm,vdm", "--seed", "0", "--workers", "1")
+
+    def test_rerun_reads_only_the_rewired_graph(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv(mio.CACHE_ENV, str(tmp_path / "cache"))
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        # A cold run builds and writes every graph it uses.
+        assert _run("pipeline", *self.WARM, "--kappa", "50",
+                    "--out", str(ref)) == 0
+        assert _run("pipeline", *self.WARM, "--kappa", "30",
+                    "--out", str(out)) == 0
+        read = []
+        real = mio.read_graph
+
+        def spy(path):
+            read.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(mio, "read_graph", spy)
+        assert _run("pipeline", *self.WARM, "--kappa", "50",
+                    "--out", str(out)) == 0
+        assert read == ["graph_p0.4.txt"]
+        assert _tree_digest(out) == _tree_digest(ref)
+
+    def test_generate_writes_the_clean_graph(self, tmp_path):
+        out = tmp_path / "out"
+        args = ("generate", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--seed", "3", "--out", str(out))
+        assert _run(*args) == 0
+        first = _tree_digest(out)
+        (out / "graph_clean.txt").unlink()
+        assert _run(*args) == 0
+        assert _tree_digest(out) == first
 
 
 class TestCache:

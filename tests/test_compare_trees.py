@@ -140,6 +140,18 @@ def test_last_bit_bundle_passes(tree, copy):
     assert 0.0 < result.max_subspace_sin < 1e-14
 
 
+def test_identical_bundles_count_as_byte_identical(tree, copy, capsys):
+    """Equal bytes skip the numeric rules: the subspace rule alone reads a
+    sine of a few 1e-15 for two equal bundles."""
+    assert list((copy / "cache").glob("bundle_*.npz"))
+    result = compare_trees(tree, copy)
+    assert result.identical == result.files
+    assert result.max_subspace_sin == 0.0
+    assert main([str(tree), str(copy)]) == 0
+    assert (f"PASS: {result.files} of {result.files} files byte-identical;"
+            in capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("edit,what", [
     (lambda a: a["eigenvalues"].__setitem__(3, a["eigenvalues"][3] + 1e-9),
      "eigenvalue"),

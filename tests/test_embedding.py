@@ -112,7 +112,7 @@ class TestAffinityOracles:
 
     def test_multi_frequency_affinity_sums(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         per_k = [build_features(b, 1) for b in bundles]
         want = sum(affinity_k(f, 3, 17) for f in per_k)
         assert abs(emb.affinity_block([3])[0, 17] - want) < 1e-13
@@ -123,7 +123,7 @@ class TestNormalizedDistance:
     def test_distance_is_euclidean_between_unit_outer_vectors(
             self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         stacked = np.hstack([_outer_vectors(b, 1) for b in bundles])
         unit = stacked / np.linalg.norm(stacked, axis=1, keepdims=True)
         want = np.sum(np.abs(unit[:, None, :] - unit[None, :, :]) ** 2,
@@ -132,21 +132,21 @@ class TestNormalizedDistance:
 
     def test_norms_match_outer_vector_norms(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         stacked = np.hstack([_outer_vectors(b, 1) for b in bundles])
         want = np.linalg.norm(stacked, axis=1)
         assert np.abs(emb.norms - want).max() < 1e-12
 
     def test_bounds_and_diagonal(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         d2 = emb.distance_sq_block(ALL)
         assert np.all(np.diag(d2) == 0.0)
         assert d2.min() >= -1e-12 and d2.max() <= 2.0 + 1e-12
 
     def test_triangle_inequality_after_sqrt(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         dist = np.sqrt(np.maximum(emb.distance_sq_block(ALL), 0.0))
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -155,7 +155,7 @@ class TestNormalizedDistance:
 
     def test_block_api_matches_scalar(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         block = np.array([0, 7, 31])
         dist = emb.distance_sq_block(block)
         for a, i in enumerate(block):
@@ -203,7 +203,7 @@ class TestTruncation:
 class TestNNSearch:
     def test_matches_naive_oracle(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         stacked = np.hstack([_outer_vectors(b, 1) for b in bundles])
         unit = stacked / np.linalg.norm(stacked, axis=1, keepdims=True)
         diff = unit[:, None, :] - unit[None, :, :]
@@ -260,7 +260,7 @@ class TestNNSearch:
 
     def test_worker_count_bitwise_invariant(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         a = nn_search(emb, kappa=7, block_size=16, workers=1)
         b = nn_search(emb, kappa=7, block_size=16, workers=4)
         assert np.array_equal(a.indices, b.indices)
@@ -268,7 +268,7 @@ class TestNNSearch:
 
     def test_block_size_invariant(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         a = nn_search(emb, kappa=7, block_size=11)
         b = nn_search(emb, kappa=7, block_size=512)
         assert np.array_equal(a.indices, b.indices)
@@ -284,7 +284,7 @@ class TestNNSearch:
     def test_strips_match_brute_force(self, small_instance, block_size,
                                       kappa, workers):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         got = nn_search(emb, kappa, block_size=block_size, workers=workers)
         got.validate()
         order, dist = _stable_sort_oracle(emb, kappa)
@@ -383,7 +383,7 @@ class TestNNSearch:
 
     def test_rejects_bad_kappa(self, small_instance):
         _, bundles = small_instance
-        emb = build_embedding_set(bundles, t=1)
+        emb = build_embedding_set(build_features(b, 1) for b in bundles)
         with pytest.raises(ParameterError):
             nn_search(emb, kappa=0)
         with pytest.raises(ParameterError):
@@ -394,8 +394,8 @@ class TestBaselines:
     def test_vdm_equals_single_frequency_pipeline(self, small_instance):
         _, bundles = small_instance
         k1 = bundles[0]
-        vdm = baseline_embedding(k1, t=1)
-        mfvdm_k1 = build_embedding_set([k1], t=1)
+        vdm = baseline_embedding(build_features(k1, 1))
+        mfvdm_k1 = build_embedding_set([build_features(k1, 1)])
         assert np.array_equal(vdm.norms, mfvdm_k1.norms)
         nn_a = nn_search(vdm, kappa=5)
         nn_b = nn_search(mfvdm_k1, kappa=5)
@@ -405,7 +405,7 @@ class TestBaselines:
     def test_dm_uses_linear_inner_products(self, small_instance):
         graph, _ = small_instance
         bundle0 = top_eigenpairs(build_sk(graph, 0), m=20)
-        dm = baseline_embedding(bundle0, t=1)
+        dm = baseline_embedding(build_features(bundle0, 1))
         assert dm.mode == "linear"
         phi = dm.features[0].phi
         i, j = 3, 11
@@ -418,7 +418,7 @@ class TestBaselines:
     def test_rejects_other_frequencies(self, small_instance):
         _, bundles = small_instance
         with pytest.raises(ParameterError):
-            baseline_embedding(bundles[1], t=1)
+            baseline_embedding(build_features(bundles[1], 1))
 
     def test_linear_mode_single_block_only(self, small_instance):
         _, bundles = small_instance
@@ -444,8 +444,8 @@ def test_gauge_invariance_of_affinities(small_instance):
     rotated = SpectralBundle(k=bundle.k, eigenvalues=bundle.eigenvalues,
                              eigenvectors=bundle.eigenvectors
                              * phases[None, :])
-    a = _normalized(build_embedding_set([bundle], t=1))
-    b = _normalized(build_embedding_set([rotated], t=1))
+    a = _normalized(build_embedding_set([build_features(bundle, 1)]))
+    b = _normalized(build_embedding_set([build_features(rotated, 1)]))
     assert np.abs(a - b).max() < 1e-10
 
 
@@ -471,6 +471,6 @@ def test_cluster_rotation_invariance_exact_degeneracy():
     mixed_vecs[:, 1:] = mixed_vecs[:, 1:] @ q
     mixed = SpectralBundle(k=0, eigenvalues=bundle.eigenvalues,
                            eigenvectors=mixed_vecs)
-    a = _normalized(build_embedding_set([bundle], t=2))
-    b = _normalized(build_embedding_set([mixed], t=2))
+    a = _normalized(build_embedding_set([build_features(bundle, 2)]))
+    b = _normalized(build_embedding_set([build_features(mixed, 2)]))
     assert np.abs(a - b).max() < 1e-8

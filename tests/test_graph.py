@@ -1,9 +1,12 @@
 """Graph construction and random rewiring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfvdm import graph as mgraph
 from mfvdm.angles import TWO_PI, wrap_pi
 from mfvdm.errors import BadEdgeError, ParameterError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph, rewire_graph
@@ -58,6 +61,33 @@ class TestBuild:
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.cols, b.cols)
         assert np.array_equal(a.angles, b.angles)
+
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    def test_selection_sub_block_does_not_change_result(self, manifold,
+                                                        monkeypatch):
+        truth = make_truth(manifold, 700, seed=3)
+        want = graph_hash(build_clean_knn_graph(truth, kappa_build=12))
+        for rows in (1, 7, 100, 512, 1000):
+            monkeypatch.setattr(mgraph, "_SELECT_ROWS", rows)
+            got = build_clean_knn_graph(truth, kappa_build=12)
+            assert graph_hash(got) == want, rows
+
+    @pytest.mark.parametrize("manifold,blocks", [("sphere", 1),
+                                                 ("torus", 2)])
+    def test_peak_memory_within_one_distance_block(self, manifold, blocks):
+        """The build holds one 512 x n distance block (two on the torus,
+        one per coordinate), one sub-block's int64 selection and the
+        n x kappa result, plus 256 KiB."""
+        n, kappa = 3000, 10
+        truth = make_truth(manifold, n, seed=1)
+        tracemalloc.start()
+        try:
+            build_clean_knn_graph(truth, kappa_build=kappa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 8 * n * (blocks * 512 + mgraph._SELECT_ROWS + kappa)
+        assert peak <= budget + 2 ** 18
 
     def test_min_degree_at_least_kappa(self, small_graph):
         assert small_graph.degree_counts().min() >= 3

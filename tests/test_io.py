@@ -1,6 +1,7 @@
 """File formats: round-trips, strict parsing, cache behavior."""
 
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -250,8 +251,9 @@ class TestCsvFormats:
         assert float(text) == value
 
 
-def test_writers_match_per_row_reference(graph, tmp_path):
-    """The batched writers emit the bytes of a row-by-row f-string writer."""
+def test_writers_match_per_row_reference(graph, tmp_path, monkeypatch):
+    """The batched writers emit the bytes of a row-by-row f-string writer,
+    whatever number of lines they format at a time."""
     rng = np.random.default_rng(5)
     fmt = "%.17g".__mod__
     nn = NeighborList(indices=rng.integers(0, 100, size=(7, 3)),
@@ -303,15 +305,35 @@ def test_writers_match_per_row_reference(graph, tmp_path):
                               theory_leading_gap=0.5)
     want["spectrum_spectrum.csv"] = "index,one_minus_lambda\n" + "".join(
         f"{i},{fmt(v)}\n" for i, v in enumerate(spectrum.one_minus_lambda))
-    write_nn_csv(nn, tmp_path / "nn.csv")
-    write_alignment_csv(table, tmp_path / "align.csv")
-    write_graph(graph, tmp_path / "graph.txt")
-    write_truth(sphere, tmp_path / "sphere.txt")
-    write_truth(torus, tmp_path / "torus.txt")
-    write_eval_report(report, tmp_path / "report")
-    write_spectral_report(spectrum, tmp_path / "spectrum")
-    for name, text in want.items():
-        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+    for lines in (mio._CHUNK_LINES, 1, 4, 7):
+        monkeypatch.setattr(mio, "_CHUNK_LINES", lines)
+        write_nn_csv(nn, tmp_path / "nn.csv")
+        write_alignment_csv(table, tmp_path / "align.csv")
+        write_graph(graph, tmp_path / "graph.txt")
+        write_truth(sphere, tmp_path / "sphere.txt")
+        write_truth(torus, tmp_path / "torus.txt")
+        write_eval_report(report, tmp_path / "report")
+        write_spectral_report(spectrum, tmp_path / "spectrum")
+        for name, text in want.items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8"), \
+                (name, lines)
+
+
+def test_nn_writer_peak_does_not_grow_with_rows(tmp_path):
+    """``write_nn_csv`` formats a fixed number of lines at a time: its
+    traced peak is the same at 20k and 200k rows of one 4000-node list."""
+    peaks = []
+    for kappa in (5, 50):
+        rng = np.random.default_rng(0)
+        nn = NeighborList(indices=rng.integers(0, 4000, size=(4000, kappa)),
+                          distances_sq=rng.random((4000, kappa)))
+        tracemalloc.start()
+        try:
+            write_nn_csv(nn, tmp_path / "nn.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 16
 
 
 def _artifact_writers(graph):
