@@ -96,8 +96,8 @@ class ExperimentConfig:
             raise ConfigError("Torus radii must satisfy R > r > 0. Got "
                               f"R={self.radius_major}, "
                               f"r={self.radius_minor}.")
-        if any(k < 1 for k in self.spectrum_ks):
-            raise ConfigError(f"spectrum_ks must all be >= 1. "
+        if not self.spectrum_ks or any(k < 1 for k in self.spectrum_ks):
+            raise ConfigError(f"spectrum_ks must be one or more k >= 1. "
                               f"Got {self.spectrum_ks}.")
         if self.spectrum_m < 1:
             raise ConfigError(f"spectrum_m must be >= 1. "

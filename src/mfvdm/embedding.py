@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mfvdm.errors import DegenerateEmbeddingError, ParameterError
+from mfvdm.graph import smallest
 from mfvdm.parallel import map_workers
 from mfvdm.spectral import SpectralBundle
 
@@ -43,7 +44,6 @@ class FrequencyFeatures:
     """Per-node features phi of one frequency, (n, m) complex."""
 
     k: int
-    t: int
     phi: np.ndarray
 
     def __post_init__(self) -> None:
@@ -67,7 +67,7 @@ def build_features(bundle: SpectralBundle, t: int) -> FrequencyFeatures:
     if t < 1 or int(t) != t:
         raise ParameterError(f"t must be a positive integer. Got {t}.")
     phi = bundle.eigenvectors * (bundle.eigenvalues ** int(t))[None, :]
-    return FrequencyFeatures(k=bundle.k, t=int(t), phi=phi)
+    return FrequencyFeatures(k=bundle.k, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -247,27 +247,6 @@ class NeighborList:
             raise ParameterError("Distances are not nondecreasing.")
 
 
-def _smallest(dist_sq: np.ndarray, kappa: int) -> np.ndarray:
-    """Column positions of the ``kappa`` smallest entries of each row under
-    (distance, position), in no particular order.
-
-    Partial selection finds them; a row whose kappa-th distance is tied
-    with an unselected entry, or is not finite, takes the prefix of a
-    stable sort instead.
-    """
-    if kappa >= dist_sq.shape[1]:
-        return np.broadcast_to(np.arange(dist_sq.shape[1]), dist_sq.shape)
-    cand = np.argpartition(dist_sq, kappa - 1, axis=1)[:, :kappa]
-    # The selection is the stable sort's prefix only when exactly kappa
-    # entries lie at or below the kappa-th distance (argpartition puts
-    # it, or a NaN, in the last candidate column).
-    kth = np.take_along_axis(dist_sq, cand[:, -1:], axis=1)
-    tied = ~np.isfinite(kth[:, 0]) | (
-        np.count_nonzero(dist_sq <= kth, axis=1) > kappa)
-    cand[tied] = np.argsort(dist_sq[tied], axis=1, kind="stable")[:, :kappa]
-    return cand
-
-
 def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 256,
               workers: int = 1) -> NeighborList:
     """Exact kappa-NN under the squared diffusion distance.
@@ -283,14 +262,14 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 256,
     any worker count and block size.
 
     Memory: each worker holds one strip of b * n doubles at a time, with
-    b = ``block_size`` rounded up to a multiple of 8.  While it fills the
-    strip it also holds the chunk buffers and selects from each chunk (at
-    most 7 MiB together); then it selects from the strip, with int64
-    indices and, for rows tied at the kappa-th distance, a sorted copy of
-    those rows.  Peak memory stays within
-    workers * max((16 + 8 + 8) * b * n, 8 * b * n + 7 MiB) bytes, plus the
+    b = ``block_size``.  While it fills the strip it also holds the chunk
+    buffers and selects from each chunk (at most 7 MiB together).  Every
+    selection goes through ``graph.smallest``, 64 rows at a time: int64
+    positions, then a bool tie mask, and for rows tied at the kappa-th
+    distance a stably sorted copy, at most 1 KiB per node.  Peak memory
+    stays within workers * (8 * b * n + 1024 * n + 7 MiB) bytes, plus the
     n * kappa result and the candidates of one merge.  At the default
-    b = 256 the first term is 8 KiB per node and worker: 82 MB per worker
+    b = 256 that is 3 KiB per node and 7 MiB per worker: 38 MB per worker
     at n = 10000.
 
     Parameters
@@ -338,9 +317,9 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 256,
             later = max(lo, stop)
             part = chunk[later - lo:]
             if len(part):
-                merge(later, part, _smallest(part, kappa), start)
+                merge(later, part, smallest(part, kappa), start)
         strip[np.arange(width), np.arange(width)] = np.inf
-        merge(start, strip, _smallest(strip, kappa), start)
+        merge(start, strip, smallest(strip, kappa), start)
 
     map_workers(run_strip, range(0, n, block_size), workers)
     return NeighborList(indices=best.imag.astype(np.int64),

@@ -31,6 +31,9 @@ __all__ = [
 
 NN_BINS = 50
 ALIGN_BINS = 72
+# The cluster boundary rule of ``detect_clusters``.
+_GAP_RATIO = 3.0
+_REL_FLOOR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -132,13 +135,12 @@ def theoretical_multiplicity(k: int, l: int) -> int:
     return 2 * (l + k) - 1
 
 
-def detect_clusters(values: np.ndarray, ratio: float = 3.0,
-                    rel_floor: float = 1e-2) -> tuple:
+def detect_clusters(values: np.ndarray) -> tuple:
     """Partition an ascending sequence into clusters at prominent gaps.
 
-    A gap is a cluster boundary when it exceeds ``ratio`` times the local
-    noise scale: the larger of its neighboring gaps, floored at
-    ``rel_floor`` times the value range.  The local comparison separates
+    A gap is a cluster boundary when it exceeds ``_GAP_RATIO`` times the
+    local noise scale: the larger of its neighboring gaps, floored at
+    ``_REL_FLOOR`` times the value range.  The local comparison separates
     tight leading clusters even when a quasi-continuum of comparable gaps
     follows them; the floor keeps near-degenerate clusters from splitting
     on gap fluctuations.  The rule is invariant to shifts and to positive
@@ -162,8 +164,8 @@ def detect_clusters(values: np.ndarray, ratio: float = 3.0,
         return (values.size,)
     padded = np.concatenate([[0.0], gaps, [0.0]])
     neighbor_max = np.maximum(padded[:-2], padded[2:])
-    local_scale = np.maximum(neighbor_max, rel_floor * span)
-    boundaries = np.flatnonzero(gaps >= ratio * local_scale) + 1
+    local_scale = np.maximum(neighbor_max, _REL_FLOOR * span)
+    boundaries = np.flatnonzero(gaps >= _GAP_RATIO * local_scale) + 1
     edges = np.concatenate([[0], boundaries, [values.size]])
     return tuple(int(b - a) for a, b in zip(edges[:-1], edges[1:]))
 

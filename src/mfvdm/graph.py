@@ -1,4 +1,5 @@
-"""Alignment graphs: k-NN construction from ground truth and random rewiring.
+"""Alignment graphs: k-NN construction from ground truth and random rewiring,
+and the kappa-smallest selection that the k-NN build and NN search share.
 
 An AlignmentGraph stores each undirected edge once with row < col; reading an
 edge against its stored orientation uses w_ji = w_ij and alpha_ji = -alpha_ij
@@ -21,6 +22,7 @@ __all__ = [
     "build_clean_knn_graph",
     "first_bad_edge",
     "rewire_graph",
+    "smallest",
 ]
 
 
@@ -146,9 +148,37 @@ def _raise_bad_edge(n: int, rows, cols, weights, angles) -> None:
         raise BadEdgeError(*bad)
 
 
-# Rows per neighbor selection within a distance block: the selection's int64
-# positions cover this many rows of the block at a time.
+# Rows that each int64 selection and tie mask of ``smallest`` covers.
 _SELECT_ROWS = 64
+# Rows per ground-truth distance block in ``build_clean_knn_graph``, fixed:
+# the BLAS product in ``SphereTruth.geodesic_block`` rounds differently with
+# its row count, which can swap two near-tied neighbors.
+_BUILD_ROWS = 512
+
+
+def smallest(dist: np.ndarray, kappa: int) -> np.ndarray:
+    """Column positions of the ``kappa`` smallest entries of each row under
+    (distance, position), in no particular order: a stable sort's prefix.
+
+    Partial selection finds them, ``_SELECT_ROWS`` rows at a time; a row
+    whose kappa-th distance is tied with an unselected entry, or is not
+    finite, takes the prefix of a stable sort instead."""
+    rows, cols = dist.shape
+    if kappa >= cols:
+        return np.broadcast_to(np.arange(cols), dist.shape)
+    out = np.empty((rows, kappa), dtype=np.int64)
+    for lo in range(0, rows, _SELECT_ROWS):
+        part, cand = dist[lo:lo + _SELECT_ROWS], out[lo:lo + _SELECT_ROWS]
+        # The full positions are freed once copied, before the tie mask.
+        cand[:] = np.argpartition(part, kappa - 1, axis=1)[:, :kappa]
+        # The selection is the stable sort's prefix only when exactly kappa
+        # entries lie at or below the kappa-th distance (the partition puts
+        # it, or a NaN, in the last candidate column).
+        kth = np.take_along_axis(part, cand[:, -1:], axis=1)
+        tied = ~np.isfinite(kth[:, 0]) | (
+            np.count_nonzero(part <= kth, axis=1) > kappa)
+        cand[tied] = np.argsort(part[tied], axis=1, kind="stable")[:, :kappa]
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,12 +192,12 @@ class RewireDiagnostics:
 
 
 def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
-                          sigma: float = 1.0,
-                          block_size: int = 512) -> AlignmentGraph:
+                          sigma: float = 1.0) -> AlignmentGraph:
     """Symmetrized k-NN graph under the ground-truth geodesic.
 
     Edge (i, j) is present iff j is among the kappa_build nearest nodes of i
-    or vice versa; angles come from the ground truth.  Weights are 1, or
+    or vice versa; angles come from the ground truth.  Exact distance ties
+    break to the lower node index, as in ``smallest``.  Weights are 1, or
     exp(-d^2/sigma) of the geodesic distance in "gaussian" mode.
 
     Parameters
@@ -180,13 +210,6 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
         "unit" or "gaussian".
     sigma : float
         Gaussian kernel width, used only in "gaussian" mode.
-    block_size : int
-        Rows per distance block.  Keep the default: the BLAS product behind
-        ``SphereTruth.geodesic_block`` rounds differently with the row
-        count (512-row and 100-row blocks differ by up to 4.4e-16), so
-        another size can change which of two near-tied nodes is a
-        neighbor.  Neighbors are selected ``_SELECT_ROWS`` rows at a time,
-        which changes nothing, since each row is selected on its own.
 
     Returns
     -------
@@ -203,9 +226,12 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
     if weight_mode == "gaussian" and not sigma > 0.0:
         raise ParameterError(f"sigma must be > 0. Got {sigma}.")
     neighbors = np.empty((n, kappa_build), dtype=np.int64)
-    for start in range(0, n, block_size):
-        _select_nearest(truth, np.arange(start, min(start + block_size, n)),
-                        neighbors[start:start + block_size])
+    for start in range(0, n, _BUILD_ROWS):
+        block = np.arange(start, min(start + _BUILD_ROWS, n))
+        dist = truth.geodesic_block(block)
+        dist[np.arange(block.size), block] = np.inf
+        neighbors[start:start + _BUILD_ROWS] = smallest(dist, kappa_build)
+        del dist  # before the next block is computed
     sources = np.repeat(np.arange(n, dtype=np.int64), kappa_build)
     targets = neighbors.ravel()
     lo = np.minimum(sources, targets)
@@ -219,21 +245,6 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
     else:
         weights = np.ones(rows.size)
     return AlignmentGraph.from_edges(n, rows, cols, weights, angles)
-
-
-def _select_nearest(truth, block: np.ndarray, out: np.ndarray) -> None:
-    """Fill row r of ``out`` with the nearest other nodes of node block[r],
-    as many as ``out`` has columns, in no particular order.
-
-    The distance block is selected from ``_SELECT_ROWS`` rows at a time, so
-    the int64 selection positions never span the whole block.
-    """
-    kappa = out.shape[1]
-    dist = truth.geodesic_block(block)
-    dist[np.arange(block.size), block] = np.inf
-    for lo in range(0, block.size, _SELECT_ROWS):
-        out[lo:lo + _SELECT_ROWS] = np.argpartition(
-            dist[lo:lo + _SELECT_ROWS], kappa - 1, axis=1)[:, :kappa]
 
 
 def rewire_graph(graph: AlignmentGraph, p: float, seed: int,

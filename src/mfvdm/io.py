@@ -123,47 +123,55 @@ _EDGE_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("w", "<f8"),
 def read_graph(path) -> AlignmentGraph:
     """Parse the edge-list format back into a validated AlignmentGraph.
 
-    The body is parsed by one ``np.loadtxt`` call and checked on arrays.
-    An error names the first offending line, as a line-by-line reader
-    would.
+    The body is parsed from the open file by one ``np.loadtxt`` call and
+    checked on arrays.  An error names the first offending line, as a
+    line-by-line reader would; only then is the file read as lines.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+            header = handle.readline()
+            try:
+                with warnings.catch_warnings():
+                    # Some numpy releases parse "0.7" into an int field
+                    # with only a DeprecationWarning; reject it instead.
+                    warnings.simplefilter("error", DeprecationWarning)
+                    # No data: no edges, which from_edges rejects.
+                    warnings.filterwarnings("ignore", "loadtxt: input")
+                    edges = np.loadtxt(handle, dtype=_EDGE_DTYPE,
+                                       comments=None, ndmin=1)
+                rejection = None
+            except (ValueError, DeprecationWarning) as exc:
+                rejection = exc
     except OSError as exc:
         raise GraphFileError(f"Cannot read graph file {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("n "):
+    if not header.startswith("n "):
         raise GraphFileError(f"{path}: first line must be 'n <count>'.")
     try:
-        n = int(lines[0].split()[1])
+        n = int(header.split()[1])
     except (IndexError, ValueError) as exc:
-        raise GraphFileError(f"{path}: bad header {lines[0]!r}.") from exc
-    body = lines[1:]
-    try:
-        with warnings.catch_warnings():
-            # Some numpy releases parse a float literal such as "0.7" into
-            # an int field with only a DeprecationWarning; reject it instead.
-            warnings.simplefilter("error", DeprecationWarning)
-            edges = (np.loadtxt(body, dtype=_EDGE_DTYPE, comments=None,
-                                ndmin=1)
-                     if any(line.strip() for line in body)
-                     else np.empty(0, dtype=_EDGE_DTYPE))
-    except (ValueError, DeprecationWarning) as exc:
-        edges, error = _parse_edge_lines(path, body, exc)
-        _check_edges(path, body, n, edges)
-        raise error from exc
+        raise GraphFileError(f"{path}: bad header {header!r}.") from exc
+    if rejection is not None:
+        edges, error = _parse_edge_lines(path, rejection)
+        _check_edges(path, n, edges)
+        raise error from rejection
     try:
         return AlignmentGraph.from_edges(n, edges["i"], edges["j"],
                                          edges["w"], edges["a"],
                                          oriented=True)
     except BadEdgeError as exc:
         raise GraphFileError(
-            f"{path}:{_edge_line(body, exc.index)}: {exc}") from exc
+            f"{path}:{_edge_line(path, exc.index)}: {exc}") from exc
     except ParameterError as exc:
         raise GraphFileError(f"{path}: {exc}") from exc
 
 
-def _parse_edge_lines(path, body, rejection):
+def _body_lines(path) -> list:
+    """The lines after a graph file's header, read only for error reports."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.readlines()[1:]
+
+
+def _parse_edge_lines(path, rejection):
     """Find the first edge line that does not parse, for the error report.
 
     Used only when ``np.loadtxt`` rejects the body. Returns the edges before
@@ -172,7 +180,7 @@ def _parse_edge_lines(path, body, rejection):
     """
     limit = np.iinfo(np.int64)
     records = []
-    for lineno, raw in enumerate(body, start=2):
+    for lineno, raw in enumerate(_body_lines(path), start=2):
         parts = raw.split()
         if not parts:
             continue
@@ -195,19 +203,20 @@ def _parse_edge_lines(path, body, rejection):
     return np.array(records, dtype=_EDGE_DTYPE), error
 
 
-def _check_edges(path, body, n: int, edges: np.ndarray) -> None:
+def _check_edges(path, n: int, edges: np.ndarray) -> None:
     """Raise GraphFileError naming the line of the first edge that breaks
     one of ``first_bad_edge``'s rules."""
     bad = first_bad_edge(n, edges["i"], edges["j"], edges["w"], edges["a"])
     if bad is None:
         return
     row, message = bad
-    raise GraphFileError(f"{path}:{_edge_line(body, row)}: {message}")
+    raise GraphFileError(f"{path}:{_edge_line(path, row)}: {message}")
 
 
-def _edge_line(body, row: int) -> int:
+def _edge_line(path, row: int) -> int:
     """File line number of edge ``row``; blank lines count as lines."""
-    return [k for k, raw in enumerate(body, start=2) if raw.strip()][row]
+    return [k for k, raw in enumerate(_body_lines(path), start=2)
+            if raw.strip()][row]
 
 
 def write_truth(truth, path) -> None:

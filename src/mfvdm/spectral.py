@@ -4,7 +4,7 @@ Small matrices, and requests for m >= n - 1 pairs (more than ARPACK can
 return), go to the dense Hermitian solver.  Larger ones go to ARPACK through
 ``scipy.sparse.linalg.eigsh`` on a LinearOperator wrapping the CSR matvec,
 with a seeded random start; every returned pair is then checked against
-``tol`` by its explicit residual.  Eigenvectors are returned in a fixed
+``_TOL`` by its explicit residual.  Eigenvectors are returned in a fixed
 phase gauge (largest-modulus entry real positive) so repeated runs agree
 bitwise; all downstream quantities are gauge-invariant regardless.
 """
@@ -23,6 +23,10 @@ __all__ = ["SpectralBundle", "gauge_fix", "top_eigenpairs",
            "DENSE_THRESHOLD"]
 
 DENSE_THRESHOLD = 2000
+# Residual tolerance ||A u - lambda u|| for every pair the sparse path returns.
+_TOL = 1e-8
+# Seed of the ARPACK start vector; fixed, so repeated runs agree bitwise.
+_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -70,19 +74,19 @@ def _residuals(matrix: SparseHermitian, values: np.ndarray,
     return np.linalg.norm(matrix.matvec(vectors) - vectors * values, axis=0)
 
 
-def _sparse_top(matrix: SparseHermitian, m: int, tol: float,
-                max_iters: int | None, seed: int) -> SpectralBundle:
+def _sparse_top(matrix: SparseHermitian, m: int,
+                max_iters: int | None) -> SpectralBundle:
     # Loaded on first use, like scipy.sparse in SparseHermitian.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n = matrix.n
     # The stream keeps the name of the solver it first seeded, so a given
     # seed still draws the same start vector.
-    rng = substream(seed, "lanczos", matrix.k)
+    rng = substream(_SEED, "lanczos", matrix.k)
     v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     op = LinearOperator((n, n), matvec=matrix.matvec, dtype=np.complex128)
     try:
-        vals, vecs = eigsh(op, k=m, which="LA", v0=v0, tol=tol,
+        vals, vecs = eigsh(op, k=m, which="LA", v0=v0, tol=_TOL,
                            maxiter=max_iters)
     except ArpackNoConvergence as exc:
         resid = np.full(m, np.inf)
@@ -95,19 +99,18 @@ def _sparse_top(matrix: SparseHermitian, m: int, tol: float,
     order = np.argsort(vals, kind="stable")[::-1]
     vals, vecs = vals[order], vecs[:, order]
     resid = _residuals(matrix, vals, vecs)
-    if np.max(resid) > tol:
+    if np.max(resid) > _TOL:
         raise ConvergenceError(
-            f"ARPACK returned residual {np.max(resid):g} above {tol:g} "
+            f"ARPACK returned residual {np.max(resid):g} above {_TOL:g} "
             f"(frequency k={matrix.k}).", residuals=resid,
         )
     return SpectralBundle(k=matrix.k, eigenvalues=vals,
                           eigenvectors=gauge_fix(vecs))
 
 
-def top_eigenpairs(matrix: SparseHermitian, m: int, tol: float = 1e-8,
+def top_eigenpairs(matrix: SparseHermitian, m: int,
                    dense_threshold: int = DENSE_THRESHOLD,
-                   max_iters: int | None = None,
-                   seed: int = 0) -> SpectralBundle:
+                   max_iters: int | None = None) -> SpectralBundle:
     """Compute the m algebraically largest eigenpairs of a Hermitian matrix.
 
     Parameters
@@ -115,17 +118,12 @@ def top_eigenpairs(matrix: SparseHermitian, m: int, tol: float = 1e-8,
     matrix : SparseHermitian
     m : int
         Number of eigenpairs, 1 <= m <= n.
-    tol : float
-        Residual tolerance ||A u - lambda u|| for every returned pair.
     dense_threshold : int
         Use the dense solver when n is at or below this size.
         The sparse path also needs m < n - 1; larger m goes dense.
     max_iters : int, optional
         Cap on ARPACK's implicit restarts (eigsh's ``maxiter``); defaults
         to ARPACK's own cap of 10 * n.
-    seed : int
-        Seed for the ARPACK start vector (fixed default keeps repeated
-        runs bitwise identical).
 
     Returns
     -------
@@ -137,7 +135,7 @@ def top_eigenpairs(matrix: SparseHermitian, m: int, tol: float = 1e-8,
         If m is out of range.
     ConvergenceError
         If ARPACK hits the restart cap, or an explicit residual exceeds
-        ``tol``.  ``residuals`` holds one entry per requested pair: the
+        ``_TOL``.  ``residuals`` holds one entry per requested pair: the
         explicit residual of each pair ARPACK returned, ``inf`` for the
         rest.
     """
@@ -146,4 +144,4 @@ def top_eigenpairs(matrix: SparseHermitian, m: int, tol: float = 1e-8,
                              f"Got {m}.")
     if matrix.n <= dense_threshold or m >= matrix.n - 1:
         return _dense_top(matrix, m)
-    return _sparse_top(matrix, m, tol, max_iters, seed)
+    return _sparse_top(matrix, m, max_iters)

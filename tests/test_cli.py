@@ -475,7 +475,7 @@ class TestCommaLists:
         assert cli._overrides(args)[key] == expected
         assert load_config_file(str(path))[key] == expected
 
-    @pytest.mark.parametrize("ks", ["1,x", "2.5"])
+    @pytest.mark.parametrize("ks", ["1,x", "2.5", ","])
     def test_bad_ks_is_a_config_error(self, tmp_path, ks):
         assert _run("spectrum", "--manifold", "sphere", "--n", "100",
                     "--kappa-build", "5", "--ks", ks, "--p", "1",

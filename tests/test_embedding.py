@@ -54,7 +54,7 @@ def _random_embedding(n, ks=(1, 2, 3), m=4, mode="squared", seed=0):
     """Random complex features, one (n, m) block per frequency."""
     rng = np.random.default_rng(seed)
     features = tuple(
-        FrequencyFeatures(k=k, t=1, phi=rng.normal(size=(n, m))
+        FrequencyFeatures(k=k, phi=rng.normal(size=(n, m))
                           + 1j * rng.normal(size=(n, m)))
         for k in ks)
     return EmbeddingSet(features=features, mode=mode)
@@ -222,7 +222,7 @@ class TestNNSearch:
                         [1.0, 0.0],
                         [0.6, 0.8]], dtype=complex)
         emb = EmbeddingSet(
-            features=(FrequencyFeatures(k=1, t=1, phi=phi),)
+            features=(FrequencyFeatures(k=1, phi=phi),)
         )
         got = nn_search(emb, kappa=3)
         # Nodes 0 and 2 are identical; queries tie them exactly and the
@@ -240,7 +240,7 @@ class TestNNSearch:
         phi = (rng.integers(0, 2, size=(40, 3))
                + 1j * rng.integers(0, 2, size=(40, 3)))
         phi[:, 0] += 1.0
-        emb = EmbeddingSet(features=(FrequencyFeatures(k=1, t=1, phi=phi),))
+        emb = EmbeddingSet(features=(FrequencyFeatures(k=1, phi=phi),))
         dist = emb.distance_sq_block(np.arange(40))
         np.fill_diagonal(dist, np.inf)
         order = np.argsort(dist, axis=1, kind="stable")
@@ -349,7 +349,7 @@ class TestNNSearch:
         rows = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))[:, None]
         phi = np.vstack([rows, phase * rows])
-        emb = EmbeddingSet(features=(FrequencyFeatures(k=1, t=1, phi=phi),))
+        emb = EmbeddingSet(features=(FrequencyFeatures(k=1, phi=phi),))
         got = nn_search(emb, 3)
         got.validate()
         assert np.array_equal(got.indices[:, 0], (np.arange(12) + 6) % 12)
@@ -432,7 +432,7 @@ def test_zero_norm_raises():
     phi[0, 0] = 1.0
     phi[1, 0] = 1.0
     with pytest.raises(DegenerateEmbeddingError):
-        EmbeddingSet(features=(FrequencyFeatures(k=1, t=1, phi=phi),))
+        EmbeddingSet(features=(FrequencyFeatures(k=1, phi=phi),))
 
 
 def test_gauge_invariance_of_affinities(small_instance):

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from mfvdm import graph as mgraph
 from mfvdm.angles import TWO_PI, wrap_pi
+from mfvdm.embedding import EmbeddingSet, FrequencyFeatures, nn_search
 from mfvdm.errors import BadEdgeError, ParameterError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph, rewire_graph
 from mfvdm.io import graph_hash
-from mfvdm.sampling import make_truth, optimal_inplane_angle
+from mfvdm.sampling import TorusTruth, make_truth, optimal_inplane_angle
 
 
 @pytest.fixture(scope="module")
@@ -55,22 +56,50 @@ class TestBuild:
         d = small_truth.geodesics(graph.rows, graph.cols)
         assert np.abs(graph.weights - np.exp(-d**2 / 0.5)).max() < 1e-14
 
-    def test_block_size_does_not_change_result(self, small_truth):
-        a = build_clean_knn_graph(small_truth, kappa_build=3, block_size=7)
-        b = build_clean_knn_graph(small_truth, kappa_build=3, block_size=512)
-        assert np.array_equal(a.rows, b.rows)
-        assert np.array_equal(a.cols, b.cols)
-        assert np.array_equal(a.angles, b.angles)
+    @pytest.mark.parametrize("kappa", [3, 5, 7])
+    def test_exact_ties_break_to_the_lower_node_index(self, kappa):
+        """A 12 x 12 grid on the torus ties many distances exactly; each
+        node's neighbors are the prefix of a stable sort of its row."""
+        grid = np.arange(12) * TWO_PI / 12
+        u, v = np.meshgrid(grid, grid, indexing="ij")
+        truth = TorusTruth(u=u.ravel(), v=v.ravel(),
+                           frame_angles=np.zeros(144), radius_major=1.0,
+                           radius_minor=0.5)
+        dist = truth.geodesic_block(np.arange(144))
+        np.fill_diagonal(dist, np.inf)
+        knn = np.argsort(dist, axis=1, kind="stable")[:, :kappa].ravel()
+        sources = np.repeat(np.arange(144), kappa)
+        expected = set(zip(np.minimum(sources, knn).tolist(),
+                           np.maximum(sources, knn).tolist()))
+        graph = build_clean_knn_graph(truth, kappa_build=kappa)
+        assert set(zip(graph.rows.tolist(), graph.cols.tolist())) == expected
 
-    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
-    def test_selection_sub_block_does_not_change_result(self, manifold,
+    @pytest.mark.parametrize("case", ["sphere", "torus", "nn_search"])
+    def test_selection_sub_block_does_not_change_result(self, case,
                                                         monkeypatch):
-        truth = make_truth(manifold, 700, seed=3)
-        want = graph_hash(build_clean_knn_graph(truth, kappa_build=12))
+        """``smallest`` selects ``_SELECT_ROWS`` rows at a time, for the
+        k-NN build and for the NN search alike."""
+        if case == "nn_search":
+            # Binary features: exact ties at the kappa-th distance.
+            rng = np.random.default_rng(8)
+            emb = EmbeddingSet(features=tuple(
+                FrequencyFeatures(k=k, phi=1.0 + rng.integers(0, 2, (120, 3))
+                                  + 1j * rng.integers(0, 2, (120, 3)))
+                for k in (1, 2)))
+
+            def result():
+                got = nn_search(emb, kappa=12, block_size=32)
+                return got.indices.tobytes() + got.distances_sq.tobytes()
+        else:
+            truth = make_truth(case, 700, seed=3)
+
+            def result():
+                return graph_hash(build_clean_knn_graph(truth,
+                                                        kappa_build=12))
+        want = result()
         for rows in (1, 7, 100, 512, 1000):
             monkeypatch.setattr(mgraph, "_SELECT_ROWS", rows)
-            got = build_clean_knn_graph(truth, kappa_build=12)
-            assert graph_hash(got) == want, rows
+            assert result() == want, rows
 
     @pytest.mark.parametrize("manifold,blocks", [("sphere", 1),
                                                  ("torus", 2)])

@@ -20,7 +20,12 @@ from mfvdm.evaluation import (
 )
 from mfvdm import graph as mgraph
 from mfvdm import io as mio
-from mfvdm.graph import build_clean_knn_graph, first_bad_edge, rewire_graph
+from mfvdm.graph import (
+    AlignmentGraph,
+    build_clean_knn_graph,
+    first_bad_edge,
+    rewire_graph,
+)
 from mfvdm.io import (
     CACHE_ENV,
     bundle_cache_path,
@@ -173,6 +178,35 @@ class TestGraphFormat:
         path.write_text("n 2\n\n0 1 1.0 0.5\n\n")
         back = read_graph(path)
         assert back.edge_count == 1
+
+    def test_reader_peak_is_the_table_and_the_constructor(self, tmp_path):
+        """``read_graph`` parses the open file: its traced peak is the
+        parsed edge table (32 bytes per edge) plus what
+        ``AlignmentGraph.from_edges`` allocates, not the file's lines too."""
+        rng = np.random.default_rng(0)
+        n, e = 2100, 66000
+        rows = rng.integers(0, n - 1, size=e)
+        keys = np.unique(np.concatenate([
+            rows * n + rows + 1 + rng.integers(0, n - 1 - rows),
+            np.arange(n - 1) * (n + 1) + 1]))  # a path: no isolated node
+        graph = AlignmentGraph.from_edges(
+            n, keys // n, keys % n, rng.uniform(0.5, 1.0, keys.size),
+            rng.uniform(0.0, 2.0 * np.pi, keys.size))
+        path = tmp_path / "g.txt"
+        write_graph(graph, path)
+        arrays = [a.copy() for a in (graph.rows, graph.cols, graph.weights,
+                                     graph.angles)]
+        tracemalloc.start()
+        try:
+            AlignmentGraph.from_edges(n, *arrays, oriented=True)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph_hash(back) == graph_hash(graph)
+        assert peak <= 32 * graph.edge_count + build + 2 ** 18
 
 
 class TestTruthFormat:
