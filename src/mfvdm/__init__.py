@@ -63,7 +63,6 @@ from mfvdm.sampling import (
     SphereTruth,
     TorusTruth,
     make_truth,
-    optimal_inplane_angle,
     sample_so3_uniform,
     sample_torus_uniform,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "load_config_file",
     "make_truth",
     "nn_search",
-    "optimal_inplane_angle",
     "resolve_config",
     "rewire_graph",
     "sample_so3_uniform",

@@ -32,7 +32,7 @@ DEFAULT_GRID = 1024
 # changes a result.  On the default grid a 512-pair block of objective values
 # is 4 MB, small enough to be reused from the heap instead of being faulted
 # in anew for every batch.
-DEFAULT_CHUNK = 512
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def _objective_grid(z: np.ndarray, table: np.ndarray) -> np.ndarray:
     return parts @ table
 
 
-def _estimate_rows(z: np.ndarray, table: np.ndarray, chunk: int):
-    """(alpha, objective) for the rows of z, evaluated ``chunk`` at a time."""
+def _estimate_rows(z: np.ndarray, table: np.ndarray):
+    """(alpha, objective) for the rows of z, evaluated ``_CHUNK`` at a time."""
     flat = ~np.any(z, axis=1)
     if np.any(flat):
         raise UndefinedAlignmentError(
@@ -118,8 +118,8 @@ def _estimate_rows(z: np.ndarray, table: np.ndarray, chunk: int):
     grid_length = table.shape[1]
     alpha = np.empty(z.shape[0])
     objective = np.empty(z.shape[0])
-    for start in range(0, z.shape[0], chunk):
-        stop = min(start + chunk, z.shape[0])
+    for start in range(0, z.shape[0], _CHUNK):
+        stop = min(start + _CHUNK, z.shape[0])
         values = _objective_grid(z[start:stop], table)
         alpha[start:stop], objective[start:stop] = _refine_peaks(
             values, grid_length
@@ -144,8 +144,7 @@ def _refine_peaks(values: np.ndarray, grid_length: int):
     return alpha, objective
 
 
-def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID,
-                    chunk: int = DEFAULT_CHUNK):
+def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID):
     """Angles maximizing Re sum_k z(k) e^{-ik alpha}, one per row of z.
 
     Parameters
@@ -154,8 +153,6 @@ def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID,
         z(k) values; column l holds frequency l+1.
     grid_length : int
         Grid length T, a power of two with T >= 4*k_max.
-    chunk : int
-        Rows per grid-evaluation batch; no effect on the result.
 
     Returns
     -------
@@ -168,18 +165,17 @@ def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID,
         If all z(k) of some row vanish (flat objective).
     """
     z = np.asarray(z, dtype=np.complex128)
-    return _estimate_rows(z, _grid_table(z.shape[1], grid_length), chunk)
+    return _estimate_rows(z, _grid_table(z.shape[1], grid_length))
 
 
 def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
                     grid_length: int = DEFAULT_GRID,
-                    chunk: int = DEFAULT_CHUNK,
                     workers: int = 1) -> AlignmentTable:
     """Estimate alpha_hat for every (node, neighbor) pair.
 
     Each unordered pair is solved once in canonical orientation i < j; the
     reversed direction is reported as the negated angle with the same
-    objective value.  The pairs are solved in ``chunk``-sized batches on
+    objective value.  The pairs are solved in ``_CHUNK``-sized batches on
     ``workers`` threads; neither changes a result.
 
     Returns
@@ -202,14 +198,13 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     objective_u = np.empty(keys.shape[0])
 
     def run_chunk(start: int) -> None:
-        stop = min(start + chunk, keys.shape[0])
+        stop = min(start + _CHUNK, keys.shape[0])
         z = alignment_sequences(embeddings, lo_u[start:stop],
                                 hi_u[start:stop])
         alpha_u[start:stop], objective_u[start:stop] = _estimate_rows(
-            z, table, chunk
-        )
+            z, table)
 
-    map_workers(run_chunk, range(0, keys.shape[0], chunk), workers)
+    map_workers(run_chunk, range(0, keys.shape[0], _CHUNK), workers)
 
     alpha = np.where(ii <= jj, alpha_u[inverse],
                      wrap_two_pi(-alpha_u[inverse]))

@@ -75,6 +75,11 @@ def _parse_p_list(text: str) -> list:
     for p in values:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p must lie in [0, 1]. Got {p}.")
+    tags = [_p_tag(p) for p in values]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            # The tag names each p's graph file and output directory.
+            raise ConfigError(f"Two --p values share the file tag {tag}.")
     return values
 
 
@@ -245,26 +250,6 @@ def _single_p(p_values) -> float:
     return p_values[0]
 
 
-def cmd_generate(config: ExperimentConfig, p_values) -> None:
-    _run(config, p_values, "generate")
-
-
-def cmd_embed(config: ExperimentConfig, p_values) -> None:
-    _run(config, [_single_p(p_values)], "embed")
-
-
-def cmd_nn(config: ExperimentConfig, p_values) -> None:
-    _run(config, [_single_p(p_values)], "nn")
-
-
-def cmd_align(config: ExperimentConfig, p_values) -> None:
-    _run(config, [_single_p(p_values)], "align")
-
-
-def cmd_pipeline(config: ExperimentConfig, p_values) -> None:
-    _run(config, p_values, "align")
-
-
 def cmd_spectrum(config: ExperimentConfig, p_values) -> None:
     if config.manifold != "sphere":
         raise UnsupportedManifoldError(
@@ -286,13 +271,14 @@ def cmd_spectrum(config: ExperimentConfig, p_values) -> None:
         mio.write_spectral_report(report, out / f"spectrum_k{k}")
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "embed": cmd_embed,
-    "nn": cmd_nn,
-    "align": cmd_align,
-    "pipeline": cmd_pipeline,
-    "spectrum": cmd_spectrum,
+# Each stage command: (the last stage ``_run`` runs, whether it takes a
+# single p).  ``spectrum`` is ``cmd_spectrum``.
+_STAGE_COMMANDS = {
+    "generate": ("generate", False),
+    "embed": ("embed", True),
+    "nn": ("nn", True),
+    "align": ("align", True),
+    "pipeline": ("align", False),
 }
 
 
@@ -333,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "nearest-neighbor search and rotational alignment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in [*_STAGE_COMMANDS, "spectrum"]:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=str, default=None,
                          help="key = value config file")
@@ -364,7 +350,11 @@ def main(argv=None) -> int:
         config = resolve_config(file_values, overrides)
         p_values = (_parse_p_list(args.p) if args.p is not None
                     else [config.p])
-        _COMMANDS[args.command](config, p_values)
+        if args.command == "spectrum":
+            cmd_spectrum(config, p_values)
+        else:
+            last, single = _STAGE_COMMANDS[args.command]
+            _run(config, [_single_p(p_values)] if single else p_values, last)
         return 0
     except (ConfigError, UnsupportedManifoldError) as exc:
         print(f"config error in stage {_CURRENT_STAGE}: {exc}",

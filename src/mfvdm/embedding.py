@@ -37,6 +37,8 @@ _TILE = 8
 # Largest complex product per distance chunk; small enough to stay in cache
 # while it is squared and summed.
 _CHUNK_BYTES = 1 << 21
+# Nodes per ``nn_search`` strip.
+_STRIP_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -247,12 +249,12 @@ class NeighborList:
             raise ParameterError("Distances are not nondecreasing.")
 
 
-def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 256,
+def nn_search(embeddings: EmbeddingSet, kappa: int,
               workers: int = 1) -> NeighborList:
     """Exact kappa-NN under the squared diffusion distance.
 
     The distance is symmetric, so each pair is evaluated once.  Nodes are
-    cut into blocks I of ``block_size``; block I's strip holds its rows
+    cut into blocks I of ``_STRIP_ROWS``; block I's strip holds its rows
     against the columns [start of I, n).  The strip gives each of its rows
     its kappa nearest candidates in those columns, and each later column
     its kappa nearest among the block's nodes.  Every candidate list is
@@ -262,23 +264,20 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 256,
     any worker count and block size.
 
     Memory: each worker holds one strip of b * n doubles at a time, with
-    b = ``block_size``.  While it fills the strip it also holds the chunk
+    b = ``_STRIP_ROWS``.  While it fills the strip it also holds the chunk
     buffers and selects from each chunk (at most 7 MiB together).  Every
     selection goes through ``graph.smallest``, 64 rows at a time: int64
     positions, then a bool tie mask, and for rows tied at the kappa-th
     distance a stably sorted copy, at most 1 KiB per node.  Peak memory
     stays within workers * (8 * b * n + 1024 * n + 7 MiB) bytes, plus the
-    n * kappa result and the candidates of one merge.  At the default
-    b = 256 that is 3 KiB per node and 7 MiB per worker: 38 MB per worker
-    at n = 10000.
+    n * kappa result and the candidates of one merge.  At b = 256 that is
+    3 KiB per node and 7 MiB per worker: 38 MB per worker at n = 10000.
 
     Parameters
     ----------
     embeddings : EmbeddingSet
     kappa : int
         Neighbors per node, 1 <= kappa < n.
-    block_size : int
-        Nodes per strip; no effect on the result.
     workers : int
         Thread count for strip evaluation.
 
@@ -308,7 +307,7 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 256,
                                   kind="stable")[:, :kappa]
 
     def run_strip(start: int) -> None:
-        stop = min(start + block_size, n)
+        stop = min(start + _STRIP_ROWS, n)
         width = stop - start
         strip = np.empty((width, n - start))
         for lo, chunk in embeddings._chunks(np.arange(start, stop), start):
@@ -321,7 +320,7 @@ def nn_search(embeddings: EmbeddingSet, kappa: int, block_size: int = 256,
         strip[np.arange(width), np.arange(width)] = np.inf
         merge(start, strip, smallest(strip, kappa), start)
 
-    map_workers(run_strip, range(0, n, block_size), workers)
+    map_workers(run_strip, range(0, n, _STRIP_ROWS), workers)
     return NeighborList(indices=best.imag.astype(np.int64),
                         distances_sq=best.real.copy())
 

@@ -252,13 +252,16 @@ def read_truth(path):
             raise GraphFileError(f"{path}: header says n {n}, but "
                                  f"{len(rows)} data rows follow.")
         data = np.array([[float(x) for x in line.split()] for line in rows])
+        radii = ([float(x) for x in lines[2].split()[1:]]
+                 if manifold == "torus" else [])
+        if not (np.isfinite(data).all() and np.isfinite(radii).all()):
+            raise GraphFileError(f"{path}: a value is NaN or inf.")
         if manifold == "sphere":
             return SphereTruth(rotations=data.reshape(n, 3, 3))
-        _, big_r, small_r = lines[2].split()
+        big_r, small_r = radii
         return TorusTruth(u=data[:, 0], v=data[:, 1],
-                          frame_angles=data[:, 2],
-                          radius_major=float(big_r),
-                          radius_minor=float(small_r))
+                          frame_angles=data[:, 2], radius_major=big_r,
+                          radius_minor=small_r)
     except (IndexError, ValueError) as exc:
         raise GraphFileError(f"{path}: malformed truth file: {exc}") from exc
 
@@ -352,14 +355,13 @@ def save_bundle(bundle: SpectralBundle, path) -> None:
                  eigenvectors=bundle.eigenvectors)
 
 
-def load_bundle(path, k: int | None = None,
-                shape: tuple | None = None) -> SpectralBundle | None:
+def load_bundle(path, k: int, shape: tuple) -> SpectralBundle | None:
     """Load a cached bundle; None if the file is absent or unreadable.
 
     An unreadable entry (truncated, not an npz, missing arrays) is a cache
     miss, so the caller recomputes the bundle and overwrites it.  So is an
     entry whose stored frequency differs from ``k`` or whose eigenvectors
-    are not of ``shape`` (n, m); a None argument is not checked.
+    are not of ``shape`` (n, m).
     """
     try:
         with open(path, "rb") as handle, np.load(handle) as data:
@@ -368,8 +370,6 @@ def load_bundle(path, k: int | None = None,
                                     eigenvectors=data["eigenvectors"])
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
-    if k is not None and bundle.k != k:
-        return None
-    if shape is not None and bundle.eigenvectors.shape != tuple(shape):
+    if bundle.k != k or bundle.eigenvectors.shape != tuple(shape):
         return None
     return bundle

@@ -21,7 +21,6 @@ __all__ = [
     "SphereTruth",
     "TorusTruth",
     "sample_so3_uniform",
-    "optimal_inplane_angle",
     "sample_torus_uniform",
     "make_truth",
 ]
@@ -65,40 +64,16 @@ def sample_so3_uniform(n: int, seed: int) -> np.ndarray:
     return rotations
 
 
-def optimal_inplane_angle(rot_i: np.ndarray, rot_j: np.ndarray) -> float:
-    """In-plane angle minimizing the distance between two rotations.
-
-    With Q the upper-left 2x2 block of R_i^T R_j, the planar rotation closest
-    to Q in Frobenius norm has angle atan2(Q21 - Q12, Q11 + Q22).
-
-    Parameters
-    ----------
-    rot_i, rot_j : (3, 3) ndarray
-        Rotation matrices.
-
-    Returns
-    -------
-    alpha : float
-        Alignment angle in [0, 2*pi); antisymmetric under argument swap.
-
-    Raises
-    ------
-    DegenerateAlignmentError
-        If both atan2 arguments vanish (antipodal viewing directions).
-    """
-    q = rot_i.T @ rot_j
-    num = q[1, 0] - q[0, 1]
-    den = q[0, 0] + q[1, 1]
-    if num == 0.0 and den == 0.0:
-        raise DegenerateAlignmentError(
-            "In-plane alignment is undefined for antipodal viewing directions."
-        )
-    return wrap_two_pi(np.arctan2(num, den))
-
-
 def _inplane_angles(rotations: np.ndarray, ii: np.ndarray,
                     jj: np.ndarray) -> np.ndarray:
-    """Vectorized optimal_inplane_angle over index arrays ii, jj."""
+    """In-plane angles minimizing the distance between R_i and R_j, for
+    index arrays ii, jj.
+
+    With Q the upper-left 2x2 block of R_i^T R_j, the planar rotation closest
+    to Q in Frobenius norm has angle atan2(Q21 - Q12, Q11 + Q22).  Both
+    arguments vanish for antipodal viewing directions, where the alignment
+    is undefined.
+    """
     a_i = rotations[ii, :, 0]
     b_i = rotations[ii, :, 1]
     a_j = rotations[jj, :, 0]
@@ -135,20 +110,11 @@ class SphereTruth:
     def n(self) -> int:
         return self.rotations.shape[0]
 
-    def pair_angle(self, i: int, j: int) -> float:
-        """True alignment alpha_ij for a single pair."""
-        return optimal_inplane_angle(self.rotations[i], self.rotations[j])
-
     def pair_angles(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """True alignments for index arrays, vectorized."""
         ii = np.asarray(ii, dtype=np.int64)
         jj = np.asarray(jj, dtype=np.int64)
         return _inplane_angles(self.rotations, ii, jj)
-
-    def geodesic(self, i: int, j: int) -> float:
-        """Great-circle angle between viewing directions i and j."""
-        dot = float(self.views[i] @ self.views[j])
-        return float(np.arccos(np.clip(dot, -1.0, 1.0)))
 
     def geodesics(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         dots = np.sum(self.views[ii] * self.views[jj], axis=1)
@@ -200,18 +166,8 @@ class TorusTruth:
     def n(self) -> int:
         return self.u.shape[0]
 
-    def pair_angle(self, i: int, j: int) -> float:
-        """True alignment alpha_ij = alpha_i - alpha_j."""
-        return wrap_two_pi(self.frame_angles[i] - self.frame_angles[j])
-
     def pair_angles(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         return wrap_two_pi(self.frame_angles[ii] - self.frame_angles[jj])
-
-    def geodesic(self, i: int, j: int) -> float:
-        """Weighted flat-torus distance sqrt(r^2 du^2 + R^2 dv^2), wrapped."""
-        du = wrap_pi(self.u[i] - self.u[j])
-        dv = wrap_pi(self.v[i] - self.v[j])
-        return float(np.hypot(self.radius_minor * du, self.radius_major * dv))
 
     def geodesics(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         du = wrap_pi(self.u[ii] - self.u[jj])

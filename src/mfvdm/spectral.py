@@ -22,9 +22,13 @@ from mfvdm.rng import substream
 __all__ = ["SpectralBundle", "gauge_fix", "top_eigenpairs",
            "DENSE_THRESHOLD"]
 
+# Matrices of at most this many nodes go to the dense solver.
 DENSE_THRESHOLD = 2000
 # Residual tolerance ||A u - lambda u|| for every pair the sparse path returns.
 _TOL = 1e-8
+# Cap on ARPACK's implicit restarts (eigsh's ``maxiter``); None is ARPACK's
+# own cap of 10 * n.
+_MAX_ITERS = None
 # Seed of the ARPACK start vector; fixed, so repeated runs agree bitwise.
 _SEED = 0
 
@@ -74,8 +78,7 @@ def _residuals(matrix: SparseHermitian, values: np.ndarray,
     return np.linalg.norm(matrix.matvec(vectors) - vectors * values, axis=0)
 
 
-def _sparse_top(matrix: SparseHermitian, m: int,
-                max_iters: int | None) -> SpectralBundle:
+def _sparse_top(matrix: SparseHermitian, m: int) -> SpectralBundle:
     # Loaded on first use, like scipy.sparse in SparseHermitian.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -87,7 +90,7 @@ def _sparse_top(matrix: SparseHermitian, m: int,
     op = LinearOperator((n, n), matvec=matrix.matvec, dtype=np.complex128)
     try:
         vals, vecs = eigsh(op, k=m, which="LA", v0=v0, tol=_TOL,
-                           maxiter=max_iters)
+                           maxiter=_MAX_ITERS)
     except ArpackNoConvergence as exc:
         resid = np.full(m, np.inf)
         resid[:exc.eigenvalues.size] = _residuals(
@@ -108,22 +111,17 @@ def _sparse_top(matrix: SparseHermitian, m: int,
                           eigenvectors=gauge_fix(vecs))
 
 
-def top_eigenpairs(matrix: SparseHermitian, m: int,
-                   dense_threshold: int = DENSE_THRESHOLD,
-                   max_iters: int | None = None) -> SpectralBundle:
+def top_eigenpairs(matrix: SparseHermitian, m: int) -> SpectralBundle:
     """Compute the m algebraically largest eigenpairs of a Hermitian matrix.
+
+    The dense solver takes n <= ``DENSE_THRESHOLD`` and m >= n - 1; ARPACK
+    takes the rest.
 
     Parameters
     ----------
     matrix : SparseHermitian
     m : int
         Number of eigenpairs, 1 <= m <= n.
-    dense_threshold : int
-        Use the dense solver when n is at or below this size.
-        The sparse path also needs m < n - 1; larger m goes dense.
-    max_iters : int, optional
-        Cap on ARPACK's implicit restarts (eigsh's ``maxiter``); defaults
-        to ARPACK's own cap of 10 * n.
 
     Returns
     -------
@@ -142,6 +140,6 @@ def top_eigenpairs(matrix: SparseHermitian, m: int,
     if not 1 <= m <= matrix.n:
         raise ParameterError(f"m must satisfy 1 <= m <= n={matrix.n}. "
                              f"Got {m}.")
-    if matrix.n <= dense_threshold or m >= matrix.n - 1:
+    if matrix.n <= DENSE_THRESHOLD or m >= matrix.n - 1:
         return _dense_top(matrix, m)
-    return _sparse_top(matrix, m, max_iters)
+    return _sparse_top(matrix, m)

@@ -6,6 +6,7 @@ without calling the batched code it referees.
 
 import numpy as np
 
+from mfvdm.angles import wrap_two_pi
 from mfvdm.errors import MfvdmError
 
 
@@ -87,3 +88,12 @@ def torus_positions(truth) -> np.ndarray:
     ring = truth.radius_major + truth.radius_minor * np.cos(truth.u)
     return np.stack([ring * np.cos(truth.v), ring * np.sin(truth.v),
                      truth.radius_minor * np.sin(truth.u)], axis=1)
+
+
+def inplane_angle(rot_i, rot_j) -> float:
+    """In-plane angle of the planar rotation closest, in Frobenius norm, to
+    the upper-left 2x2 block Q of R_i^T R_j: atan2(Q21 - Q12, Q11 + Q22),
+    in [0, 2*pi)."""
+    q = rot_i.T @ rot_j
+    return float(wrap_two_pi(np.arctan2(q[1, 0] - q[0, 1],
+                                        q[0, 0] + q[1, 1])))

@@ -1,6 +1,5 @@
 """Command-line interface: artifacts, determinism, caching, exit codes."""
 
-import functools
 import gc
 import hashlib
 import json
@@ -17,10 +16,11 @@ import pytest
 
 from mfvdm import cli
 from mfvdm import io as mio
+from mfvdm import spectral
 from mfvdm.config import load_config_file
 from mfvdm.errors import ConvergenceError
 from mfvdm.io import read_graph
-from mfvdm.spectral import DENSE_THRESHOLD, top_eigenpairs
+from mfvdm.spectral import DENSE_THRESHOLD
 
 
 def _run(*argv):
@@ -334,7 +334,7 @@ class TestCache:
         bundle.write_bytes(whole[:len(whole) // 2])
         assert _run(*args, "--out", str(out)) == 0
         assert _tree_digest(out) == _tree_digest(clean)
-        assert load_bundle(bundle) is not None
+        assert load_bundle(bundle, k=1, shape=(250, 10)) is not None
         assert sorted(p.name for p in (out / "cache").iterdir()) == sorted(
             p.name for p in (clean / "cache").iterdir())
 
@@ -349,10 +349,11 @@ class TestCache:
         (k1,) = (out / "cache").glob("bundle_*_k1_*.npz")
         (k2,) = (out / "cache").glob("bundle_*_k2_*.npz")
         k1.write_bytes(k2.read_bytes())
-        assert load_bundle(k1).k == 2
+        assert load_bundle(k1, k=1, shape=(250, 10)) is None
+        assert load_bundle(k1, k=2, shape=(250, 10)) is not None
         assert _run(*args, "--out", str(out)) == 0
         assert _tree_digest(out) == _tree_digest(clean)
-        assert load_bundle(k1).k == 1
+        assert load_bundle(k1, k=1, shape=(250, 10)) is not None
 
 
 class TestCrashSafety:
@@ -501,20 +502,39 @@ class TestExitCodes:
         assert _run("generate", "--config", str(config), "--n", "200",
                     "--out", str(tmp_path / "out")) == 1
 
-    def test_io_error_is_two(self, tmp_path):
+    def test_io_error_is_two(self, tmp_path, capsys):
         assert _run("nn", "--graph", str(tmp_path / "missing.txt"),
                     "--p", "1", "--out", str(tmp_path / "out"),
                     "--kappa", "5", "--kmax", "2", "--n", "50",
                     "--kappa-build", "5", "--mk", "5", "--tfft", "64") == 2
-        # A truth file with fewer rows than its header's n.
-        out = tmp_path / "short"
-        args = ("generate", "--manifold", "torus", "--n", "50",
-                "--kappa-build", "4", "--kappa", "5", "--p", "1",
-                "--out", str(out))
-        assert _run(*args) == 0
-        truth = out / "truth.txt"
-        truth.write_text("".join(truth.read_text().splitlines(True)[:-10]))
-        assert _run(*args) == 2
+        # A truth file with fewer rows than its header's n, or with a NaN
+        # in a data row (the graph is rebuilt from it, so a NaN that got
+        # through would surface as a numerical error instead).
+        for damage in ("short", "nan"):
+            out = tmp_path / damage
+            args = ("generate", "--manifold", "torus", "--n", "50",
+                    "--kappa-build", "4", "--kappa", "5", "--p", "1",
+                    "--out", str(out))
+            assert _run(*args) == 0
+            truth = out / "truth.txt"
+            lines = truth.read_text().splitlines(True)
+            if damage == "short":
+                lines = lines[:-10]
+            else:
+                lines[3] = "nan 1.0 2.0\n"
+                (out / "graph_clean.txt").unlink()
+            truth.write_text("".join(lines))
+            capsys.readouterr()
+            assert _run(*args) == 2
+            assert str(truth) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["0.1234567,0.1234568", "0.4,0.4"])
+    def test_p_values_sharing_a_file_tag_are_a_config_error(self, tmp_path,
+                                                            p):
+        out = tmp_path / "out"
+        assert _run("generate", "--n", "200", "--kappa-build", "8",
+                    "--p", p, "--out", str(out)) == 1
+        assert not out.exists()
 
     def test_numerical_error_is_three(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -528,8 +548,8 @@ class TestExitCodes:
 
     def test_arpack_failure_names_its_frequency_once(self, tmp_path,
                                                       monkeypatch, capsys):
-        monkeypatch.setattr(cli, "top_eigenpairs", functools.partial(
-            top_eigenpairs, dense_threshold=0, max_iters=1))
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
+        monkeypatch.setattr(spectral, "_MAX_ITERS", 1)
         code = _run("embed", "--manifold", "torus", "--n", "60",
                     "--kappa-build", "4", "--kmax", "2", "--mk", "5",
                     "--p", "1", "--out", str(tmp_path / "out"),
@@ -588,15 +608,16 @@ import numpy as np
 from mfvdm.connection import build_sk
 from mfvdm.graph import AlignmentGraph
 from mfvdm.parallel import map_workers
+from mfvdm import spectral
 from mfvdm.spectral import top_eigenpairs
 assert "scipy" not in sys.modules
+spectral.DENSE_THRESHOLD = 10
 n = 40
 rows = np.arange(n)
 graph = AlignmentGraph.from_edges(n=n, rows=np.minimum(rows, (rows + 1) % n),
                                   cols=np.maximum(rows, (rows + 1) % n),
                                   weights=np.ones(n), angles=np.zeros(n))
-map_workers(lambda k: top_eigenpairs(build_sk(graph, k), 4,
-                                     dense_threshold=10), [1, 2], 2)
+map_workers(lambda k: top_eigenpairs(build_sk(graph, k), 4), [1, 2], 2)
 assert "scipy.sparse.linalg" in sys.modules
 import scipy
 counts = []

@@ -233,7 +233,7 @@ class TestNNSearch:
         assert got.indices[0, 0] == 2
         assert got.distances_sq[0, 0] == 0.0
 
-    def test_quantized_ties_match_stable_sort_oracle(self):
+    def test_quantized_ties_match_stable_sort_oracle(self, monkeypatch):
         # Binary features repeat rows and distances, so exact ties sit
         # inside the top kappa and, for some kappa, straddle its boundary.
         rng = np.random.default_rng(8)
@@ -250,27 +250,31 @@ class TestNNSearch:
             straddled += np.count_nonzero(
                 np.count_nonzero(dist <= kth[:, None], axis=1) > kappa)
             for block_size, workers in ((512, 1), (7, 1), (7, 3), (1, 2)):
-                got = nn_search(emb, kappa, block_size=block_size,
-                                workers=workers)
+                monkeypatch.setattr(embedding, "_STRIP_ROWS", block_size)
+                got = nn_search(emb, kappa, workers=workers)
                 assert np.array_equal(got.indices, order[:, :kappa])
                 assert np.array_equal(
                     got.distances_sq,
                     np.take_along_axis(dist, order[:, :kappa], axis=1))
         assert straddled > 100
 
-    def test_worker_count_bitwise_invariant(self, small_instance):
+    def test_worker_count_bitwise_invariant(self, small_instance,
+                                            monkeypatch):
         _, bundles = small_instance
         emb = build_embedding_set(build_features(b, 1) for b in bundles)
-        a = nn_search(emb, kappa=7, block_size=16, workers=1)
-        b = nn_search(emb, kappa=7, block_size=16, workers=4)
+        monkeypatch.setattr(embedding, "_STRIP_ROWS", 16)
+        a = nn_search(emb, kappa=7, workers=1)
+        b = nn_search(emb, kappa=7, workers=4)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.distances_sq, b.distances_sq)
 
-    def test_block_size_invariant(self, small_instance):
+    def test_block_size_invariant(self, small_instance, monkeypatch):
         _, bundles = small_instance
         emb = build_embedding_set(build_features(b, 1) for b in bundles)
-        a = nn_search(emb, kappa=7, block_size=11)
-        b = nn_search(emb, kappa=7, block_size=512)
+        monkeypatch.setattr(embedding, "_STRIP_ROWS", 11)
+        a = nn_search(emb, kappa=7)
+        monkeypatch.setattr(embedding, "_STRIP_ROWS", 512)
+        b = nn_search(emb, kappa=7)
         assert np.array_equal(a.indices, b.indices)
         assert np.abs(a.distances_sq - b.distances_sq).max() < 1e-12
 
@@ -282,10 +286,11 @@ class TestNNSearch:
         (50, 30),  # last strip of width 10
     ])
     def test_strips_match_brute_force(self, small_instance, block_size,
-                                      kappa, workers):
+                                      kappa, workers, monkeypatch):
         _, bundles = small_instance
         emb = build_embedding_set(build_features(b, 1) for b in bundles)
-        got = nn_search(emb, kappa, block_size=block_size, workers=workers)
+        monkeypatch.setattr(embedding, "_STRIP_ROWS", block_size)
+        got = nn_search(emb, kappa, workers=workers)
         got.validate()
         order, dist = _stable_sort_oracle(emb, kappa)
         assert np.array_equal(got.indices, order)
@@ -293,12 +298,13 @@ class TestNNSearch:
 
     @pytest.mark.parametrize("ks,mode", [((1, 2, 3), "squared"),
                                          ((0,), "linear")])
-    def test_tilings_are_bitwise_identical(self, ks, mode):
+    def test_tilings_are_bitwise_identical(self, ks, mode, monkeypatch):
         # 203 nodes, not a multiple of 4 or 8: BLAS tail kernels would show.
         emb = _random_embedding(203, ks=ks, mode=mode)
         order, dist = _stable_sort_oracle(emb, 11)
         for block_size, workers in ((512, 1), (7, 1), (7, 3), (1, 2)):
-            got = nn_search(emb, 11, block_size=block_size, workers=workers)
+            monkeypatch.setattr(embedding, "_STRIP_ROWS", block_size)
+            got = nn_search(emb, 11, workers=workers)
             assert np.array_equal(got.indices, order)
             assert np.array_equal(got.distances_sq, dist)
 
@@ -315,16 +321,17 @@ class TestNNSearch:
         rows = np.array([5, 0, n - 1, 5, 33])
         assert np.array_equal(emb.distance_sq_block(rows), d2[rows])
 
-    def test_merges_survive_thread_switches(self):
+    def test_merges_survive_thread_switches(self, monkeypatch):
         # Many strips, more workers than cores and a tiny switch interval,
         # so merges into the shared running lists interleave; a lost
         # update would leave some node off the oracle's list.
         emb = _random_embedding(203)
         order, dist = _stable_sort_oracle(emb, 11)
+        monkeypatch.setattr(embedding, "_STRIP_ROWS", 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = nn_search(emb, 11, block_size=3, workers=8)
+            got = nn_search(emb, 11, workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got.indices, order)
@@ -336,7 +343,8 @@ class TestNNSearch:
         # Chunks of two or three rows; none may be a single row.
         monkeypatch.setattr(embedding, "_CHUNK_BYTES", 16)
         assert np.array_equal(emb.distance_sq_block(np.arange(203)), want)
-        got = nn_search(emb, 11, block_size=7, workers=2)
+        monkeypatch.setattr(embedding, "_STRIP_ROWS", 7)
+        got = nn_search(emb, 11, workers=2)
         order, dist = _stable_sort_oracle(emb, 11)
         assert np.array_equal(got.indices, order)
         assert np.array_equal(got.distances_sq, dist)
@@ -364,11 +372,11 @@ class TestNNSearch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_within_strip_budget(self, workers):
-        n, kappa, block_size = 1500, 10, 256
+        n, kappa, block_size = 1500, 10, embedding._STRIP_ROWS
         emb = _random_embedding(n, ks=range(1, 6), m=8)
         tracemalloc.start()
         try:
-            nn_search(emb, kappa, block_size=block_size, workers=workers)
+            nn_search(emb, kappa, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfvdm import embedding
 from mfvdm import graph as mgraph
 from mfvdm.angles import TWO_PI, wrap_pi
 from mfvdm.embedding import EmbeddingSet, FrequencyFeatures, nn_search
 from mfvdm.errors import BadEdgeError, ParameterError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph, rewire_graph
 from mfvdm.io import graph_hash
-from mfvdm.sampling import TorusTruth, make_truth, optimal_inplane_angle
+from mfvdm.sampling import TorusTruth, make_truth
+from oracles import inplane_angle
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +44,8 @@ class TestBuild:
         for e in range(small_graph.edge_count):
             i = int(small_graph.rows[e])
             j = int(small_graph.cols[e])
-            want = optimal_inplane_angle(small_truth.rotations[i],
-                                         small_truth.rotations[j])
+            want = inplane_angle(small_truth.rotations[i],
+                                 small_truth.rotations[j])
             assert abs(wrap_pi(small_graph.angles[e] - want)) < 1e-10
 
     def test_unit_weights(self, small_graph):
@@ -86,9 +88,10 @@ class TestBuild:
                 FrequencyFeatures(k=k, phi=1.0 + rng.integers(0, 2, (120, 3))
                                   + 1j * rng.integers(0, 2, (120, 3)))
                 for k in (1, 2)))
+            monkeypatch.setattr(embedding, "_STRIP_ROWS", 32)
 
             def result():
-                got = nn_search(emb, kappa=12, block_size=32)
+                got = nn_search(emb, kappa=12)
                 return got.indices.tobytes() + got.distances_sq.tobytes()
         else:
             truth = make_truth(case, 700, seed=3)

@@ -1,5 +1,6 @@
 """File formats: round-trips, strict parsing, cache behavior."""
 
+import re
 import sys
 import tracemalloc
 import warnings
@@ -250,6 +251,22 @@ class TestTruthFormat:
         with pytest.raises(GraphFileError, match="header says n 50"):
             read_truth(path)
 
+    @pytest.mark.parametrize("manifold,line", [
+        ("sphere", -5), ("torus", -5), ("torus", 2),
+    ], ids=["sphere-row", "torus-row", "torus-radii"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_values(self, tmp_path, manifold, line,
+                                       value):
+        path = tmp_path / "t.txt"
+        write_truth(make_truth(manifold, 20, seed=1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        words = lines[line].split()
+        words[1] = value
+        lines[line] = " ".join(words) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(GraphFileError, match=re.escape(str(path))):
+            read_truth(path)
+
 
 class TestCsvFormats:
     def test_nn_csv_layout(self, tmp_path):
@@ -492,13 +509,13 @@ class TestBundleCache:
                                 eigenvectors=vecs)
         path = tmp_path / "bundle.npz"
         save_bundle(bundle, path)
-        back = load_bundle(path)
+        back = load_bundle(path, k=3, shape=(20, 5))
         assert back.k == 3
         assert np.array_equal(back.eigenvalues, bundle.eigenvalues)
         assert np.array_equal(back.eigenvectors, bundle.eigenvectors)
 
     def test_load_absent_returns_none(self, tmp_path):
-        assert load_bundle(tmp_path / "nope.npz") is None
+        assert load_bundle(tmp_path / "nope.npz", k=1, shape=(2, 2)) is None
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage",
                                         "missing_array"])
@@ -516,7 +533,7 @@ class TestBundleCache:
             path.write_bytes(b"not an npz archive\n" * 10)
         else:
             np.savez(path, k=1, eigenvalues=bundle.eigenvalues)
-        assert load_bundle(path) is None
+        assert load_bundle(path, k=1, shape=(2, 2)) is None
 
     @pytest.mark.parametrize("wanted", [
         {"k": 2}, {"shape": (20, 4)}, {"shape": (19, 5)},
@@ -527,6 +544,7 @@ class TestBundleCache:
                                 eigenvectors=np.ones((20, 5), dtype=complex))
         path = tmp_path / "bundle.npz"
         save_bundle(bundle, path)
+        wanted = {"k": 3, "shape": (20, 5), **wanted}
         assert load_bundle(path, **wanted) is None
         assert load_bundle(path, k=3, shape=(20, 5)) is not None
 
@@ -547,7 +565,7 @@ class TestBundleCache:
                     bundles, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        back = load_bundle(path)
+        back = load_bundle(path, k=2, shape=(400, 8))
         assert any(np.array_equal(back.eigenvectors, b.eigenvectors)
                    for b in bundles)
         assert [p.name for p in tmp_path.iterdir()] == ["bundle.npz"]

@@ -1,4 +1,5 @@
-"""The package exports exactly the names README's "Python API" lists."""
+"""README's Python sections hold: the quick start runs as written, and the
+package exports exactly the names the "Python API" section lists."""
 
 import importlib
 import re
@@ -31,3 +32,12 @@ def test_each_documented_name_imports_from_its_module():
         source = importlib.import_module(f"mfvdm.{module}")
         for name in names:
             assert getattr(mfvdm, name) is getattr(source, name), name
+
+
+def test_python_quick_start_runs():
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text,
+                          flags=re.MULTILINE | re.DOTALL)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["table"].alpha_hat.size == 3000 * 30

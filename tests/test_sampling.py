@@ -9,11 +9,10 @@ from mfvdm.sampling import (
     SphereTruth,
     TorusTruth,
     make_truth,
-    optimal_inplane_angle,
     sample_so3_uniform,
     sample_torus_uniform,
 )
-from oracles import torus_positions
+from oracles import inplane_angle, torus_positions
 
 
 def _rot_z(a):
@@ -24,6 +23,12 @@ def _rot_z(a):
 def _rot_x(a):
     c, s = np.cos(a), np.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _angle(rot_i, rot_j):
+    """In-plane angle of one rotation pair, through SphereTruth.pair_angles."""
+    return SphereTruth(rotations=np.stack([rot_i, rot_j])).pair_angles(
+        [0], [1])[0]
 
 
 class TestRotations:
@@ -59,7 +64,7 @@ class TestInplaneAngle:
             base = sample_so3_uniform(1, seed=int(rng.integers(1 << 30)))[0]
             alpha = float(rng.uniform(0, TWO_PI))
             # R_i Rot_z(alpha) == R_j exactly, so the optimum is alpha.
-            a_hat = optimal_inplane_angle(base, base @ _rot_z(alpha))
+            a_hat = _angle(base, base @ _rot_z(alpha))
             assert abs(wrap_pi(a_hat - alpha)) < 1e-10
 
     def test_matches_grid_search_oracle(self):
@@ -73,31 +78,28 @@ class TestInplaneAngle:
             c = q[0, 0] + q[1, 1]
             s = q[1, 0] - q[0, 1]
             best = grid[np.argmax(c * cos_g + s * sin_g)]
-            a_hat = optimal_inplane_angle(ri, rj)
+            a_hat = _angle(ri, rj)
             assert abs(wrap_pi(a_hat - best)) < TWO_PI / 100_000 + 1e-9
 
     def test_antisymmetry(self):
         ri, rj = sample_so3_uniform(2, seed=77)
-        fwd = optimal_inplane_angle(ri, rj)
-        rev = optimal_inplane_angle(rj, ri)
+        fwd = _angle(ri, rj)
+        rev = _angle(rj, ri)
         assert abs(wrap_pi(fwd + rev)) < 1e-12
 
     def test_degenerate_opposite_views(self):
         ri = np.eye(3)
         rj = np.diag([1.0, -1.0, -1.0])
         with pytest.raises(DegenerateAlignmentError):
-            optimal_inplane_angle(ri, rj)
+            _angle(ri, rj)
 
     def test_pairwise_table_matches_scalar(self):
         truth = make_truth("sphere", 12, seed=3)
-        for i in range(12):
-            for j in range(12):
-                if i == j:
-                    continue
-                got = truth.pair_angle(i, j)
-                want = optimal_inplane_angle(truth.rotations[i],
-                                            truth.rotations[j])
-                assert abs(wrap_pi(got - want)) < 1e-10
+        ii, jj = np.nonzero(~np.eye(12, dtype=bool))
+        got = truth.pair_angles(ii, jj)
+        for i, j, angle in zip(ii, jj, got):
+            want = inplane_angle(truth.rotations[i], truth.rotations[j])
+            assert abs(wrap_pi(angle - want)) < 1e-10
 
 
 class TestTorus:
@@ -130,7 +132,7 @@ class TestTorus:
         truth = sample_torus_uniform(30, 1.0, 0.2, seed=6)
         i, j = 4, 17
         want = truth.frame_angles[i] - truth.frame_angles[j]
-        assert abs(wrap_pi(truth.pair_angle(i, j) - want)) < 1e-12
+        assert abs(wrap_pi(truth.pair_angles([i], [j])[0] - want)) < 1e-12
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ParameterError):
@@ -146,19 +148,20 @@ class TestGeodesics:
         for _ in range(50):
             i, j = rng.integers(0, 40, 2)
             dot = np.clip(truth.views[i] @ truth.views[j], -1.0, 1.0)
-            assert abs(truth.geodesic(i, j)
+            assert abs(truth.geodesics([i], [j])[0]
                        - np.arccos(dot)) < 1e-12
 
     def test_self_distance_zero(self):
         truth = make_truth("sphere", 5, seed=2)
-        assert truth.geodesic(3, 3) == 0.0
+        assert truth.geodesics([3], [3])[0] == 0.0
 
     def test_block_matches_scalar(self):
         truth = make_truth("torus", 25, seed=4)
         block = truth.geodesic_block(np.arange(10))
         for a in range(10):
             for b in range(25):
-                assert abs(block[a, b] - truth.geodesic(a, b)) < 1e-12
+                assert abs(block[a, b]
+                           - truth.geodesics([a], [b])[0]) < 1e-12
 
     def test_torus_flat_metric(self):
         truth = sample_torus_uniform(10, 1.0, 0.2, seed=8)
@@ -166,7 +169,7 @@ class TestGeodesics:
         du = wrap_pi(truth.u[i] - truth.u[j])
         dv = wrap_pi(truth.v[i] - truth.v[j])
         want = np.hypot(0.2 * du, 1.0 * dv)
-        assert abs(truth.geodesic(i, j) - want) < 1e-12
+        assert abs(truth.geodesics([i], [j])[0] - want) < 1e-12
 
     def test_max_geodesic(self):
         sphere = make_truth("sphere", 4, seed=0)

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from mfvdm import spectral
 from mfvdm.connection import build_sk
 from mfvdm.errors import ConvergenceError, MfvdmError, ParameterError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph
 from mfvdm.sampling import make_truth
 from mfvdm.spectral import SpectralBundle, gauge_fix, top_eigenpairs
 from oracles import verify
+
+
+@pytest.fixture
+def sparse(monkeypatch):
+    """Send every matrix with m < n - 1 to ARPACK."""
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +45,10 @@ def test_dense_path_matches_full_eigh(medium_sk):
     verify(bundle, medium_sk, tol=1e-10)
 
 
-def test_sparse_path_matches_dense_path(medium_sk):
+def test_sparse_path_matches_dense_path(medium_sk, monkeypatch):
     dense = top_eigenpairs(medium_sk, m=15)
-    sparse = top_eigenpairs(medium_sk, m=15, dense_threshold=0)
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
+    sparse = top_eigenpairs(medium_sk, m=15)
     assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9
     verify(sparse, medium_sk, tol=1e-8)
 
@@ -55,10 +63,10 @@ def test_sparse_path_matches_dense_oracle_above_threshold():
     verify(bundle, sk, tol=1e-8)
 
 
-def test_breakdown_restart_recovers_multiplicities():
+def test_breakdown_restart_recovers_multiplicities(sparse):
     # Four disjoint unit edges: spectrum {+1 (x4), -1 (x4)}.  m = n asks
     # for more pairs than ARPACK can return (it needs m < n - 1), so even
-    # with dense_threshold=0 this goes through the dense path, which must
+    # with DENSE_THRESHOLD = 0 this goes through the dense path, which must
     # recover both four-fold eigenvalues.
     graph = AlignmentGraph.from_edges(
         n=8,
@@ -68,7 +76,7 @@ def test_breakdown_restart_recovers_multiplicities():
         angles=np.zeros(4),
     )
     sk = build_sk(graph, 0)
-    bundle = top_eigenpairs(sk, m=8, dense_threshold=0)
+    bundle = top_eigenpairs(sk, m=8)
     want = np.array([1.0] * 4 + [-1.0] * 4)
     assert np.abs(bundle.eigenvalues - want).max() < 1e-10
     verify(bundle, sk, tol=1e-8)
@@ -92,7 +100,7 @@ def _ring_top(n, m):
 def test_ring_keeps_every_double_eigenvalue():
     # Every eigenvalue but 1 (and -1) of a ring is double.  ARPACK returns
     # each double pair once at this size (max deviation 0.38 with
-    # dense_threshold=0); the default path must not.
+    # DENSE_THRESHOLD = 0); the default path must not.
     bundle = top_eigenpairs(_ring_sk(50), m=10)
     assert np.abs(bundle.eigenvalues - _ring_top(50, 10)).max() < 1e-12
 
@@ -105,22 +113,26 @@ def test_sparse_path_keeps_every_double_eigenvalue():
     assert np.abs(bundle.eigenvalues - _ring_top(2100, 6)).max() < 1e-8
 
 
-def test_convergence_error_carries_residuals(medium_sk):
-    """max_iters caps ARPACK's implicit restarts, not matvecs; one restart
+def test_convergence_error_carries_residuals(medium_sk, sparse,
+                                            monkeypatch):
+    """_MAX_ITERS caps ARPACK's implicit restarts, not matvecs; one restart
     is too few for this fixture, so the solve must fail and report one
     residual per requested pair (inf where no pair came back)."""
+    monkeypatch.setattr(spectral, "_MAX_ITERS", 1)
     with pytest.raises(ConvergenceError) as err:
-        top_eigenpairs(medium_sk, m=10, dense_threshold=0, max_iters=1)
+        top_eigenpairs(medium_sk, m=10)
     assert err.value.residuals is not None
     assert err.value.residuals.shape == (10,)
     assert np.max(err.value.residuals) > 1e-8
 
 
-def test_convergence_error_keeps_partial_pairs_residuals(medium_sk):
+def test_convergence_error_keeps_partial_pairs_residuals(medium_sk, sparse,
+                                                        monkeypatch):
     # Five restarts converge some but not all ten pairs on this fixture:
     # the converged ones report explicit residuals, the rest inf.
+    monkeypatch.setattr(spectral, "_MAX_ITERS", 5)
     with pytest.raises(ConvergenceError) as err:
-        top_eigenpairs(medium_sk, m=10, dense_threshold=0, max_iters=5)
+        top_eigenpairs(medium_sk, m=10)
     resid = err.value.residuals
     finite = np.isfinite(resid)
     assert resid.shape == (10,)
@@ -135,9 +147,9 @@ def test_rejects_bad_m(medium_sk):
         top_eigenpairs(medium_sk, m=201)
 
 
-def test_deterministic_across_runs(medium_sk):
-    a = top_eigenpairs(medium_sk, m=12, dense_threshold=0)
-    b = top_eigenpairs(medium_sk, m=12, dense_threshold=0)
+def test_deterministic_across_runs(medium_sk, sparse):
+    a = top_eigenpairs(medium_sk, m=12)
+    b = top_eigenpairs(medium_sk, m=12)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
