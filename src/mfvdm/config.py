@@ -8,6 +8,7 @@ report so outputs are self-describing.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -92,9 +93,10 @@ class ExperimentConfig:
                                   f"{_BASELINES}.")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1. Got {self.workers}.")
-        if not self.radius_major > self.radius_minor > 0.0:
-            raise ConfigError("Torus radii must satisfy R > r > 0. Got "
-                              f"R={self.radius_major}, "
+        if not (math.isfinite(self.radius_major)
+                and self.radius_major > self.radius_minor > 0.0):
+            raise ConfigError("Torus radii must be finite with R > r > 0. "
+                              f"Got R={self.radius_major}, "
                               f"r={self.radius_minor}.")
         if not self.spectrum_ks or any(k < 1 for k in self.spectrum_ks):
             raise ConfigError(f"spectrum_ks must be one or more k >= 1. "

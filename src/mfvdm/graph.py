@@ -252,10 +252,16 @@ def rewire_graph(graph: AlignmentGraph, p: float, seed: int,
     """Random rewiring noise: keep each edge with probability p, else relink.
 
     A removed edge (i, j) with i < j is replaced by an edge from i to a
-    vertex drawn uniformly among vertices not currently connected to i, with
-    a fresh angle uniform on [0, 2*pi) and the removed edge's weight.  Nodes
-    left isolated afterwards receive one forced uniform link so the output
-    is always a valid AlignmentGraph.
+    vertex j' drawn uniformly, with the removed edge's weight.  Partners are
+    drawn in rounds: each round draws one j' for every removed edge still
+    pending, in edge order, and accepts it if j' != i, {i, j'} is not
+    already an edge, and no earlier edge of the same round took that pair;
+    rejected edges draw again in the next round.  An edge whose node i is
+    already linked to all n - 1 other nodes at the start of a round is
+    skipped.  Nodes left isolated then receive one forced link each, drawn
+    by the same rounds, with weight 1, so the output is always a valid
+    AlignmentGraph.  Every added edge gets a fresh angle uniform on
+    [0, 2*pi).
 
     Parameters
     ----------
@@ -277,56 +283,65 @@ def rewire_graph(graph: AlignmentGraph, p: float, seed: int,
     rng = substream(seed, "rewire")
     n = graph.n
     keep = rng.random(graph.edge_count) < p
+    rows, cols = graph.rows[keep], graph.cols[keep]
+    # Sorted keys lo*n + hi of the edges so far, ending in the sentinel n*n.
+    keys = np.append(rows * n + cols, n * n)
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
 
-    adj: list = [set() for _ in range(n)]
-    for r, c in zip(graph.rows[keep].tolist(), graph.cols[keep].tolist()):
-        adj[r].add(c)
-        adj[c].add(r)
-
-    # rows, cols, weights and angles of the added edges, as drawn: i -> j
-    added: tuple = ([], [], [], [])
-
-    def draw_partner(i: int) -> int:
-        while True:
-            j = int(rng.integers(0, n))
-            if j != i and j not in adj[i]:
-                return j
-
-    def add_edge(i: int, j: int, weight: float, alpha: float) -> None:
-        adj[i].add(j)
-        adj[j].add(i)
-        for column, value in zip(added, (i, j, weight, alpha)):
-            column.append(value)
-
-    skipped = 0
     removed = np.flatnonzero(~keep)
-    for e in removed.tolist():
-        i = int(graph.rows[e])
-        if len(adj[i]) >= n - 1:
-            skipped += 1
-            continue
-        j = draw_partner(i)
-        add_edge(i, j, float(graph.weights[e]), float(rng.uniform(0.0, TWO_PI)))
+    sources = graph.rows[removed]
+    partners, keys = _draw_partners(rng, n, keys, degree, sources)
+    isolated = np.flatnonzero(degree == 0)
+    forced, _ = _draw_partners(rng, n, keys, degree, isolated)
 
-    forced = 0
-    isolated = [i for i, partners in enumerate(adj) if not partners]
-    for i in isolated:
-        if len(adj[i]) >= n - 1:
-            continue
-        j = draw_partner(i)
-        add_edge(i, j, 1.0, float(rng.uniform(0.0, TWO_PI)))
-        forced += 1
-
-    rewired = AlignmentGraph.from_edges(n, *(
-        np.concatenate([old[keep], np.asarray(new, dtype=old.dtype)])
-        for old, new in zip((graph.rows, graph.cols, graph.weights,
-                             graph.angles), added)))
+    # The added edges as drawn, i -> j: replacements, then forced links.
+    i = np.concatenate([sources, isolated])
+    j = np.concatenate([partners, forced])
+    weights = np.concatenate([graph.weights[removed], np.ones(isolated.size)])
+    placed = j >= 0
+    angles = rng.uniform(0.0, TWO_PI, size=int(np.count_nonzero(placed)))
+    rewired = AlignmentGraph.from_edges(
+        n, np.concatenate([rows, i[placed]]),
+        np.concatenate([cols, j[placed]]),
+        np.concatenate([graph.weights[keep], weights[placed]]),
+        np.concatenate([graph.angles[keep], angles]))
+    skipped = int(np.count_nonzero(partners < 0))
     if return_diagnostics:
         diagnostics = RewireDiagnostics(
             kept=int(np.count_nonzero(keep)),
-            replaced=len(removed) - skipped,
+            replaced=removed.size - skipped,
             skipped_no_candidate=skipped,
-            forced_links=forced,
+            forced_links=int(np.count_nonzero(forced >= 0)),
         )
         return rewired, diagnostics
     return rewired
+
+
+def _draw_partners(rng, n: int, keys: np.ndarray, degree: np.ndarray,
+                   sources: np.ndarray):
+    """One partner per node of ``sources``, drawn by ``rewire_graph``'s
+    rounds against the sorted edge ``keys`` (ending in the sentinel n*n) and
+    the node ``degree``, which is updated in place.
+
+    Returns ``(partners, keys)``: -1 marks a skipped source, and ``keys``
+    has the new edges merged in.
+    """
+    partners = np.full(sources.size, -1, dtype=np.int64)
+    pending = np.arange(sources.size)
+    while True:
+        pending = pending[degree[sources[pending]] < n - 1]
+        if pending.size == 0:
+            return partners, keys
+        i = sources[pending]
+        j = rng.integers(0, n, size=pending.size)
+        pair = np.minimum(i, j) * n + np.maximum(i, j)
+        fresh = np.flatnonzero(
+            (i != j) & (keys[np.searchsorted(keys, pair)] != pair))
+        # The first pending edge of the round to draw a pair takes it.
+        new, first = np.unique(pair[fresh], return_index=True)
+        taken = fresh[first]
+        partners[pending[taken]] = j[taken]
+        keys = np.insert(keys, np.searchsorted(keys, new), new)
+        degree += (np.bincount(i[taken], minlength=n)
+                   + np.bincount(j[taken], minlength=n))
+        pending = np.delete(pending, taken)

@@ -133,6 +133,14 @@ class SphereTruth:
         return float(np.pi)
 
 
+def _check_radii(radius_major: float, radius_minor: float) -> None:
+    if not (np.isfinite(radius_major) and radius_major > radius_minor > 0.0):
+        raise ParameterError(
+            "Torus radii must be finite with R > r > 0. "
+            f"Got R={radius_major}, r={radius_minor}."
+        )
+
+
 @dataclass(frozen=True)
 class TorusTruth:
     """Ground truth for the torus dataset: surface angles plus frame angles."""
@@ -153,11 +161,7 @@ class TorusTruth:
                 "u, v and frame_angles must be 1-d arrays of equal length. "
                 f"Got {u.shape}, {v.shape}, {frame_angles.shape}."
             )
-        if not self.radius_major > self.radius_minor > 0.0:
-            raise ParameterError(
-                "Torus radii must satisfy R > r > 0. "
-                f"Got R={self.radius_major}, r={self.radius_minor}."
-            )
+        _check_radii(self.radius_major, self.radius_minor)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "frame_angles", frame_angles)
@@ -204,7 +208,7 @@ def sample_torus_uniform(n: int, radius_major: float, radius_minor: float,
     n : int
         Number of samples, at least 1.
     radius_major, radius_minor : float
-        Torus radii R > r > 0.
+        Finite torus radii R > r > 0.
     seed : int
         Substream seed.
     area_uniform : bool
@@ -216,11 +220,7 @@ def sample_torus_uniform(n: int, radius_major: float, radius_minor: float,
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1. Got {n}.")
-    if not radius_major > radius_minor > 0.0:
-        raise ParameterError(
-            "Torus radii must satisfy R > r > 0. "
-            f"Got R={radius_major}, r={radius_minor}."
-        )
+    _check_radii(radius_major, radius_minor)
     rng = substream(seed, "torus")
     if area_uniform:
         u = np.empty(0)

@@ -6,8 +6,9 @@ without calling the batched code it referees.
 
 import numpy as np
 
-from mfvdm.angles import wrap_two_pi
+from mfvdm.angles import TWO_PI, wrap_two_pi
 from mfvdm.errors import MfvdmError
+from mfvdm.rng import substream
 
 
 def affinity_k(features, i: int, j: int) -> float:
@@ -97,3 +98,64 @@ def inplane_angle(rot_i, rot_j) -> float:
     q = rot_i.T @ rot_j
     return float(wrap_two_pi(np.arctan2(q[1, 0] - q[0, 1],
                                         q[0, 0] + q[1, 1])))
+
+
+def rewire_rounds(graph, p: float, seed: int):
+    """``rewire_graph``'s rule, one draw at a time on a Python edge set:
+    ``(rows, cols, weights, angles)`` of the rewired graph in sorted order,
+    and ``(kept, replaced, skipped, forced)``."""
+    rng = substream(seed, "rewire")
+    n = graph.n
+    keep = rng.random(graph.edge_count) < p
+    edges = {(r, c) for r, c in zip(graph.rows[keep].tolist(),
+                                    graph.cols[keep].tolist())}
+    degree = [0] * n
+    for r, c in edges:
+        degree[r] += 1
+        degree[c] += 1
+
+    def link(sources):
+        partners = [-1] * len(sources)
+        pending = list(range(len(sources)))
+        while True:
+            pending = [t for t in pending if degree[sources[t]] < n - 1]
+            if not pending:
+                return partners
+            draws = rng.integers(0, n, size=len(pending)).tolist()
+            retry = []
+            for t, j in zip(pending, draws):
+                i = sources[t]
+                pair = (min(i, j), max(i, j))
+                if i == j or pair in edges:
+                    retry.append(t)
+                    continue
+                # Degrees change now; the skip test reads them next round.
+                edges.add(pair)
+                degree[i] += 1
+                degree[j] += 1
+                partners[t] = j
+            pending = retry
+
+    removed = np.flatnonzero(~keep).tolist()
+    sources = [int(graph.rows[e]) for e in removed]
+    partners = link(sources)
+    isolated = [i for i in range(n) if degree[i] == 0]
+    forced = link(isolated)
+    added = [(i, j, float(graph.weights[e]))
+             for e, i, j in zip(removed, sources, partners) if j >= 0]
+    added += [(i, j, 1.0) for i, j in zip(isolated, forced) if j >= 0]
+    angles = rng.uniform(0.0, TWO_PI, size=len(added)).tolist()
+    table = {(r, c): (w, a) for r, c, w, a in zip(
+        graph.rows[keep].tolist(), graph.cols[keep].tolist(),
+        graph.weights[keep].tolist(), graph.angles[keep].tolist())}
+    for (i, j, w), a in zip(added, angles):
+        table[(min(i, j), max(i, j))] = (w, a if i < j
+                                         else float(wrap_two_pi(-a)))
+    pairs = sorted(table)
+    skipped = partners.count(-1)
+    counts = (int(keep.sum()), len(removed) - skipped, skipped,
+              len(isolated) - forced.count(-1))
+    return (np.array([r for r, _ in pairs], dtype=np.int64),
+            np.array([c for _, c in pairs], dtype=np.int64),
+            np.array([table[e][0] for e in pairs]),
+            np.array([table[e][1] for e in pairs]), counts)

@@ -501,6 +501,14 @@ class TestExitCodes:
         config.write_text("weight_mode = gaussian\nsigma = nan\n")
         assert _run("generate", "--config", str(config), "--n", "200",
                     "--out", str(tmp_path / "out")) == 1
+        # An infinite major radius once reached the graph build and
+        # exited 3 on a self-loop.
+        config = tmp_path / "inf.cfg"
+        config.write_text("manifold = torus\nradius_major = inf\n")
+        assert _run("pipeline", "--config", str(config), "--n", "60",
+                    "--kappa-build", "6", "--kappa", "5", "--kmax", "2",
+                    "--mk", "5", "--tfft", "64",
+                    "--out", str(tmp_path / "out")) == 1
 
     def test_io_error_is_two(self, tmp_path, capsys):
         assert _run("nn", "--graph", str(tmp_path / "missing.txt"),

@@ -47,6 +47,8 @@ def test_defaults_are_valid_and_match_contract():
     {"baselines": ("dm", "rdm")},
     {"workers": 0},
     {"radius_major": 0.1},
+    {"radius_major": float("inf")},
+    {"radius_major": float("nan")},
     {"spectrum_ks": (0,)},
     {"spectrum_m": 0},
     {"weight_mode": "gaussian", "sigma": float("nan")},

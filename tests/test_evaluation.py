@@ -1,9 +1,12 @@
 """Scoring reports, spectral theory values, and cluster detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mfvdm import evaluation
 from mfvdm.alignment import AlignmentTable
 from mfvdm.embedding import NeighborList
 from mfvdm.errors import ParameterError, UnsupportedManifoldError
@@ -98,6 +101,63 @@ class TestScoreAlignment:
         assert merged.align_counts is not None
         with pytest.raises(ParameterError):
             merge_reports(nn_rep, score_alignment(table, small, method="x"))
+
+
+class TestScoreBlocks:
+    """Both scores gather the truth ``_SCORE_PAIRS`` pairs at a time."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        """sphere_warm's shape: n=2100, 50 random neighbors per node."""
+        n, kappa = 2100, 50
+        rng = np.random.default_rng(3)
+        idx = (np.arange(n)[:, None] + rng.integers(1, n, (n, kappa))) % n
+        table = AlignmentTable(
+            i=np.repeat(np.arange(n), kappa), j=idx.ravel(),
+            alpha_hat=rng.uniform(0.0, 2.0 * np.pi, n * kappa),
+            objective=np.ones(n * kappa))
+        return (make_truth("sphere", n, seed=4),
+                NeighborList(indices=idx, distances_sq=np.zeros(idx.shape)),
+                table)
+
+    @staticmethod
+    def _scores(pairs):
+        truth, nn, table = pairs
+        return (score_nn(nn, truth), score_alignment(table, truth))
+
+    def test_block_size_does_not_change_reports(self, pairs, monkeypatch):
+        def digest():
+            nn_rep, al_rep = self._scores(pairs)
+            return (nn_rep.nn_counts.tobytes(), nn_rep.nn_mean,
+                    nn_rep.nn_median, al_rep.align_counts.tobytes(),
+                    al_rep.align_median_abs_deg)
+        want = digest()
+        for size in (97, 1000, 10 ** 6):
+            monkeypatch.setattr(evaluation, "_SCORE_PAIRS", size)
+            assert digest() == want, size
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_peak_memory_within_one_gather_block(self, pairs, which):
+        """A score holds two pair-long arrays (the pair index or the true
+        angles, and the result) besides ``np.histogram``'s own scratch,
+        plus one block's eight (b, 3) gathers and products."""
+        truth, nn, table = pairs
+        size = table.i.size
+        score = (lambda: score_nn(nn, truth),
+                 lambda: score_alignment(table, truth))[which]
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        histogram = peak(lambda: np.histogram(
+            np.linspace(0.0, 1.0, size), bins=NN_BINS, range=(0.0, 1.0)))
+        budget = histogram + 2 * 8 * size + 8 * 24 * evaluation._SCORE_PAIRS
+        assert peak(score) <= budget
 
 
 class TestTheory:

@@ -1,5 +1,6 @@
 """Graph construction and random rewiring."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,12 @@ from mfvdm import graph as mgraph
 from mfvdm.angles import TWO_PI, wrap_pi
 from mfvdm.embedding import EmbeddingSet, FrequencyFeatures, nn_search
 from mfvdm.errors import BadEdgeError, ParameterError
-from mfvdm.graph import AlignmentGraph, build_clean_knn_graph, rewire_graph
+from mfvdm.graph import (AlignmentGraph, RewireDiagnostics,
+                         build_clean_knn_graph, rewire_graph)
 from mfvdm.io import graph_hash
+from mfvdm.rng import substream
 from mfvdm.sampling import TorusTruth, make_truth
-from oracles import inplane_angle
+from oracles import inplane_angle, rewire_rounds
 
 
 @pytest.fixture(scope="module")
@@ -188,17 +191,19 @@ class TestCanonicalization:
 
 
 class TestPinnedDigests:
-    """Content hashes of built and rewired graphs, recorded before both
-    builders went through ``AlignmentGraph.from_edges``: a change to that
-    constructor that reorders or reorients edges changes them."""
+    """Content hashes of built and rewired graphs: a change to
+    ``AlignmentGraph.from_edges`` that reorders or reorients edges changes
+    them, and so does a change to the rewiring's draw order.  The clean
+    digests predate both builders going through ``from_edges``; the rewired
+    ones were recorded when rewiring began drawing partners in rounds."""
 
     @pytest.mark.parametrize("manifold,clean_digest,rewired_digest", [
         ("sphere",
          "5636f0b8c1ea46dad10a762ec8e5a528da7feaf134566411c77cdef8851e0459",
-         "00974089b9a7487998538a6721e1a395c98c0818b2154eff443aeb1db8f19bba"),
+         "6a41187e8648cba6c77f96f5db9e0e8ea367e73c24a8f9e7ddd03ddf0506b1ed"),
         ("torus",
          "7cbd4b733dc15e8f384485069c0ccd7bad53882d0f0ba3f87a7d0cdb4ac14609",
-         "ea9b6e6f7c5282ac6c71d0f2775cf8603c479a20a8b2f87355ef75180f9bbda9"),
+         "d8347080e0e19f2d4e420dc5c2c9a3ecf6858416adde9425232df2c40eaf8490"),
     ])
     def test_build_and_rewire_digests(self, manifold, clean_digest,
                                       rewired_digest):
@@ -287,3 +292,90 @@ class TestRewire:
         rewired = rewire_graph(graph, p=p, seed=seed)
         rewired.validate()
         assert rewired.degree_counts().min() >= 1
+
+    @staticmethod
+    def _distinct_weights(graph):
+        """``graph`` with weights 2, 3, ...: each names its edge, and none
+        is a forced link's weight 1."""
+        return AlignmentGraph(n=graph.n, rows=graph.rows, cols=graph.cols,
+                              weights=2.0 + np.arange(graph.edge_count),
+                              angles=graph.angles)
+
+    @staticmethod
+    def _assert_matches_oracle(graph, p, seed):
+        rewired, diag = rewire_graph(graph, p=p, seed=seed,
+                                     return_diagnostics=True)
+        *edges, counts = rewire_rounds(graph, p, seed)
+        for got, want in zip((rewired.rows, rewired.cols, rewired.weights,
+                              rewired.angles), edges):
+            assert got.tobytes() == want.tobytes()
+        assert dataclasses.astuple(diag) == counts
+        return diag
+
+    # A skipped edge's node is linked to every node, so no node is left
+    # isolated: one pass never both skips an edge and forces a link.
+    @pytest.mark.parametrize("rows,cols,want", [
+        # K4 relinked from nothing: node 0's third edge finds it linked to
+        # all three other nodes.
+        ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3],
+         RewireDiagnostics(kept=0, replaced=5, skipped_no_candidate=1,
+                           forced_links=0)),
+        # A perfect matching on 6 nodes: three relinked edges touch four
+        # nodes and leave two isolated.
+        ([0, 2, 4], [1, 3, 5],
+         RewireDiagnostics(kept=0, replaced=3, skipped_no_candidate=0,
+                           forced_links=2)),
+    ])
+    def test_tiny_dense_graph_diagnostics(self, rows, cols, want):
+        n = max(cols) + 1
+        graph = self._distinct_weights(AlignmentGraph(
+            n=n, rows=np.array(rows), cols=np.array(cols),
+            weights=np.ones(len(rows)), angles=np.zeros(len(rows))))
+        assert self._assert_matches_oracle(graph, 0.0, 0) == want
+
+    @settings(deadline=None, max_examples=25)
+    @given(p=st.floats(0.0, 1.0), seed=st.integers(0, 1000))
+    def test_kept_and_added_edges(self, small_graph, p, seed):
+        """Kept edges equal the ``keep`` draw's subset byte for byte, and
+        every added edge starts at its removed edge's row and carries its
+        weight; the whole graph matches the one-draw-at-a-time oracle."""
+        graph = self._distinct_weights(small_graph)
+        diag = self._assert_matches_oracle(graph, p, seed)
+        rewired = rewire_graph(graph, p=p, seed=seed)
+        keep = substream(seed, "rewire").random(graph.edge_count) < p
+        kept = np.isin(rewired.weights, graph.weights[keep])
+        for got, want in zip((rewired.rows, rewired.cols, rewired.weights,
+                              rewired.angles),
+                             (graph.rows, graph.cols, graph.weights,
+                              graph.angles)):
+            assert got[kept].tobytes() == want[keep].tobytes()
+        added = np.flatnonzero(~kept & (rewired.weights != 1.0))
+        assert added.size == diag.replaced
+        assert np.count_nonzero(rewired.weights == 1.0) == diag.forced_links
+        removed = np.searchsorted(graph.weights, rewired.weights[added])
+        assert not np.any(keep[removed])
+        assert np.array_equal(graph.weights[removed], rewired.weights[added])
+        source = graph.rows[removed]
+        assert np.all((rewired.rows[added] == source)
+                      | (rewired.cols[added] == source))
+
+    def test_peak_memory_is_a_few_words_per_edge(self):
+        """Besides the scratch of ``AlignmentGraph.from_edges``, which
+        builds the result, rewiring holds the kept and added edge columns,
+        the sorted edge keys and one round's draws: at most twelve 8-byte
+        words per edge.  One Python set per node takes about 30."""
+        graph = build_clean_knn_graph(make_truth("sphere", 2100, seed=0),
+                                      kappa_build=60)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        build = peak(lambda: AlignmentGraph.from_edges(
+            graph.n, graph.rows, graph.cols, graph.weights, graph.angles))
+        rewire = peak(lambda: rewire_graph(graph, p=0.4, seed=0))
+        assert rewire <= build + 12 * 8 * graph.edge_count

@@ -139,6 +139,11 @@ class TestTorus:
             sample_torus_uniform(10, 0.2, 1.0, seed=0)
         with pytest.raises(ParameterError):
             sample_torus_uniform(10, 1.0, 0.0, seed=0)
+        with pytest.raises(ParameterError, match="finite"):
+            sample_torus_uniform(10, np.inf, 0.2, seed=0)
+        with pytest.raises(ParameterError, match="finite"):
+            TorusTruth(u=np.zeros(2), v=np.zeros(2), frame_angles=np.zeros(2),
+                       radius_major=np.inf, radius_minor=0.2)
 
 
 class TestGeodesics:
