@@ -17,16 +17,13 @@ def wrap_two_pi(angle):
     return wrapped
 
 
-def wrap_pi(angle, out=None):
+def wrap_pi(angle):
     """Wrap angles to [-pi, pi).  Scalar in, float out; array in, array out.
 
-    ``out`` (a float array of the input's shape, which may be the input
-    itself) receives the result in place; no other temporary of that size
-    is made but a boolean mask.
+    The result is computed in place in one new array; no other temporary of
+    that size is made but a boolean mask.
     """
-    if out is None:
-        out = np.empty(np.shape(angle))
-    np.add(angle, np.pi, out=out)
+    out = np.add(angle, np.pi, out=np.empty(np.shape(angle)))
     np.mod(out, TWO_PI, out=out)
     out -= np.pi
     np.subtract(out, TWO_PI, out=out, where=out >= np.pi)

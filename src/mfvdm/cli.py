@@ -54,6 +54,9 @@ from mfvdm import io as mio
 
 _CURRENT_STAGE = "setup"
 
+# Eigenpairs per frequency in the ``spectrum`` report.
+_SPECTRUM_M = 30
+
 
 def _stage(name: str) -> None:
     global _CURRENT_STAGE
@@ -121,15 +124,10 @@ def _truth_and_clean_graph(config: ExperimentConfig):
     out.mkdir(parents=True, exist_ok=True)
     truth = _reuse_or_build(
         out / "truth.txt", mio.read_truth, mio.write_truth,
-        lambda: make_truth(config.manifold, config.n, config.seed,
-                           radius_major=config.radius_major,
-                           radius_minor=config.radius_minor,
-                           area_uniform=config.area_uniform))
+        lambda: make_truth(config.manifold, config.n, config.seed))
     clean = functools.cache(lambda: _reuse_or_build(
         out / "graph_clean.txt", mio.read_graph, mio.write_graph,
-        lambda: build_clean_knn_graph(truth, config.kappa_build,
-                                      weight_mode=config.weight_mode,
-                                      sigma=config.sigma)))
+        lambda: build_clean_knn_graph(truth, config.kappa_build)))
     return truth, clean
 
 
@@ -261,7 +259,7 @@ def cmd_spectrum(config: ExperimentConfig, p_values) -> None:
     graph = _graph_for_p(config, clean, p)
     _stage("spectrum")
     bundles = _compute_bundles(config, graph, config.spectrum_ks,
-                               config.spectrum_m)
+                               _SPECTRUM_M)
     out = Path(config.out_dir) / f"p{_p_tag(p)}"
     out.mkdir(parents=True, exist_ok=True)
     for k in config.spectrum_ks:

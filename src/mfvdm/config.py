@@ -8,7 +8,6 @@ report so outputs are self-describing.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 
@@ -17,7 +16,6 @@ from mfvdm.errors import ConfigError
 __all__ = ["ExperimentConfig", "load_config_file", "resolve_config"]
 
 _MANIFOLDS = ("sphere", "torus", "external")
-_WEIGHT_MODES = ("unit", "gaussian")
 _BASELINES = ("dm", "vdm")
 # The default thread budget: every CPU this process may run on.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -38,17 +36,11 @@ class ExperimentConfig:
     m_k: int = 50
     t: int = 1
     t_fft: int = 1024
-    weight_mode: str = "unit"
-    sigma: float = 1.0
     baselines: tuple = ()
     out_dir: str = "out"
     workers: int = _CPUS
-    radius_major: float = 1.0
-    radius_minor: float = 0.2
-    area_uniform: bool = True
     graph_path: str = ""
     spectrum_ks: tuple = (1, 2, 5)
-    spectrum_m: int = 30
 
     def validate(self) -> None:
         """Raise ConfigError on any invalid field or combination."""
@@ -82,28 +74,15 @@ class ExperimentConfig:
                 or self.t_fft & (self.t_fft - 1)):
             raise ConfigError(f"t_fft must be a power of two >= 4*k_max="
                               f"{4 * self.k_max}. Got {self.t_fft}.")
-        if self.weight_mode not in _WEIGHT_MODES:
-            raise ConfigError(f"weight_mode must be one of {_WEIGHT_MODES}. "
-                              f"Got {self.weight_mode!r}.")
-        if self.weight_mode == "gaussian" and not self.sigma > 0.0:
-            raise ConfigError(f"sigma must be > 0. Got {self.sigma}.")
         for b in self.baselines:
             if b not in _BASELINES:
                 raise ConfigError(f"Unknown baseline {b!r}; expected "
                                   f"{_BASELINES}.")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1. Got {self.workers}.")
-        if not (math.isfinite(self.radius_major)
-                and self.radius_major > self.radius_minor > 0.0):
-            raise ConfigError("Torus radii must be finite with R > r > 0. "
-                              f"Got R={self.radius_major}, "
-                              f"r={self.radius_minor}.")
         if not self.spectrum_ks or any(k < 1 for k in self.spectrum_ks):
             raise ConfigError(f"spectrum_ks must be one or more k >= 1. "
                               f"Got {self.spectrum_ks}.")
-        if self.spectrum_m < 1:
-            raise ConfigError(f"spectrum_m must be >= 1. "
-                              f"Got {self.spectrum_m}.")
 
     def echo_items(self) -> list:
         """(key, value-string) pairs in declaration order, for reports."""
@@ -112,8 +91,6 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 text = ",".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
             elif isinstance(value, float):
                 text = repr(value)
             else:
@@ -130,13 +107,6 @@ def _parse_value(name: str, text: str):
     default = getattr(ExperimentConfig, name)
     text = text.strip()
     try:
-        if isinstance(default, bool):
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):

@@ -64,25 +64,29 @@ class AlignmentGraph:
         return (np.bincount(self.rows, minlength=self.n)
                 + np.bincount(self.cols, minlength=self.n))
 
-    def validate(self, edge_rules: bool = True) -> None:
+    def validate(self) -> None:
         """Raise ParameterError on a broken invariant: the per-edge rules
-        of ``first_bad_edge`` (as BadEdgeError; skipped if ``edge_rules``
-        is False), then sorted edges and no isolated node."""
-        if self.n < 1:
-            raise ParameterError(f"Node count must be >= 1. Got {self.n}.")
+        of ``first_bad_edge`` (as BadEdgeError), sorted edges, and then
+        ``n >= 1``, at least one edge and no isolated node."""
         e = self.edge_count
         if not (self.cols.shape == self.weights.shape == self.angles.shape
                 == (e,)):
             raise ParameterError("Edge arrays must have equal length.")
-        if e == 0:
-            raise ParameterError("Graph has no edges.")
-        if edge_rules:
-            _raise_bad_edge(self.n, self.rows, self.cols, self.weights,
-                            self.angles)
+        _raise_bad_edge(self.n, self.rows, self.cols, self.weights,
+                        self.angles)
         if np.any(np.diff(self.rows * self.n + self.cols) < 0):
             raise ParameterError("Edges must be sorted.")
-        if np.any(self.degree_counts() == 0):
-            bad = int(np.flatnonzero(self.degree_counts() == 0)[0])
+        self._check_nodes()
+
+    def _check_nodes(self) -> None:
+        """The rules of ``validate`` that no single edge breaks."""
+        if self.n < 1:
+            raise ParameterError(f"Node count must be >= 1. Got {self.n}.")
+        if self.edge_count == 0:
+            raise ParameterError("Graph has no edges.")
+        degree = self.degree_counts()
+        if np.any(degree == 0):
+            bad = int(np.flatnonzero(degree == 0)[0])
             raise ParameterError(f"Node {bad} has no incident edges.")
 
     @staticmethod
@@ -96,33 +100,51 @@ class AlignmentGraph:
         edge is turned to i < j with its angle negated and wrapped.  With
         ``oriented`` they run on the edges as given instead, so i > j or an
         angle outside [0, 2*pi) is an error, as in an edge-list file.  A
-        broken rule raises BadEdgeError with the edge's input index.
+        broken rule raises BadEdgeError with the edge's input index.  One
+        stable sort of the keys i*n + j orders the edges and finds the
+        duplicates.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
         angles = np.asarray(angles, dtype=float)
-        if oriented:
-            _raise_bad_edge(n, rows, cols, weights, angles)
         flip = rows > cols
         lo = np.where(flip, cols, rows)
         hi = np.where(flip, rows, cols)
+        order, repeated = _stable_order(lo * n + hi)
+        # The duplicates among the canonical keys and among the keys as
+        # given differ only at a flipped edge, which as given breaks the
+        # earlier rule i < j at the same or a lower index.
+        if oriented:
+            _raise_bad_edge(n, rows, cols, weights, angles, repeated)
         angles = wrap_two_pi(np.where(flip, -angles, angles))
         if not oriented:
-            _raise_bad_edge(n, lo, hi, weights, angles)
-        order = np.argsort(lo * n + hi, kind="stable")
+            _raise_bad_edge(n, lo, hi, weights, angles, repeated)
         graph = AlignmentGraph(n=n, rows=lo[order], cols=hi[order],
                                weights=weights[order], angles=angles[order])
-        graph.validate(edge_rules=False)
+        graph._check_nodes()
         return graph
 
 
+def _stable_order(keys: np.ndarray):
+    """A stable argsort of ``keys``, and the mask of the entries equal to
+    an earlier one."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeated = np.zeros(keys.shape, dtype=bool)
+    repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return order, repeated
+
+
 def first_bad_edge(n: int, rows: np.ndarray, cols: np.ndarray,
-                   weights: np.ndarray, angles: np.ndarray):
+                   weights: np.ndarray, angles: np.ndarray, repeated=None):
     """The per-edge rules: ``(index, message)`` of the first edge, in input
-    order, that breaks one (the first rule it breaks), else None."""
-    repeated = np.ones(rows.shape, dtype=bool)
-    repeated[np.unique(rows * n + cols, return_index=True)[1]] = False
+    order, that breaks one (the first rule it breaks), else None.
+
+    ``repeated`` marks the edges whose key repeats an earlier edge's, as
+    ``_stable_order`` finds it; it is computed when not given."""
+    if repeated is None:
+        repeated = _stable_order(rows * n + cols)[1]
     rules = (
         (rows == cols, "self-loop {i}."),
         (rows > cols, "edges must have i < j."),
@@ -142,8 +164,9 @@ def first_bad_edge(n: int, rows: np.ndarray, cols: np.ndarray,
     return index, message.format(i=int(rows[index]), j=int(cols[index]))
 
 
-def _raise_bad_edge(n: int, rows, cols, weights, angles) -> None:
-    bad = first_bad_edge(n, rows, cols, weights, angles)
+def _raise_bad_edge(n: int, rows, cols, weights, angles,
+                    repeated=None) -> None:
+    bad = first_bad_edge(n, rows, cols, weights, angles, repeated)
     if bad is not None:
         raise BadEdgeError(*bad)
 
@@ -191,14 +214,13 @@ class RewireDiagnostics:
     forced_links: int
 
 
-def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
-                          sigma: float = 1.0) -> AlignmentGraph:
-    """Symmetrized k-NN graph under the ground-truth geodesic.
+def build_clean_knn_graph(truth, kappa_build: int) -> AlignmentGraph:
+    """Symmetrized k-NN graph under the ground-truth geodesic, with unit
+    weights: the paper's random graph model before rewiring.
 
     Edge (i, j) is present iff j is among the kappa_build nearest nodes of i
     or vice versa; angles come from the ground truth.  Exact distance ties
-    break to the lower node index, as in ``smallest``.  Weights are 1, or
-    exp(-d^2/sigma) of the geodesic distance in "gaussian" mode.
+    break to the lower node index, as in ``smallest``.
 
     Parameters
     ----------
@@ -206,10 +228,6 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
         Ground truth with ``geodesic_block`` and ``pair_angles``.
     kappa_build : int
         Neighbor count per node, 1 <= kappa_build < n.
-    weight_mode : str
-        "unit" or "gaussian".
-    sigma : float
-        Gaussian kernel width, used only in "gaussian" mode.
 
     Returns
     -------
@@ -221,10 +239,6 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
             f"kappa_build must satisfy 1 <= kappa_build < n={n}. "
             f"Got {kappa_build}."
         )
-    if weight_mode not in ("unit", "gaussian"):
-        raise ParameterError(f"Unknown weight_mode {weight_mode!r}.")
-    if weight_mode == "gaussian" and not sigma > 0.0:
-        raise ParameterError(f"sigma must be > 0. Got {sigma}.")
     neighbors = np.empty((n, kappa_build), dtype=np.int64)
     for start in range(0, n, _BUILD_ROWS):
         block = np.arange(start, min(start + _BUILD_ROWS, n))
@@ -239,12 +253,8 @@ def build_clean_knn_graph(truth, kappa_build: int, weight_mode: str = "unit",
     keys = np.unique(lo * n + hi)
     rows = keys // n
     cols = keys % n
-    angles = truth.pair_angles(rows, cols)
-    if weight_mode == "gaussian":
-        weights = np.exp(-truth.geodesics(rows, cols) ** 2 / sigma)
-    else:
-        weights = np.ones(rows.size)
-    return AlignmentGraph.from_edges(n, rows, cols, weights, angles)
+    return AlignmentGraph.from_edges(n, rows, cols, np.ones(rows.size),
+                                     truth.pair_angles(rows, cols))
 
 
 def rewire_graph(graph: AlignmentGraph, p: float, seed: int,

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mfvdm.angles import TWO_PI, wrap_pi, wrap_two_pi
+from mfvdm.angles import TWO_PI, wrap_two_pi
 from mfvdm.errors import DegenerateAlignmentError, ParameterError
 from mfvdm.rng import substream
+
+# Major and minor radii (R, r) of every sampled torus.
+_TORUS_RADII = (1.0, 0.2)
 
 __all__ = [
     "SphereTruth",
@@ -133,6 +136,15 @@ class SphereTruth:
         return float(np.pi)
 
 
+def _fold(delta: np.ndarray) -> np.ndarray:
+    """|wrap_pi(delta)|, the circular distance in [0, pi], computed in place
+    in ``delta``: the sign that ``wrap_pi`` fixes with a mask is dropped."""
+    delta += np.pi
+    np.mod(delta, TWO_PI, out=delta)
+    delta -= np.pi
+    return np.abs(delta, out=delta)
+
+
 def _check_radii(radius_major: float, radius_minor: float) -> None:
     if not (np.isfinite(radius_major) and radius_major > radius_minor > 0.0):
         raise ParameterError(
@@ -174,17 +186,15 @@ class TorusTruth:
         return wrap_two_pi(self.frame_angles[ii] - self.frame_angles[jj])
 
     def geodesics(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        du = wrap_pi(self.u[ii] - self.u[jj])
-        dv = wrap_pi(self.v[ii] - self.v[jj])
+        du = _fold(self.u[ii] - self.u[jj])
+        dv = _fold(self.v[ii] - self.v[jj])
         return np.hypot(self.radius_minor * du, self.radius_major * dv)
 
     def geodesic_block(self, block: np.ndarray) -> np.ndarray:
         """Distances from each node in ``block`` to every node, (b, n),
         computed in place in two (b, n) arrays."""
-        du = np.subtract.outer(self.u[block], self.u)
-        dv = np.subtract.outer(self.v[block], self.v)
-        wrap_pi(du, out=du)
-        wrap_pi(dv, out=dv)
+        du = _fold(np.subtract.outer(self.u[block], self.u))
+        dv = _fold(np.subtract.outer(self.v[block], self.v))
         du *= self.radius_minor
         dv *= self.radius_major
         return np.hypot(du, dv, out=du)
@@ -195,24 +205,19 @@ class TorusTruth:
                               self.radius_major * np.pi))
 
 
-def sample_torus_uniform(n: int, radius_major: float, radius_minor: float,
-                         seed: int, area_uniform: bool = True) -> TorusTruth:
-    """Draw n points on the embedded torus with i.i.d. uniform frame angles.
+def sample_torus_uniform(n: int, seed: int) -> TorusTruth:
+    """Draw n points on the embedded torus with radii R = 1 and r = 0.2
+    (``_TORUS_RADII``) and i.i.d. uniform frame angles.
 
     The tube angle u is rejection-sampled with density proportional to
-    R + r*cos(u) so that points are uniform with respect to surface area;
-    ``area_uniform=False`` falls back to parameter-uniform u.
+    R + r*cos(u), so that points are uniform with respect to surface area.
 
     Parameters
     ----------
     n : int
         Number of samples, at least 1.
-    radius_major, radius_minor : float
-        Finite torus radii R > r > 0.
     seed : int
         Substream seed.
-    area_uniform : bool
-        Sample uniformly w.r.t. surface area (default) or in parameters.
 
     Returns
     -------
@@ -220,33 +225,28 @@ def sample_torus_uniform(n: int, radius_major: float, radius_minor: float,
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1. Got {n}.")
-    _check_radii(radius_major, radius_minor)
+    radius_major, radius_minor = _TORUS_RADII
     rng = substream(seed, "torus")
-    if area_uniform:
-        u = np.empty(0)
-        # acceptance rate (mean density)/(max density) = R/(R+r)
-        while u.size < n:
-            cand = rng.uniform(0.0, TWO_PI, size=2 * (n - u.size) + 16)
-            accept = rng.random(cand.size) * (radius_major + radius_minor)
-            u = np.concatenate(
-                [u, cand[accept <= radius_major + radius_minor * np.cos(cand)]]
-            )
-        u = u[:n]
-    else:
-        u = rng.uniform(0.0, TWO_PI, size=n)
+    u = np.empty(0)
+    # acceptance rate (mean density)/(max density) = R/(R+r)
+    while u.size < n:
+        cand = rng.uniform(0.0, TWO_PI, size=2 * (n - u.size) + 16)
+        accept = rng.random(cand.size) * (radius_major + radius_minor)
+        u = np.concatenate(
+            [u, cand[accept <= radius_major + radius_minor * np.cos(cand)]]
+        )
+    u = u[:n]
     v = rng.uniform(0.0, TWO_PI, size=n)
     frame_angles = rng.uniform(0.0, TWO_PI, size=n)
     return TorusTruth(u=u, v=v, frame_angles=frame_angles,
                       radius_major=radius_major, radius_minor=radius_minor)
 
 
-def make_truth(manifold: str, n: int, seed: int, radius_major: float = 1.0,
-               radius_minor: float = 0.2, area_uniform: bool = True):
+def make_truth(manifold: str, n: int, seed: int):
     """Build the ground truth for a named manifold."""
     if manifold == "sphere":
         return SphereTruth(rotations=sample_so3_uniform(n, seed))
     if manifold == "torus":
-        return sample_torus_uniform(n, radius_major, radius_minor, seed,
-                                    area_uniform=area_uniform)
+        return sample_torus_uniform(n, seed)
     raise ParameterError(f"Unknown manifold {manifold!r}; "
                          "expected 'sphere' or 'torus'.")

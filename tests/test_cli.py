@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, caching, exit codes."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -17,7 +18,7 @@ import pytest
 from mfvdm import cli
 from mfvdm import io as mio
 from mfvdm import spectral
-from mfvdm.config import load_config_file
+from mfvdm.config import ExperimentConfig, load_config_file
 from mfvdm.errors import ConvergenceError
 from mfvdm.io import read_graph
 from mfvdm.spectral import DENSE_THRESHOLD
@@ -37,6 +38,13 @@ def _tree_digest(root, skip=("cache",)):
         rel = path.relative_to(root).as_posix()
         digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
+
+
+def test_every_config_field_has_a_flag():
+    """A run sets each config field by a flag or, for p, by ``--p``: no
+    field can be set from a config file alone."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert fields == {field for _, field, _ in cli._FLAGS} | {"p"}
 
 
 SMALL = ["--n", "250", "--kappa-build", "20", "--kappa", "10",
@@ -496,19 +504,22 @@ class TestExitCodes:
                            ("--no-such-flag", "3")):
             assert _run("pipeline", "--manifold", "sphere", flag, text,
                         "--out", str(tmp_path / "out")) == 1
-        # NaN compares false with everything, so "sigma <= 0" let it pass.
-        config = tmp_path / "nan.cfg"
-        config.write_text("weight_mode = gaussian\nsigma = nan\n")
+
+    @pytest.mark.parametrize("line", [
+        "weight_mode = unit", "sigma = 1.0", "area_uniform = true",
+        "radius_major = 1.0", "radius_minor = 0.2", "spectrum_m = 30"])
+    def test_fixed_setting_in_a_config_file_is_one(self, tmp_path, capsys,
+                                                   line):
+        """Unit weights, the area-uniform torus with R = 1 and r = 0.2, and
+        the spectrum's 30 eigenpairs are fixed: a file that sets one, even
+        to its fixed value, is refused before any stage runs."""
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "out"
         assert _run("generate", "--config", str(config), "--n", "200",
-                    "--out", str(tmp_path / "out")) == 1
-        # An infinite major radius once reached the graph build and
-        # exited 3 on a self-loop.
-        config = tmp_path / "inf.cfg"
-        config.write_text("manifold = torus\nradius_major = inf\n")
-        assert _run("pipeline", "--config", str(config), "--n", "60",
-                    "--kappa-build", "6", "--kappa", "5", "--kmax", "2",
-                    "--mk", "5", "--tfft", "64",
-                    "--out", str(tmp_path / "out")) == 1
+                    "--out", str(out)) == 1
+        assert "Unknown config key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_is_two(self, tmp_path, capsys):
         assert _run("nn", "--graph", str(tmp_path / "missing.txt"),

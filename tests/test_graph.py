@@ -55,12 +55,6 @@ class TestBuild:
         assert np.array_equal(small_graph.weights,
                               np.ones(small_graph.edge_count))
 
-    def test_gaussian_weights_match_formula(self, small_truth):
-        graph = build_clean_knn_graph(small_truth, kappa_build=3,
-                                      weight_mode="gaussian", sigma=0.5)
-        d = small_truth.geodesics(graph.rows, graph.cols)
-        assert np.abs(graph.weights - np.exp(-d**2 / 0.5)).max() < 1e-14
-
     @pytest.mark.parametrize("kappa", [3, 5, 7])
     def test_exact_ties_break_to_the_lower_node_index(self, kappa):
         """A 12 x 12 grid on the torus ties many distances exactly; each
@@ -107,12 +101,20 @@ class TestBuild:
             monkeypatch.setattr(mgraph, "_SELECT_ROWS", rows)
             assert result() == want, rows
 
-    @pytest.mark.parametrize("manifold,blocks", [("sphere", 1),
-                                                 ("torus", 2)])
-    def test_peak_memory_within_one_distance_block(self, manifold, blocks):
+    @pytest.mark.parametrize("manifold,blocks,select_rows", [
+        pytest.param("sphere", 1, None, id="sphere-1"),
+        pytest.param("torus", 2, None, id="torus-2"),
+        pytest.param("sphere", 1, 32, id="sphere-1-select32"),
+        pytest.param("torus", 2, 32, id="torus-2-select32"),
+    ])
+    def test_peak_memory_within_one_distance_block(self, manifold, blocks,
+                                                   select_rows, monkeypatch):
         """The build holds one 512 x n distance block (two on the torus,
         one per coordinate), one sub-block's int64 selection and the
-        n x kappa result, plus 256 KiB."""
+        n x kappa result, plus 256 KiB.  Half the selection rows halve
+        that term of the budget, so no other (b, n) temporary fits."""
+        if select_rows is not None:
+            monkeypatch.setattr(mgraph, "_SELECT_ROWS", select_rows)
         n, kappa = 3000, 10
         truth = make_truth(manifold, n, seed=1)
         tracemalloc.start()
@@ -132,15 +134,6 @@ class TestBuild:
             build_clean_knn_graph(small_truth, kappa_build=0)
         with pytest.raises(ParameterError):
             build_clean_knn_graph(small_truth, kappa_build=40)
-        with pytest.raises(ParameterError):
-            build_clean_knn_graph(small_truth, kappa_build=3,
-                                  weight_mode="cubic")
-
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
-    def test_rejects_bad_sigma(self, small_truth, sigma):
-        with pytest.raises(ParameterError, match="sigma"):
-            build_clean_knn_graph(small_truth, kappa_build=3,
-                                  weight_mode="gaussian", sigma=sigma)
 
 
 class TestCanonicalization:

@@ -43,8 +43,16 @@ from mfvdm.io import (
     write_spectral_report,
     write_truth,
 )
-from mfvdm.sampling import make_truth
+from mfvdm.sampling import TorusTruth, make_truth
 from mfvdm.spectral import SpectralBundle
+
+
+def _torus(n, radius_major, radius_minor, seed):
+    """A torus truth with radii other than the sampler's."""
+    rng = np.random.default_rng(seed)
+    u, v, frame_angles = rng.uniform(0.0, 2.0 * np.pi, size=(3, n))
+    return TorusTruth(u=u, v=v, frame_angles=frame_angles,
+                      radius_major=radius_major, radius_minor=radius_minor)
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +228,7 @@ class TestTruthFormat:
         assert np.array_equal(back.rotations, truth.rotations)
 
     def test_torus_round_trip(self, tmp_path):
-        truth = make_truth("torus", 12, seed=1, radius_major=1.5,
-                           radius_minor=0.3)
+        truth = _torus(12, 1.5, 0.3, seed=1)
         path = tmp_path / "t.txt"
         write_truth(truth, path)
         back = read_truth(path)
@@ -326,8 +333,7 @@ def test_writers_match_per_row_reference(graph, tmp_path, monkeypatch):
                 graph.rows, graph.cols, graph.weights, graph.angles)),
     }
     sphere = make_truth("sphere", 6, seed=9)
-    torus = make_truth("torus", 7, seed=9, radius_major=1.0 / 3.0,
-                       radius_minor=0.2)
+    torus = _torus(7, 1.0 / 3.0, 0.2, seed=9)
     want["sphere.txt"] = f"manifold sphere\nn {sphere.n}\n" + "".join(
         " ".join(fmt(x) for x in row) + "\n"
         for row in sphere.rotations.reshape(sphere.n, 9))

@@ -104,7 +104,7 @@ class TestInplaneAngle:
 
 class TestTorus:
     def test_points_lie_on_surface(self):
-        truth = sample_torus_uniform(500, 1.0, 0.2, seed=2)
+        truth = sample_torus_uniform(500, seed=2)
         x, y, z = torus_positions(truth).T
         resid = (np.hypot(x, y) - 1.0) ** 2 + z**2 - 0.2**2
         assert np.abs(resid).max() < 1e-12
@@ -112,7 +112,7 @@ class TestTorus:
     def test_area_uniform_marginal(self):
         # Surface-area density of the poloidal angle is
         # (R + r cos u) / (2 pi R); compare by total variation.
-        truth = sample_torus_uniform(20_000, 1.0, 0.2, seed=0)
+        truth = sample_torus_uniform(20_000, seed=0)
         edges = np.linspace(0.0, TWO_PI, 41)
         counts, _ = np.histogram(truth.u, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -121,26 +121,18 @@ class TestTorus:
         tv = 0.5 * np.abs(counts / counts.sum() - probs).sum()
         assert tv < 0.02
 
-    def test_parameter_uniform_flag(self):
-        truth = sample_torus_uniform(20_000, 1.0, 0.2, seed=0,
-                                     area_uniform=False)
-        counts, _ = np.histogram(truth.u, bins=40, range=(0.0, TWO_PI))
-        tv = 0.5 * np.abs(counts / counts.sum() - 1.0 / 40).sum()
-        assert tv < 0.02
-
     def test_pair_angles_are_frame_differences(self):
-        truth = sample_torus_uniform(30, 1.0, 0.2, seed=6)
+        truth = sample_torus_uniform(30, seed=6)
         i, j = 4, 17
         want = truth.frame_angles[i] - truth.frame_angles[j]
         assert abs(wrap_pi(truth.pair_angles([i], [j])[0] - want)) < 1e-12
 
     def test_rejects_bad_radii(self):
-        with pytest.raises(ParameterError):
-            sample_torus_uniform(10, 0.2, 1.0, seed=0)
-        with pytest.raises(ParameterError):
-            sample_torus_uniform(10, 1.0, 0.0, seed=0)
-        with pytest.raises(ParameterError, match="finite"):
-            sample_torus_uniform(10, np.inf, 0.2, seed=0)
+        for big_r, small_r in ((0.2, 1.0), (1.0, 0.0)):
+            with pytest.raises(ParameterError):
+                TorusTruth(u=np.zeros(2), v=np.zeros(2),
+                           frame_angles=np.zeros(2), radius_major=big_r,
+                           radius_minor=small_r)
         with pytest.raises(ParameterError, match="finite"):
             TorusTruth(u=np.zeros(2), v=np.zeros(2), frame_angles=np.zeros(2),
                        radius_major=np.inf, radius_minor=0.2)
@@ -169,7 +161,7 @@ class TestGeodesics:
                            - truth.geodesics([a], [b])[0]) < 1e-12
 
     def test_torus_flat_metric(self):
-        truth = sample_torus_uniform(10, 1.0, 0.2, seed=8)
+        truth = sample_torus_uniform(10, seed=8)
         i, j = 1, 7
         du = wrap_pi(truth.u[i] - truth.u[j])
         dv = wrap_pi(truth.v[i] - truth.v[j])
@@ -179,7 +171,7 @@ class TestGeodesics:
     def test_max_geodesic(self):
         sphere = make_truth("sphere", 4, seed=0)
         assert abs(sphere.max_geodesic - np.pi) < 1e-15
-        torus = sample_torus_uniform(4, 1.0, 0.2, seed=0)
+        torus = sample_torus_uniform(4, seed=0)
         want = np.hypot(0.2 * np.pi, np.pi)
         assert abs(torus.max_geodesic - want) < 1e-12
 
