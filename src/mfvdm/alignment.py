@@ -3,10 +3,10 @@
 For a pair (i, j) the per-frequency inner products z(k) = <phi_k(i),
 phi_k(j)> behave like e^{i*k*alpha_ij} times a nonnegative kernel weight, so
 the common angle is recovered as the maximizer of f(alpha) =
-Re sum_k z(k) e^{-i*k*alpha}.  The objective is evaluated on a grid of T
-angles as one real matrix product, [Re z, Im z] times a table of cos(k*alpha_m)
-and sin(k*alpha_m), and the peak is refined by fitting a parabola through its
-three surrounding samples.
+Re sum_k z(k) e^{-i*k*alpha}.  The objective is evaluated on a grid of
+T = max(1024, 4*k_max) angles as one real matrix product, [Re z, Im z] times
+a table of cos(k*alpha_m) and sin(k*alpha_m), and the peak is refined by
+fitting a parabola through its three surrounding samples.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ __all__ = [
     "align_neighbors",
 ]
 
-DEFAULT_GRID = 1024
+# The fewest grid angles.  The grid keeps at least four samples per period
+# of the highest frequency, so from k_max = 257 on it has 4*k_max angles.
+_MIN_GRID = 1024
 # Pairs per grid-evaluation batch.  Rows are independent, so the size never
-# changes a result.  On the default grid a 512-pair block of objective values
-# is 4 MB, small enough to be reused from the heap instead of being faulted
-# in anew for every batch.
+# changes a result.  On a 1024-angle grid a 512-pair block of objective
+# values is 4 MB, small enough to be reused from the heap instead of being
+# faulted in anew for every batch.
 _CHUNK = 512
 
 
@@ -73,21 +75,14 @@ def alignment_sequences(embeddings: EmbeddingSet, ii: np.ndarray,
     return z
 
 
-def _check_grid(grid_length: int, k_max: int) -> None:
-    if grid_length < 4 * k_max or grid_length & (grid_length - 1):
-        raise ParameterError(
-            f"Grid length must be a power of two >= 4*k_max={4 * k_max}. "
-            f"Got {grid_length}."
-        )
-
-
-def _grid_table(k_max: int, grid_length: int) -> np.ndarray:
-    """(2*k_max, T) rows cos(k alpha_m), then sin(k alpha_m), k = 1..k_max.
+def _grid_table(k_max: int) -> np.ndarray:
+    """(2*k_max, T) rows cos(k alpha_m), then sin(k alpha_m), k = 1..k_max,
+    on T = max(_MIN_GRID, 4*k_max) angles alpha_m = 2 pi m / T.
 
     The phase k*m is reduced mod T in integers, so every entry is the cosine
-    or sine of an angle in [0, 2 pi) on alpha_m = 2 pi m / T.
+    or sine of an angle in [0, 2 pi).
     """
-    _check_grid(grid_length, k_max)
+    grid_length = max(_MIN_GRID, 4 * k_max)
     steps = np.outer(np.arange(1, k_max + 1), np.arange(grid_length))
     phase = TWO_PI * (steps % grid_length) / grid_length
     return np.concatenate([np.cos(phase), np.sin(phase)])
@@ -115,20 +110,19 @@ def _estimate_rows(z: np.ndarray, table: np.ndarray):
         raise UndefinedAlignmentError(
             f"{int(np.count_nonzero(flat))} pair(s) have all-zero z."
         )
-    grid_length = table.shape[1]
     alpha = np.empty(z.shape[0])
     objective = np.empty(z.shape[0])
     for start in range(0, z.shape[0], _CHUNK):
         stop = min(start + _CHUNK, z.shape[0])
         values = _objective_grid(z[start:stop], table)
-        alpha[start:stop], objective[start:stop] = _refine_peaks(
-            values, grid_length
-        )
+        alpha[start:stop], objective[start:stop] = _refine_peaks(values)
     return alpha, objective
 
 
-def _refine_peaks(values: np.ndarray, grid_length: int):
-    """Per-row argmax with 3-point parabolic refinement; returns (alpha, f)."""
+def _refine_peaks(values: np.ndarray):
+    """Per-row argmax with 3-point parabolic refinement on the grid of
+    ``values.shape[-1]`` angles; returns (alpha, f)."""
+    grid_length = values.shape[-1]
     peak = np.argmax(values, axis=-1)
     rows = np.arange(values.shape[0])
     y_0 = values[rows, peak]
@@ -144,15 +138,16 @@ def _refine_peaks(values: np.ndarray, grid_length: int):
     return alpha, objective
 
 
-def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID):
+def estimate_angles(z: np.ndarray):
     """Angles maximizing Re sum_k z(k) e^{-ik alpha}, one per row of z.
+
+    The objective is sampled on T = max(1024, 4*k_max) angles and each row's
+    peak refined by a parabola through its three samples.
 
     Parameters
     ----------
     z : (pairs, k_max) complex array
         z(k) values; column l holds frequency l+1.
-    grid_length : int
-        Grid length T, a power of two with T >= 4*k_max.
 
     Returns
     -------
@@ -165,15 +160,16 @@ def estimate_angles(z: np.ndarray, grid_length: int = DEFAULT_GRID):
         If all z(k) of some row vanish (flat objective).
     """
     z = np.asarray(z, dtype=np.complex128)
-    return _estimate_rows(z, _grid_table(z.shape[1], grid_length))
+    return _estimate_rows(z, _grid_table(z.shape[1]))
 
 
 def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
-                    grid_length: int = DEFAULT_GRID,
                     workers: int = 1) -> AlignmentTable:
     """Estimate alpha_hat for every (node, neighbor) pair.
 
-    Each unordered pair is solved once in canonical orientation i < j; the
+    Each pair's angle is found as in ``estimate_angles``, on the grid of
+    T = max(1024, 4*k_max) angles that the embedding's k_max sets.  Each
+    unordered pair is solved once in canonical orientation i < j; the
     reversed direction is reported as the negated angle with the same
     objective value.  The pairs are solved in ``_CHUNK``-sized batches on
     ``workers`` threads; neither changes a result.
@@ -193,7 +189,7 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     lo_u = keys // n
     hi_u = keys % n
 
-    table = _grid_table(embeddings.k_max, grid_length)
+    table = _grid_table(embeddings.k_max)
     alpha_u = np.empty(keys.shape[0])
     objective_u = np.empty(keys.shape[0])
 

@@ -68,22 +68,12 @@ def _p_tag(p: float) -> str:
     return "%g" % p
 
 
-def _parse_p_list(text: str) -> list:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"Bad --p value {text!r}: {exc}") from exc
-    if not values:
-        raise ConfigError("Empty --p list.")
-    for p in values:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"p must lie in [0, 1]. Got {p}.")
-    tags = [_p_tag(p) for p in values]
+def _check_p_tags(p_values) -> None:
+    tags = [_p_tag(p) for p in p_values]
     for tag in tags:
         if tags.count(tag) > 1:
             # The tag names each p's graph file and output directory.
             raise ConfigError(f"Two --p values share the file tag {tag}.")
-    return values
 
 
 def _echo_params(config: ExperimentConfig, p: float) -> dict:
@@ -173,9 +163,7 @@ def _method_embedding(method: str, features, config: ExperimentConfig):
         return build_embedding_set(chosen, mode="squared")
     if method == "vdm":
         return baseline_embedding(features[1])
-    if method == "dm":
-        return baseline_embedding(features[0])
-    raise ConfigError(f"Unknown method {method!r}.")
+    return baseline_embedding(features[0])
 
 
 def _run(config: ExperimentConfig, p_values, last: str) -> None:
@@ -229,7 +217,7 @@ def _run_method(config: ExperimentConfig, method: str, features, truth,
     mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
     table = None
     if last == "align" and method != "dm":
-        table = align_neighbors(embeddings, neighbors, config.t_fft,
+        table = align_neighbors(embeddings, neighbors,
                                 workers=config.workers)
         mio.write_alignment_csv(table, out / f"align_{method}.csv")
     if truth is not None:
@@ -248,12 +236,12 @@ def _single_p(p_values) -> float:
     return p_values[0]
 
 
-def cmd_spectrum(config: ExperimentConfig, p_values) -> None:
+def cmd_spectrum(config: ExperimentConfig) -> None:
     if config.manifold != "sphere":
         raise UnsupportedManifoldError(
             f"spectrum requires the sphere manifold. Got {config.manifold!r}."
         )
-    p = _single_p(p_values)
+    p = _single_p(config.p)
     _stage("generate")
     _, clean = _truth_and_clean_graph(config)
     graph = _graph_for_p(config, clean, p)
@@ -292,12 +280,13 @@ _FLAGS = (
     ("--kappa-build", "kappa_build",
      "neighbors per node when building the graph"),
     ("--n", "n", "node count of a synthetic manifold"),
+    ("--p", "p", "keep probability, or comma list for sweeps"),
     ("--manifold", "manifold", "sphere, torus or external"),
-    ("--graph", "graph_path", "edge-list file for manifold=external"),
+    ("--graph", "graph_path",
+     "edge-list file; without --manifold, means manifold=external"),
     ("--out", "out_dir", "output directory"),
     ("--workers", "workers", "worker threads"),
     ("--baselines", "baselines", "comma list from: dm, vdm"),
-    ("--tfft", "t_fft", "grid angles of the alignment search"),
     ("--ks", "spectrum_ks", "comma list of frequencies for spectrum"),
 )
 
@@ -321,20 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=str, default=None,
                          help="key = value config file")
-        cmd.add_argument("--p", type=str, default=None,
-                         help="keep probability, or comma list for sweeps")
         for flag, field, text in _FLAGS:
             cmd.add_argument(flag, dest=field, help=text)
     return parser
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    overrides = {field: _parse_value(field, getattr(args, field))
-                 for _, field, _ in _FLAGS
-                 if getattr(args, field) is not None}
-    if args.graph_path is not None and args.manifold is None:
-        overrides["manifold"] = "external"
-    return overrides
+    return {field: _parse_value(field, getattr(args, field))
+            for _, field, _ in _FLAGS if getattr(args, field) is not None}
 
 
 def main(argv=None) -> int:
@@ -346,13 +329,12 @@ def main(argv=None) -> int:
                        if args.config else {})
         overrides = _overrides(args)
         config = resolve_config(file_values, overrides)
-        p_values = (_parse_p_list(args.p) if args.p is not None
-                    else [config.p])
+        _check_p_tags(config.p)
         if args.command == "spectrum":
-            cmd_spectrum(config, p_values)
+            cmd_spectrum(config)
         else:
             last, single = _STAGE_COMMANDS[args.command]
-            _run(config, [_single_p(p_values)] if single else p_values, last)
+            _run(config, [_single_p(config.p)] if single else config.p, last)
         return 0
     except (ConfigError, UnsupportedManifoldError) as exc:
         print(f"config error in stage {_CURRENT_STAGE}: {exc}",

@@ -1,8 +1,10 @@
 """Experiment configuration: defaults, file parsing, CLI precedence.
 
 Configs are flat ``key = value`` text files; command-line overrides beat
-file values, which beat defaults.  The resolved config is echoed into every
-report so outputs are self-describing.
+file values, which beat defaults.  Every value, from a file line or a flag,
+is parsed by ``_parse_value`` and checked by ``ExperimentConfig.validate``.
+The resolved config is echoed into every report so outputs are
+self-describing.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ class ExperimentConfig:
     n: int = 10000
     kappa_build: int = 150
     kappa_search: int = 50
-    p: float = 1.0
+    p: tuple = (1.0,)
     seed: int = 0
     k_max: int = 50
     m_k: int = 50
     t: int = 1
-    t_fft: int = 1024
     baselines: tuple = ()
     out_dir: str = "out"
     workers: int = _CPUS
@@ -49,6 +50,9 @@ class ExperimentConfig:
                               f"Got {self.manifold!r}.")
         if self.manifold == "external" and not self.graph_path:
             raise ConfigError("manifold 'external' requires graph_path.")
+        if self.manifold != "external" and self.graph_path:
+            raise ConfigError(f"graph_path is for manifold 'external'. "
+                              f"Got manifold {self.manifold!r}.")
         # An external graph brings its own node count, and n and kappa_build
         # go unused; kappa_search is checked against the graph once read.
         if self.manifold != "external":
@@ -62,18 +66,15 @@ class ExperimentConfig:
                 raise ConfigError(f"kappa_search must satisfy 1 <= "
                                   f"kappa_search < n={self.n}. "
                                   f"Got {self.kappa_search}.")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"p must lie in [0, 1]. Got {self.p}.")
+        if not self.p or not all(0.0 <= p <= 1.0 for p in self.p):
+            raise ConfigError(f"p must be one or more values in [0, 1]. "
+                              f"Got {self.p}.")
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1. Got {self.k_max}.")
         if self.m_k < 1:
             raise ConfigError(f"m_k must be >= 1. Got {self.m_k}.")
         if self.t < 1:
             raise ConfigError(f"t must be >= 1. Got {self.t}.")
-        if (self.t_fft < 4 * self.k_max
-                or self.t_fft & (self.t_fft - 1)):
-            raise ConfigError(f"t_fft must be a power of two >= 4*k_max="
-                              f"{4 * self.k_max}. Got {self.t_fft}.")
         for b in self.baselines:
             if b not in _BASELINES:
                 raise ConfigError(f"Unknown baseline {b!r}; expected "
@@ -91,12 +92,14 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 text = ",".join(str(v) for v in value)
-            elif isinstance(value, float):
-                text = repr(value)
             else:
                 text = str(value)
             items.append((f.name, text))
         return items
+
+
+# The item type of each comma-list field; other lists hold strings.
+_LIST_ITEMS = {"p": float, "spectrum_ks": int}
 
 
 def _parse_value(name: str, text: str):
@@ -109,15 +112,11 @@ def _parse_value(name: str, text: str):
     try:
         if isinstance(default, int):
             return int(text)
-        if isinstance(default, float):
-            return float(text)
         if isinstance(default, tuple):
             # Empty parts are skipped: "dm," and "dm" are the same list.
-            parts = tuple(part.strip() for part in text.split(",")
-                          if part.strip())
-            if name in ("spectrum_ks",):
-                return tuple(int(part) for part in parts)
-            return parts
+            parts = (part.strip() for part in text.split(",")
+                     if part.strip())
+            return tuple(map(_LIST_ITEMS.get(name, str), parts))
         return text
     except ValueError as exc:
         raise ConfigError(f"Bad value for {name!r}: {exc}") from exc
@@ -144,13 +143,19 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+def _level(values: dict | None) -> dict:
+    """One level's set values; a level that names a graph file and no
+    manifold means the external manifold."""
+    values = {k: v for k, v in (values or {}).items() if v is not None}
+    if values.get("graph_path") and "manifold" not in values:
+        values["manifold"] = "external"
+    return values
+
+
 def resolve_config(file_values: dict | None = None,
                    overrides: dict | None = None) -> ExperimentConfig:
     """Merge defaults <- config file <- explicit overrides, then validate."""
-    merged = {}
-    merged.update(file_values or {})
-    merged.update({k: v for k, v in (overrides or {}).items()
-                   if v is not None})
+    merged = {**_level(file_values), **_level(overrides)}
     unknown = set(merged) - {f.name for f in
                              dataclasses.fields(ExperimentConfig)}
     if unknown:

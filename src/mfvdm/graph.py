@@ -91,36 +91,24 @@ class AlignmentGraph:
 
     @staticmethod
     def from_edges(n: int, rows: np.ndarray, cols: np.ndarray,
-                   weights: np.ndarray, angles: np.ndarray,
-                   oriented: bool = False) -> "AlignmentGraph":
-        """Canonicalize (orientation, sort order) and validate edge arrays:
-        the constructor of every graph the package builds or reads.
+                   weights: np.ndarray,
+                   angles: np.ndarray) -> "AlignmentGraph":
+        """Sort and validate edge arrays: the constructor of every graph the
+        package builds or reads.
 
-        The per-edge rules run once, on the edges in input order, after each
-        edge is turned to i < j with its angle negated and wrapped.  With
-        ``oriented`` they run on the edges as given instead, so i > j or an
-        angle outside [0, 2*pi) is an error, as in an edge-list file.  A
-        broken rule raises BadEdgeError with the edge's input index.  One
-        stable sort of the keys i*n + j orders the edges and finds the
-        duplicates.
+        The per-edge rules run once, on the edges as given and in input
+        order, so i > j or an angle outside [0, 2*pi) is an error, as in an
+        edge-list file.  A broken rule raises BadEdgeError with the edge's
+        input index.  One stable sort of the keys i*n + j orders the edges
+        and finds the duplicates.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
         angles = np.asarray(angles, dtype=float)
-        flip = rows > cols
-        lo = np.where(flip, cols, rows)
-        hi = np.where(flip, rows, cols)
-        order, repeated = _stable_order(lo * n + hi)
-        # The duplicates among the canonical keys and among the keys as
-        # given differ only at a flipped edge, which as given breaks the
-        # earlier rule i < j at the same or a lower index.
-        if oriented:
-            _raise_bad_edge(n, rows, cols, weights, angles, repeated)
-        angles = wrap_two_pi(np.where(flip, -angles, angles))
-        if not oriented:
-            _raise_bad_edge(n, lo, hi, weights, angles, repeated)
-        graph = AlignmentGraph(n=n, rows=lo[order], cols=hi[order],
+        order, repeated = _stable_order(rows * n + cols)
+        _raise_bad_edge(n, rows, cols, weights, angles, repeated)
+        graph = AlignmentGraph(n=n, rows=rows[order], cols=cols[order],
                                weights=weights[order], angles=angles[order])
         graph._check_nodes()
         return graph
@@ -304,17 +292,20 @@ def rewire_graph(graph: AlignmentGraph, p: float, seed: int,
     isolated = np.flatnonzero(degree == 0)
     forced, _ = _draw_partners(rng, n, keys, degree, isolated)
 
-    # The added edges as drawn, i -> j: replacements, then forced links.
+    # The added edges as drawn, i -> j: replacements, then forced links,
+    # each stored as (min, max) with its angle negated when flipped.
     i = np.concatenate([sources, isolated])
     j = np.concatenate([partners, forced])
     weights = np.concatenate([graph.weights[removed], np.ones(isolated.size)])
     placed = j >= 0
-    angles = rng.uniform(0.0, TWO_PI, size=int(np.count_nonzero(placed)))
+    i, j = i[placed], j[placed]
+    angles = rng.uniform(0.0, TWO_PI, size=i.size)
     rewired = AlignmentGraph.from_edges(
-        n, np.concatenate([rows, i[placed]]),
-        np.concatenate([cols, j[placed]]),
+        n, np.concatenate([rows, np.minimum(i, j)]),
+        np.concatenate([cols, np.maximum(i, j)]),
         np.concatenate([graph.weights[keep], weights[placed]]),
-        np.concatenate([graph.angles[keep], angles]))
+        np.concatenate([graph.angles[keep],
+                        np.where(i > j, wrap_two_pi(-angles), angles)]))
     skipped = int(np.count_nonzero(partners < 0))
     if return_diagnostics:
         diagnostics = RewireDiagnostics(

@@ -156,8 +156,7 @@ def read_graph(path) -> AlignmentGraph:
         raise error from rejection
     try:
         return AlignmentGraph.from_edges(n, edges["i"], edges["j"],
-                                         edges["w"], edges["a"],
-                                         oriented=True)
+                                         edges["w"], edges["a"])
     except BadEdgeError as exc:
         raise GraphFileError(
             f"{path}:{_edge_line(path, exc.index)}: {exc}") from exc

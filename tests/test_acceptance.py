@@ -559,7 +559,7 @@ def _run_pipeline(out_dir: Path, workers: int | None = None) -> dict:
     argv = ["pipeline", "--manifold", "sphere", "--seed", "3",
             "--p", "0.4", "--baselines", "dm,vdm", "--out", str(out_dir),
             "--n", "500", "--kappa-build", "20", "--kappa", "10",
-            "--kmax", "5", "--mk", "10", "--tfft", "256"]
+            "--kmax", "5", "--mk", "10"]
     if workers is not None:
         argv += ["--workers", str(workers)]
     code = cli.main(argv)

@@ -38,10 +38,16 @@ def _z(emb, i, j):
     return alignment_sequences(emb, np.array([i]), np.array([j]))[0]
 
 
-def _angle(z, grid_length=1024):
+def _angle(z):
     """(alpha_hat, objective) of one z(k) sequence."""
-    alpha, objective = estimate_angles(np.asarray(z)[None, :], grid_length)
+    alpha, objective = estimate_angles(np.asarray(z)[None, :])
     return alpha[0], objective[0]
+
+
+@pytest.fixture
+def grid(monkeypatch):
+    """Sets the fewest grid angles, so a short z runs on that grid."""
+    return lambda length: monkeypatch.setattr(alignment, "_MIN_GRID", length)
 
 
 class TestSequences:
@@ -92,17 +98,19 @@ def fft_objective(z, grid_length):
 
 
 class TestObjectiveGrid:
-    # Grids shorter than 4*k_max are rejected, so (64, 50) is left out.
+    # A grid keeps 4*k_max angles at least, so (64, 50) is left out.
     @pytest.mark.parametrize("grid_length,k_max", [
         (t, k) for t in (64, 256, 1024, 4096) for k in (1, 2, 5, 10, 16, 50)
         if t >= 4 * k
     ])
-    def test_matches_fft_oracle(self, grid_length, k_max):
+    def test_matches_fft_oracle(self, grid, grid_length, k_max):
         rng = np.random.default_rng(grid_length + k_max)
         scale = rng.uniform(1e-3, 1e3, size=(40, 1))
         z = scale * (rng.normal(size=(40, k_max))
                      + 1j * rng.normal(size=(40, k_max)))
-        table = _grid_table(k_max, grid_length)
+        grid(grid_length)
+        table = _grid_table(k_max)
+        assert table.shape == (2 * k_max, grid_length)
         got = _objective_grid(z, table)
         want = fft_objective(z, grid_length)
         bound = 16 * np.finfo(float).eps * np.abs(z).sum(axis=1)
@@ -113,7 +121,7 @@ class TestObjectiveGrid:
         rng = np.random.default_rng(k_max)
         z = rng.normal(size=(2000, k_max)) + 1j * rng.normal(
             size=(2000, k_max))
-        table = _grid_table(k_max, 1024)
+        table = _grid_table(k_max)
         whole = _objective_grid(z, table)
         for size in (1, 2, 3, 7, 511, 512, 513):
             for start in range(0, 2000, size):
@@ -121,11 +129,16 @@ class TestObjectiveGrid:
                 assert np.array_equal(part, whole[start:start + size]), \
                     (size, start)
 
+    @pytest.mark.parametrize("k_max,grid_length", [
+        (1, 1024), (50, 1024), (256, 1024), (257, 1028), (300, 1200)])
+    def test_grid_length_follows_k_max(self, k_max, grid_length):
+        assert _grid_table(k_max).shape == (2 * k_max, grid_length)
+
 
 class TestEstimateAngle:
     def test_single_harmonic_recovers_phase(self):
         for beta in (0.0, 0.37, 2.0, 5.9):
-            alpha, objective = _angle([np.exp(1j * beta)], grid_length=1024)
+            alpha, objective = _angle([np.exp(1j * beta)])
             assert abs(wrap_pi(alpha - beta)) < 1e-6
             assert abs(objective - 1.0) < 1e-6
 
@@ -135,7 +148,7 @@ class TestEstimateAngle:
             beta = float(rng.uniform(0, TWO_PI))
             weights = rng.uniform(0.2, 1.0, size=8)
             z = weights * np.exp(1j * np.arange(1, 9) * beta)
-            alpha, _ = _angle(z, grid_length=1024)
+            alpha, _ = _angle(z)
             assert abs(wrap_pi(alpha - beta)) < 1e-4
 
     def test_matches_fine_grid_oracle(self):
@@ -148,7 +161,7 @@ class TestEstimateAngle:
                 np.exp(-1j * np.outer(grid, ks)) @ z
             )
             best = int(np.argmax(objective))
-            alpha, value = _angle(z, grid_length=1024)
+            alpha, value = _angle(z)
             assert abs(wrap_pi(alpha - grid[best])) \
                 < TWO_PI / 1_000_000 + 1e-3
             assert abs(value - objective[best]) \
@@ -158,43 +171,39 @@ class TestEstimateAngle:
         with pytest.raises(UndefinedAlignmentError):
             _angle(np.zeros(5, dtype=complex))
 
-    def test_rejects_bad_grid(self):
-        z = np.ones(10, dtype=complex)
-        with pytest.raises(ParameterError):
-            _angle(z, grid_length=100)
-        with pytest.raises(ParameterError):
-            _angle(z, grid_length=16)
-
     def test_accepts_sequence_objects(self):
         # Nested Python lists are converted like arrays.
-        alpha, _ = estimate_angles([[np.exp(1j * 1.2)]], grid_length=1024)
+        alpha, _ = estimate_angles([[np.exp(1j * 1.2)]])
         assert abs(wrap_pi(alpha[0] - 1.2)) < 1e-6
 
 
 class TestBatch:
-    def test_batch_equals_scalar(self):
+    def test_batch_equals_scalar(self, grid):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(30, 6)) + 1j * rng.normal(size=(30, 6))
-        alpha, objective = estimate_angles(z, grid_length=512)
+        grid(512)
+        alpha, objective = estimate_angles(z)
         for row in range(30):
-            one = _angle(z[row], grid_length=512)
+            one = _angle(z[row])
             assert (alpha[row], objective[row]) == one
 
-    def test_chunking_invariant(self, monkeypatch):
+    def test_chunking_invariant(self, monkeypatch, grid):
         rng = np.random.default_rng(4)
         z = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+        grid(256)
         monkeypatch.setattr(alignment, "_CHUNK", 7)
-        a1, o1 = estimate_angles(z, grid_length=256)
+        a1, o1 = estimate_angles(z)
         monkeypatch.setattr(alignment, "_CHUNK", 8192)
-        a2, o2 = estimate_angles(z, grid_length=256)
+        a2, o2 = estimate_angles(z)
         assert np.array_equal(a1, a2)
         assert np.array_equal(o1, o2)
 
-    def test_batch_flags_zero_rows(self):
+    def test_batch_flags_zero_rows(self, grid):
         z = np.ones((3, 4), dtype=complex)
         z[1] = 0.0
+        grid(256)
         with pytest.raises(UndefinedAlignmentError):
-            estimate_angles(z, grid_length=256)
+            estimate_angles(z)
 
 
 class TestAlignNeighbors:
@@ -247,7 +256,7 @@ class TestAlignNeighbors:
         assert np.array_equal(small.alpha_hat, large.alpha_hat)
         assert np.array_equal(small.objective, large.objective)
 
-    def test_frame_rotation_shifts_estimate(self, clean_instance):
+    def test_frame_rotation_shifts_estimate(self, clean_instance, grid):
         # Rotating node j's features by e^{ik theta} multiplies z(k) by
         # e^{-ik theta}, shifting the estimated angle by -theta.
         _, _, emb = clean_instance
@@ -255,8 +264,9 @@ class TestAlignNeighbors:
         theta = 0.83
         z = _z(emb, i, j)
         ks = np.arange(1, z.shape[0] + 1)
-        base, _ = _angle(z, grid_length=4096)
-        shifted, _ = _angle(z * np.exp(-1j * ks * theta), grid_length=4096)
+        grid(4096)
+        base, _ = _angle(z)
+        shifted, _ = _angle(z * np.exp(-1j * ks * theta))
         assert abs(wrap_pi(shifted - (base - theta))) < 1e-3
 
 

@@ -41,14 +41,14 @@ def _tree_digest(root, skip=("cache",)):
 
 
 def test_every_config_field_has_a_flag():
-    """A run sets each config field by a flag or, for p, by ``--p``: no
-    field can be set from a config file alone."""
+    """A run sets each config field by a flag: no field can be set from a
+    config file alone, and no flag sets anything but a config field."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert fields == {field for _, field, _ in cli._FLAGS} | {"p"}
+    assert fields == {field for _, field, _ in cli._FLAGS}
 
 
 SMALL = ["--n", "250", "--kappa-build", "20", "--kappa", "10",
-         "--kmax", "5", "--mk", "10", "--tfft", "64"]
+         "--kmax", "5", "--mk", "10"]
 
 
 class TestGenerate:
@@ -153,6 +153,16 @@ class TestPipeline:
                     "--out", str(rerun), "--seed", "3")
         assert code == 0
         assert _tree_digest(rerun) == _tree_digest(pipeline_out)
+
+    def test_p_list_in_a_config_file_matches_the_flag(self, pipeline_out,
+                                                      tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("p = 1, 0.4\n")
+        out = tmp_path / "out"
+        assert _run("pipeline", "--manifold", "sphere", *SMALL,
+                    "--config", str(config), "--baselines", "dm,vdm",
+                    "--out", str(out), "--seed", "3") == 0
+        assert _tree_digest(out) == _tree_digest(pipeline_out)
 
     def test_worker_count_does_not_change_outputs(self, pipeline_out,
                                                   tmp_path):
@@ -308,7 +318,7 @@ class TestCache:
         args = ("embed", "--manifold", "torus", "--n", "120",
                 "--kappa-build", "6", "--kmax", "3", "--mk", "8",
                 "--p", "1", "--out", str(out), "--seed", "2",
-                "--kappa", "10", "--tfft", "64")
+                "--kappa", "10")
         assert _run(*args) == 0
         capsys.readouterr()
         assert _run(*args) == 0
@@ -324,7 +334,7 @@ class TestCache:
         args = ("embed", "--manifold", "torus", "--n", "100",
                 "--kappa-build", "5", "--kmax", "2", "--mk", "6",
                 "--p", "1", "--out", str(out), "--seed", "2",
-                "--kappa", "10", "--tfft", "64")
+                "--kappa", "10")
         assert _run(*args) == 0
         assert list(shared.glob("bundle_*.npz"))
         assert not (out / "cache").exists()
@@ -389,11 +399,41 @@ class TestExternalGraph:
         code = _run("nn", "--graph", str(out / "graph_clean.txt"),
                     "--p", "1", "--kappa", "8", "--kmax", "3",
                     "--mk", "8", "--out", str(ext_out), "--seed", "0",
-                    "--n", "90", "--kappa-build", "5", "--tfft", "64")
+                    "--n", "90", "--kappa-build", "5")
         assert code == 0
         assert (ext_out / "p1" / "nn_mfvdm.csv").exists()
         # no ground truth: no score reports
         assert not list((ext_out / "p1").glob("report_*"))
+
+    def test_graph_path_in_a_config_file_implies_external(self, tmp_path):
+        out = tmp_path / "out"
+        assert _run("generate", "--manifold", "torus", "--n", "40",
+                    "--kappa-build", "4", "--p", "1", "--out", str(out),
+                    "--seed", "0", "--kappa", "10") == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(f"graph_path = {out / 'graph_clean.txt'}\n")
+        ext_out = tmp_path / "ext"
+        assert _run("nn", "--config", str(config), "--n", "40",
+                    "--kappa-build", "4", "--p", "1", "--kappa", "5",
+                    "--kmax", "2", "--mk", "5", "--out", str(ext_out)) == 0
+        assert (ext_out / "p1" / "nn_mfvdm.csv").exists()
+        assert not (ext_out / "truth.txt").exists()
+        assert not list(ext_out.rglob("report_*"))
+
+    @pytest.mark.parametrize("where", ["flags", "file"])
+    def test_graph_with_a_synthetic_manifold_is_one(self, tmp_path, where):
+        graph = tmp_path / "edges.txt"
+        if where == "flags":
+            argv = ["--graph", str(graph), "--manifold", "torus"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"graph_path = {graph}\nmanifold = sphere\n")
+            argv = ["--config", str(config)]
+        out = tmp_path / "out"
+        assert _run("nn", *argv, "--n", "40", "--kappa-build", "4",
+                    "--p", "1", "--kappa", "5", "--kmax", "2", "--mk", "5",
+                    "--out", str(out)) == 1
+        assert not out.exists()
 
     def test_kappa_is_checked_against_the_graph(self, tmp_path,
                                                 monkeypatch):
@@ -405,7 +445,7 @@ class TestExternalGraph:
         ext_out = tmp_path / "ext"
         code = _run("nn", "--graph", str(out / "graph_clean.txt"),
                     "--p", "1", "--kappa", "45", "--kmax", "2",
-                    "--mk", "5", "--out", str(ext_out), "--tfft", "64")
+                    "--mk", "5", "--out", str(ext_out))
         assert code == 1
         assert not list(ext_out.rglob("bundle_*.npz"))
 
@@ -422,7 +462,7 @@ class TestExternalGraph:
         ext_out = tmp_path / "ext"
         code = _run("nn", "--graph", str(out / "graph_clean.txt"),
                     "--n", "20", "--kappa", kappa, "--p", "1", "--kmax", "2",
-                    "--mk", "5", "--out", str(ext_out), "--tfft", "64")
+                    "--mk", "5", "--out", str(ext_out))
         assert code == 0
         rows = (ext_out / "p1" / "nn_mfvdm.csv").read_text().splitlines()
         assert len(rows) == 1 + 40 * int(kappa)
@@ -474,6 +514,8 @@ class TestCommaLists:
         ("--baselines", "baselines", " vdm , dm ", ("vdm", "dm")),
         ("--ks", "spectrum_ks", "1,2,5", (1, 2, 5)),
         ("--ks", "spectrum_ks", "3,", (3,)),
+        ("--p", "p", "1,0.4", (1.0, 0.4)),
+        ("--p", "p", " 0.3 ", (0.3,)),
         ("--n", "n", "250", 250),
     ])
     def test_flag_and_config_line_agree(self, tmp_path, flag, key, text,
@@ -501,18 +543,21 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")) == 1
         # A malformed or unknown flag is a configuration error too.
         for flag, text in (("--n", "abc"), ("--kmax", "2.5"),
-                           ("--no-such-flag", "3")):
+                           ("--p", "0.4,x"), ("--p", ","), ("--p", "nan"),
+                           ("--no-such-flag", "3"), ("--tfft", "64")):
             assert _run("pipeline", "--manifold", "sphere", flag, text,
                         "--out", str(tmp_path / "out")) == 1
 
     @pytest.mark.parametrize("line", [
         "weight_mode = unit", "sigma = 1.0", "area_uniform = true",
-        "radius_major = 1.0", "radius_minor = 0.2", "spectrum_m = 30"])
+        "radius_major = 1.0", "radius_minor = 0.2", "spectrum_m = 30",
+        "t_fft = 1024"])
     def test_fixed_setting_in_a_config_file_is_one(self, tmp_path, capsys,
                                                    line):
-        """Unit weights, the area-uniform torus with R = 1 and r = 0.2, and
-        the spectrum's 30 eigenpairs are fixed: a file that sets one, even
-        to its fixed value, is refused before any stage runs."""
+        """Unit weights, the area-uniform torus with R = 1 and r = 0.2, the
+        spectrum's 30 eigenpairs and the alignment grid, which follows
+        k_max, are fixed: a file that sets one, even to its fixed value, is
+        refused before any stage runs."""
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")
         out = tmp_path / "out"
@@ -521,11 +566,22 @@ class TestExitCodes:
         assert "Unknown config key" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_kmax_above_256_aligns_on_a_longer_grid(self, tmp_path):
+        """k_max = 300 needs more than 1024 grid angles: the grid grows to
+        4 * k_max = 1200."""
+        out = tmp_path / "out"
+        assert _run("align", "--manifold", "torus", "--n", "40",
+                    "--kappa-build", "4", "--kappa", "3", "--kmax", "300",
+                    "--mk", "2", "--p", "1", "--seed", "0",
+                    "--out", str(out)) == 0
+        rows = (out / "p1" / "align_mfvdm.csv").read_text().splitlines()
+        assert len(rows) == 1 + 40 * 3
+
     def test_io_error_is_two(self, tmp_path, capsys):
         assert _run("nn", "--graph", str(tmp_path / "missing.txt"),
                     "--p", "1", "--out", str(tmp_path / "out"),
                     "--kappa", "5", "--kmax", "2", "--n", "50",
-                    "--kappa-build", "5", "--mk", "5", "--tfft", "64") == 2
+                    "--kappa-build", "5", "--mk", "5") == 2
         # A truth file with fewer rows than its header's n, or with a NaN
         # in a data row (the graph is rebuilt from it, so a NaN that got
         # through would surface as a numerical error instead).
@@ -562,7 +618,7 @@ class TestExitCodes:
         code = _run("embed", "--manifold", "torus", "--n", "60",
                     "--kappa-build", "4", "--kmax", "2", "--mk", "5",
                     "--p", "1", "--out", str(tmp_path / "out"),
-                    "--seed", "0", "--kappa", "5", "--tfft", "64")
+                    "--seed", "0", "--kappa", "5")
         assert code == 3
 
     def test_arpack_failure_names_its_frequency_once(self, tmp_path,
@@ -572,7 +628,7 @@ class TestExitCodes:
         code = _run("embed", "--manifold", "torus", "--n", "60",
                     "--kappa-build", "4", "--kmax", "2", "--mk", "5",
                     "--p", "1", "--out", str(tmp_path / "out"),
-                    "--seed", "0", "--kappa", "5", "--tfft", "64")
+                    "--seed", "0", "--kappa", "5")
         assert code == 3
         assert capsys.readouterr().err.count("frequency k=") == 1
 
@@ -675,7 +731,7 @@ print(*(os.environ[k] for k in sys.argv[1:]), *counts)
             subprocess.run(
                 [sys.executable, "-m", "mfvdm.cli", "pipeline",
                  "--n", str(DENSE_THRESHOLD + 100), "--kappa-build", "30",
-                 "--kappa", "10", "--kmax", "3", "--mk", "6", "--tfft", "64",
+                 "--kappa", "10", "--kmax", "3", "--mk", "6",
                  "--seed", "1", "--out", str(out)],
                 env=_child_env(), check=True, stdout=subprocess.DEVNULL,
                 preexec_fn=lambda allowed=allowed: os.sched_setaffinity(

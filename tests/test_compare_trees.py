@@ -14,7 +14,7 @@ from mfvdm import io as mio
 
 PIPELINE = ["pipeline", "--manifold", "sphere", "--n", "200",
             "--kappa-build", "15", "--kappa", "8", "--kmax", "4", "--mk", "8",
-            "--tfft", "64", "--p", "0.4", "--baselines", "vdm", "--seed", "4"]
+            "--p", "0.4", "--baselines", "vdm", "--seed", "4"]
 
 
 @pytest.fixture(scope="module")

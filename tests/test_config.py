@@ -18,8 +18,7 @@ def test_defaults_are_valid_and_match_contract():
     assert config.k_max == 50
     assert config.m_k == 50
     assert config.t == 1
-    assert config.t_fft == 1024
-    assert config.p == 1.0
+    assert config.p == (1.0,)
     assert config.workers == (len(os.sched_getaffinity(0))
                               if hasattr(os, "sched_getaffinity")
                               else os.cpu_count() or 1)
@@ -32,13 +31,17 @@ def test_defaults_are_valid_and_match_contract():
     {"kappa_build": 0},
     {"kappa_build": 10000},
     {"kappa_search": 0},
-    {"p": -0.2},
-    {"p": 1.5},
+    {"p": (-0.2,)},
+    {"p": (1.5,)},
+    {"p": (0.4, 1.5)},
+    {"p": (float("nan"),)},
+    {"p": ()},
     {"k_max": 0},
     {"m_k": 0},
     {"t": 0},
-    {"t_fft": 100},                      # not a power of two
-    {"t_fft": 64},                       # below 4 * k_max = 200
+    {"t_fft": 1024},                     # follows k_max, so not a key
+    {"graph_path": "g.txt", "manifold": "sphere"},
+    {"graph_path": "g.txt", "manifold": "torus"},
     {"weight_mode": "unit"},             # fixed, so not a key
     {"sigma": 1.0},                      # fixed, so not a key
     {"baselines": ("dm", "rdm")},
@@ -60,14 +63,14 @@ def test_file_parsing(tmp_path):
         "# experiment setup\n"
         "manifold = torus\n"
         "n = 500  # small run\n"
-        "p = 0.4\n"
+        "p = 0.4, 1\n"
         "baselines = dm,vdm\n"
         "spectrum_ks = 1,2\n"
         "\n"
     )
     values = load_config_file(str(path))
     assert values == {
-        "manifold": "torus", "n": 500, "p": 0.4,
+        "manifold": "torus", "n": 500, "p": (0.4, 1.0),
         "baselines": ("dm", "vdm"), "spectrum_ks": (1, 2),
     }
     config = resolve_config(file_values=values)
@@ -100,11 +103,24 @@ def test_override_precedence(tmp_path):
     path.write_text("n = 500\np = 0.4\nseed = 3\n")
     values = load_config_file(str(path))
     config = resolve_config(file_values=values,
-                            overrides={"p": 0.1, "seed": None})
+                            overrides={"p": (0.1,), "seed": None})
     # Overrides beat the file; None-valued overrides are ignored.
-    assert config.p == 0.1
+    assert config.p == (0.1,)
     assert config.n == 500
     assert config.seed == 3
+
+
+def test_graph_path_means_external_at_its_own_level():
+    """A level (file or flags) that names a graph file and no manifold
+    means the external manifold; a manifold set at the same level or a
+    later one wins, and sphere or torus with a graph file is an error."""
+    graph = {"graph_path": "g.txt"}
+    assert resolve_config(file_values=graph).manifold == "external"
+    assert resolve_config(overrides=graph).manifold == "external"
+    assert resolve_config(file_values={"manifold": "torus"},
+                          overrides=graph).manifold == "external"
+    with pytest.raises(ConfigError, match="graph_path"):
+        resolve_config(file_values=graph, overrides={"manifold": "sphere"})
 
 
 def test_unknown_override_rejected():
@@ -113,7 +129,7 @@ def test_unknown_override_rejected():
 
 
 def test_echo_items_order_and_format():
-    config = ExperimentConfig(baselines=("dm",), p=0.25)
+    config = ExperimentConfig(baselines=("dm",), p=(0.25,))
     items = config.echo_items()
     keys = [k for k, _ in items]
     assert keys[0] == "manifold"

@@ -137,30 +137,18 @@ class TestBuild:
 
 
 class TestCanonicalization:
-    def test_from_edges_flips_orientation_and_negates_angle(self):
-        graph = AlignmentGraph.from_edges(
-            n=3,
-            rows=np.array([2, 0]),
-            cols=np.array([1, 1]),
-            weights=np.array([1.0, 2.0]),
-            angles=np.array([0.5, 1.0]),
-        )
-        assert graph.rows.tolist() == [0, 1]
-        assert graph.cols.tolist() == [1, 2]
-        assert abs(graph.angles[1] - (TWO_PI - 0.5)) < 1e-15
-        assert graph.weights.tolist() == [2.0, 1.0]
-
     def test_from_edges_names_the_bad_edge_by_input_index(self):
         edges = dict(n=4, rows=np.array([2, 0, 3, 3]),
                      cols=np.array([1, 1, 2, 3]),
                      weights=np.ones(4), angles=np.full(4, 0.5))
+        # As given, (2, 1) already breaks the file rule i < j.
+        with pytest.raises(BadEdgeError, match="i < j") as info:
+            AlignmentGraph.from_edges(**edges)
+        assert info.value.index == 0
+        edges.update(rows=np.array([1, 0, 2, 3]), cols=np.array([2, 1, 3, 3]))
         with pytest.raises(BadEdgeError, match="self-loop 3") as info:
             AlignmentGraph.from_edges(**edges)
         assert info.value.index == 3
-        # As given, (2, 1) already breaks the file rule i < j.
-        with pytest.raises(BadEdgeError, match="i < j") as info:
-            AlignmentGraph.from_edges(**edges, oriented=True)
-        assert info.value.index == 0
 
     @pytest.mark.parametrize("rows,cols,weights,angles,what", [
         ([0, 0], [1, 1], [1.0, 1.0], [0.1, 0.2], "duplicate edge"),

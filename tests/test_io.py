@@ -207,7 +207,7 @@ class TestGraphFormat:
                                      graph.angles)]
         tracemalloc.start()
         try:
-            AlignmentGraph.from_edges(n, *arrays, oriented=True)
+            AlignmentGraph.from_edges(n, *arrays)
             build = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             back = read_graph(path)
