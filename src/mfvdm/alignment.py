@@ -63,9 +63,6 @@ def alignment_sequences(embeddings: EmbeddingSet, ii: np.ndarray,
     Returns a (pairs, k_max) complex array whose column k-1 holds frequency
     k; frequencies absent from the embedding stay zero.
     """
-    if embeddings.mode != "squared":
-        raise ParameterError("Alignment needs phase-carrying features "
-                             "(squared mode).")
     k_max = embeddings.k_max
     if min(embeddings.frequencies) < 1:
         raise ParameterError("Alignment frequencies must start at k >= 1.")

@@ -1,11 +1,12 @@
 """Command-line pipeline: generate, embed, nn, align, pipeline, spectrum.
 
-``pipeline`` runs the whole chain for every p in ``--p``: ground truth and
-graphs, the eigenbundles of each frequency, NN search, grid alignment, and
-the scores.  ``generate``, ``embed``, ``nn`` and ``align`` run the same
-chain up to their own stage (``generate`` for every p, the others for one
-p) and write that prefix's artifacts under ``pipeline``'s file names.
-``spectrum`` writes the eigenvalue-cluster report of a sphere graph.
+Every command runs one chain, ``_run``, for every p in ``--p`` and stops
+after its own stage: ground truth and graphs (``generate``), the
+eigenbundles of each frequency (``embed``), NN search (``nn``), and grid
+alignment with the scores (``align``, also named ``pipeline``).  A stage
+writes the same files whichever command ran it.  ``spectrum`` follows the
+graphs with the eigenvalue-cluster report of each frequency in ``--ks``,
+on the sphere.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
 failure.  All stochastic stages derive their randomness from the single
@@ -160,31 +161,52 @@ def _method_embedding(method: str, features, config: ExperimentConfig):
     methods share the feature blocks of their common frequencies."""
     if method == "mfvdm":
         chosen = [features[k] for k in range(1, config.k_max + 1)]
-        return build_embedding_set(chosen, mode="squared")
+        return build_embedding_set(chosen)
     if method == "vdm":
         return baseline_embedding(features[1])
     return baseline_embedding(features[0])
 
 
-def _run(config: ExperimentConfig, p_values, last: str) -> None:
-    """Run the chain for each p and stop after stage ``last``.
+def _run(config: ExperimentConfig, last: str) -> None:
+    """Run the chain for each p in ``config.p`` and stop after ``last``.
 
     The stages are generate (truth and graphs), embed (eigenbundles for
     every frequency), nn (neighbor search and its scores) and align (grid
-    angles, merged into the same reports).  Every command is a prefix of
-    this chain, so a stage writes the same files whichever command ran it.
+    angles, merged into the same reports), or generate and spectrum.  Every
+    command is a prefix of this chain, so a stage writes the same files
+    whichever command ran it.  Nothing is written before the manifold
+    checks.
     """
     if last == "generate" and config.manifold == "external":
         raise ConfigError("generate needs a synthetic manifold.")
+    if last == "spectrum" and config.manifold != "sphere":
+        raise UnsupportedManifoldError(f"spectrum requires the sphere "
+                                       f"manifold. Got {config.manifold!r}.")
     _stage("generate")
     truth, clean = _truth_and_clean_graph(config)
     if last == "generate":
         clean()  # written even when every p's rewired graph exists
-    for p in p_values:
+    for p in config.p:
         _stage(f"generate p={_p_tag(p)}")
         graph = _graph_for_p(config, clean, p)
-        if last != "generate":
+        if last == "spectrum":
+            _spectrum(config, graph, p)
+        elif last != "generate":
             _embed_and_score(config, truth, graph, p, last)
+
+
+def _spectrum(config: ExperimentConfig, graph, p: float) -> None:
+    """The eigenvalue-cluster report of each frequency in
+    ``config.spectrum_ks``, for one p's graph."""
+    tag = _p_tag(p)
+    _stage(f"spectrum p={tag}")
+    bundles = _compute_bundles(config, graph, config.spectrum_ks,
+                               _SPECTRUM_M)
+    out = Path(config.out_dir) / f"p{tag}"
+    out.mkdir(parents=True, exist_ok=True)
+    for k in config.spectrum_ks:
+        report = spectral_report(bundles[k], config.kappa_build)
+        mio.write_spectral_report(report, out / f"spectrum_k{k}")
 
 
 def _embed_and_score(config: ExperimentConfig, truth, graph, p: float,
@@ -230,42 +252,9 @@ def _run_method(config: ExperimentConfig, method: str, features, truth,
         mio.write_eval_report(report, out / f"report_{method}")
 
 
-def _single_p(p_values) -> float:
-    if len(p_values) != 1:
-        raise ConfigError("This command takes a single p value.")
-    return p_values[0]
-
-
-def cmd_spectrum(config: ExperimentConfig) -> None:
-    if config.manifold != "sphere":
-        raise UnsupportedManifoldError(
-            f"spectrum requires the sphere manifold. Got {config.manifold!r}."
-        )
-    p = _single_p(config.p)
-    _stage("generate")
-    _, clean = _truth_and_clean_graph(config)
-    graph = _graph_for_p(config, clean, p)
-    _stage("spectrum")
-    bundles = _compute_bundles(config, graph, config.spectrum_ks,
-                               _SPECTRUM_M)
-    out = Path(config.out_dir) / f"p{_p_tag(p)}"
-    out.mkdir(parents=True, exist_ok=True)
-    for k in config.spectrum_ks:
-        # h describes the graph that was solved, not the config's n.
-        report = spectral_report(bundles[k], config.kappa_build, graph.n,
-                                 manifold=config.manifold)
-        mio.write_spectral_report(report, out / f"spectrum_k{k}")
-
-
-# Each stage command: (the last stage ``_run`` runs, whether it takes a
-# single p).  ``spectrum`` is ``cmd_spectrum``.
-_STAGE_COMMANDS = {
-    "generate": ("generate", False),
-    "embed": ("embed", True),
-    "nn": ("nn", True),
-    "align": ("align", True),
-    "pipeline": ("align", False),
-}
+# The last stage ``_run`` runs for each command.
+_COMMANDS = {"generate": "generate", "embed": "embed", "nn": "nn",
+             "align": "align", "pipeline": "align", "spectrum": "spectrum"}
 
 
 # (flag, config field, help) of every flag that sets one config field.  Its
@@ -306,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "nearest-neighbor search and rotational alignment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_STAGE_COMMANDS, "spectrum"]:
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=str, default=None,
                          help="key = value config file")
@@ -330,11 +319,7 @@ def main(argv=None) -> int:
         overrides = _overrides(args)
         config = resolve_config(file_values, overrides)
         _check_p_tags(config.p)
-        if args.command == "spectrum":
-            cmd_spectrum(config)
-        else:
-            last, single = _STAGE_COMMANDS[args.command]
-            _run(config, [_single_p(config.p)] if single else config.p, last)
+        _run(config, _COMMANDS[args.command])
         return 0
     except (ConfigError, UnsupportedManifoldError) as exc:
         print(f"config error in stage {_CURRENT_STAGE}: {exc}",

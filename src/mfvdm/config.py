@@ -87,15 +87,16 @@ class ExperimentConfig:
 
     def echo_items(self) -> list:
         """(key, value-string) pairs in declaration order, for reports."""
-        items = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                text = ",".join(str(v) for v in value)
-            else:
-                text = str(value)
-            items.append((f.name, text))
-        return items
+        return [(f.name, _text(getattr(self, f.name)))
+                for f in dataclasses.fields(self)]
+
+
+def _text(value) -> str:
+    """A value as the text of its config line: a tuple's items joined by
+    commas, anything else ``str``."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 # The item type of each comma-list field; other lists hold strings.
@@ -160,6 +161,11 @@ def resolve_config(file_values: dict | None = None,
                              dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"Unknown config keys: {sorted(unknown)}.")
-    config = ExperimentConfig(**merged)
+    # A value means the same from a flag, a file line or Python: a string
+    # is parsed as given, anything else as the text of its config line.
+    config = ExperimentConfig(**{
+        name: _parse_value(name, value if isinstance(value, str)
+                           else _text(value))
+        for name, value in merged.items()})
     config.validate()
     return config

@@ -74,26 +74,25 @@ def build_features(bundle: SpectralBundle, t: int) -> FrequencyFeatures:
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Features for a set of frequencies plus per-node embedding norms.
+    """Features for a set of distinct frequencies plus per-node embedding
+    norms.  The metric follows from the frequencies.
 
-    mode "squared": affinity(i, j) = sum_k |<phi_k(i), phi_k(j)>|^2 and
-    norm(i) = sqrt(sum_k ||phi_k(i)||^4).  mode "linear": affinity is the
-    real inner product of the single feature block and norm(i) = ||phi(i)||.
+    mode "linear", the lone k = 0 block of the DM baseline: affinity is the
+    real inner product and norm(i) = ||phi(i)||.  mode "squared", any other
+    set: affinity(i, j) = sum_k |<phi_k(i), phi_k(j)>|^2 and norm(i) =
+    sqrt(sum_k ||phi_k(i)||^4).
     """
 
     features: tuple
-    mode: str = "squared"
     norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("squared", "linear"):
-            raise ParameterError(f"Unknown mode {self.mode!r}.")
         feats = tuple(sorted(self.features, key=lambda f: f.k))
         if not feats:
             raise ParameterError("EmbeddingSet needs at least one frequency.")
-        if self.mode == "linear" and len(feats) != 1:
-            raise ParameterError("Linear mode takes exactly one feature "
-                                 "block.")
+        for a, b in zip(feats, feats[1:]):
+            if a.k == b.k:
+                raise ParameterError(f"Frequency k={a.k} appears twice.")
         n = feats[0].n
         if any(f.n != n for f in feats):
             raise ParameterError("All feature blocks must share n.")
@@ -111,6 +110,10 @@ class EmbeddingSet:
                 f"Node {bad} has zero embedding norm."
             )
         object.__setattr__(self, "norms", norms)
+
+    @property
+    def mode(self) -> str:
+        return "linear" if self.frequencies == (0,) else "squared"
 
     @property
     def n(self) -> int:
@@ -185,6 +188,7 @@ class EmbeddingSet:
         size = np.diff(bounds).max()
         buf = np.empty((size, padded), dtype=np.complex128)
         acc_buf = np.empty((size, padded))
+        squared = self.mode == "squared"
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             out = buf[:hi - lo]
             parts = out.view(np.float64)  # real and imaginary parts
@@ -192,7 +196,7 @@ class EmbeddingSet:
             acc.fill(0.0)
             for f, conj in zip(self.features, lhs):
                 np.matmul(f.phi[lo:hi], conj, out=out)
-                if self.mode == "squared":
+                if squared:
                     np.square(parts, out=parts)
                     acc += parts[:, 0::2]
                     acc += parts[:, 1::2]
@@ -208,13 +212,13 @@ class EmbeddingSet:
             yield int(lo), acc[:, :width]
 
 
-def build_embedding_set(features, mode: str = "squared") -> EmbeddingSet:
+def build_embedding_set(features) -> EmbeddingSet:
     """Assemble an EmbeddingSet from FrequencyFeatures, one per frequency.
 
     The set refers to the given ``phi`` arrays, without copying them, so
     embeddings built from shared features share their memory.
     """
-    return EmbeddingSet(features=tuple(features), mode=mode)
+    return EmbeddingSet(features=tuple(features))
 
 
 @dataclass(frozen=True)
@@ -331,10 +335,7 @@ def baseline_embedding(features: FrequencyFeatures) -> EmbeddingSet:
     The scalar DM baseline uses linear inner products of its real features;
     VDM is the multi-frequency pipeline restricted to k_max = 1.
     """
-    if features.k == 0:
-        return build_embedding_set([features], mode="linear")
-    if features.k == 1:
-        return build_embedding_set([features], mode="squared")
-    raise ParameterError(
-        f"Baselines are defined for k=0 (DM) or k=1 (VDM). Got k={features.k}."
-    )
+    if features.k not in (0, 1):
+        raise ParameterError(f"Baselines are defined for k=0 (DM) or k=1 "
+                             f"(VDM). Got k={features.k}.")
+    return build_embedding_set([features])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mfvdm.angles import wrap_pi
-from mfvdm.errors import ParameterError, UnsupportedManifoldError
+from mfvdm.errors import ParameterError
 
 __all__ = [
     "EvalReport",
@@ -181,33 +181,27 @@ def detect_clusters(values: np.ndarray) -> tuple:
     return tuple(int(b - a) for a, b in zip(edges[:-1], edges[1:]))
 
 
-def spectral_report(bundle, kappa_build: int, n: int,
-                    manifold: str = "sphere") -> SpectralReport:
+def spectral_report(bundle, kappa_build: int) -> SpectralReport:
     """Cluster the bottom spectrum of I - S_k and compare against theory.
+
+    The predictions hold on the sphere only; the caller picks the graph.
 
     Parameters
     ----------
     bundle : SpectralBundle
         Top eigenvalues of S_k (at least the leading clusters).
     kappa_build : int
-        Neighbor count used to build the graph; sets h = 2*kappa_build/n.
-    n : int
-        Node count of the graph.
-    manifold : str
-        Must be "sphere"; the predictions hold only there.
+        Neighbor count used to build the graph; with the bundle's node
+        count n it sets h = 2*kappa_build/n.
 
     Returns
     -------
     report : SpectralReport
     """
-    if manifold != "sphere":
-        raise UnsupportedManifoldError(
-            f"Spectral predictions require the sphere. Got {manifold!r}."
-        )
     k = bundle.k
     if k < 1:
         raise ParameterError(f"Spectral report needs k >= 1. Got k={k}.")
-    h = 2.0 * kappa_build / n
+    h = 2.0 * kappa_build / bundle.n
     one_minus = 1.0 - bundle.eigenvalues
     sizes = detect_clusters(one_minus)
     means = []

@@ -88,7 +88,7 @@ class _Store:
 
     def spectral(self, k):
         return self._get(("spectral", k), lambda: spectral_report(
-            self.bundle(1.0, k, 30), kappa_build=KAPPA_BUILD, n=N))
+            self.bundle(1.0, k, 30), kappa_build=KAPPA_BUILD))
 
     def embedding(self, method, p):
         def build():

@@ -84,7 +84,7 @@ class TestSequences:
     def test_rejects_linear_mode(self, clean_instance):
         _, graph, _ = clean_instance
         bundle0 = top_eigenpairs(build_sk(graph, 0), m=10)
-        dm = build_embedding_set([build_features(bundle0, 1)], mode="linear")
+        dm = build_embedding_set([build_features(bundle0, 1)])
         with pytest.raises(ParameterError):
             _z(dm, 0, 1)
 

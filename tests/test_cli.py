@@ -174,8 +174,26 @@ class TestPipeline:
         assert _tree_digest(rerun) == _tree_digest(pipeline_out)
 
 
+def _assert_nn_prefix(written_dir, reference_dir):
+    """``written_dir`` holds the nn files and NN-only reports that a
+    ``pipeline`` run wrote under ``reference_dir``, and nothing of align."""
+    written = _tree_digest(written_dir)
+    reference = _tree_digest(reference_dir)
+    for method in ("mfvdm", "vdm", "dm"):
+        for name in (f"nn_{method}.csv", f"report_{method}_nn_hist.csv"):
+            assert written[name] == reference[name]
+        scalars = json.loads(
+            (written_dir / f"report_{method}_scalars.json").read_text())
+        full_scalars = json.loads(
+            (reference_dir / f"report_{method}_scalars.json").read_text())
+        assert {key: full_scalars[key] for key in scalars} == scalars
+        assert "nn_mean" in scalars
+        assert "align_median_abs_deg" not in scalars
+    assert not [name for name in written if "align" in name]
+
+
 class TestStagePrefixes:
-    """Every stage command is ``pipeline`` cut short, for one p."""
+    """Every stage command is ``pipeline`` cut short."""
 
     ARGS = ("--manifold", "sphere", *SMALL, "--p", "0.4",
             "--baselines", "dm,vdm", "--seed", "3")
@@ -194,19 +212,15 @@ class TestStagePrefixes:
     def test_nn_writes_the_pipeline_nn_artifacts(self, full, tmp_path):
         out = tmp_path / "out"
         assert _run("nn", *self.ARGS, "--out", str(out)) == 0
-        written = _tree_digest(out / "p0.4")
-        reference = _tree_digest(full / "p0.4")
-        for method in ("mfvdm", "vdm", "dm"):
-            for name in (f"nn_{method}.csv", f"report_{method}_nn_hist.csv"):
-                assert written[name] == reference[name]
-            scalars = json.loads(
-                (out / "p0.4" / f"report_{method}_scalars.json").read_text())
-            full_scalars = json.loads(
-                (full / "p0.4" / f"report_{method}_scalars.json").read_text())
-            assert {key: full_scalars[key] for key in scalars} == scalars
-            assert "nn_mean" in scalars
-            assert "align_median_abs_deg" not in scalars
-        assert not [name for name in written if "align" in name]
+        _assert_nn_prefix(out / "p0.4", full / "p0.4")
+
+    def test_nn_takes_the_p_list(self, pipeline_out, tmp_path):
+        out = tmp_path / "out"
+        assert _run("nn", "--manifold", "sphere", *SMALL, "--p", "1,0.4",
+                    "--baselines", "dm,vdm", "--out", str(out),
+                    "--seed", "3") == 0
+        for tag in ("p1", "p0.4"):
+            _assert_nn_prefix(out / tag, pipeline_out / tag)
 
     def test_embed_writes_graphs_and_bundles_only(self, full, tmp_path):
         out = tmp_path / "out"
@@ -469,6 +483,9 @@ class TestExternalGraph:
 
 
 class TestSpectrum:
+    ARGS = ("--manifold", "sphere", "--n", "300", "--kappa-build", "10",
+            "--ks", "1,2", "--seed", "0")
+
     def test_sphere_leading_cluster(self, tmp_path):
         out = tmp_path / "out"
         code = _run("spectrum", "--manifold", "sphere", "--n", "1500",
@@ -499,12 +516,40 @@ class TestSpectrum:
         )
         assert payload["h"] == 2.0 * 10 / 200
 
+    def test_p_list_writes_each_single_p_report(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert _run("spectrum", *self.ARGS, "--p", "1,0.5",
+                    "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cache", "graph_clean.txt", "graph_p0.5.txt", "p0.5", "p1",
+            "truth.txt"]
+        for tag in ("1", "0.5"):
+            single = tmp_path / f"single{tag}"
+            assert _run("spectrum", *self.ARGS, "--p", tag,
+                        "--out", str(single)) == 0
+            written = _tree_digest(out / f"p{tag}")
+            assert sorted(written) == [
+                f"spectrum_k{k}_{kind}" for k in (1, 2)
+                for kind in ("clusters.json", "spectrum.csv")]
+            assert written == _tree_digest(single / f"p{tag}")
+
     def test_rejects_torus(self, tmp_path):
         code = _run("spectrum", "--manifold", "torus", "--n", "100",
-                    "--kappa-build", "5", "--p", "1",
+                    "--kappa-build", "5", "--p", "1,0.5",
                     "--out", str(tmp_path / "out"), "--seed", "0",
                     "--kappa", "10", "--kmax", "5")
         assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_rejects_an_external_graph(self, tmp_path):
+        graph_out = tmp_path / "graph"
+        assert _run("generate", "--manifold", "sphere", "--n", "100",
+                    "--kappa-build", "5", "--p", "1",
+                    "--out", str(graph_out)) == 0
+        out = tmp_path / "out"
+        assert _run("spectrum", "--graph", str(graph_out / "graph_clean.txt"),
+                    "--p", "1,0.5", "--kappa", "10", "--out", str(out)) == 1
+        assert not out.exists()
 
 
 class TestCommaLists:
@@ -538,8 +583,6 @@ class TestExitCodes:
         assert _run("pipeline", "--manifold", "sphere", "--p", "1.7",
                     "--out", str(tmp_path / "out")) == 1
         assert _run("pipeline", "--manifold", "hyperbolic",
-                    "--out", str(tmp_path / "out")) == 1
-        assert _run("embed", "--manifold", "sphere", "--p", "0.5,0.6",
                     "--out", str(tmp_path / "out")) == 1
         # A malformed or unknown flag is a configuration error too.
         for flag, text in (("--n", "abc"), ("--kmax", "2.5"),

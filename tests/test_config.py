@@ -51,6 +51,11 @@ def test_defaults_are_valid_and_match_contract():
     {"area_uniform": True},              # fixed, so not a key
     {"spectrum_ks": (0,)},
     {"spectrum_m": 30},                  # fixed, so not a key
+    # Wrong-typed values from Python, parsed as their config-line text.
+    {"workers": 1.5},
+    {"n": True},
+    {"seed": 0.5},
+    {"p": [0.4]},
 ])
 def test_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -126,6 +131,16 @@ def test_graph_path_means_external_at_its_own_level():
 def test_unknown_override_rejected():
     with pytest.raises(ConfigError, match="Unknown config keys"):
         resolve_config(overrides={"bogus": 1})
+
+
+@pytest.mark.parametrize("overrides,field,want", [
+    ({"p": 0.4}, "p", (0.4,)),
+    ({"p": (1, 0.4)}, "p", (1.0, 0.4)),
+    ({"n": "500"}, "n", 500),
+    ({"baselines": "dm, vdm"}, "baselines", ("dm", "vdm")),
+])
+def test_python_value_means_its_config_line(overrides, field, want):
+    assert getattr(resolve_config(overrides=overrides), field) == want
 
 
 def test_echo_items_order_and_format():

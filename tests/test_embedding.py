@@ -50,14 +50,14 @@ def _normalized(emb):
     return 1.0 - 0.5 * emb.distance_sq_block(np.arange(emb.n))
 
 
-def _random_embedding(n, ks=(1, 2, 3), m=4, mode="squared", seed=0):
+def _random_embedding(n, ks=(1, 2, 3), m=4, seed=0):
     """Random complex features, one (n, m) block per frequency."""
     rng = np.random.default_rng(seed)
     features = tuple(
         FrequencyFeatures(k=k, phi=rng.normal(size=(n, m))
                           + 1j * rng.normal(size=(n, m)))
         for k in ks)
-    return EmbeddingSet(features=features, mode=mode)
+    return EmbeddingSet(features=features)
 
 
 def _stable_sort_oracle(emb, kappa):
@@ -300,7 +300,8 @@ class TestNNSearch:
                                          ((0,), "linear")])
     def test_tilings_are_bitwise_identical(self, ks, mode, monkeypatch):
         # 203 nodes, not a multiple of 4 or 8: BLAS tail kernels would show.
-        emb = _random_embedding(203, ks=ks, mode=mode)
+        emb = _random_embedding(203, ks=ks)
+        assert emb.mode == mode
         order, dist = _stable_sort_oracle(emb, 11)
         for block_size, workers in ((512, 1), (7, 1), (7, 3), (1, 2)):
             monkeypatch.setattr(embedding, "_STRIP_ROWS", block_size)
@@ -312,7 +313,8 @@ class TestNNSearch:
     @pytest.mark.parametrize("ks,mode", [((1, 2, 3), "squared"),
                                          ((0,), "linear")])
     def test_full_distance_block_is_exactly_symmetric(self, n, ks, mode):
-        emb = _random_embedding(n, ks=ks, mode=mode, seed=n)
+        emb = _random_embedding(n, ks=ks, seed=n)
+        assert emb.mode == mode
         d2 = emb.distance_sq_block(np.arange(n))
         assert np.array_equal(d2, d2.T)
         assert np.all(np.diag(d2) == 0.0)
@@ -428,11 +430,20 @@ class TestBaselines:
         with pytest.raises(ParameterError):
             baseline_embedding(build_features(bundles[1], 1))
 
-    def test_linear_mode_single_block_only(self, small_instance):
-        _, bundles = small_instance
-        feats = tuple(build_features(b, 1) for b in bundles)
-        with pytest.raises(ParameterError):
-            EmbeddingSet(features=feats, mode="linear")
+    def test_linear_mode_single_block_only(self):
+        # A k = 0 block beside other frequencies is summed by squared
+        # modulus like them; only the lone k = 0 block is linear.
+        emb = _random_embedding(20, ks=(0, 1))
+        assert emb.mode == "squared"
+        got = emb.affinity_block([3])[0, 11]
+        assert abs(got - mfvdm_affinity(emb, 3, 11)) < 1e-12 * abs(got)
+
+
+def test_repeated_frequency_raises():
+    # Distances would sum both k = 1 blocks, while alignment keeps one z(1).
+    block = _random_embedding(10, ks=(1,)).features[0]
+    with pytest.raises(ParameterError):
+        build_embedding_set([block, block])
 
 
 def test_zero_norm_raises():

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from mfvdm import evaluation
 from mfvdm.alignment import AlignmentTable
 from mfvdm.embedding import NeighborList
-from mfvdm.errors import ParameterError, UnsupportedManifoldError
+from mfvdm.errors import ParameterError
 from mfvdm.evaluation import (
     ALIGN_BINS,
     NN_BINS,
@@ -250,15 +250,15 @@ class TestSpectralReport:
             rng = np.random.default_rng(seed)
             lam = lam + rng.normal(0.0, noise, lam.size)
         lam = np.sort(lam)[::-1]
-        vecs = np.eye(lam.size, dtype=complex)
+        vecs = np.eye(3000, lam.size, dtype=complex)
         return SpectralBundle(k=k, eigenvalues=lam, eigenvectors=vecs)
 
     def test_recovers_theory_shaped_spectrum(self):
         h = 0.04
-        n, kappa = 3000, 60
+        kappa = 60
         for k in (1, 2):
             report = spectral_report(self._bundle(k, h, noise=2e-4),
-                                     kappa_build=kappa, n=n)
+                                     kappa_build=kappa)
             assert report.h == h
             want = tuple(theoretical_multiplicity(k, l) for l in (1, 2, 3))
             assert report.cluster_sizes == want
@@ -270,11 +270,7 @@ class TestSpectralReport:
                        - report.theory_leading_gap) < 5e-3
 
     def test_rejects_torus_and_k_zero(self):
-        bundle = self._bundle(1, 0.04)
-        with pytest.raises(UnsupportedManifoldError):
-            spectral_report(bundle, kappa_build=60, n=3000,
-                            manifold="torus")
         zero = SpectralBundle(k=0, eigenvalues=np.array([1.0]),
                               eigenvectors=np.eye(1, dtype=complex))
         with pytest.raises(ParameterError):
-            spectral_report(zero, kappa_build=60, n=3000)
+            spectral_report(zero, kappa_build=60)

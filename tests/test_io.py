@@ -404,8 +404,8 @@ def _artifact_writers(graph):
                         align_counts=counts, align_median_abs_deg=1.5)
     spectrum = spectral_report(
         SpectralBundle(k=1, eigenvalues=1.0 - np.geomspace(1e-3, 0.5, 8),
-                       eigenvectors=np.eye(8, dtype=complex)),
-        kappa_build=60, n=3000)
+                       eigenvectors=np.eye(3000, 8, dtype=complex)),
+        kappa_build=60)
     bundle = SpectralBundle(k=2, eigenvalues=np.linspace(1, 0.5, 4),
                             eigenvectors=rng.normal(size=(30, 4)) + 0j)
     nn = NeighborList(indices=rng.integers(0, 40, size=(40, 3)),
@@ -493,8 +493,8 @@ class TestReports:
             1.0 - 0.05 - 1e-4 * np.arange(5),
         ]))[::-1]
         bundle = SpectralBundle(k=1, eigenvalues=lam,
-                                eigenvectors=np.eye(8, dtype=complex))
-        report = spectral_report(bundle, kappa_build=60, n=3000)
+                                eigenvectors=np.eye(3000, 8, dtype=complex))
+        report = spectral_report(bundle, kappa_build=60)
         paths = write_spectral_report(report, tmp_path / "spectrum_k1")
         names = sorted(p.name for p in paths)
         assert names == ["spectrum_k1_clusters.json",

@@ -1,11 +1,15 @@
-"""README's Python sections hold: the quick start runs as written, and the
-package exports exactly the names the "Python API" section lists."""
+"""README holds: its CLI commands parse and resolve, the Python quick start
+runs as written, and the package exports exactly the names the "Python API"
+section lists."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import mfvdm
+from mfvdm import cli
+from mfvdm.config import resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +45,20 @@ def test_python_quick_start_runs():
     namespace = {}
     exec(block, namespace)
     assert namespace["table"].alpha_hat.size == 3000 * 30
+
+
+def test_readme_cli_commands_parse_and_resolve():
+    """Every ``python3 -m mfvdm.cli`` command in README's ``sh`` blocks is
+    a valid command line; none is run."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", text,
+                        flags=re.MULTILINE | re.DOTALL)
+    prefix = ["python3", "-m", "mfvdm.cli"]
+    commands = [shlex.split(line) for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith(" ".join(prefix))]
+    assert len(commands) >= 2
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv[len(prefix):])
+        assert args.config is None, "a README command names a config file"
+        cli._check_p_tags(resolve_config(overrides=cli._overrides(args)).p)
