@@ -8,6 +8,11 @@ writes the same files whichever command ran it.  ``spectrum`` follows the
 graphs with the eigenvalue-cluster report of each frequency in ``--ks``,
 on the sphere.
 
+The cache directory holds the eigenbundles, and each method's neighbor list
+and alignment angles keyed by the graph, frequencies, m, t and kappa, so
+``nn`` followed by ``align`` searches once.  A loaded result writes the
+same files as a computed one.
+
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
 failure.  All stochastic stages derive their randomness from the single
 config seed, so any command rerun with the same inputs reproduces its
@@ -21,7 +26,7 @@ import functools
 import sys
 from pathlib import Path
 
-from mfvdm.alignment import align_neighbors
+from mfvdm import alignment, embedding
 from mfvdm.config import (
     ExperimentConfig,
     _parse_value,
@@ -33,7 +38,6 @@ from mfvdm.embedding import (
     baseline_embedding,
     build_embedding_set,
     build_features,
-    nn_search,
 )
 from mfvdm.errors import (
     ConfigError,
@@ -133,11 +137,11 @@ def _graph_for_p(config: ExperimentConfig, clean, p: float):
 
 
 def _compute_bundles(config: ExperimentConfig, graph, ks, m: int,
-                     keep=lambda bundle: bundle) -> dict:
-    """``keep`` of the top-m eigenpairs per frequency, through the on-disk
-    cache.  Each worker applies ``keep`` as soon as it has solved or loaded
-    its bundle, so a bundle outlives its worker only through what ``keep``
-    returns."""
+                     keep=lambda bundle: bundle) -> tuple:
+    """The graph's digest, and ``keep`` of the top-m eigenpairs per
+    frequency, through the on-disk cache.  Each worker applies ``keep`` as
+    soon as it has solved or loaded its bundle, so a bundle outlives its
+    worker only through what ``keep`` returns."""
     cache = mio.cache_dir_for(config.out_dir)
     digest = mio.graph_hash(graph)
     deg = degrees(graph)
@@ -153,7 +157,8 @@ def _compute_bundles(config: ExperimentConfig, graph, ks, m: int,
             mio.save_bundle(bundle, path)
         return k, keep(bundle)
 
-    return dict(map_workers(solve, sorted(set(ks)), config.workers))
+    return digest, dict(map_workers(solve, sorted(set(ks)),
+                                    config.workers))
 
 
 def _method_embedding(method: str, features, config: ExperimentConfig):
@@ -200,8 +205,8 @@ def _spectrum(config: ExperimentConfig, graph, p: float) -> None:
     ``config.spectrum_ks``, for one p's graph."""
     tag = _p_tag(p)
     _stage(f"spectrum p={tag}")
-    bundles = _compute_bundles(config, graph, config.spectrum_ks,
-                               _SPECTRUM_M)
+    _, bundles = _compute_bundles(config, graph, config.spectrum_ks,
+                                  _SPECTRUM_M)
     out = Path(config.out_dir) / f"p{tag}"
     out.mkdir(parents=True, exist_ok=True)
     for k in config.spectrum_ks:
@@ -217,7 +222,7 @@ def _embed_and_score(config: ExperimentConfig, truth, graph, p: float,
     tag = _p_tag(p)
     _stage(f"embed p={tag}")
     ks = range(0 if "dm" in config.baselines else 1, config.k_max + 1)
-    features = _compute_bundles(
+    digest, features = _compute_bundles(
         config, graph, ks, config.m_k,
         keep=lambda bundle: build_features(bundle, config.t))
     if last == "embed":
@@ -227,20 +232,65 @@ def _embed_and_score(config: ExperimentConfig, truth, graph, p: float,
     params = _echo_params(config, p)
     for method in ["mfvdm", *config.baselines]:
         _stage(f"{method} p={tag}")
-        _run_method(config, method, features, truth, params, out, last)
+        _run_method(config, method, features, digest, truth, params, out,
+                    last)
 
 
-def _run_method(config: ExperimentConfig, method: str, features, truth,
-                params: dict, out: Path, last: str) -> None:
-    """One method's NN search, alignment and scores, written under ``out``."""
+def _load_or_compute(path: Path, load, compute):
+    """``load(path)``, or on a miss ``compute()``, stored at ``path``."""
+    value = load(path)
+    if value is not None:
+        print(f"[{_CURRENT_STAGE}] reused {path.name}", flush=True)
+        return value
+    value = compute()
+    mio.save_result(value, path)
+    return value
+
+
+# The search and the alignment through the result cache.  They keep the
+# library functions' names, under which pipebench's tracer times and counts
+# the CLI's calls, so a trace of a run that loads a result shows the load in
+# the span of the stage it replaces.
+def nn_search(embeddings, kappa: int, workers: int, entry: Path):
+    """``embedding.nn_search``'s neighbor list: the one stored at ``entry``
+    if it is usable, else searched and stored there."""
+    return _load_or_compute(
+        entry, lambda path: mio.load_neighbors(path, embeddings.n, kappa),
+        lambda: embedding.nn_search(embeddings, kappa, workers=workers))
+
+
+def align_neighbors(embeddings, neighbors, workers: int, entry: Path):
+    """``alignment.align_neighbors``' table of the pairs in ``neighbors``:
+    the one stored at ``entry`` if it is usable, else estimated and stored
+    there."""
+    return _load_or_compute(
+        entry, lambda path: mio.load_alignment(path, neighbors),
+        lambda: alignment.align_neighbors(embeddings, neighbors,
+                                          workers=workers))
+
+
+def _run_method(config: ExperimentConfig, method: str, features,
+                digest: str, truth, params: dict, out: Path,
+                last: str) -> None:
+    """One method's NN search, alignment and scores, written under ``out``.
+
+    The neighbor list and the alignment table are cache entries keyed by
+    the graph ``digest``, the method's frequencies, m, t and kappa, so a
+    repeated search is loaded instead of run again.
+    """
     embeddings = _method_embedding(method, features, config)
-    neighbors = nn_search(embeddings, config.kappa_search,
-                          workers=config.workers)
+    entry = functools.partial(
+        mio.result_cache_path, mio.cache_dir_for(config.out_dir),
+        graph_digest=digest, frequencies=embeddings.frequencies,
+        m=min(config.m_k, embeddings.n), t=config.t,
+        kappa=config.kappa_search)
+    neighbors = nn_search(embeddings, config.kappa_search, config.workers,
+                          entry("nn"))
     mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
     table = None
     if last == "align" and method != "dm":
-        table = align_neighbors(embeddings, neighbors,
-                                workers=config.workers)
+        table = align_neighbors(embeddings, neighbors, config.workers,
+                                entry("align"))
         mio.write_alignment_csv(table, out / f"align_{method}.csv")
     if truth is not None:
         report = score_nn(neighbors, truth, method=method, params=params)

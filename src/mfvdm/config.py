@@ -45,6 +45,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ConfigError on any invalid field or combination."""
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name), type(f.default))
         if self.manifold not in _MANIFOLDS:
             raise ConfigError(f"manifold must be one of {_MANIFOLDS}. "
                               f"Got {self.manifold!r}.")
@@ -101,6 +103,27 @@ def _text(value) -> str:
 
 # The item type of each comma-list field; other lists hold strings.
 _LIST_ITEMS = {"p": float, "spectrum_ks": int}
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ConfigError unless ``value`` is of ``kind``, the type of the
+    field's default, or for a comma-list field a tuple of its item type."""
+    if kind is tuple:
+        item = _LIST_ITEMS.get(name, str)
+        ok = isinstance(value, tuple) and all(_is(v, item) for v in value)
+        what = f"a tuple of {item.__name__}"
+    else:
+        ok, what = _is(value, kind), kind.__name__
+    if not ok:
+        raise ConfigError(f"{name} must be {what}. Got {value!r}.")
+
+
+def _is(value, kind: type) -> bool:
+    """``isinstance``, where an int may stand for a float and a bool is no
+    number."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _parse_value(name: str, text: str):

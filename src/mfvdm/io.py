@@ -1,12 +1,15 @@
-"""File formats: graphs, ground truth, CSVs, reports, and the bundle cache.
+"""File formats: graphs, ground truth, CSVs, reports, and the result cache.
 
 All text output prints floats with 17 significant digits so that values
 round-trip exactly and repeated runs produce byte-identical files.  Every
 artifact, bundles included, is written to a hidden temp file beside its
 target and renamed into place, so a write that fails or is killed never
 leaves a partial file under the artifact's name, and writers sharing one
-bundle cache never see each other's half-written entry.  The eigen-bundle
-cache is keyed by (graph content hash, k, m); entries are npz archives.
+bundle cache never see each other's half-written entry.  The cache holds
+npz archives: eigenbundles keyed by (graph content hash, k, m), and each
+method's neighbor list and alignment angles keyed by every input that
+determines them (``result_cache_path``).  Keys cover inputs only, not the
+program's version.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from mfvdm.alignment import AlignmentTable
+from mfvdm.angles import TWO_PI
 from mfvdm.embedding import NeighborList
 from mfvdm.errors import BadEdgeError, GraphFileError, ParameterError
 from mfvdm.evaluation import EvalReport, SpectralReport
@@ -44,6 +48,10 @@ __all__ = [
     "bundle_cache_path",
     "save_bundle",
     "load_bundle",
+    "result_cache_path",
+    "save_result",
+    "load_neighbors",
+    "load_alignment",
 ]
 
 CACHE_ENV = "MFVDM_CACHE_DIR"
@@ -332,7 +340,8 @@ def write_spectral_report(report: SpectralReport, prefix) -> list:
 
 
 def cache_dir_for(out_dir) -> Path:
-    """Bundle cache directory: env override, else <out_dir>/cache."""
+    """Cache directory of bundles and results: env override, else
+    <out_dir>/cache."""
     env = os.environ.get(CACHE_ENV)
     base = Path(env) if env else Path(out_dir) / "cache"
     base.mkdir(parents=True, exist_ok=True)
@@ -372,3 +381,85 @@ def load_bundle(path, k: int, shape: tuple) -> SpectralBundle | None:
     if bundle.k != k or bundle.eigenvectors.shape != tuple(shape):
         return None
     return bundle
+
+
+def result_cache_path(cache_dir, kind: str, graph_digest: str, frequencies,
+                      m: int, t: int, kappa: int) -> Path:
+    """``<kind>_<16 hex>.npz``, ``kind`` being ``nn`` or ``align``.
+
+    The hex is a sha256 over what determines a method's neighbor list and
+    alignment table: the graph, the method's frequencies, the eigenpairs per
+    frequency m (after ``min(m, n)``), the diffusion time t and kappa.  The
+    worker count does not, and the alignment grid follows from the
+    frequencies.
+    """
+    fields = (f"{graph_digest} k{','.join(map(str, frequencies))} m{m} t{t} "
+              f"kappa{kappa}")
+    key = hashlib.sha256(fields.encode("utf-8")).hexdigest()[:16]
+    return Path(cache_dir) / f"{kind}_{key}.npz"
+
+
+def save_result(result: NeighborList | AlignmentTable, path) -> None:
+    """Write a neighbor list, or a table's angles and objectives, to
+    ``path`` atomically.  A table's pairs are not stored: they follow from
+    its neighbor list."""
+    if isinstance(result, NeighborList):
+        arrays = {"indices": result.indices,
+                  "distances_sq": result.distances_sq}
+    else:
+        arrays = {"alpha_hat": result.alpha_hat,
+                  "objective": result.objective}
+    with _replacing(path, "xb") as handle:
+        np.savez(handle, **arrays)
+
+
+def _load_arrays(path, shape: tuple, **dtypes) -> dict | None:
+    """The arrays named in ``dtypes`` from the npz at ``path``; None if the
+    file is absent or unreadable, or an array is missing or not of ``shape``
+    and its dtype."""
+    try:
+        with open(path, "rb") as handle, np.load(handle) as data:
+            arrays = {name: data[name] for name in dtypes}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if any(array.shape != shape or array.dtype != dtypes[name]
+           for name, array in arrays.items()):
+        return None
+    return arrays
+
+
+def load_neighbors(path, n: int, kappa: int) -> NeighborList | None:
+    """A cached neighbor list of n nodes and kappa neighbors each; None on
+    a miss.
+
+    Like ``load_bundle``, an entry that cannot be read, has the wrong
+    shape, or holds a neighbor outside [0, n) or a squared distance that is
+    not a finite value >= 0 is a miss, so the caller recomputes and
+    overwrites it.
+    """
+    arrays = _load_arrays(path, (n, kappa), indices=np.int64,
+                          distances_sq=np.float64)
+    if arrays is None:
+        return None
+    indices, distances = arrays["indices"], arrays["distances_sq"]
+    if not (np.all((indices >= 0) & (indices < n))
+            and np.all(np.isfinite(distances) & (distances >= 0.0))):
+        return None
+    return NeighborList(indices=indices, distances_sq=distances)
+
+
+def load_alignment(path, neighbors: NeighborList) -> AlignmentTable | None:
+    """The cached alignment table of ``neighbors``' pairs, in their order;
+    None on a miss.  An entry misses if it cannot be read or does not hold
+    one angle in [0, 2*pi) and one finite objective per pair."""
+    arrays = _load_arrays(path, (neighbors.n * neighbors.kappa,),
+                          alpha_hat=np.float64, objective=np.float64)
+    if arrays is None:
+        return None
+    alpha, objective = arrays["alpha_hat"], arrays["objective"]
+    if not (np.all((alpha >= 0.0) & (alpha < TWO_PI))
+            and np.all(np.isfinite(objective))):
+        return None
+    return AlignmentTable(
+        i=np.repeat(np.arange(neighbors.n, dtype=np.int64), neighbors.kappa),
+        j=neighbors.indices.ravel(), alpha_hat=alpha, objective=objective)

@@ -44,6 +44,13 @@ The rules, fixed before anything is compared:
   node, since they follow the neighbor order, which near ties may change.
   alpha_hat agrees within ``ANGLE_TOL_RAD`` on the circle; the objective
   agrees within ``OBJECTIVE_RTOL`` relative to the larger magnitude.
+* ``nn_*.npz`` and ``align_*.npz`` (a method's cached neighbor list and
+  alignment angles): each is compared as the CSV written from it, under
+  that CSV's rule above.  An ``nn_<key>.npz`` entry stands for the rows
+  (node, rank, neighbor, squared_distance); an ``align_<key>.npz`` entry
+  for (i, j, alpha_hat, objective), its pairs taken from the
+  ``nn_<key>.npz`` entry beside it in the same tree.  The arrays' names
+  play the part of the header.
 * ``report_*_scalars.json``: the same keys; float values agree to
   ``SCALAR_DIGITS`` significant digits; all other values are equal.  An
   angle in degrees (a key ending in ``_deg``, such as the median absolute
@@ -130,11 +137,45 @@ def _read_csv(path: Path):
     return header, body
 
 
+def _read_entry(path: Path):
+    """A result entry as (its arrays' names and shapes, the rows of the CSV
+    written from it).
+
+    ``nn_<key>.npz`` gives (node, rank, neighbor, squared_distance) and
+    ``align_<key>.npz`` gives (i, j, alpha_hat, objective), with its pairs
+    from the ``nn_<key>.npz`` beside it.  Arrays of unequal length give no
+    rows.
+    """
+    kind, key = path.name.split("_", 1)
+    with np.load(path.with_name(f"nn_{key}")) as data:
+        nn = {name: data[name] for name in data.files}
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = ",".join(f"{name}{array.shape}"
+                      for name, array in arrays.items())
+    n, kappa = nn["indices"].shape
+    columns = [np.repeat(np.arange(n), kappa)]
+    if kind == "nn":
+        columns += [np.tile(np.arange(1, kappa + 1), n), nn["indices"],
+                    nn["distances_sq"]]
+    else:
+        columns += [nn["indices"], arrays["alpha_hat"], arrays["objective"]]
+    columns = [np.ravel(column).astype(float) for column in columns]
+    if len({column.size for column in columns}) > 1:
+        return header, np.empty((0, 4))
+    return header, np.column_stack(columns)
+
+
+def _read_rows(path: Path):
+    """(header, body) of a CSV, or of the CSV a result entry stands for."""
+    return _read_entry(path) if path.suffix == ".npz" else _read_csv(path)
+
+
 def _keyed_rows(name: str, a: Path, b: Path, keys: int, label: str, result):
-    """Both CSV bodies if the headers and the first ``keys`` columns are
+    """Both bodies if the headers and the first ``keys`` columns are
     identical, else None after recording the mismatch."""
-    header_a, left = _read_csv(a)
-    header_b, right = _read_csv(b)
+    header_a, left = _read_rows(a)
+    header_b, right = _read_rows(b)
     if header_a != header_b or left.shape != right.shape:
         result.problems.append(f"{name}: header or row count differs")
         return None
@@ -315,6 +356,8 @@ def _compare_scalars(name: str, a: Path, b: Path, result) -> None:
 _RULES = (
     ("nn_", ".csv", _compare_nn),
     ("align_", ".csv", _compare_alignment),
+    ("nn_", ".npz", _compare_nn),
+    ("align_", ".npz", _compare_alignment),
     ("bundle_", ".npz", _compare_bundle),
     ("report_", "_scalars.json", _compare_scalars),
 )

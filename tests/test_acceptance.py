@@ -41,6 +41,7 @@ from mfvdm import (
     wrap_pi,
 )
 from mfvdm import cli
+from mfvdm import io as mio
 from mfvdm.graph import AlignmentGraph
 from mfvdm.spectral import SpectralBundle
 from oracles import affinity_k, mfvdm_distance, normalized_affinity
@@ -574,7 +575,10 @@ def _run_pipeline(out_dir: Path, workers: int | None = None) -> dict:
 
 
 class TestCriterion8:
-    def test_pipeline_determinism(self, tmp_path):
+    def test_pipeline_determinism(self, tmp_path, monkeypatch):
+        # Each run caches under its own out dir, so no run loads another's
+        # neighbor lists or angles.
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
         first = _run_pipeline(tmp_path / "a")
         rerun = _run_pipeline(tmp_path / "b")
         threads = _run_pipeline(tmp_path / "c", workers=3)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfvdm import cli
+from mfvdm import alignment, cli, embedding
 from mfvdm import io as mio
 from mfvdm import spectral
 from mfvdm.config import ExperimentConfig, load_config_file
@@ -103,15 +103,28 @@ class TestPipeline:
                 expected |= {f"{tag}/align_{method}.csv",
                              f"{tag}/report_{method}_align_hist.csv"}
         cache = files - expected
+        bundles = {name for name in cache if "/bundle_" in name}
         # Frequencies 0..5 for each of the clean and the rewired graph.
-        assert len(cache) == 12
+        assert len(bundles) == 12
         assert all(re.fullmatch(r"cache/bundle_[0-9a-f]{16}_k[0-5]_m10\.npz",
-                                name) for name in cache)
+                                name) for name in bundles)
+        # Per graph, each method's neighbor list, and the alignment angles
+        # of the methods that align.
+        entries = set()
+        for graph in ("graph_clean.txt", "graph_p0.4.txt"):
+            digest = mio.graph_hash(read_graph(pipeline_out / graph))
+            for frequencies in ((1, 2, 3, 4, 5), (1,), (0,)):
+                kinds = ("nn", "align") if frequencies != (0,) else ("nn",)
+                entries |= {mio.result_cache_path(
+                    "cache", kind, digest, frequencies, 10, 1, 10).as_posix()
+                    for kind in kinds}
+        assert len(entries) == 10
+        assert cache == bundles | entries
         assert files >= expected
-        # Artifacts get the mode a plain open gives, bundles included.
+        # Artifacts get the mode a plain open gives, cache entries included.
         umask = os.umask(0)
         os.umask(umask)
-        for name in ("p0.4/nn_mfvdm.csv", min(cache)):
+        for name in ("p0.4/nn_mfvdm.csv", min(bundles), min(entries)):
             mode = (pipeline_out / name).stat().st_mode
             assert stat.S_IMODE(mode) == 0o666 & ~umask, name
 
@@ -165,7 +178,10 @@ class TestPipeline:
         assert _tree_digest(out) == _tree_digest(pipeline_out)
 
     def test_worker_count_does_not_change_outputs(self, pipeline_out,
-                                                  tmp_path):
+                                                  tmp_path, monkeypatch):
+        # A cache of its own, so the run searches and aligns on 3 workers
+        # instead of loading what the first run stored.
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
         rerun = tmp_path / "workers"
         code = _run("pipeline", "--manifold", "sphere", *SMALL,
                     "--p", "1,0.4", "--baselines", "dm,vdm",
@@ -227,8 +243,9 @@ class TestStagePrefixes:
         assert _run("embed", *self.ARGS, "--out", str(out)) == 0
         assert sorted(_tree_digest(out)) == [
             "graph_clean.txt", "graph_p0.4.txt", "truth.txt"]
+        # The bundles of a pipeline run, and no neighbor or angle entry.
         assert (sorted(p.name for p in (out / "cache").iterdir())
-                == sorted(p.name for p in (full / "cache").iterdir()))
+                == sorted(p.name for p in (full / "cache").glob("bundle_*")))
 
     def test_sweep_builds_truth_and_graphs_without_reading_them(
             self, tmp_path, monkeypatch):
@@ -279,9 +296,11 @@ class TestMemory:
         args = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
                 "--baselines", "vdm,dm", "--seed", "3", "--out",
                 str(tmp_path / "out"))
-        for _ in ("solved", "loaded"):
+        # The bundles are solved, then loaded; a new kappa makes the second
+        # run search again instead of loading the stored neighbor lists.
+        for kappa in ("10", "9"):
             searched.clear()
-            assert _run(*args) == 0
+            assert _run(*args, "--kappa", kappa) == 0
             mfvdm, vdm, dm = searched
             assert mfvdm.frequencies == (1, 2, 3, 4, 5)
             assert vdm.features[0].phi is mfvdm.features[0].phi
@@ -386,6 +405,127 @@ class TestCache:
         assert _run(*args, "--out", str(out)) == 0
         assert _tree_digest(out) == _tree_digest(clean)
         assert load_bundle(k1, k=1, shape=(250, 10)) is not None
+
+
+def _entry(out, kind, frequencies, m=10, t=1, kappa=10):
+    """Path of a method's result entry for the p=0.4 graph under ``out``."""
+    digest = mio.graph_hash(read_graph(out / "graph_p0.4.txt"))
+    return mio.result_cache_path(out / "cache", kind, digest, frequencies, m,
+                                 t, kappa)
+
+
+def _count_calls(monkeypatch):
+    """Spy on the library's NN search and alignment; returns the list of
+    (name, frequencies of its embedding) per search or alignment run."""
+    calls = []
+
+    def spy(name, real):
+        def wrapper(embeddings, *args, **kwargs):
+            calls.append((name, embeddings.frequencies))
+            return real(embeddings, *args, **kwargs)
+        return wrapper
+
+    for module, name in ((embedding, "nn_search"),
+                         (alignment, "align_neighbors")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    return calls
+
+
+class TestResultCache:
+    """Each method's neighbor list and alignment angles are cached beside
+    the bundles and loaded when the same search is asked for again."""
+
+    ARGS = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+            "--baselines", "dm,vdm", "--seed", "3")
+    MFVDM, VDM, DM = (1, 2, 3, 4, 5), (1,), (0,)
+
+    @pytest.fixture(autouse=True)
+    def own_cache(self, monkeypatch):
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+
+    def test_nn_then_pipeline_searches_once(self, tmp_path, monkeypatch):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert _run(*self.ARGS, "--out", str(fresh)) == 0
+        calls = _count_calls(monkeypatch)
+        assert _run("nn", *self.ARGS[1:], "--out", str(out)) == 0
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        assert sorted(calls) == sorted([
+            ("nn_search", self.MFVDM), ("nn_search", self.DM),
+            ("nn_search", self.VDM), ("align_neighbors", self.MFVDM),
+            ("align_neighbors", self.VDM)])
+        assert _tree_digest(out, skip=()) == _tree_digest(fresh, skip=())
+
+    @pytest.mark.parametrize("flag,value,searched", [
+        ("--kappa", "8", [MFVDM, DM, VDM]),
+        ("--t", "2", [MFVDM, DM, VDM]),
+        ("--mk", "8", [MFVDM, DM, VDM]),
+        ("--kmax", "4", [(1, 2, 3, 4)]),
+    ])
+    def test_a_changed_input_misses(self, tmp_path, monkeypatch, flag,
+                                    value, searched):
+        """kappa, t and m change every method's result; k_max changes
+        MFVDM's only, so VDM and DM load theirs."""
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert _run(*self.ARGS, flag, value, "--out", str(fresh)) == 0
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        calls = _count_calls(monkeypatch)
+        assert _run(*self.ARGS, flag, value, "--out", str(out)) == 0
+        assert [f for name, f in calls if name == "nn_search"] == searched
+        assert ([f for name, f in calls if name == "align_neighbors"]
+                == [f for f in searched if f != self.DM])
+        assert _tree_digest(out) == _tree_digest(fresh)
+
+    @pytest.mark.parametrize("kind", ["nn", "align"])
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape",
+                                        "out-of-range"])
+    def test_damaged_entry_is_recomputed(self, tmp_path, monkeypatch, kind,
+                                         damage):
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert _run(*self.ARGS, "--out", str(clean)) == 0
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        entry = _entry(out, kind, self.MFVDM)
+        whole = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(whole[:len(whole) // 2])
+        else:
+            with np.load(entry) as data:
+                arrays = {key: data[key] for key in data.files}
+            first = next(iter(arrays))
+            if damage == "wrong-shape":
+                arrays[first] = arrays[first][:-1]
+            else:
+                # A neighbor index n, or an angle of 2*pi.
+                arrays[first][0] = 250 if kind == "nn" else 2.0 * np.pi
+            with open(entry, "wb") as handle:
+                np.savez(handle, **arrays)
+        calls = _count_calls(monkeypatch)
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        assert calls == [("nn_search" if kind == "nn" else "align_neighbors",
+                          self.MFVDM)]
+        assert entry.read_bytes() == whole
+        assert _tree_digest(out, skip=()) == _tree_digest(clean, skip=())
+
+    def test_rerun_reports_each_reuse(self, tmp_path, capsys):
+        """One hit line per frequency, as before any result was cached, and
+        one line per reused entry, which does not read as a bundle hit."""
+        out = tmp_path / "out"
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        hits = [line for line in lines if "cache hit" in line]
+        assert sorted(hits) == [f"[embed] k={k} cache hit"
+                                for k in range(6)]
+        reused = [line for line in lines if "reused" in line]
+        expected = [(method, kind, frequencies)
+                    for method, frequencies in (("mfvdm", self.MFVDM),
+                                                ("dm", self.DM),
+                                                ("vdm", self.VDM))
+                    for kind in ("nn", "align")
+                    if (method, kind) != ("dm", "align")]
+        assert reused == [
+            f"[{method} p=0.4] reused {_entry(out, kind, frequencies).name}"
+            for method, kind, frequencies in expected]
 
 
 class TestCrashSafety:

@@ -288,3 +288,98 @@ def test_clamped_negative_distance_is_noted(tree, tmp_path):
     assert result.ok, result.problems
     assert result.notes == ["p0.4/nn_vdm.csv: 1 negative squared_distance "
                             "value(s) in the parent tree, down to -4.4e-16"]
+
+
+def _entry(root, kind):
+    """MFVDM's cached neighbor list (``nn``) or angles (``align``)."""
+    digest = mio.graph_hash(mio.read_graph(root / "graph_p0.4.txt"))
+    return mio.result_cache_path(root / "cache", kind, digest, (1, 2, 3, 4),
+                                 8, 1, 8)
+
+
+def _edit_entry(root, kind, edit):
+    path = _entry(root, kind)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+    return path.relative_to(root).as_posix()
+
+
+def test_entries_are_compared_as_their_csvs(tree):
+    """Each entry holds the numbers of the CSV written from it."""
+    for kind in ("nn", "align"):
+        assert _entry(tree, kind).exists()
+    with np.load(_entry(tree, "nn")) as data:
+        rows = np.loadtxt(tree / "p0.4" / "nn_mfvdm.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(rows[:, 2], data["indices"].ravel())
+        assert np.array_equal(rows[:, 3], data["distances_sq"].ravel())
+
+
+def test_last_bit_entry_values_pass(tree, copy):
+    def nudge_distance(arrays):
+        arrays["distances_sq"][3, 2] = math.nextafter(
+            arrays["distances_sq"][3, 2], 4.0)
+
+    def nudge_angle(arrays):
+        arrays["alpha_hat"][9] = math.nextafter(arrays["alpha_hat"][9], 0.0)
+        arrays["objective"][9] = math.nextafter(arrays["objective"][9], 0.0)
+
+    _edit_entry(copy, "nn", nudge_distance)
+    _edit_entry(copy, "align", nudge_angle)
+    result = compare_trees(tree, copy)
+    assert result.ok, result.problems
+    assert result.identical == result.files - 2
+    assert 0.0 < result.max_nn_distance < 1e-15
+    assert 0.0 < result.max_angle_rad < 1e-15
+    assert 0.0 < result.max_objective_rel < 1e-15
+
+
+@pytest.mark.parametrize("kind,edit,what", [
+    ("nn", lambda a: a["distances_sq"].__setitem__((3, 2), a["distances_sq"][
+        3, 2] + 1e-9), "squared_distance"),
+    ("nn", lambda a: a["indices"].__setitem__((0, 0), a["indices"][1, 0]
+                                              if a["indices"][1, 0] != 0
+                                              else a["indices"][2, 0]),
+     "neighbor differs"),
+    ("align", lambda a: a["alpha_hat"].__setitem__(
+        9, (a["alpha_hat"][9] + 1e-6) % (2.0 * math.pi)), "alpha_hat"),
+    ("align", lambda a: a["objective"].__setitem__(
+        9, a["objective"][9] * (1.0 + 1e-9)), "objective"),
+    ("align", lambda a: a.update(objective=a["objective"][:-1]),
+     "header or row count"),
+], ids=["distance", "neighbor", "angle", "objective", "short"])
+def test_entry_drift_fails(tree, copy, kind, edit, what):
+    name = _edit_entry(copy, kind, edit)
+    result = compare_trees(tree, copy)
+    assert any(p.startswith(name) and what in p for p in result.problems), \
+        result.problems
+
+
+def test_tied_swap_in_entries_passes_with_a_note(tree, tmp_path):
+    """Node 0's ranks 3 and 4 tied, then traded in the change's entries:
+    its neighbor list and, row for row, its angles."""
+    base = tmp_path / "base"
+    shutil.copytree(tree, base)
+    _edit_entry(base, "nn", lambda a: a["distances_sq"].__setitem__(
+        (0, 3), a["distances_sq"][0, 2]))
+    change = tmp_path / "change"
+    shutil.copytree(base, change)
+
+    def trade(arrays, *names):
+        for name in names:
+            rows = arrays[name].reshape(-1)
+            rows[[2, 3]] = rows[[3, 2]]
+
+    nn = _edit_entry(change, "nn", lambda a: trade(
+        a, "indices", "distances_sq"))
+    align = _edit_entry(change, "align", lambda a: trade(
+        a, "alpha_hat", "objective"))
+    result = compare_trees(base, change)
+    assert result.ok, result.problems
+    assert f"{nn}: node 0 ranks 3,4 trade among neighbors tied within " \
+           f"1e-12" in result.notes, result.notes
+    assert f"{align}: rows of 1 node(s) reordered (first node 0)" in \
+        result.notes, result.notes

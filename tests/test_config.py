@@ -153,3 +153,18 @@ def test_echo_items_order_and_format():
     assert as_dict["p"] == "0.25"
     assert as_dict["baselines"] == "dm"
 
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", 0.4), ("n", "500"), ("workers", 1.5), ("workers", True),
+    ("baselines", "dm"), ("spectrum_ks", (1, 2.0)),
+])
+def test_direct_config_of_a_wrong_type_is_a_config_error(field, value):
+    """A config built in Python skips the parser; ``validate`` still names
+    the field instead of failing on a comparison."""
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        ExperimentConfig(**{field: value}).validate()
+
+
+def test_direct_config_may_give_p_as_ints():
+    ExperimentConfig(p=(1, 0.4)).validate()

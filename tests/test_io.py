@@ -32,10 +32,14 @@ from mfvdm.io import (
     bundle_cache_path,
     cache_dir_for,
     graph_hash,
+    load_alignment,
     load_bundle,
+    load_neighbors,
     read_graph,
     read_truth,
+    result_cache_path,
     save_bundle,
+    save_result,
     write_alignment_csv,
     write_eval_report,
     write_graph,
@@ -424,6 +428,7 @@ def _artifact_writers(graph):
         "spectral_report": lambda out: write_spectral_report(
             spectrum, out / "spec"),
         "bundle": lambda out: save_bundle(bundle, out / "bundle.npz"),
+        "result": lambda out: save_result(nn, out / "nn_entry.npz"),
     }
 
 
@@ -435,6 +440,7 @@ def _artifact_writers(graph):
     ("eval_report", "rep_scalars.json"),
     ("spectral_report", "spec_spectrum.csv"),
     ("spectral_report", "spec_clusters.json"), ("bundle", "bundle.npz"),
+    ("result", "nn_entry.npz"),
 ])
 def test_failed_write_leaves_no_partial_artifact(graph, tmp_path, fail_writes,
                                                  writer, victim, existed):
@@ -505,6 +511,96 @@ class TestReports:
         )
         assert payload["cluster_sizes"] == [3, 5]
         assert payload["k"] == 1
+
+
+class TestResultCache:
+    @pytest.fixture
+    def entries(self, tmp_path):
+        """A stored neighbor list of 30 nodes by 4 and its table's entry."""
+        rng = np.random.default_rng(8)
+        indices = np.array([rng.permutation(np.delete(np.arange(30), node))[:4]
+                            for node in range(30)])
+        neighbors = NeighborList(indices=indices,
+                                 distances_sq=np.sort(rng.random((30, 4))))
+        table = AlignmentTable(
+            i=np.repeat(np.arange(30), 4), j=indices.ravel(),
+            alpha_hat=2.0 * np.pi * rng.random(120),
+            objective=rng.normal(size=120))
+        save_result(neighbors, tmp_path / "nn.npz")
+        save_result(table, tmp_path / "align.npz")
+        return neighbors, table
+
+    def test_round_trip_is_bitwise(self, tmp_path, entries):
+        neighbors, table = entries
+        back = load_neighbors(tmp_path / "nn.npz", 30, 4)
+        assert np.array_equal(back.indices, neighbors.indices)
+        assert np.array_equal(back.distances_sq, neighbors.distances_sq)
+        rows = load_alignment(tmp_path / "align.npz", back)
+        for name in ("i", "j", "alpha_hat", "objective"):
+            assert np.array_equal(getattr(rows, name), getattr(table, name))
+
+    def test_absent_entry_is_a_miss(self, tmp_path, entries):
+        assert load_neighbors(tmp_path / "nope.npz", 30, 4) is None
+        assert load_alignment(tmp_path / "nope.npz", entries[0]) is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.update(indices=a["indices"][:, :3]),
+        lambda a: a.update(indices=a["indices"].astype(np.int32)),
+        lambda a: a.pop("distances_sq"),
+        lambda a: a["indices"].__setitem__((2, 1), 30),
+        lambda a: a["indices"].__setitem__((2, 1), -1),
+        lambda a: a["distances_sq"].__setitem__((2, 1), -0.5),
+        lambda a: a["distances_sq"].__setitem__((2, 1), np.nan),
+    ], ids=["shape", "dtype", "missing", "index-n", "index-negative",
+            "negative-distance", "nan-distance"])
+    def test_unusable_neighbor_entry_is_a_miss(self, tmp_path, entries,
+                                               edit):
+        path = tmp_path / "nn.npz"
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+        assert load_neighbors(path, 30, 4) is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.update(alpha_hat=a["alpha_hat"][:-1]),
+        lambda a: a.pop("objective"),
+        lambda a: a["alpha_hat"].__setitem__(7, 2.0 * np.pi),
+        lambda a: a["alpha_hat"].__setitem__(7, -1e-3),
+        lambda a: a["objective"].__setitem__(7, np.inf),
+    ], ids=["shape", "missing", "two-pi", "negative-angle", "inf-objective"])
+    def test_unusable_alignment_entry_is_a_miss(self, tmp_path, entries,
+                                                edit):
+        path = tmp_path / "align.npz"
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+        assert load_alignment(path, entries[0]) is None
+
+    def test_an_entry_of_other_neighbors_is_a_miss(self, tmp_path, entries):
+        assert load_neighbors(tmp_path / "nn.npz", 30, 5) is None
+        assert load_neighbors(tmp_path / "nn.npz", 31, 4) is None
+        other = NeighborList(indices=entries[0].indices[:, :3],
+                             distances_sq=entries[0].distances_sq[:, :3])
+        assert load_alignment(tmp_path / "align.npz", other) is None
+
+    def test_key_covers_every_input_but_no_other(self, tmp_path):
+        base = dict(graph_digest="ab" * 32, frequencies=(1, 2, 3), m=10,
+                    t=1, kappa=20)
+        path = result_cache_path(tmp_path, "nn", **base)
+        assert re.fullmatch(r"nn_[0-9a-f]{16}\.npz", path.name)
+        assert path.parent == tmp_path
+        assert result_cache_path(tmp_path, "align", **base).name == \
+            "align_" + path.name[len("nn_"):]
+        for field, value in [("graph_digest", "cd" * 32),
+                             ("frequencies", (1, 2)), ("frequencies", (0,)),
+                             ("frequencies", (12, 3)), ("m", 11), ("t", 2),
+                             ("kappa", 21)]:
+            other = result_cache_path(tmp_path, "nn",
+                                      **{**base, field: value})
+            assert other != path, field
+        assert result_cache_path(tmp_path, "nn", **base) == path
 
 
 class TestBundleCache:
