@@ -50,7 +50,7 @@ The rules, fixed before anything is compared:
   (node, rank, neighbor, squared_distance); an ``align_<key>.npz`` entry
   for (i, j, alpha_hat, objective), its pairs taken from the
   ``nn_<key>.npz`` entry beside it in the same tree.  The arrays' names
-  play the part of the header.
+  and shapes play the part of the header.
 * ``report_*_scalars.json``: the same keys; float values agree to
   ``SCALAR_DIGITS`` significant digits; all other values are equal.  An
   angle in degrees (a key ending in ``_deg``, such as the median absolute
