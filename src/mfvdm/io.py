@@ -1,7 +1,11 @@
 """File formats: graphs, ground truth, CSVs, reports, and the result cache.
 
 All text output prints floats with 17 significant digits so that values
-round-trip exactly and repeated runs produce byte-identical files.  Every
+round-trip exactly and repeated runs produce byte-identical files.  Tables
+are formatted by a numpy kernel (``_format_lines``) that writes the bytes
+of ``%d`` and ``%.17g``, computing the 17 digits exactly, a chunk of lines
+at a time; only values outside ``%.17g``'s fixed notation (0, |x| < 1e-4,
+|x| >= 1e17, nan, inf) go through Python's ``%``, one value each.  Every
 artifact, bundles included, is written to a hidden temp file beside its
 target and renamed into place, so a write that fails or is killed never
 leaves a partial file under the artifact's name, and writers sharing one
@@ -18,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import warnings
 import zipfile
 from contextlib import contextmanager
@@ -59,9 +64,15 @@ CACHE_ENV = "MFVDM_CACHE_DIR"
 
 # The one float format of every text output: 17 significant digits.
 _FLOAT = "%.17g"
-# Table lines formatted per chunk: the chunk's values become Python objects
-# (about 40 bytes each), so a writer's memory does not grow with the table.
-_CHUNK_LINES = 1 << 13
+# The conversions a table template may hold: the only ones _format_lines
+# implements.
+_CONVERSION = re.compile(r"%(d|\.17g)")
+# Table lines formatted per chunk.  A chunk is held as one byte per
+# character slot and line (at most 39 slots per float, 20 per integer) plus
+# the kernel's per-value temporaries: under 1.2 MiB for an NN, alignment or
+# graph chunk and about 4 MiB for a 9-float truth chunk, so a writer's
+# memory does not grow with the table.
+_CHUNK_LINES = 1 << 12
 
 
 @contextmanager
@@ -85,18 +96,192 @@ def _write_table(path, header: str, template: str, *columns) -> None:
     """Write ``header``, then one ``template % row`` line per element of
     the equal-shape ``columns``, in row-major order.
 
-    Lines are formatted ``_CHUNK_LINES`` at a time, from slices along the
-    first axis, so a 2-D column (a broadcast view, say) is never copied
-    whole.
+    ``template`` may hold only ``%d`` conversions, of integer columns, and
+    ``%.17g`` ones, one per column; anything else is a ParameterError.
+    Lines are formatted ``_CHUNK_LINES`` at a time by ``_format_lines``,
+    from slices along the first axis, so a 2-D column (a broadcast view,
+    say) is never copied whole.
     """
+    parts = _CONVERSION.split(template)
+    conversions = parts[1::2]
+    if (any("%" in text or "\0" in text for text in parts[0::2])
+            or len(conversions) != len(columns)
+            or any(conversion == "d"
+                   and not np.can_cast(column.dtype, np.int64)
+                   for conversion, column in zip(conversions, columns))):
+        raise ParameterError(
+            f"Table template {template!r} must hold one %d (integer column) "
+            f"or %.17g conversion per column, and no other % or NUL.")
+    literals = [np.frombuffer(text.encode("utf-8"), np.uint8)[:, None]
+                for text in parts[0::2]]
+    dtypes = [np.int64 if conversion == "d" else np.float64
+              for conversion in conversions]
     shape = columns[0].shape
     step = max(1, _CHUNK_LINES // math.prod(shape[1:]))
-    with _replacing(path) as handle:
-        handle.write(header)
+    # Comparisons with NaN may raise the invalid flag; NaN is formatted by
+    # the per-value fallback.
+    with _replacing(path, "xb") as handle, np.errstate(invalid="ignore"):
+        handle.write(header.encode("utf-8"))
         for lo in range(0, shape[0], step):
-            rows = zip(*(column[lo:lo + step].ravel().tolist()
-                         for column in columns))
-            handle.writelines(template % row for row in rows)
+            handle.write(_format_lines(literals, conversions, [
+                column[lo:lo + step].ravel().astype(dtype, copy=False)
+                for column, dtype in zip(columns, dtypes)]))
+
+
+def _format_lines(literals: list, conversions: list, values: list) -> bytes:
+    """The lines of one chunk: per row of ``values``, the ``literals``
+    (byte columns) with each value formatted by its conversion between them.
+
+    Each field becomes byte rows, one per character slot and one column per
+    line, with 0 in a slot the line leaves empty.  Stacked between the
+    literals' rows, into a column-major array, the slots lie in line order,
+    and dropping the zeros leaves the text.
+    """
+    count = values[0].size
+    pieces = [np.broadcast_to(literals[0], (literals[0].shape[0], count))]
+    for conversion, column, literal in zip(conversions, values, literals[1:]):
+        field = (_int_field(column) if conversion == "d"
+                 else _float_field(column))
+        # Slots no line of the chunk uses (a sign, say) cost no bytes.
+        pieces.append(field[field.any(axis=1)])
+        pieces.append(np.broadcast_to(literal, (literal.shape[0], count)))
+    slots = np.empty((sum(piece.shape[0] for piece in pieces), count),
+                     np.uint8, order="F")
+    np.concatenate(pieces, out=slots)
+    flat = slots.ravel("F")
+    return flat[flat != 0].tobytes()
+
+
+_TEN = np.uint64(10)
+_POWERS = np.array([10 ** k for k in range(20)], np.uint64)
+
+
+def _int_field(values: np.ndarray) -> np.ndarray:
+    """``"%d" % v`` for each int64 v: a sign slot, then the digits
+    right-aligned in as many slots as the longest needs."""
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    # Two's complement negation, exact for the int64 minimum too.
+    np.negative(magnitude, out=magnitude, where=negative)
+    width = len(str(int(magnitude.max())))
+    field = np.empty((1 + width, values.size), np.uint8)
+    field[0] = negative
+    field[0] *= ord("-")
+    # Floor division by a scalar is several times faster than np.divmod.
+    quotient = magnitude
+    for slot in range(width, 0, -1):
+        rest = quotient // _TEN
+        field[slot] = quotient - rest * _TEN
+        quotient = rest
+    field[1:] += ord("0")
+    # A leading zero's slot is empty: slot j holds a digit only if the
+    # magnitude has width + 1 - j digits or more.
+    field[1:width] *= magnitude >= _POWERS[width - 1:0:-1, None]
+    return field
+
+
+# %.17g of a float64 a with 1e-4 <= |a| < 1e17 is fixed notation.  The
+# kernel scales a by 10**s, s = 16 - E in [0, 20]: each is a double, as are
+# both halves of its Veltkamp split.
+_POW10 = np.array([float(10 ** s) for s in range(21)])
+_SPLITTER = float(2 ** 27 + 1)
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# The fixed-notation slots: sign, "0.000" before a value below 1, then 17
+# digits with a decimal point slot after each of the first 16.
+_FLOAT_SLOTS = 6 + 17 + 16
+_PREFIX = np.array([[ord(c)] for c in "0.000"], np.uint8)
+_PREFIX_BELOW = np.array([[0], [0], [-1], [-2], [-3]], np.int8)
+_DIGIT = np.arange(17, dtype=np.int8)[:, None]
+
+
+def _float_field(values: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for each float64 v, in ``_FLOAT_SLOTS`` slots.
+
+    A finite v with 1e-4 <= |v| < 1e17 is formatted from the exact 17-digit
+    decimal of ``_decimal17``; any other (0, -0.0, tiny, huge, subnormal,
+    nan, inf) by Python's ``%``, left-aligned in the same slots.
+    """
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-4) & (magnitude < 1e17)
+    mantissa, exponent = _decimal17(np.where(fast, magnitude, 1.0))
+    exponent = exponent.astype(np.int8)
+    digits = _digits17(mantissa)
+    # Digits up to the last nonzero one, and all before the decimal point.
+    significant = ((digits != 0) * (_DIGIT + 1)).max(axis=0)
+    field = np.empty((_FLOAT_SLOTS, values.size), np.uint8)
+    field[0] = values < 0
+    field[0] *= ord("-")
+    field[1:6] = _PREFIX * (exponent < _PREFIX_BELOW)
+    field[6::2] = digits + ord("0")
+    field[6::2] *= (_DIGIT < significant) | (_DIGIT <= exponent)
+    field[7::2] = (_DIGIT[:16] == exponent) & (_DIGIT[1:] < significant)
+    field[7::2] *= ord(".")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join(("%.17g" % value).encode("ascii").ljust(
+            _FLOAT_SLOTS, b"\0") for value in values[slow].tolist())
+        field[:, slow] = np.frombuffer(text, np.uint8).reshape(
+            slow.size, _FLOAT_SLOTS).T
+    return field
+
+
+def _decimal17(magnitude: np.ndarray) -> tuple:
+    """(D, E) with D * 10**(E - 16) the 17-significant-digit decimal of each
+    float64 in [1e-4, 1e17), rounded half to even as ``%.17g`` rounds: D an
+    int64 in [1e16, 1e17), E in [-4, 16].
+
+    hi + lo = magnitude * 10**(16 - E) exactly (Dekker's TwoProduct), and
+    hi >= 2**53 is an integer, so D is hi + floor(lo) plus one rounding
+    step.  ``log10`` can miss E by one next to a power of ten; one pass
+    moves E until the product lies in [1e16, 1e17).  Rounding never
+    carries to 1e17: for each 10**(E + 1), the largest double below it
+    gives a product at least 8 below 1e17.
+    """
+    exponent = np.clip(np.floor(np.log10(magnitude)), -4, 16).astype(np.int64)
+    hi, lo = _times_pow10(magnitude, 16 - exponent)
+    fix = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).astype(np.int64)
+    fix -= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    if fix.any():
+        exponent += fix
+        hi, lo = _times_pow10(magnitude, 16 - exponent)
+    floor = np.floor(lo)
+    mantissa = hi.astype(np.int64) + floor.astype(np.int64)
+    # lo - floor(lo) can round onto 0.5; floor(lo) + 0.5 is exact.
+    half = floor + 0.5
+    mantissa += (lo > half) | ((lo == half) & ((mantissa & 1) == 1))
+    return mantissa, exponent
+
+
+def _times_pow10(a: np.ndarray, s: np.ndarray) -> tuple:
+    """Dekker's TwoProduct of a and 10**s: hi + lo equals the product."""
+    hi = a * _POW10[s]
+    scaled = _SPLITTER * a
+    a_hi = scaled - (scaled - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, lo
+
+
+def _digits17(mantissa: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each int64 in [1e16, 1e17), most
+    significant first, as a (17, n) uint8 array."""
+    digits = np.empty((17, mantissa.size), np.uint8)
+    groups = np.empty((4, mantissa.size), np.int16)
+    quotient = mantissa
+    for group in range(3, -1, -1):
+        rest = quotient // 10000
+        groups[group] = quotient - rest * 10000
+        quotient = rest
+    digits[0] = quotient
+    # Four digits of each of the four groups: digits[1 + 4 * group + k].
+    by_group = digits[1:].reshape(4, 4, mantissa.size)
+    for k in range(3, -1, -1):
+        rest = groups // 10
+        by_group[:, k] = groups - rest * 10
+        groups = rest
+    return digits
 
 
 def _write_json(payload: dict, path) -> None:
@@ -242,35 +427,58 @@ def write_truth(truth, path) -> None:
         raise ParameterError(f"Unknown truth type {type(truth)!r}.")
 
 
+_TRUTH_COLUMNS = {"sphere": 9, "torus": 3}
+
+
+def _header_words(handle) -> list:
+    """The words of the next non-blank line; [] at the end of the file."""
+    for line in handle:
+        if line.strip():
+            return line.split()
+    return []
+
+
 def read_truth(path):
-    """Parse a ground-truth file written by write_truth."""
+    """Parse a ground-truth file written by write_truth.
+
+    The header is read line by line and the body by one ``np.loadtxt`` call
+    on the open file.  Blank lines are skipped.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            try:
+                return _parse_truth(path, handle)
+            except (IndexError, ValueError) as exc:
+                raise GraphFileError(
+                    f"{path}: malformed truth file: {exc}") from exc
     except OSError as exc:
         raise GraphFileError(f"Cannot read truth file {path}: {exc}") from exc
-    try:
-        manifold = lines[0].split()[1]
-        n = int(lines[1].split()[1])
-        if manifold not in ("sphere", "torus"):
-            raise GraphFileError(f"{path}: unknown manifold {manifold!r}.")
-        rows = lines[2:] if manifold == "sphere" else lines[3:]
-        if len(rows) != n:
-            raise GraphFileError(f"{path}: header says n {n}, but "
-                                 f"{len(rows)} data rows follow.")
-        data = np.array([[float(x) for x in line.split()] for line in rows])
-        radii = ([float(x) for x in lines[2].split()[1:]]
-                 if manifold == "torus" else [])
-        if not (np.isfinite(data).all() and np.isfinite(radii).all()):
-            raise GraphFileError(f"{path}: a value is NaN or inf.")
-        if manifold == "sphere":
-            return SphereTruth(rotations=data.reshape(n, 3, 3))
-        big_r, small_r = radii
-        return TorusTruth(u=data[:, 0], v=data[:, 1],
-                          frame_angles=data[:, 2], radius_major=big_r,
-                          radius_minor=small_r)
-    except (IndexError, ValueError) as exc:
-        raise GraphFileError(f"{path}: malformed truth file: {exc}") from exc
+
+
+def _parse_truth(path, handle):
+    manifold = _header_words(handle)[1]
+    n = int(_header_words(handle)[1])
+    if manifold not in _TRUTH_COLUMNS:
+        raise GraphFileError(f"{path}: unknown manifold {manifold!r}.")
+    radii = ([float(x) for x in _header_words(handle)[1:]]
+             if manifold == "torus" else [])
+    with warnings.catch_warnings():
+        # No rows: the row count check reports it.
+        warnings.filterwarnings("ignore", "loadtxt: input")
+        data = np.loadtxt(handle, comments=None, ndmin=2)
+    if data.shape[0] != n:
+        raise GraphFileError(f"{path}: header says n {n}, but "
+                             f"{data.shape[0]} data rows follow.")
+    if data.shape[1] != _TRUTH_COLUMNS[manifold]:
+        raise ValueError(f"expected {_TRUTH_COLUMNS[manifold]} values per "
+                         f"row, got {data.shape[1]}")
+    if not (np.isfinite(data).all() and np.isfinite(radii).all()):
+        raise GraphFileError(f"{path}: a value is NaN or inf.")
+    if manifold == "sphere":
+        return SphereTruth(rotations=data.reshape(n, 3, 3))
+    big_r, small_r = radii
+    return TorusTruth(u=data[:, 0], v=data[:, 1], frame_angles=data[:, 2],
+                      radius_major=big_r, radius_minor=small_r)
 
 
 def write_nn_csv(neighbors: NeighborList, path) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 from mfvdm.alignment import AlignmentTable
 from mfvdm.embedding import NeighborList
-from mfvdm.errors import GraphFileError
+from mfvdm.errors import GraphFileError, ParameterError
 from mfvdm.evaluation import (
     EvalReport,
     SpectralReport,
@@ -262,6 +262,17 @@ class TestTruthFormat:
         with pytest.raises(GraphFileError, match="header says n 50"):
             read_truth(path)
 
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    def test_rejects_rows_of_the_wrong_width(self, tmp_path, manifold):
+        path = tmp_path / "t.txt"
+        write_truth(make_truth(manifold, 5, seed=1), path)
+        lines = path.read_text().splitlines()
+        header = 2 if manifold == "sphere" else 3
+        lines[header:] = [line + " 0.5" for line in lines[header:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFileError, match="values per row"):
+            read_truth(path)
+
     @pytest.mark.parametrize("manifold,line", [
         ("sphere", -5), ("torus", -5), ("torus", 2),
     ], ids=["sphere-row", "torus-row", "torus-radii"])
@@ -395,6 +406,85 @@ def test_nn_writer_peak_does_not_grow_with_rows(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2 ** 16
+
+
+def _float_cases():
+    """Named float64 arrays for the table kernel's oracle test."""
+    rng = np.random.default_rng(22)
+    powers = 10.0 ** np.arange(-6, 19)
+    return {
+        "ties_2^18": np.arange(1, 2 ** 18, 2) / 2.0 ** 18,
+        "ties_2^19": np.arange(1, 2 ** 19, 2) / 2.0 ** 19,
+        "powers_of_ten": np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]),
+        "random_bits": rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64,
+                                    endpoint=False).view(np.float64),
+        "random_decades": rng.random(10 ** 5)
+        * 10.0 ** rng.integers(-6, 19, 10 ** 5),
+        "angles": rng.uniform(0.0, 2.0 * np.pi, 10 ** 4),
+        "special": np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                             1e-300, 1e300, np.inf, -np.inf, np.nan]),
+    }
+
+
+def _reference_table(template, *columns):
+    """The per-row ``%`` writer the table kernel must match byte for byte."""
+    return "".join(template % row for row in zip(
+        *(column.tolist() for column in columns))).encode("ascii")
+
+
+class TestTableKernel:
+    """``_write_table`` formats ``%d`` and ``%.17g`` in numpy; Python's
+    ``%`` is the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(_float_cases()))
+    def test_floats_match_percent_formatting(self, tmp_path, case):
+        values = _float_cases()[case]
+        path = tmp_path / "t.csv"
+        with np.errstate(invalid="ignore"):
+            negated = -values
+        mio._write_table(path, "h\n", "%.17g,%.17g\n", values, negated)
+        assert path.read_bytes() == b"h\n" + _reference_table(
+            "%.17g,%.17g\n", values, negated)
+
+    def test_integers_match_percent_formatting(self, tmp_path):
+        limits = np.iinfo(np.int64)
+        powers = [10 ** k for k in range(19)]
+        values = np.array([0, limits.min, limits.max] + powers
+                          + [p - 1 for p in powers], dtype=np.int64)
+        values = np.concatenate([values, -values[3:]])
+        path = tmp_path / "t.csv"
+        mio._write_table(path, "", "%d %d\n", values, values[::-1])
+        assert path.read_bytes() == _reference_table("%d %d\n", values,
+                                                     values[::-1])
+
+    def test_mixed_columns_over_many_chunks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ints = rng.integers(-10 ** 6, 10 ** 6, 3 * mio._CHUNK_LINES + 5)
+        floats = rng.normal(size=ints.size) * 10.0 ** rng.integers(-3, 3,
+                                                                   ints.size)
+        path = tmp_path / "t.csv"
+        mio._write_table(path, "a,b\n", "[%d] %.17g;\n", ints, floats)
+        assert path.read_bytes() == b"a,b\n" + _reference_table(
+            "[%d] %.17g;\n", ints, floats)
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        mio._write_table(path, "i,x\n", "%d,%.17g\n",
+                         np.zeros(0, np.int64), np.zeros(0))
+        assert path.read_bytes() == b"i,x\n"
+
+    @pytest.mark.parametrize("template", [
+        "%s\n", "%.3f\n", "%d%%\n", "%5d\n", "%g\n", "%d,%d\n", "a\0%d\n",
+    ])
+    def test_unsupported_template_is_rejected(self, tmp_path, template):
+        with pytest.raises(ParameterError, match="template"):
+            mio._write_table(tmp_path / "t.csv", "", template, np.arange(3))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_d_of_a_float_column_is_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="integer column"):
+            mio._write_table(tmp_path / "t.csv", "", "%d\n", np.ones(3))
 
 
 def _artifact_writers(graph):
