@@ -11,7 +11,9 @@ on the sphere.
 The cache directory holds the eigenbundles, and each method's neighbor list
 and alignment angles keyed by the graph, frequencies, m, t and kappa, so
 ``nn`` followed by ``align`` searches once.  A loaded result writes the
-same files as a computed one.
+same files as a computed one.  Every file under ``--out`` goes through the
+run manifest (``_output``): a file made by this program from the same
+inputs, whose bytes are as recorded, is kept, and any other is rebuilt.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
 failure.  All stochastic stages derive their randomness from the single
@@ -90,23 +92,43 @@ def _echo_params(config: ExperimentConfig, p: float) -> dict:
     return params
 
 
-def _reuse_or_build(path: Path, read, write, build):
-    """The artifact at ``path`` if the file exists, else build and write it."""
-    if path.exists():
-        return read(path)
+def _output(manifest: mio.RunManifest, name: str, inputs: list, build,
+            write, read=None, suffixes=("",)):
+    """The artifact ``name`` under ``--out``, made from ``inputs``.
+
+    Its files are ``name`` plus each of ``suffixes``.  If the manifest
+    records each under the key of ``inputs`` and its bytes are still the
+    recorded ones, the files are kept: a truth or graph is read back by
+    ``read``, and any other artifact gives None.  Otherwise ``build()`` is
+    written by ``write(value, path)`` and recorded.
+    """
+    key = mio.artifact_key(inputs)
+    files = [name + suffix for suffix in suffixes]
+    path = manifest.root / name
+    if manifest.holds(files, key):
+        for file in files:
+            print(f"[{_CURRENT_STAGE}] kept {file}", flush=True)
+        return None if read is None else read(path)
     value = build()
     write(value, path)
+    manifest.record(files, key)
     return value
 
 
-def _truth_and_clean_graph(config: ExperimentConfig):
+def _generate_inputs(config: ExperimentConfig, *more) -> list:
+    """What the truth is made from; a graph adds kappa_build, then p."""
+    return [config.manifold, config.n, config.seed, *more]
+
+
+def _truth_and_clean_graph(config: ExperimentConfig,
+                           manifest: mio.RunManifest):
     """Ground truth, and a function that returns the graph every p starts
     from.
 
     An external graph has no truth and is read at once.  A synthetic truth
-    is built (or reloaded from ``--out``) at once, and its k-NN graph on the
-    function's first call only, so a rerun that finds each p's rewired
-    graph in ``--out`` never reads ``graph_clean.txt``.
+    is built (or kept in ``--out``) at once, and its k-NN graph on the
+    function's first call only, so a rerun that keeps each p's rewired
+    graph never reads ``graph_clean.txt``.
     """
     if config.manifold == "external":
         graph = mio.read_graph(config.graph_path)
@@ -117,23 +139,29 @@ def _truth_and_clean_graph(config: ExperimentConfig):
         return None, lambda: graph
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    truth = _reuse_or_build(
-        out / "truth.txt", mio.read_truth, mio.write_truth,
-        lambda: make_truth(config.manifold, config.n, config.seed))
-    clean = functools.cache(lambda: _reuse_or_build(
-        out / "graph_clean.txt", mio.read_graph, mio.write_graph,
-        lambda: build_clean_knn_graph(truth, config.kappa_build)))
+    truth = _output(
+        manifest, "truth.txt", _generate_inputs(config),
+        lambda: make_truth(config.manifold, config.n, config.seed),
+        mio.write_truth, mio.read_truth)
+    clean = functools.cache(lambda: _output(
+        manifest, "graph_clean.txt",
+        _generate_inputs(config, config.kappa_build),
+        lambda: build_clean_knn_graph(truth, config.kappa_build),
+        mio.write_graph, mio.read_graph))
     return truth, clean
 
 
-def _graph_for_p(config: ExperimentConfig, clean, p: float):
+def _graph_for_p(config: ExperimentConfig, manifest: mio.RunManifest, clean,
+                 p: float):
     """The graph ``clean()`` as given at p=1 or when external, else rewired
     at p."""
     if p >= 1.0 or config.manifold == "external":
         return clean()
-    return _reuse_or_build(
-        Path(config.out_dir) / f"graph_p{_p_tag(p)}.txt", mio.read_graph,
-        mio.write_graph, lambda: rewire_graph(clean(), p, config.seed))
+    return _output(
+        manifest, f"graph_p{_p_tag(p)}.txt",
+        _generate_inputs(config, config.kappa_build, repr(float(p))),
+        lambda: rewire_graph(clean(), p, config.seed), mio.write_graph,
+        mio.read_graph)
 
 
 def _compute_bundles(config: ExperimentConfig, graph, ks, m: int,
@@ -188,34 +216,39 @@ def _run(config: ExperimentConfig, last: str) -> None:
         raise UnsupportedManifoldError(f"spectrum requires the sphere "
                                        f"manifold. Got {config.manifold!r}.")
     _stage("generate")
-    truth, clean = _truth_and_clean_graph(config)
+    manifest = mio.RunManifest(config.out_dir)
+    truth, clean = _truth_and_clean_graph(config, manifest)
     if last == "generate":
-        clean()  # written even when every p's rewired graph exists
+        clean()  # written even when every p's rewired graph is kept
     for p in config.p:
         _stage(f"generate p={_p_tag(p)}")
-        graph = _graph_for_p(config, clean, p)
+        graph = _graph_for_p(config, manifest, clean, p)
         if last == "spectrum":
-            _spectrum(config, graph, p)
+            _spectrum(config, manifest, graph, p)
         elif last != "generate":
-            _embed_and_score(config, truth, graph, p, last)
+            _embed_and_score(config, manifest, truth, graph, p, last)
 
 
-def _spectrum(config: ExperimentConfig, graph, p: float) -> None:
+def _spectrum(config: ExperimentConfig, manifest: mio.RunManifest, graph,
+              p: float) -> None:
     """The eigenvalue-cluster report of each frequency in
     ``config.spectrum_ks``, for one p's graph."""
     tag = _p_tag(p)
     _stage(f"spectrum p={tag}")
-    _, bundles = _compute_bundles(config, graph, config.spectrum_ks,
-                                  _SPECTRUM_M)
-    out = Path(config.out_dir) / f"p{tag}"
-    out.mkdir(parents=True, exist_ok=True)
+    m = min(_SPECTRUM_M, graph.n)
+    digest, bundles = _compute_bundles(config, graph, config.spectrum_ks, m)
+    (Path(config.out_dir) / f"p{tag}").mkdir(parents=True, exist_ok=True)
     for k in config.spectrum_ks:
-        report = spectral_report(bundles[k], config.kappa_build)
-        mio.write_spectral_report(report, out / f"spectrum_k{k}")
+        bundle = mio.bundle_cache_path(Path(), digest, k, m).name
+        _output(manifest, f"p{tag}/spectrum_k{k}",
+                [bundle, config.kappa_build],
+                lambda: spectral_report(bundles[k], config.kappa_build),
+                mio.write_spectral_report,
+                suffixes=("_spectrum.csv", "_clusters.json"))
 
 
-def _embed_and_score(config: ExperimentConfig, truth, graph, p: float,
-                     last: str) -> None:
+def _embed_and_score(config: ExperimentConfig, manifest: mio.RunManifest,
+                     truth, graph, p: float, last: str) -> None:
     """The stages after generate, for one p.  Each bundle becomes its
     features as soon as it is solved or loaded, and the methods share
     them, so each frequency's features are held once and no bundle is."""
@@ -227,13 +260,12 @@ def _embed_and_score(config: ExperimentConfig, truth, graph, p: float,
         keep=lambda bundle: build_features(bundle, config.t))
     if last == "embed":
         return
-    out = Path(config.out_dir) / f"p{tag}"
-    out.mkdir(parents=True, exist_ok=True)
+    (Path(config.out_dir) / f"p{tag}").mkdir(parents=True, exist_ok=True)
     params = _echo_params(config, p)
     for method in ["mfvdm", *config.baselines]:
         _stage(f"{method} p={tag}")
-        _run_method(config, method, features, digest, truth, params, out,
-                    last)
+        _run_method(config, manifest, method, features, digest, truth, params,
+                    tag, last)
 
 
 def _load_or_compute(path: Path, load, compute):
@@ -269,14 +301,18 @@ def align_neighbors(embeddings, neighbors, workers: int, entry: Path):
                                           workers=workers))
 
 
-def _run_method(config: ExperimentConfig, method: str, features,
-                digest: str, truth, params: dict, out: Path,
-                last: str) -> None:
-    """One method's NN search, alignment and scores, written under ``out``.
+def _run_method(config: ExperimentConfig, manifest: mio.RunManifest,
+                method: str, features, digest: str, truth, params: dict,
+                tag: str, last: str) -> None:
+    """One method's NN search, alignment and scores, written under
+    ``p<tag>``.
 
     The neighbor list and the alignment table are cache entries keyed by
     the graph ``digest``, the method's frequencies, m, t and kappa, so a
-    repeated search is loaded instead of run again.
+    repeated search is loaded instead of run again.  Each CSV is keyed by
+    its entry's name, and the report by both names, the truth and the
+    echoed ``params``, so a rerun that keeps them formats and scores
+    nothing.
     """
     embeddings = _method_embedding(method, features, config)
     entry = functools.partial(
@@ -284,22 +320,34 @@ def _run_method(config: ExperimentConfig, method: str, features,
         graph_digest=digest, frequencies=embeddings.frequencies,
         m=min(config.m_k, embeddings.n), t=config.t,
         kappa=config.kappa_search)
+    nn_entry = entry("nn")
     neighbors = nn_search(embeddings, config.kappa_search, config.workers,
-                          entry("nn"))
-    mio.write_nn_csv(neighbors, out / f"nn_{method}.csv")
-    table = None
+                          nn_entry)
+    _output(manifest, f"p{tag}/nn_{method}.csv", [nn_entry.name],
+            lambda: neighbors, mio.write_nn_csv)
+    table, entries, reported = None, [nn_entry.name], ["_nn_hist.csv"]
     if last == "align" and method != "dm":
+        align_entry = entry("align")
         table = align_neighbors(embeddings, neighbors, config.workers,
-                                entry("align"))
-        mio.write_alignment_csv(table, out / f"align_{method}.csv")
-    if truth is not None:
-        report = score_nn(neighbors, truth, method=method, params=params)
-        if table is not None:
-            report = merge_reports(
-                report,
-                score_alignment(table, truth, method=method, params=params),
-            )
-        mio.write_eval_report(report, out / f"report_{method}")
+                                align_entry)
+        _output(manifest, f"p{tag}/align_{method}.csv", [align_entry.name],
+                lambda: table, mio.write_alignment_csv)
+        entries.append(align_entry.name)
+        reported.append("_align_hist.csv")
+    if truth is None:
+        return
+
+    def report():
+        scores = score_nn(neighbors, truth, method=method, params=params)
+        if table is None:
+            return scores
+        return merge_reports(scores, score_alignment(
+            table, truth, method=method, params=params))
+
+    _output(manifest, f"p{tag}/report_{method}",
+            [*entries, mio.artifact_key(_generate_inputs(config)), params],
+            report, mio.write_eval_report,
+            suffixes=(*reported, "_scalars.json"))
 
 
 # The last stage ``_run`` runs for each command.

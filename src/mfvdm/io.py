@@ -1,4 +1,5 @@
-"""File formats: graphs, ground truth, CSVs, reports, and the result cache.
+"""File formats: graphs, ground truth, CSVs, reports, the result cache and
+the run manifest.
 
 All text output prints floats with 17 significant digits so that values
 round-trip exactly and repeated runs produce byte-identical files.  Tables
@@ -13,11 +14,14 @@ bundle cache never see each other's half-written entry.  The cache holds
 npz archives: eigenbundles keyed by (graph content hash, k, m), and each
 method's neighbor list and alignment angles keyed by every input that
 determines them (``result_cache_path``).  Keys cover inputs only, not the
-program's version.
+program's version.  The run manifest (``RunManifest``) records, for each
+artifact of an output directory, the key of the program and inputs that
+produced it and the sha256 of its bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -57,6 +61,10 @@ __all__ = [
     "save_result",
     "load_neighbors",
     "load_alignment",
+    "program_identity",
+    "artifact_key",
+    "file_sha256",
+    "RunManifest",
 ]
 
 CACHE_ENV = "MFVDM_CACHE_DIR"
@@ -67,12 +75,11 @@ _FLOAT = "%.17g"
 # The conversions a table template may hold: the only ones _format_lines
 # implements.
 _CONVERSION = re.compile(r"%(d|\.17g)")
-# Table lines formatted per chunk.  A chunk is held as one byte per
-# character slot and line (at most 39 slots per float, 20 per integer) plus
-# the kernel's per-value temporaries: under 1.2 MiB for an NN, alignment or
-# graph chunk and about 4 MiB for a 9-float truth chunk, so a writer's
-# memory does not grow with the table.
-_CHUNK_LINES = 1 << 12
+# Table values formatted per chunk: 4096 lines of a 4-field table.  A chunk
+# is held as one byte per character slot and value (at most 39 slots per
+# float, 20 per integer) plus the kernel's per-value temporaries, so a
+# writer's memory grows neither with the table nor with its width.
+_CHUNK_VALUES = 1 << 14
 
 
 @contextmanager
@@ -98,9 +105,9 @@ def _write_table(path, header: str, template: str, *columns) -> None:
 
     ``template`` may hold only ``%d`` conversions, of integer columns, and
     ``%.17g`` ones, one per column; anything else is a ParameterError.
-    Lines are formatted ``_CHUNK_LINES`` at a time by ``_format_lines``,
-    from slices along the first axis, so a 2-D column (a broadcast view,
-    say) is never copied whole.
+    Lines are formatted by ``_format_lines``, ``_CHUNK_VALUES`` values (at
+    least one line) at a time, from slices along the first axis, so a 2-D
+    column (a broadcast view, say) is never copied whole.
     """
     parts = _CONVERSION.split(template)
     conversions = parts[1::2]
@@ -117,7 +124,7 @@ def _write_table(path, header: str, template: str, *columns) -> None:
     dtypes = [np.int64 if conversion == "d" else np.float64
               for conversion in conversions]
     shape = columns[0].shape
-    step = max(1, _CHUNK_LINES // math.prod(shape[1:]))
+    step = max(1, _CHUNK_VALUES // (len(columns) * math.prod(shape[1:])))
     # Comparisons with NaN may raise the invalid flag; NaN is formatted by
     # the per-value fallback.
     with _replacing(path, "xb") as handle, np.errstate(invalid="ignore"):
@@ -671,3 +678,88 @@ def load_alignment(path, neighbors: NeighborList) -> AlignmentTable | None:
     return AlignmentTable(
         i=np.repeat(np.arange(neighbors.n, dtype=np.int64), neighbors.kappa),
         j=neighbors.indices.ravel(), alpha_hat=alpha, objective=objective)
+
+
+@functools.cache
+def program_identity() -> str:
+    """sha256 over this package's ``.py`` sources and numpy's version, so a
+    change to either changes every artifact key."""
+    digest = hashlib.sha256(f"numpy {np.__version__}\n".encode("utf-8"))
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name} {len(data)}\n".encode("utf-8") + data)
+    return digest.hexdigest()
+
+
+def artifact_key(inputs: list) -> str:
+    """The key of an artifact made from ``inputs`` (JSON values): a sha256
+    over the program identity and the inputs."""
+    text = json.dumps([program_identity(), *inputs], sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def file_sha256(path) -> str:
+    """sha256 of a file's bytes, read into one 64 KiB buffer: a larger
+    block would be mapped and unmapped, which raises glibc's mmap threshold
+    and with it the run's peak RSS (about 0.7 MB on ``sphere_cold`` at
+    1 MiB)."""
+    digest = hashlib.sha256()
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
+    with open(path, "rb") as handle:
+        while count := handle.readinto(buffer):
+            digest.update(view[:count])
+    return digest.hexdigest()
+
+
+class RunManifest:
+    """``<out>/cache/manifest.json``: for each artifact, by its path
+    relative to ``<out>``, the key of the inputs that produced it and the
+    sha256 of its bytes.
+
+    It sits under ``<out>`` even when ``MFVDM_CACHE_DIR`` moves the cache,
+    since it describes this directory's files.  A manifest that is missing
+    or is not such a mapping reads as empty, so every artifact is rebuilt.
+    """
+
+    def __init__(self, out_dir) -> None:
+        self.root = Path(out_dir)
+        self.path = self.root / "cache" / "manifest.json"
+        self.entries = _read_manifest(self.path)
+
+    def holds(self, names, key: str) -> bool:
+        """Whether every artifact in ``names`` is recorded under ``key`` and
+        its file still has the recorded bytes."""
+        for name in names:
+            entry = self.entries.get(name)
+            if entry is None or entry["key"] != key:
+                return False
+            try:
+                if file_sha256(self.root / name) != entry["sha256"]:
+                    return False
+            except OSError:
+                return False
+        return True
+
+    def record(self, names, key: str) -> None:
+        """Record the files ``names``, just written, under ``key``; then
+        rewrite the manifest."""
+        for name in names:
+            self.entries[name] = {"key": key,
+                                  "sha256": file_sha256(self.root / name)}
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        _write_json(self.entries, self.path)
+
+
+def _read_manifest(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            entries = json.load(handle)
+    except (OSError, ValueError):
+        return {}
+    if not (isinstance(entries, dict) and all(
+            isinstance(entry, dict) and isinstance(entry.get("key"), str)
+            and isinstance(entry.get("sha256"), str)
+            for entry in entries.values())):
+        return {}
+    return entries

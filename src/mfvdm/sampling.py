@@ -136,13 +136,27 @@ class SphereTruth:
         return float(np.pi)
 
 
+# Values folded per step of ``_fold``: its masks stay small beside a block.
+_FOLD_VALUES = 1 << 14
+
+
 def _fold(delta: np.ndarray) -> np.ndarray:
-    """|wrap_pi(delta)|, the circular distance in [0, pi], computed in place
-    in ``delta``: the sign that ``wrap_pi`` fixes with a mask is dropped."""
-    delta += np.pi
-    np.mod(delta, TWO_PI, out=delta)
-    delta -= np.pi
-    return np.abs(delta, out=delta)
+    """|wrap_pi(delta)|, the circular distance in [0, pi], of each delta in
+    [-2*pi, 2*pi], computed in place in the contiguous array ``delta``.
+
+    The bits are those of ``np.mod(delta + pi, 2*pi) - pi``, without the
+    division: fmod is exact there, x - 2*pi is exact for x in [2*pi, 3*pi]
+    (Sterbenz), and x + 2*pi for x < 0 is the add that ``np.mod`` rounds.
+    """
+    flat = delta.reshape(-1)
+    for lo in range(0, flat.size, _FOLD_VALUES):
+        part = flat[lo:lo + _FOLD_VALUES]
+        part += np.pi
+        np.subtract(part, TWO_PI, out=part, where=part >= TWO_PI)
+        np.add(part, TWO_PI, out=part, where=part < 0.0)
+        part -= np.pi
+        np.abs(part, out=part)
+    return delta
 
 
 def _check_radii(radius_major: float, radius_minor: float) -> None:

@@ -58,6 +58,12 @@ The rules, fixed before anything is compared:
   pair's error moves no further than its alpha_hat, so neither does their
   median.  Without that floor a median that is itself rounding noise (1e-7
   degrees on a clean torus) fails on a 1e-14 rad move.
+* ``cache/manifest.json`` (the run manifest): both record the same
+  artifact paths.  The keys are not compared, since each covers the
+  program's identity, so any two programs differ in all of them; nor are
+  the digests, since they follow the files, which the rules here compare.
+  A tree written before the manifest existed has none, and its absence
+  is a note, not a mismatch.
 * Every other file (truth, graphs, histogram CSVs) is byte-identical.
 """
 
@@ -329,6 +335,14 @@ def _compare_bundle(name: str, a: Path, b: Path, result) -> None:
         "cluster"))
 
 
+def _compare_manifest(name: str, a: Path, b: Path, result) -> None:
+    left = json.loads(a.read_text(encoding="utf-8"))
+    right = json.loads(b.read_text(encoding="utf-8"))
+    only = sorted(set(left) ^ set(right))
+    if only:
+        result.problems.append(f"{name}: records {only} in one tree only")
+
+
 def _compare_scalars(name: str, a: Path, b: Path, result) -> None:
     left = json.loads(a.read_text(encoding="utf-8"))
     right = json.loads(b.read_text(encoding="utf-8"))
@@ -360,7 +374,10 @@ _RULES = (
     ("align_", ".npz", _compare_alignment),
     ("bundle_", ".npz", _compare_bundle),
     ("report_", "_scalars.json", _compare_scalars),
+    ("manifest.json", "", _compare_manifest),
 )
+
+MANIFEST = "cache/manifest.json"
 
 
 def compare_trees(parent_out, change_out) -> TreeComparison:
@@ -370,7 +387,8 @@ def compare_trees(parent_out, change_out) -> TreeComparison:
     left, right = _files(parent_out), _files(change_out)
     for name in sorted(left ^ right):
         side = "parent" if name in left else "change"
-        result.problems.append(f"{name}: only in the {side} tree")
+        (result.notes if name == MANIFEST else result.problems).append(
+            f"{name}: only in the {side} tree")
     for name in sorted(left & right):
         a, b = parent_out / name, change_out / name
         result.files += 1

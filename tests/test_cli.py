@@ -119,7 +119,11 @@ class TestPipeline:
                     "cache", kind, digest, frequencies, 10, 1, 10).as_posix()
                     for kind in kinds}
         assert len(entries) == 10
-        assert cache == bundles | entries
+        assert cache == bundles | entries | {"cache/manifest.json"}
+        # The manifest records every artifact outside the cache.
+        manifest = json.loads((pipeline_out / "cache" / "manifest.json")
+                              .read_text())
+        assert set(manifest) == expected
         assert files >= expected
         # Artifacts get the mode a plain open gives, cache entries included.
         umask = os.umask(0)
@@ -245,7 +249,8 @@ class TestStagePrefixes:
             "graph_clean.txt", "graph_p0.4.txt", "truth.txt"]
         # The bundles of a pipeline run, and no neighbor or angle entry.
         assert (sorted(p.name for p in (out / "cache").iterdir())
-                == sorted(p.name for p in (full / "cache").glob("bundle_*")))
+                == sorted([p.name for p in (full / "cache").glob("bundle_*")]
+                          + ["manifest.json"]))
 
     def test_sweep_builds_truth_and_graphs_without_reading_them(
             self, tmp_path, monkeypatch):
@@ -370,7 +375,8 @@ class TestCache:
                 "--kappa", "10")
         assert _run(*args) == 0
         assert list(shared.glob("bundle_*.npz"))
-        assert not (out / "cache").exists()
+        # Only the manifest of --out's own files stays under --out.
+        assert [p.name for p in (out / "cache").iterdir()] == ["manifest.json"]
 
     def test_truncated_bundle_is_recomputed(self, tmp_path, monkeypatch):
         from mfvdm.io import CACHE_ENV, load_bundle
@@ -528,6 +534,130 @@ class TestResultCache:
             for method, kind, frequencies in expected]
 
 
+def _stamps(root):
+    """(inode, mtime_ns) of every file under root, by relative path."""
+    stamps = {}
+    for path in Path(root).rglob("*"):
+        if path.is_file():
+            info = path.stat()
+            stamps[path.relative_to(root).as_posix()] = (info.st_ino,
+                                                         info.st_mtime_ns)
+    return stamps
+
+
+def _rewritten(before, after):
+    """Files of ``after`` that are new or were replaced since ``before``."""
+    return {name for name, stamp in after.items() if before.get(name) != stamp}
+
+
+class TestManifest:
+    """``cache/manifest.json`` keys every file under --out by the program
+    and the inputs that made it, with the sha256 of its bytes: a file is
+    kept only when both still match, and rebuilt otherwise."""
+
+    ARGS = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+            "--baselines", "vdm", "--seed", "3")
+    REPORT = {f"p0.4/report_vdm_{kind}" for kind in
+              ("nn_hist.csv", "align_hist.csv", "scalars.json")}
+
+    @pytest.fixture(autouse=True)
+    def own_cache(self, monkeypatch):
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+
+    @pytest.fixture(scope="class")
+    def fresh(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fresh") / "out"
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        return out
+
+    def test_another_config_rebuilds_truth_and_graphs(self, tmp_path):
+        """A pipeline after a generate of other settings, into one --out,
+        writes what a fresh --out gets, not the first run's graphs."""
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert _run("generate", "--n", "400", "--kappa-build", "20",
+                    "--seed", "0", "--p", "0.4", "--out", str(out)) == 0
+        args = ("pipeline", "--n", "300", "--kappa-build", "10", "--kappa",
+                "5", "--kmax", "3", "--mk", "6", "--seed", "7", "--p", "0.4")
+        assert _run(*args, "--out", str(out)) == 0
+        assert (out / "graph_p0.4.txt").read_text().startswith("n 300\n")
+        rows = (out / "p0.4" / "nn_mfvdm.csv").read_text().splitlines()
+        assert len(rows) == 1 + 300 * 5
+        assert _run(*args, "--out", str(fresh)) == 0
+        assert _tree_digest(out) == _tree_digest(fresh)
+
+    def test_identical_rerun_keeps_every_output(self, fresh, tmp_path,
+                                                monkeypatch, capsys):
+        """A rerun leaves every file as it is, names each output it keeps,
+        and neither formats a table nor scores."""
+        out = tmp_path / "out"
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        before = _stamps(out)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a kept output was rebuilt")
+
+        for name in ("score_nn", "score_alignment"):
+            monkeypatch.setattr(cli, name, forbidden)
+        monkeypatch.setattr(mio, "_write_table", forbidden)
+        capsys.readouterr()
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        kept = {line.split(" kept ")[1] for line in lines if " kept " in line}
+        # The clean graph is not looked at once the rewired one is kept.
+        assert kept == set(_tree_digest(out)) - {"graph_clean.txt"}
+        # One hit per bundle (k = 1..5), as pipebench counts them.
+        assert sum("cache hit" in line for line in lines) == 5
+        assert _stamps(out) == before
+        assert _tree_digest(out, skip=()) == _tree_digest(fresh, skip=())
+
+    @pytest.mark.parametrize("damage", ["edited_nn_csv", "deleted_report",
+                                        "garbage_manifest"])
+    def test_damage_rewrites_only_the_affected_files(self, fresh, tmp_path,
+                                                     damage):
+        out = tmp_path / "out"
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        outputs = set(_tree_digest(out))
+        if damage == "edited_nn_csv":
+            csv = out / "p0.4" / "nn_mfvdm.csv"
+            csv.write_text(csv.read_text().replace(",", ";", 1))
+            affected = {"p0.4/nn_mfvdm.csv"}
+        elif damage == "deleted_report":
+            (out / "p0.4" / "report_vdm_scalars.json").unlink()
+            affected = self.REPORT
+        else:
+            (out / "cache" / "manifest.json").write_bytes(b"\x00{garbage")
+            affected = outputs
+        before = _stamps(out)
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        assert (_rewritten(before, _stamps(out))
+                == affected | {"cache/manifest.json"})
+        assert _tree_digest(out, skip=()) == _tree_digest(fresh, skip=())
+
+    def test_new_kappa_keeps_truth_and_graphs(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        before = _stamps(out)
+        assert _run(*self.ARGS, "--kappa", "8", "--out", str(out)) == 0
+        replaced = _rewritten(before, _stamps(out)) & set(before)
+        assert replaced == {
+            "p0.4/nn_mfvdm.csv", "p0.4/nn_vdm.csv", "p0.4/align_mfvdm.csv",
+            "p0.4/align_vdm.csv", "cache/manifest.json", *self.REPORT,
+            *{name.replace("vdm", "mfvdm") for name in self.REPORT}}
+        assert _run(*self.ARGS, "--kappa", "8", "--out", str(fresh)) == 0
+        assert _tree_digest(out) == _tree_digest(fresh)
+
+    def test_another_program_rewrites_everything(self, fresh, tmp_path,
+                                                 monkeypatch):
+        out = tmp_path / "out"
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        before = _stamps(out)
+        monkeypatch.setattr(mio, "program_identity", lambda: "other program")
+        assert _run(*self.ARGS, "--out", str(out)) == 0
+        rewritten = _rewritten(before, _stamps(out))
+        assert rewritten == set(_tree_digest(out)) | {"cache/manifest.json"}
+        assert _tree_digest(out) == _tree_digest(fresh)
+
+
 class TestCrashSafety:
     def test_half_written_graph_is_rebuilt_on_rerun(self, tmp_path,
                                                     monkeypatch, fail_writes):
@@ -641,20 +771,26 @@ class TestSpectrum:
         assert abs(payload["h"] - 0.04) < 1e-12
         assert (out / "p1" / "spectrum_k1_spectrum.csv").exists()
 
-    def test_h_follows_the_solved_graph(self, tmp_path):
+    def test_h_follows_the_solved_graph(self, tmp_path, capsys):
+        """The same config keeps the 200-node graph that ``generate`` wrote;
+        another --n rebuilds the graph, and h follows the one solved."""
         out = tmp_path / "out"
         assert _run("generate", "--manifold", "sphere", "--n", "200",
                     "--kappa-build", "10", "--p", "1", "--out", str(out),
                     "--seed", "0", "--kappa", "10", "--kmax", "5") == 0
-        # A different --n reuses the 200-node graph already in --out.
-        assert _run("spectrum", "--manifold", "sphere", "--n", "300",
-                    "--kappa-build", "10", "--ks", "1", "--p", "1",
-                    "--out", str(out), "--seed", "0", "--kappa", "10",
-                    "--kmax", "5") == 0
-        payload = json.loads(
-            (out / "p1" / "spectrum_k1_clusters.json").read_text()
-        )
-        assert payload["h"] == 2.0 * 10 / 200
+        for n in (200, 300):
+            capsys.readouterr()
+            assert _run("spectrum", "--manifold", "sphere", "--n", str(n),
+                        "--kappa-build", "10", "--ks", "1", "--p", "1",
+                        "--out", str(out), "--seed", "0", "--kappa", "10",
+                        "--kmax", "5") == 0
+            kept = "[generate p=1] kept graph_clean.txt"
+            assert (kept in capsys.readouterr().out.splitlines()) == (n == 200)
+            assert read_graph(out / "graph_clean.txt").n == n
+            payload = json.loads(
+                (out / "p1" / "spectrum_k1_clusters.json").read_text()
+            )
+            assert payload["h"] == 2.0 * 10 / n
 
     def test_p_list_writes_each_single_p_report(self, tmp_path):
         out = tmp_path / "sweep"
@@ -782,6 +918,12 @@ class TestExitCodes:
                 lines[3] = "nan 1.0 2.0\n"
                 (out / "graph_clean.txt").unlink()
             truth.write_text("".join(lines))
+            # The manifest vouches for the damaged bytes, so the file is
+            # read back rather than rebuilt.
+            manifest = out / "cache" / "manifest.json"
+            entries = json.loads(manifest.read_text())
+            entries["truth.txt"]["sha256"] = mio.file_sha256(truth)
+            manifest.write_text(json.dumps(entries))
             capsys.readouterr()
             assert _run(*args) == 2
             assert str(truth) in capsys.readouterr().err

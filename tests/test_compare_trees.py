@@ -208,6 +208,35 @@ def test_missing_file_fails(tree, copy):
     assert any("only in the parent tree" in p for p in result.problems)
 
 
+def test_manifest_keys_and_digests_are_not_compared(tree, copy):
+    path = copy / "cache" / "manifest.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    for entry in entries.values():
+        entry["key"] = "0" * 64
+        entry["sha256"] = "f" * 64
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    result = compare_trees(tree, copy)
+    assert result.ok, result.problems
+    assert result.identical == result.files - 1
+
+
+def test_manifest_of_other_artifacts_fails(tree, copy):
+    path = copy / "cache" / "manifest.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    del entries["truth.txt"]
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    result = compare_trees(tree, copy)
+    assert any("manifest.json" in p and "truth.txt" in p
+               for p in result.problems)
+
+
+def test_tree_without_a_manifest_passes_with_a_note(tree, copy):
+    (copy / "cache" / "manifest.json").unlink()
+    result = compare_trees(tree, copy)
+    assert result.ok, result.problems
+    assert result.notes == ["cache/manifest.json: only in the parent tree"]
+
+
 def _tie_node_zero(tree, target):
     """A copy of ``tree`` in which node 0's ranks 3 and 4 (data rows 3 and
     4 of nn_mfvdm.csv) share rank 3's squared distance: a near tie."""

@@ -1,10 +1,13 @@
 """File formats: round-trips, strict parsing, cache behavior."""
 
+import hashlib
+import json
 import re
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +32,11 @@ from mfvdm.graph import (
 )
 from mfvdm.io import (
     CACHE_ENV,
+    RunManifest,
+    artifact_key,
     bundle_cache_path,
     cache_dir_for,
+    file_sha256,
     graph_hash,
     load_alignment,
     load_bundle,
@@ -377,8 +383,8 @@ def test_writers_match_per_row_reference(graph, tmp_path, monkeypatch):
                               theory_leading_gap=0.5)
     want["spectrum_spectrum.csv"] = "index,one_minus_lambda\n" + "".join(
         f"{i},{fmt(v)}\n" for i, v in enumerate(spectrum.one_minus_lambda))
-    for lines in (mio._CHUNK_LINES, 1, 4, 7):
-        monkeypatch.setattr(mio, "_CHUNK_LINES", lines)
+    for values in (mio._CHUNK_VALUES, 1, 4, 7, 30):
+        monkeypatch.setattr(mio, "_CHUNK_VALUES", values)
         write_nn_csv(nn, tmp_path / "nn.csv")
         write_alignment_csv(table, tmp_path / "align.csv")
         write_graph(graph, tmp_path / "graph.txt")
@@ -388,7 +394,7 @@ def test_writers_match_per_row_reference(graph, tmp_path, monkeypatch):
         write_spectral_report(spectrum, tmp_path / "spectrum")
         for name, text in want.items():
             assert (tmp_path / name).read_bytes() == text.encode("utf-8"), \
-                (name, lines)
+                (name, values)
 
 
 def test_nn_writer_peak_does_not_grow_with_rows(tmp_path):
@@ -406,6 +412,25 @@ def test_nn_writer_peak_does_not_grow_with_rows(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2 ** 16
+
+
+def test_truth_writer_peak_is_set_by_values_not_lines(tmp_path):
+    """``write_truth`` formats a fixed number of values at a time: its
+    traced peak does not grow from 8192 to 16384 rows, and a 9-float sphere
+    row costs no more chunk memory than three 3-float torus rows."""
+    peaks = {}
+    for manifold in ("sphere", "torus"):
+        for n in (8192, 16384):
+            truth = make_truth(manifold, n, seed=0)
+            tracemalloc.start()
+            try:
+                write_truth(truth, tmp_path / "truth.txt")
+                peaks[manifold, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for manifold in ("sphere", "torus"):
+        assert peaks[manifold, 16384] <= peaks[manifold, 8192] + 2 ** 18
+    assert peaks["sphere", 16384] <= peaks["torus", 16384] + 2 ** 18
 
 
 def _float_cases():
@@ -460,7 +485,9 @@ class TestTableKernel:
 
     def test_mixed_columns_over_many_chunks(self, tmp_path):
         rng = np.random.default_rng(3)
-        ints = rng.integers(-10 ** 6, 10 ** 6, 3 * mio._CHUNK_LINES + 5)
+        # Two fields: _CHUNK_VALUES // 2 lines per chunk.
+        ints = rng.integers(-10 ** 6, 10 ** 6,
+                            3 * (mio._CHUNK_VALUES // 2) + 5)
         floats = rng.normal(size=ints.size) * 10.0 ** rng.integers(-3, 3,
                                                                    ints.size)
         path = tmp_path / "t.csv"
@@ -576,7 +603,6 @@ class TestReports:
                          "report_vdm_scalars.json"]
         hist = (tmp_path / "report_mfvdm_nn_hist.csv").read_text()
         assert hist.splitlines()[0] == "bin_lo,bin_hi,count"
-        import json
         scalars = json.loads(
             (tmp_path / "report_mfvdm_scalars.json").read_text()
         )
@@ -595,7 +621,6 @@ class TestReports:
         names = sorted(p.name for p in paths)
         assert names == ["spectrum_k1_clusters.json",
                          "spectrum_k1_spectrum.csv"]
-        import json
         payload = json.loads(
             (tmp_path / "spectrum_k1_clusters.json").read_text()
         )
@@ -779,3 +804,97 @@ class TestBundleCache:
         c = bundle_cache_path(tmp_path, digest, k=2, m=20)
         assert a.name == f"bundle_{digest[:16]}_k2_m50.npz"
         assert len({a, b, c}) == 3
+
+
+class TestRunManifest:
+    """``RunManifest``: per artifact, the key of its inputs and the sha256
+    of its bytes, under ``<out>/cache/manifest.json``."""
+
+    @pytest.fixture
+    def out(self, tmp_path):
+        (tmp_path / "p1").mkdir()
+        (tmp_path / "truth.txt").write_text("truth\n")
+        (tmp_path / "p1" / "nn.csv").write_text("nn\n")
+        return tmp_path
+
+    def test_recorded_files_are_held_under_their_key_only(self, out):
+        manifest = RunManifest(out)
+        assert not manifest.holds(["truth.txt"], "a")
+        manifest.record(["truth.txt", "p1/nn.csv"], "a")
+        for reread in (manifest, RunManifest(out)):
+            assert reread.holds(["truth.txt", "p1/nn.csv"], "a")
+            assert not reread.holds(["truth.txt"], "b")
+            assert not reread.holds(["truth.txt", "other.txt"], "a")
+
+    @pytest.mark.parametrize("damage", ["edited", "deleted", "directory"])
+    def test_a_file_that_changed_is_not_held(self, out, damage):
+        RunManifest(out).record(["truth.txt", "p1/nn.csv"], "a")
+        target = out / "truth.txt"
+        target.unlink()
+        if damage == "edited":
+            target.write_text("truth!\n")
+        elif damage == "directory":
+            target.mkdir()
+        manifest = RunManifest(out)
+        assert not manifest.holds(["truth.txt"], "a")
+        assert manifest.holds(["p1/nn.csv"], "a")
+
+    @pytest.mark.parametrize("garbage", [
+        b"", b"not json", b"\xff\xfe", b"[1, 2]", b'{"truth.txt": 1}',
+        b'{"truth.txt": {"key": "a"}}',
+        b'{"truth.txt": {"key": "a", "sha256": null}}',
+    ])
+    def test_an_unreadable_manifest_reads_as_empty(self, out, garbage):
+        RunManifest(out).record(["truth.txt"], "a")
+        (out / "cache" / "manifest.json").write_bytes(garbage)
+        manifest = RunManifest(out)
+        assert manifest.entries == {}
+        assert not manifest.holds(["truth.txt"], "a")
+
+    def test_content_is_sorted_json_of_keys_and_digests(self, out):
+        RunManifest(out).record(["truth.txt"], "a")
+        RunManifest(out).record(["p1/nn.csv"], "b")
+        text = (out / "cache" / "manifest.json").read_text()
+        assert json.loads(text) == {
+            "p1/nn.csv": {"key": "b", "sha256": hashlib.sha256(
+                b"nn\n").hexdigest()},
+            "truth.txt": {"key": "a", "sha256": hashlib.sha256(
+                b"truth\n").hexdigest()},
+        }
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+    def test_failed_write_keeps_the_previous_manifest(self, out,
+                                                      fail_writes):
+        RunManifest(out).record(["truth.txt"], "a")
+        path = out / "cache" / "manifest.json"
+        previous = path.read_bytes()
+        with fail_writes("manifest.json", 10):
+            with pytest.raises(OSError, match="injected write failure"):
+                RunManifest(out).record(["p1/nn.csv"], "b")
+        assert path.read_bytes() == previous
+        assert [p.name for p in path.parent.iterdir()] == ["manifest.json"]
+
+    def test_key_covers_the_program_and_each_input(self, monkeypatch):
+        key = artifact_key(["sphere", 300, 7, {"p": "0.4"}])
+        assert key == artifact_key(["sphere", 300, 7, {"p": "0.4"}])
+        assert len({key, artifact_key(["sphere", 300, 8, {"p": "0.4"}]),
+                    artifact_key(["sphere", 300, 7, {"p": "0.5"}]),
+                    artifact_key(["sphere", 300, 7])}) == 4
+        monkeypatch.setattr(mio, "program_identity", lambda: "other")
+        assert artifact_key(["sphere", 300, 7, {"p": "0.4"}]) != key
+
+    def test_program_identity_covers_sources_and_numpy(self):
+        identity = mio.program_identity()
+        assert re.fullmatch(r"[0-9a-f]{64}", identity)
+        digest = hashlib.sha256(f"numpy {np.__version__}\n".encode())
+        for path in sorted(Path(mio.__file__).parent.glob("*.py")):
+            data = path.read_bytes()
+            digest.update(f"{path.name} {len(data)}\n".encode() + data)
+        assert identity == digest.hexdigest()
+
+    def test_file_digest_reads_every_block(self, tmp_path):
+        data = np.random.default_rng(0).bytes(3 * 2 ** 20 + 5)
+        (tmp_path / "big").write_bytes(data)
+        assert file_sha256(tmp_path / "big") == hashlib.sha256(
+            data).hexdigest()

@@ -12,6 +12,7 @@ from mfvdm.sampling import (
     sample_so3_uniform,
     sample_torus_uniform,
 )
+from mfvdm.sampling import _fold
 from oracles import inplane_angle, torus_positions
 
 
@@ -174,6 +175,35 @@ class TestGeodesics:
         torus = sample_torus_uniform(4, seed=0)
         want = np.hypot(0.2 * np.pi, np.pi)
         assert abs(torus.max_geodesic - want) < 1e-12
+
+
+def _fold_by_mod(delta):
+    """The circular distance as ``np.mod`` folds it: ``_fold``'s oracle."""
+    return np.abs(np.mod(delta + np.pi, TWO_PI) - np.pi)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestFold:
+    """``_fold`` gives the bits of the ``np.mod`` form on [-2*pi, 2*pi]."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_torus_blocks_match_the_mod_form(self, seed):
+        truth = make_truth("torus", 2100, seed=seed)
+        for coordinate in (truth.u, truth.v):
+            delta = np.subtract.outer(coordinate[:512], coordinate)
+            want = _fold_by_mod(delta)
+            assert np.array_equal(_bits(_fold(delta)), _bits(want))
+
+    def test_edges_of_each_branch_match_the_mod_form(self):
+        base = np.array([0.0, np.pi, TWO_PI])
+        base = np.concatenate([base, -base])
+        delta = np.concatenate([base, np.nextafter(base, np.inf),
+                                np.nextafter(base, -np.inf)])
+        want = _fold_by_mod(delta)
+        assert np.array_equal(_bits(_fold(delta.copy())), _bits(want))
 
 
 def test_make_truth_dispatch():
