@@ -8,12 +8,12 @@ writes the same files whichever command ran it.  ``spectrum`` follows the
 graphs with the eigenvalue-cluster report of each frequency in ``--ks``,
 on the sphere.
 
-The cache directory holds the eigenbundles, and each method's neighbor list
-and alignment angles keyed by the graph, frequencies, m, t and kappa, so
-``nn`` followed by ``align`` searches once.  A loaded result writes the
-same files as a computed one.  Every file under ``--out`` goes through the
-run manifest (``_output``): a file made by this program from the same
-inputs, whose bytes are as recorded, is kept, and any other is rebuilt.
+The cache directory holds the eigenbundles.  Every file under ``--out``
+goes through the run manifest (``_output``): a file made by this program
+from the same inputs, whose bytes are as recorded, is kept, and any other
+is rebuilt.  Each method's neighbor list and alignment angles are such
+files, under ``cache/p<tag>``, so ``nn`` followed by ``align`` searches
+once, and a kept result writes the same files as a computed one.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
 failure.  All stochastic stages derive their randomness from the single
@@ -98,9 +98,10 @@ def _output(manifest: mio.RunManifest, name: str, inputs: list, build,
 
     Its files are ``name`` plus each of ``suffixes``.  If the manifest
     records each under the key of ``inputs`` and its bytes are still the
-    recorded ones, the files are kept: a truth or graph is read back by
-    ``read``, and any other artifact gives None.  Otherwise ``build()`` is
-    written by ``write(value, path)`` and recorded.
+    recorded ones, the files are kept: a truth, graph, neighbor list or
+    alignment table is read back by ``read``, and any other artifact gives
+    None.  Otherwise ``build()`` is written by ``write(value, path)`` and
+    recorded.
     """
     key = mio.artifact_key(inputs)
     files = [name + suffix for suffix in suffixes]
@@ -110,6 +111,7 @@ def _output(manifest: mio.RunManifest, name: str, inputs: list, build,
             print(f"[{_CURRENT_STAGE}] kept {file}", flush=True)
         return None if read is None else read(path)
     value = build()
+    path.parent.mkdir(parents=True, exist_ok=True)
     write(value, path)
     manifest.record(files, key)
     return value
@@ -137,8 +139,6 @@ def _truth_and_clean_graph(config: ExperimentConfig,
                 f"kappa_search must satisfy 1 <= kappa_search < n={graph.n} "
                 f"of {config.graph_path}. Got {config.kappa_search}.")
         return None, lambda: graph
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     truth = _output(
         manifest, "truth.txt", _generate_inputs(config),
         lambda: make_truth(config.manifold, config.n, config.seed),
@@ -178,15 +178,18 @@ def _compute_bundles(config: ExperimentConfig, graph, ks, m: int,
     def solve(k: int):
         path = mio.bundle_cache_path(cache, digest, k, m)
         bundle = mio.load_bundle(path, k=k, shape=(graph.n, m))
-        if bundle is not None:
-            print(f"[embed] k={k} cache hit", flush=True)
-        else:
+        hit = bundle is not None
+        if not hit:
             bundle = top_eigenpairs(build_sk(graph, k, deg), m)
             mio.save_bundle(bundle, path)
-        return k, keep(bundle)
+        return k, hit, keep(bundle)
 
-    return digest, dict(map_workers(solve, sorted(set(ks)),
-                                    config.workers))
+    solved = map_workers(solve, sorted(set(ks)), config.workers)
+    # Printed here, not by the workers, so each hit is one whole line.
+    for k, hit, _ in solved:
+        if hit:
+            print(f"[embed] k={k} cache hit", flush=True)
+    return digest, {k: value for k, _, value in solved}
 
 
 def _method_embedding(method: str, features, config: ExperimentConfig):
@@ -237,7 +240,6 @@ def _spectrum(config: ExperimentConfig, manifest: mio.RunManifest, graph,
     _stage(f"spectrum p={tag}")
     m = min(_SPECTRUM_M, graph.n)
     digest, bundles = _compute_bundles(config, graph, config.spectrum_ks, m)
-    (Path(config.out_dir) / f"p{tag}").mkdir(parents=True, exist_ok=True)
     for k in config.spectrum_ks:
         bundle = mio.bundle_cache_path(Path(), digest, k, m).name
         _output(manifest, f"p{tag}/spectrum_k{k}",
@@ -260,7 +262,6 @@ def _embed_and_score(config: ExperimentConfig, manifest: mio.RunManifest,
         keep=lambda bundle: build_features(bundle, config.t))
     if last == "embed":
         return
-    (Path(config.out_dir) / f"p{tag}").mkdir(parents=True, exist_ok=True)
     params = _echo_params(config, p)
     for method in ["mfvdm", *config.baselines]:
         _stage(f"{method} p={tag}")
@@ -268,37 +269,25 @@ def _embed_and_score(config: ExperimentConfig, manifest: mio.RunManifest,
                     tag, last)
 
 
-def _load_or_compute(path: Path, load, compute):
-    """``load(path)``, or on a miss ``compute()``, stored at ``path``."""
-    value = load(path)
-    if value is not None:
-        print(f"[{_CURRENT_STAGE}] reused {path.name}", flush=True)
-        return value
-    value = compute()
-    mio.save_result(value, path)
-    return value
-
-
-# The search and the alignment through the result cache.  They keep the
+# The search and the alignment as ``--out`` artifacts.  They keep the
 # library functions' names, under which pipebench's tracer times and counts
-# the CLI's calls, so a trace of a run that loads a result shows the load in
+# the CLI's calls, so a trace of a run that keeps a result shows its read in
 # the span of the stage it replaces.
-def nn_search(embeddings, kappa: int, workers: int, entry: Path):
-    """``embedding.nn_search``'s neighbor list: the one stored at ``entry``
-    if it is usable, else searched and stored there."""
-    return _load_or_compute(
-        entry, lambda path: mio.load_neighbors(path, embeddings.n, kappa),
-        lambda: embedding.nn_search(embeddings, kappa, workers=workers))
+def nn_search(embeddings, kappa: int, workers: int, output):
+    """``embedding.nn_search``'s neighbor list, kept or searched by
+    ``output`` (``_output`` but for its build, write and read)."""
+    return output(
+        lambda: embedding.nn_search(embeddings, kappa, workers=workers),
+        mio.save_result, mio.load_neighbors)
 
 
-def align_neighbors(embeddings, neighbors, workers: int, entry: Path):
-    """``alignment.align_neighbors``' table of the pairs in ``neighbors``:
-    the one stored at ``entry`` if it is usable, else estimated and stored
-    there."""
-    return _load_or_compute(
-        entry, lambda path: mio.load_alignment(path, neighbors),
+def align_neighbors(embeddings, neighbors, workers: int, output):
+    """``alignment.align_neighbors``' table of the pairs in ``neighbors``,
+    kept or estimated by ``output`` as in ``nn_search``."""
+    return output(
         lambda: alignment.align_neighbors(embeddings, neighbors,
-                                          workers=workers))
+                                          workers=workers),
+        mio.save_result, lambda path: mio.load_alignment(path, neighbors))
 
 
 def _run_method(config: ExperimentConfig, manifest: mio.RunManifest,
@@ -307,32 +296,32 @@ def _run_method(config: ExperimentConfig, manifest: mio.RunManifest,
     """One method's NN search, alignment and scores, written under
     ``p<tag>``.
 
-    The neighbor list and the alignment table are cache entries keyed by
-    the graph ``digest``, the method's frequencies, m, t and kappa, so a
-    repeated search is loaded instead of run again.  Each CSV is keyed by
-    its entry's name, and the report by both names, the truth and the
-    echoed ``params``, so a rerun that keeps them formats and scores
-    nothing.
+    The neighbor list and the alignment angles are kept under
+    ``cache/p<tag>`` with the inputs that determine them: the graph
+    ``digest``, the method's frequencies, m, t and kappa.  Each CSV has its
+    result's inputs, and the report those of both and the echoed
+    ``params``, so a rerun that keeps them formats and scores nothing.
     """
     embeddings = _method_embedding(method, features, config)
-    entry = functools.partial(
-        mio.result_cache_path, mio.cache_dir_for(config.out_dir),
-        graph_digest=digest, frequencies=embeddings.frequencies,
-        m=min(config.m_k, embeddings.n), t=config.t,
-        kappa=config.kappa_search)
-    nn_entry = entry("nn")
+    inputs = [digest, embeddings.frequencies, min(config.m_k, embeddings.n),
+              config.t, config.kappa_search]
+
+    def output(kind):
+        return functools.partial(_output, manifest,
+                                 f"cache/p{tag}/{kind}_{method}.npz",
+                                 [kind, *inputs])
+
     neighbors = nn_search(embeddings, config.kappa_search, config.workers,
-                          nn_entry)
-    _output(manifest, f"p{tag}/nn_{method}.csv", [nn_entry.name],
+                          output("nn"))
+    _output(manifest, f"p{tag}/nn_{method}.csv", ["nn", *inputs],
             lambda: neighbors, mio.write_nn_csv)
-    table, entries, reported = None, [nn_entry.name], ["_nn_hist.csv"]
+    table, kinds, reported = None, ["nn"], ["_nn_hist.csv"]
     if last == "align" and method != "dm":
-        align_entry = entry("align")
         table = align_neighbors(embeddings, neighbors, config.workers,
-                                align_entry)
-        _output(manifest, f"p{tag}/align_{method}.csv", [align_entry.name],
+                                output("align"))
+        _output(manifest, f"p{tag}/align_{method}.csv", ["align", *inputs],
                 lambda: table, mio.write_alignment_csv)
-        entries.append(align_entry.name)
+        kinds.append("align")
         reported.append("_align_hist.csv")
     if truth is None:
         return
@@ -344,8 +333,7 @@ def _run_method(config: ExperimentConfig, manifest: mio.RunManifest,
         return merge_reports(scores, score_alignment(
             table, truth, method=method, params=params))
 
-    _output(manifest, f"p{tag}/report_{method}",
-            [*entries, mio.artifact_key(_generate_inputs(config)), params],
+    _output(manifest, f"p{tag}/report_{method}", [kinds, *inputs, params],
             report, mio.write_eval_report,
             suffixes=(*reported, "_scalars.json"))
 

@@ -1,4 +1,4 @@
-"""File formats: graphs, ground truth, CSVs, reports, the result cache and
+"""File formats: graphs, ground truth, CSVs, reports, cache entries and
 the run manifest.
 
 All text output prints floats with 17 significant digits so that values
@@ -10,11 +10,11 @@ at a time; only values outside ``%.17g``'s fixed notation (0, |x| < 1e-4,
 artifact, bundles included, is written to a hidden temp file beside its
 target and renamed into place, so a write that fails or is killed never
 leaves a partial file under the artifact's name, and writers sharing one
-bundle cache never see each other's half-written entry.  The cache holds
-npz archives: eigenbundles keyed by (graph content hash, k, m), and each
-method's neighbor list and alignment angles keyed by every input that
-determines them (``result_cache_path``).  Keys cover inputs only, not the
-program's version.  The run manifest (``RunManifest``) records, for each
+bundle cache never see each other's half-written entry.  The bundle cache
+holds npz eigenbundles keyed by (graph content hash, k, m); its keys cover
+inputs only, not the program's version.  Each method's neighbor list and
+alignment angles are npz artifacts of an output directory
+(``save_result``).  The run manifest (``RunManifest``) records, for each
 artifact of an output directory, the key of the program and inputs that
 produced it and the sha256 of its bytes.
 """
@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from mfvdm.alignment import AlignmentTable
-from mfvdm.angles import TWO_PI
 from mfvdm.embedding import NeighborList
 from mfvdm.errors import BadEdgeError, GraphFileError, ParameterError
 from mfvdm.evaluation import EvalReport, SpectralReport
@@ -57,7 +56,6 @@ __all__ = [
     "bundle_cache_path",
     "save_bundle",
     "load_bundle",
-    "result_cache_path",
     "save_result",
     "load_neighbors",
     "load_alignment",
@@ -555,8 +553,7 @@ def write_spectral_report(report: SpectralReport, prefix) -> list:
 
 
 def cache_dir_for(out_dir) -> Path:
-    """Cache directory of bundles and results: env override, else
-    <out_dir>/cache."""
+    """Cache directory of bundles: env override, else <out_dir>/cache."""
     env = os.environ.get(CACHE_ENV)
     base = Path(env) if env else Path(out_dir) / "cache"
     base.mkdir(parents=True, exist_ok=True)
@@ -583,35 +580,23 @@ def load_bundle(path, k: int, shape: tuple) -> SpectralBundle | None:
 
     An unreadable entry (truncated, not an npz, missing arrays) is a cache
     miss, so the caller recomputes the bundle and overwrites it.  So is an
-    entry whose stored frequency differs from ``k`` or whose eigenvectors
-    are not of ``shape`` (n, m).
+    entry whose stored frequency differs from ``k``, whose eigenvectors are
+    not of ``shape`` (n, m), or whose eigenvalues are not m finite float64
+    values.
     """
     try:
         with open(path, "rb") as handle, np.load(handle) as data:
-            bundle = SpectralBundle(k=int(data["k"]),
-                                    eigenvalues=data["eigenvalues"],
+            eigenvalues = data["eigenvalues"]
+            bundle = SpectralBundle(k=int(data["k"]), eigenvalues=eigenvalues,
                                     eigenvectors=data["eigenvectors"])
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
-    if bundle.k != k or bundle.eigenvectors.shape != tuple(shape):
+    if (bundle.k != k or bundle.eigenvectors.shape != tuple(shape)
+            or eigenvalues.dtype != np.float64
+            or eigenvalues.shape != tuple(shape[1:])
+            or not np.isfinite(eigenvalues).all()):
         return None
     return bundle
-
-
-def result_cache_path(cache_dir, kind: str, graph_digest: str, frequencies,
-                      m: int, t: int, kappa: int) -> Path:
-    """``<kind>_<16 hex>.npz``, ``kind`` being ``nn`` or ``align``.
-
-    The hex is a sha256 over what determines a method's neighbor list and
-    alignment table: the graph, the method's frequencies, the eigenpairs per
-    frequency m (after ``min(m, n)``), the diffusion time t and kappa.  The
-    worker count does not, and the alignment grid follows from the
-    frequencies.
-    """
-    fields = (f"{graph_digest} k{','.join(map(str, frequencies))} m{m} t{t} "
-              f"kappa{kappa}")
-    key = hashlib.sha256(fields.encode("utf-8")).hexdigest()[:16]
-    return Path(cache_dir) / f"{kind}_{key}.npz"
 
 
 def save_result(result: NeighborList | AlignmentTable, path) -> None:
@@ -628,56 +613,22 @@ def save_result(result: NeighborList | AlignmentTable, path) -> None:
         np.savez(handle, **arrays)
 
 
-def _load_arrays(path, shape: tuple, **dtypes) -> dict | None:
-    """The arrays named in ``dtypes`` from the npz at ``path``; None if the
-    file is absent or unreadable, or an array is missing or not of ``shape``
-    and its dtype."""
-    try:
-        with open(path, "rb") as handle, np.load(handle) as data:
-            arrays = {name: data[name] for name in dtypes}
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-    if any(array.shape != shape or array.dtype != dtypes[name]
-           for name, array in arrays.items()):
-        return None
-    return arrays
+def load_neighbors(path) -> NeighborList:
+    """The neighbor list ``save_result`` wrote to ``path``."""
+    with open(path, "rb") as handle, np.load(handle) as data:
+        return NeighborList(indices=data["indices"],
+                            distances_sq=data["distances_sq"])
 
 
-def load_neighbors(path, n: int, kappa: int) -> NeighborList | None:
-    """A cached neighbor list of n nodes and kappa neighbors each; None on
-    a miss.
-
-    Like ``load_bundle``, an entry that cannot be read, has the wrong
-    shape, or holds a neighbor outside [0, n) or a squared distance that is
-    not a finite value >= 0 is a miss, so the caller recomputes and
-    overwrites it.
-    """
-    arrays = _load_arrays(path, (n, kappa), indices=np.int64,
-                          distances_sq=np.float64)
-    if arrays is None:
-        return None
-    indices, distances = arrays["indices"], arrays["distances_sq"]
-    if not (np.all((indices >= 0) & (indices < n))
-            and np.all(np.isfinite(distances) & (distances >= 0.0))):
-        return None
-    return NeighborList(indices=indices, distances_sq=distances)
-
-
-def load_alignment(path, neighbors: NeighborList) -> AlignmentTable | None:
-    """The cached alignment table of ``neighbors``' pairs, in their order;
-    None on a miss.  An entry misses if it cannot be read or does not hold
-    one angle in [0, 2*pi) and one finite objective per pair."""
-    arrays = _load_arrays(path, (neighbors.n * neighbors.kappa,),
-                          alpha_hat=np.float64, objective=np.float64)
-    if arrays is None:
-        return None
-    alpha, objective = arrays["alpha_hat"], arrays["objective"]
-    if not (np.all((alpha >= 0.0) & (alpha < TWO_PI))
-            and np.all(np.isfinite(objective))):
-        return None
-    return AlignmentTable(
-        i=np.repeat(np.arange(neighbors.n, dtype=np.int64), neighbors.kappa),
-        j=neighbors.indices.ravel(), alpha_hat=alpha, objective=objective)
+def load_alignment(path, neighbors: NeighborList) -> AlignmentTable:
+    """The alignment table of ``neighbors``' pairs, in their order, whose
+    angles and objectives ``save_result`` wrote to ``path``."""
+    with open(path, "rb") as handle, np.load(handle) as data:
+        return AlignmentTable(
+            i=np.repeat(np.arange(neighbors.n, dtype=np.int64),
+                        neighbors.kappa),
+            j=neighbors.indices.ravel(), alpha_hat=data["alpha_hat"],
+            objective=data["objective"])
 
 
 @functools.cache

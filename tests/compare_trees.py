@@ -44,13 +44,14 @@ The rules, fixed before anything is compared:
   node, since they follow the neighbor order, which near ties may change.
   alpha_hat agrees within ``ANGLE_TOL_RAD`` on the circle; the objective
   agrees within ``OBJECTIVE_RTOL`` relative to the larger magnitude.
-* ``nn_*.npz`` and ``align_*.npz`` (a method's cached neighbor list and
-  alignment angles): each is compared as the CSV written from it, under
-  that CSV's rule above.  An ``nn_<key>.npz`` entry stands for the rows
-  (node, rank, neighbor, squared_distance); an ``align_<key>.npz`` entry
-  for (i, j, alpha_hat, objective), its pairs taken from the
-  ``nn_<key>.npz`` entry beside it in the same tree.  The arrays' names
-  and shapes play the part of the header.
+* ``cache/p*/nn_<method>.npz`` and ``cache/p*/align_<method>.npz`` (a
+  method's kept neighbor list and alignment angles): each is compared as
+  the CSV written from it, under that CSV's rule above.  An
+  ``nn_<method>.npz`` entry stands for the rows (node, rank, neighbor,
+  squared_distance); an ``align_<method>.npz`` entry for (i, j,
+  alpha_hat, objective), its pairs taken from the ``nn_<method>.npz``
+  entry beside it in the same tree.  The arrays' names and shapes play
+  the part of the header.
 * ``report_*_scalars.json``: the same keys; float values agree to
   ``SCALAR_DIGITS`` significant digits; all other values are equal.  An
   angle in degrees (a key ending in ``_deg``, such as the median absolute
@@ -147,13 +148,13 @@ def _read_entry(path: Path):
     """A result entry as (its arrays' names and shapes, the rows of the CSV
     written from it).
 
-    ``nn_<key>.npz`` gives (node, rank, neighbor, squared_distance) and
-    ``align_<key>.npz`` gives (i, j, alpha_hat, objective), with its pairs
-    from the ``nn_<key>.npz`` beside it.  Arrays of unequal length give no
-    rows.
+    ``nn_<method>.npz`` gives (node, rank, neighbor, squared_distance) and
+    ``align_<method>.npz`` gives (i, j, alpha_hat, objective), with its
+    pairs from the ``nn_<method>.npz`` beside it.  Arrays of unequal length
+    give no rows.
     """
-    kind, key = path.name.split("_", 1)
-    with np.load(path.with_name(f"nn_{key}")) as data:
+    kind, method = path.name.split("_", 1)
+    with np.load(path.with_name(f"nn_{method}")) as data:
         nn = {name: data[name] for name in data.files}
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}

@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -108,22 +109,19 @@ class TestPipeline:
         assert len(bundles) == 12
         assert all(re.fullmatch(r"cache/bundle_[0-9a-f]{16}_k[0-5]_m10\.npz",
                                 name) for name in bundles)
-        # Per graph, each method's neighbor list, and the alignment angles
-        # of the methods that align.
-        entries = set()
-        for graph in ("graph_clean.txt", "graph_p0.4.txt"):
-            digest = mio.graph_hash(read_graph(pipeline_out / graph))
-            for frequencies in ((1, 2, 3, 4, 5), (1,), (0,)):
-                kinds = ("nn", "align") if frequencies != (0,) else ("nn",)
-                entries |= {mio.result_cache_path(
-                    "cache", kind, digest, frequencies, 10, 1, 10).as_posix()
-                    for kind in kinds}
+        # Per p, each method's neighbor list, and the alignment angles of
+        # the methods that align.
+        entries = {f"cache/{tag}/{kind}_{method}.npz"
+                   for tag in ("p1", "p0.4")
+                   for method in ("mfvdm", "vdm", "dm")
+                   for kind in ("nn", "align")
+                   if (method, kind) != ("dm", "align")}
         assert len(entries) == 10
         assert cache == bundles | entries | {"cache/manifest.json"}
-        # The manifest records every artifact outside the cache.
+        # The manifest records every artifact under --out but the bundles.
         manifest = json.loads((pipeline_out / "cache" / "manifest.json")
                               .read_text())
-        assert set(manifest) == expected
+        assert set(manifest) == expected | entries
         assert files >= expected
         # Artifacts get the mode a plain open gives, cache entries included.
         umask = os.umask(0)
@@ -183,8 +181,8 @@ class TestPipeline:
 
     def test_worker_count_does_not_change_outputs(self, pipeline_out,
                                                   tmp_path, monkeypatch):
-        # A cache of its own, so the run searches and aligns on 3 workers
-        # instead of loading what the first run stored.
+        # A bundle cache of its own, so the run solves, as it searches and
+        # aligns, on 3 workers instead of loading what the first run stored.
         monkeypatch.delenv(mio.CACHE_ENV, raising=False)
         rerun = tmp_path / "workers"
         code = _run("pipeline", "--manifold", "sphere", *SMALL,
@@ -369,14 +367,18 @@ class TestCache:
         shared = tmp_path / "shared_cache"
         monkeypatch.setenv(CACHE_ENV, str(shared))
         out = tmp_path / "out"
-        args = ("embed", "--manifold", "torus", "--n", "100",
+        args = ("nn", "--manifold", "torus", "--n", "100",
                 "--kappa-build", "5", "--kmax", "2", "--mk", "6",
                 "--p", "1", "--out", str(out), "--seed", "2",
                 "--kappa", "10")
         assert _run(*args) == 0
-        assert list(shared.glob("bundle_*.npz"))
-        # Only the manifest of --out's own files stays under --out.
-        assert [p.name for p in (out / "cache").iterdir()] == ["manifest.json"]
+        # Only the bundles are shared; the manifest and the neighbor lists
+        # are --out's own files and stay under --out.
+        assert len(list(shared.glob("bundle_*.npz"))) == 2
+        assert len(list(shared.iterdir())) == 2
+        assert sorted(p.relative_to(out / "cache").as_posix()
+                      for p in (out / "cache").rglob("*") if p.is_file()) == [
+            "manifest.json", "p1/nn_mfvdm.npz"]
 
     def test_truncated_bundle_is_recomputed(self, tmp_path, monkeypatch):
         from mfvdm.io import CACHE_ENV, load_bundle
@@ -412,12 +414,70 @@ class TestCache:
         assert _tree_digest(out) == _tree_digest(clean)
         assert load_bundle(k1, k=1, shape=(250, 10)) is not None
 
+    @pytest.mark.parametrize("damage", ["extra-eigenvalue", "nan-eigenvalue"])
+    def test_bundle_with_bad_eigenvalues_is_recomputed(self, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       damage):
+        """A k=1 bundle whose eigenvalues are not m finite values is solved
+        again, not handed to the embedding."""
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+        args = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--baselines", "vdm", "--seed", "3")
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert _run(*args, "--out", str(clean)) == 0
+        assert _run(*args, "--out", str(out)) == 0
+        (k1,) = (out / "cache").glob("bundle_*_k1_*.npz")
+        whole = k1.read_bytes()
+        with np.load(k1) as data:
+            arrays = {key: data[key] for key in data.files}
+        if damage == "extra-eigenvalue":
+            arrays["eigenvalues"] = np.append(arrays["eigenvalues"], 0.0)
+        else:
+            arrays["eigenvalues"][1] = np.nan
+        with open(k1, "wb") as handle:
+            np.savez(handle, **arrays)
+        capsys.readouterr()
+        assert _run(*args, "--out", str(out)) == 0
+        hits = [line for line in capsys.readouterr().out.splitlines()
+                if "cache hit" in line]
+        assert hits == [f"[embed] k={k} cache hit" for k in (2, 3, 4, 5)]
+        assert k1.read_bytes() == whole
+        assert _tree_digest(out) == _tree_digest(clean)
 
-def _entry(out, kind, frequencies, m=10, t=1, kappa=10):
-    """Path of a method's result entry for the p=0.4 graph under ``out``."""
-    digest = mio.graph_hash(read_graph(out / "graph_p0.4.txt"))
-    return mio.result_cache_path(out / "cache", kind, digest, frequencies, m,
-                                 t, kappa)
+    def test_hit_lines_come_whole_from_the_main_thread(self, tmp_path,
+                                                       monkeypatch):
+        """On two workers, each bundle hit is one line, in k order, written
+        by the thread that called the workers."""
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+        args = ("embed", "--manifold", "torus", "--n", "120",
+                "--kappa-build", "6", "--kmax", "3", "--mk", "8", "--p", "1",
+                "--baselines", "dm", "--seed", "2", "--workers", "2",
+                "--out", str(tmp_path / "out"))
+        assert _run(*args) == 0
+        writes = []
+
+        class Log:
+            def write(self, text):
+                writes.append((threading.current_thread()
+                               is threading.main_thread(), text))
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Log())
+        assert _run(*args) == 0
+        assert [main for main, text in writes if "cache hit" in text] == [
+            True] * 4
+        lines = "".join(text for _, text in writes).splitlines()
+        assert [line for line in lines if "cache hit" in line] == [
+            f"[embed] k={k} cache hit" for k in range(4)]
+
+
+def _entry(out, kind, method):
+    """Path of a method's neighbor list (``nn``) or alignment angles
+    (``align``) for the p=0.4 graph under ``out``."""
+    return out / "cache" / "p0.4" / f"{kind}_{method}.npz"
 
 
 def _count_calls(monkeypatch):
@@ -438,8 +498,9 @@ def _count_calls(monkeypatch):
 
 
 class TestResultCache:
-    """Each method's neighbor list and alignment angles are cached beside
-    the bundles and loaded when the same search is asked for again."""
+    """Each method's neighbor list and alignment angles are files under
+    --out's ``cache/p<tag>``, kept by the run manifest and read back when
+    the same search is asked for again."""
 
     ARGS = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
             "--baselines", "dm,vdm", "--seed", "3")
@@ -470,7 +531,7 @@ class TestResultCache:
     def test_a_changed_input_misses(self, tmp_path, monkeypatch, flag,
                                     value, searched):
         """kappa, t and m change every method's result; k_max changes
-        MFVDM's only, so VDM and DM load theirs."""
+        MFVDM's only, so VDM and DM keep theirs."""
         fresh, out = tmp_path / "fresh", tmp_path / "out"
         assert _run(*self.ARGS, flag, value, "--out", str(fresh)) == 0
         assert _run(*self.ARGS, "--out", str(out)) == 0
@@ -489,7 +550,7 @@ class TestResultCache:
         clean, out = tmp_path / "clean", tmp_path / "out"
         assert _run(*self.ARGS, "--out", str(clean)) == 0
         assert _run(*self.ARGS, "--out", str(out)) == 0
-        entry = _entry(out, kind, self.MFVDM)
+        entry = _entry(out, kind, "mfvdm")
         whole = entry.read_bytes()
         if damage == "truncated":
             entry.write_bytes(whole[:len(whole) // 2])
@@ -512,26 +573,22 @@ class TestResultCache:
         assert _tree_digest(out, skip=()) == _tree_digest(clean, skip=())
 
     def test_rerun_reports_each_reuse(self, tmp_path, capsys):
-        """One hit line per frequency, as before any result was cached, and
-        one line per reused entry, which does not read as a bundle hit."""
+        """One hit line per frequency, as before any result was kept, and
+        one ``kept`` line per result, which does not read as a bundle
+        hit."""
         out = tmp_path / "out"
         assert _run(*self.ARGS, "--out", str(out)) == 0
         capsys.readouterr()
         assert _run(*self.ARGS, "--out", str(out)) == 0
         lines = capsys.readouterr().out.splitlines()
         hits = [line for line in lines if "cache hit" in line]
-        assert sorted(hits) == [f"[embed] k={k} cache hit"
-                                for k in range(6)]
-        reused = [line for line in lines if "reused" in line]
-        expected = [(method, kind, frequencies)
-                    for method, frequencies in (("mfvdm", self.MFVDM),
-                                                ("dm", self.DM),
-                                                ("vdm", self.VDM))
-                    for kind in ("nn", "align")
-                    if (method, kind) != ("dm", "align")]
-        assert reused == [
-            f"[{method} p=0.4] reused {_entry(out, kind, frequencies).name}"
-            for method, kind, frequencies in expected]
+        assert hits == [f"[embed] k={k} cache hit" for k in range(6)]
+        assert not [line for line in lines if "reused" in line]
+        kept = [line for line in lines if line.endswith(".npz")]
+        assert kept == [
+            f"[{method} p=0.4] kept cache/p0.4/{kind}_{method}.npz"
+            for method in ("mfvdm", "dm", "vdm") for kind in ("nn", "align")
+            if (method, kind) != ("dm", "align")]
 
 
 def _stamps(root):
@@ -559,6 +616,8 @@ class TestManifest:
             "--baselines", "vdm", "--seed", "3")
     REPORT = {f"p0.4/report_vdm_{kind}" for kind in
               ("nn_hist.csv", "align_hist.csv", "scalars.json")}
+    RESULTS = {f"cache/p0.4/{kind}_{method}.npz" for kind in ("nn", "align")
+               for method in ("mfvdm", "vdm")}
 
     @pytest.fixture(autouse=True)
     def own_cache(self, monkeypatch):
@@ -588,7 +647,7 @@ class TestManifest:
     def test_identical_rerun_keeps_every_output(self, fresh, tmp_path,
                                                 monkeypatch, capsys):
         """A rerun leaves every file as it is, names each output it keeps,
-        and neither formats a table nor scores."""
+        and neither searches, aligns, formats a table nor scores."""
         out = tmp_path / "out"
         assert _run(*self.ARGS, "--out", str(out)) == 0
         before = _stamps(out)
@@ -598,13 +657,16 @@ class TestManifest:
 
         for name in ("score_nn", "score_alignment"):
             monkeypatch.setattr(cli, name, forbidden)
+        monkeypatch.setattr(embedding, "nn_search", forbidden)
+        monkeypatch.setattr(alignment, "align_neighbors", forbidden)
         monkeypatch.setattr(mio, "_write_table", forbidden)
         capsys.readouterr()
         assert _run(*self.ARGS, "--out", str(out)) == 0
         lines = capsys.readouterr().out.splitlines()
         kept = {line.split(" kept ")[1] for line in lines if " kept " in line}
         # The clean graph is not looked at once the rewired one is kept.
-        assert kept == set(_tree_digest(out)) - {"graph_clean.txt"}
+        assert kept == (set(_tree_digest(out)) | self.RESULTS) - {
+            "graph_clean.txt"}
         # One hit per bundle (k = 1..5), as pipebench counts them.
         assert sum("cache hit" in line for line in lines) == 5
         assert _stamps(out) == before
@@ -626,7 +688,7 @@ class TestManifest:
             affected = self.REPORT
         else:
             (out / "cache" / "manifest.json").write_bytes(b"\x00{garbage")
-            affected = outputs
+            affected = outputs | self.RESULTS
         before = _stamps(out)
         assert _run(*self.ARGS, "--out", str(out)) == 0
         assert (_rewritten(before, _stamps(out))
@@ -642,19 +704,29 @@ class TestManifest:
         assert replaced == {
             "p0.4/nn_mfvdm.csv", "p0.4/nn_vdm.csv", "p0.4/align_mfvdm.csv",
             "p0.4/align_vdm.csv", "cache/manifest.json", *self.REPORT,
-            *{name.replace("vdm", "mfvdm") for name in self.REPORT}}
+            *{name.replace("vdm", "mfvdm") for name in self.REPORT},
+            *self.RESULTS}
         assert _run(*self.ARGS, "--kappa", "8", "--out", str(fresh)) == 0
         assert _tree_digest(out) == _tree_digest(fresh)
 
     def test_another_program_rewrites_everything(self, fresh, tmp_path,
                                                  monkeypatch):
+        """Every file under --out but the shared bundles is rebuilt: the
+        results too, so no search or alignment of another program is
+        reused."""
         out = tmp_path / "out"
         assert _run(*self.ARGS, "--out", str(out)) == 0
         before = _stamps(out)
         monkeypatch.setattr(mio, "program_identity", lambda: "other program")
+        calls = _count_calls(monkeypatch)
         assert _run(*self.ARGS, "--out", str(out)) == 0
+        assert sorted(calls) == [("align_neighbors", (1,)),
+                                 ("align_neighbors", (1, 2, 3, 4, 5)),
+                                 ("nn_search", (1,)),
+                                 ("nn_search", (1, 2, 3, 4, 5))]
         rewritten = _rewritten(before, _stamps(out))
-        assert rewritten == set(_tree_digest(out)) | {"cache/manifest.json"}
+        assert rewritten == (set(_tree_digest(out)) | self.RESULTS
+                             | {"cache/manifest.json"})
         assert _tree_digest(out) == _tree_digest(fresh)
 
 
@@ -997,6 +1069,28 @@ class TestThreads:
                               env=_child_env(), capture_output=True,
                               text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_warm_rerun_does_not_load_scipy(self, tmp_path):
+        """A rerun that keeps every output and hits every bundle reads and
+        hashes files only: scipy, which builds the matrices of a solve,
+        stays unloaded."""
+        out = tmp_path / "out"
+        args = ["pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--baselines", "dm,vdm", "--seed", "3", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "mfvdm.cli", *args],
+                       env=_child_env(), check=True, stdout=subprocess.DEVNULL)
+        before = _stamps(out)
+        probe = ("import sys; from mfvdm import cli; "
+                 "assert cli.main(sys.argv[1:]) == 0; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe, *args],
+                              env=_child_env(), capture_output=True,
+                              text=True, check=True)
+        lines = done.stdout.splitlines()
+        assert sum("cache hit" in line for line in lines) == 6
+        assert _stamps(out) == before
+        assert lines[-1] == "[]"
 
     def test_blas_pin_holds_when_scipy_loads_in_a_worker(self):
         """A sparse solve on a worker thread is the first to load scipy;

@@ -320,10 +320,8 @@ def test_clamped_negative_distance_is_noted(tree, tmp_path):
 
 
 def _entry(root, kind):
-    """MFVDM's cached neighbor list (``nn``) or angles (``align``)."""
-    digest = mio.graph_hash(mio.read_graph(root / "graph_p0.4.txt"))
-    return mio.result_cache_path(root / "cache", kind, digest, (1, 2, 3, 4),
-                                 8, 1, 8)
+    """MFVDM's kept neighbor list (``nn``) or angles (``align``)."""
+    return root / "cache" / "p0.4" / f"{kind}_mfvdm.npz"
 
 
 def _edit_entry(root, kind, edit):

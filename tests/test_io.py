@@ -43,7 +43,6 @@ from mfvdm.io import (
     load_neighbors,
     read_graph,
     read_truth,
-    result_cache_path,
     save_bundle,
     save_result,
     write_alignment_csv,
@@ -629,9 +628,16 @@ class TestReports:
 
 
 class TestResultCache:
+    """A neighbor list or alignment table is an ``--out`` file like any
+    other: the run manifest holds it only under the key it was recorded
+    with and with its recorded bytes, so any damage is a miss before a
+    loader reads it."""
+
+    NN, ALIGN = "cache/p1/nn_mfvdm.npz", "cache/p1/align_mfvdm.npz"
+
     @pytest.fixture
     def entries(self, tmp_path):
-        """A stored neighbor list of 30 nodes by 4 and its table's entry."""
+        """A recorded neighbor list of 30 nodes by 4 and its table."""
         rng = np.random.default_rng(8)
         indices = np.array([rng.permutation(np.delete(np.arange(30), node))[:4]
                             for node in range(30)])
@@ -641,22 +647,38 @@ class TestResultCache:
             i=np.repeat(np.arange(30), 4), j=indices.ravel(),
             alpha_hat=2.0 * np.pi * rng.random(120),
             objective=rng.normal(size=120))
-        save_result(neighbors, tmp_path / "nn.npz")
-        save_result(table, tmp_path / "align.npz")
+        (tmp_path / "cache" / "p1").mkdir(parents=True)
+        save_result(neighbors, tmp_path / self.NN)
+        save_result(table, tmp_path / self.ALIGN)
+        RunManifest(tmp_path).record([self.NN, self.ALIGN], "kappa4")
         return neighbors, table
+
+    def _edited(self, tmp_path, name, edit) -> bool:
+        """Whether the manifest still holds ``name`` after ``edit`` of its
+        arrays."""
+        path = tmp_path / name
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        edit(arrays)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        return RunManifest(tmp_path).holds([name], "kappa4")
 
     def test_round_trip_is_bitwise(self, tmp_path, entries):
         neighbors, table = entries
-        back = load_neighbors(tmp_path / "nn.npz", 30, 4)
+        assert RunManifest(tmp_path).holds([self.NN, self.ALIGN], "kappa4")
+        back = load_neighbors(tmp_path / self.NN)
         assert np.array_equal(back.indices, neighbors.indices)
         assert np.array_equal(back.distances_sq, neighbors.distances_sq)
-        rows = load_alignment(tmp_path / "align.npz", back)
+        rows = load_alignment(tmp_path / self.ALIGN, back)
         for name in ("i", "j", "alpha_hat", "objective"):
             assert np.array_equal(getattr(rows, name), getattr(table, name))
 
     def test_absent_entry_is_a_miss(self, tmp_path, entries):
-        assert load_neighbors(tmp_path / "nope.npz", 30, 4) is None
-        assert load_alignment(tmp_path / "nope.npz", entries[0]) is None
+        (tmp_path / self.NN).unlink()
+        manifest = RunManifest(tmp_path)
+        assert not manifest.holds([self.NN], "kappa4")
+        assert manifest.holds([self.ALIGN], "kappa4")
 
     @pytest.mark.parametrize("edit", [
         lambda a: a.update(indices=a["indices"][:, :3]),
@@ -670,12 +692,7 @@ class TestResultCache:
             "negative-distance", "nan-distance"])
     def test_unusable_neighbor_entry_is_a_miss(self, tmp_path, entries,
                                                edit):
-        path = tmp_path / "nn.npz"
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-        edit(arrays)
-        np.savez(path, **arrays)
-        assert load_neighbors(path, 30, 4) is None
+        assert not self._edited(tmp_path, self.NN, edit)
 
     @pytest.mark.parametrize("edit", [
         lambda a: a.update(alpha_hat=a["alpha_hat"][:-1]),
@@ -686,36 +703,13 @@ class TestResultCache:
     ], ids=["shape", "missing", "two-pi", "negative-angle", "inf-objective"])
     def test_unusable_alignment_entry_is_a_miss(self, tmp_path, entries,
                                                 edit):
-        path = tmp_path / "align.npz"
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-        edit(arrays)
-        np.savez(path, **arrays)
-        assert load_alignment(path, entries[0]) is None
+        assert not self._edited(tmp_path, self.ALIGN, edit)
 
     def test_an_entry_of_other_neighbors_is_a_miss(self, tmp_path, entries):
-        assert load_neighbors(tmp_path / "nn.npz", 30, 5) is None
-        assert load_neighbors(tmp_path / "nn.npz", 31, 4) is None
-        other = NeighborList(indices=entries[0].indices[:, :3],
-                             distances_sq=entries[0].distances_sq[:, :3])
-        assert load_alignment(tmp_path / "align.npz", other) is None
-
-    def test_key_covers_every_input_but_no_other(self, tmp_path):
-        base = dict(graph_digest="ab" * 32, frequencies=(1, 2, 3), m=10,
-                    t=1, kappa=20)
-        path = result_cache_path(tmp_path, "nn", **base)
-        assert re.fullmatch(r"nn_[0-9a-f]{16}\.npz", path.name)
-        assert path.parent == tmp_path
-        assert result_cache_path(tmp_path, "align", **base).name == \
-            "align_" + path.name[len("nn_"):]
-        for field, value in [("graph_digest", "cd" * 32),
-                             ("frequencies", (1, 2)), ("frequencies", (0,)),
-                             ("frequencies", (12, 3)), ("m", 11), ("t", 2),
-                             ("kappa", 21)]:
-            other = result_cache_path(tmp_path, "nn",
-                                      **{**base, field: value})
-            assert other != path, field
-        assert result_cache_path(tmp_path, "nn", **base) == path
+        """Entries recorded for one kappa are not held for another."""
+        manifest = RunManifest(tmp_path)
+        assert not manifest.holds([self.NN], "kappa5")
+        assert not manifest.holds([self.ALIGN], "kappa5")
 
 
 class TestBundleCache:
@@ -755,15 +749,23 @@ class TestBundleCache:
     @pytest.mark.parametrize("wanted", [
         {"k": 2}, {"shape": (20, 4)}, {"shape": (19, 5)},
         {"k": 3, "shape": (5, 20)},
+        # Stored eigenvalues that are not 5 finite values.
+        {"eigenvalues": np.linspace(1, 0.5, 6)},
+        {"eigenvalues": np.array([1.0, np.nan, 0.8, 0.7, 0.5])},
     ])
     def test_mismatched_bundle_is_a_miss(self, tmp_path, wanted):
-        bundle = SpectralBundle(k=3, eigenvalues=np.linspace(1, 0.5, 5),
+        """A bundle of another k or (n, m) than asked for, or whose
+        eigenvalues are not m finite values, is a miss."""
+        wanted = {"k": 3, "shape": (20, 5), **wanted}
+        stored = wanted.pop("eigenvalues", None)
+        bundle = SpectralBundle(k=3, eigenvalues=np.linspace(1, 0.5, 5)
+                                if stored is None else stored,
                                 eigenvectors=np.ones((20, 5), dtype=complex))
         path = tmp_path / "bundle.npz"
         save_bundle(bundle, path)
-        wanted = {"k": 3, "shape": (20, 5), **wanted}
         assert load_bundle(path, **wanted) is None
-        assert load_bundle(path, k=3, shape=(20, 5)) is not None
+        if stored is None:
+            assert load_bundle(path, k=3, shape=(20, 5)) is not None
 
     def test_concurrent_writers_leave_one_whole_bundle(self, tmp_path):
         rng = np.random.default_rng(5)
