@@ -13,7 +13,10 @@ goes through the run manifest (``_output``): a file made by this program
 from the same inputs, whose bytes are as recorded, is kept, and any other
 is rebuilt.  Each method's neighbor list and alignment angles are such
 files, under ``cache/p<tag>``, so ``nn`` followed by ``align`` searches
-once, and a kept result writes the same files as a computed one.
+once, and a kept result writes the same files as a computed one.  After
+each p, every command but ``spectrum`` removes the ``nn_*``, ``align_*``
+and ``report_*`` files of that p that the manifest records and this run
+neither wrote nor kept, so ``--out`` holds no other config's results.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
 failure.  All stochastic stages derive their randomness from the single
@@ -29,12 +32,7 @@ import sys
 from pathlib import Path
 
 from mfvdm import alignment, embedding
-from mfvdm.config import (
-    ExperimentConfig,
-    _parse_value,
-    load_config_file,
-    resolve_config,
-)
+from mfvdm.config import ExperimentConfig, load_config_file, resolve_config
 from mfvdm.connection import build_sk, degrees
 from mfvdm.embedding import (
     baseline_embedding,
@@ -224,12 +222,20 @@ def _run(config: ExperimentConfig, last: str) -> None:
     if last == "generate":
         clean()  # written even when every p's rewired graph is kept
     for p in config.p:
-        _stage(f"generate p={_p_tag(p)}")
+        tag = _p_tag(p)
+        _stage(f"generate p={tag}")
         graph = _graph_for_p(config, manifest, clean, p)
         if last == "spectrum":
             _spectrum(config, manifest, graph, p)
-        elif last != "generate":
+            continue
+        if last != "generate":
             _embed_and_score(config, manifest, truth, graph, p, last)
+        # A result at p that this command neither made nor kept is another
+        # config's: a longer command's, or another method's.
+        for name in manifest.drop_unused(tuple(
+                f"{folder}p{tag}/{kind}_" for folder in ("", "cache/")
+                for kind in ("nn", "align", "report"))):
+            print(f"[{_CURRENT_STAGE}] removed {name}", flush=True)
 
 
 def _spectrum(config: ExperimentConfig, manifest: mio.RunManifest, graph,
@@ -391,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    return {field: _parse_value(field, getattr(args, field))
+    """The flags given, as their text: ``resolve_config`` parses them."""
+    return {field: getattr(args, field)
             for _, field, _ in _FLAGS if getattr(args, field) is not None}
 
 

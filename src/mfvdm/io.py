@@ -2,11 +2,13 @@
 the run manifest.
 
 All text output prints floats with 17 significant digits so that values
-round-trip exactly and repeated runs produce byte-identical files.  Tables
-are formatted by a numpy kernel (``_format_lines``) that writes the bytes
-of ``%d`` and ``%.17g``, computing the 17 digits exactly, a chunk of lines
-at a time; only values outside ``%.17g``'s fixed notation (0, |x| < 1e-4,
-|x| >= 1e17, nan, inf) go through Python's ``%``, one value each.  Every
+round-trip exactly and repeated runs produce byte-identical files.  A
+table column's dtype picks its format: ``%d`` for an integer type,
+``%.17g`` for any other.  Tables are formatted by a numpy kernel
+(``_format_lines``) that writes the bytes of ``%d`` and ``%.17g``,
+computing the 17 digits exactly, a chunk of lines at a time; only values
+outside ``%.17g``'s fixed notation (0, |x| < 1e-4, |x| >= 1e17, nan, inf)
+go through Python's ``%``, one value each.  Every
 artifact, bundles included, is written to a hidden temp file beside its
 target and renamed into place, so a write that fails or is killed never
 leaves a partial file under the artifact's name, and writers sharing one
@@ -26,7 +28,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import warnings
 import zipfile
 from contextlib import contextmanager
@@ -68,11 +69,6 @@ __all__ = [
 CACHE_ENV = "MFVDM_CACHE_DIR"
 
 
-# The one float format of every text output: 17 significant digits.
-_FLOAT = "%.17g"
-# The conversions a table template may hold: the only ones _format_lines
-# implements.
-_CONVERSION = re.compile(r"%(d|\.17g)")
 # Table values formatted per chunk: 4096 lines of a 4-field table.  A chunk
 # is held as one byte per character slot and value (at most 39 slots per
 # float, 20 per integer) plus the kernel's per-value temporaries, so a
@@ -97,30 +93,20 @@ def _replacing(path, mode: str = "x"):
         raise
 
 
-def _write_table(path, header: str, template: str, *columns) -> None:
-    """Write ``header``, then one ``template % row`` line per element of
-    the equal-shape ``columns``, in row-major order.
+def _write_table(path, header: str, sep: str, *columns) -> None:
+    """Write ``header``, then one line per element of the equal-shape
+    ``columns``, in row-major order: its value in each column, ``sep``
+    between them and ``\n`` after the last.
 
-    ``template`` may hold only ``%d`` conversions, of integer columns, and
-    ``%.17g`` ones, one per column; anything else is a ParameterError.
-    Lines are formatted by ``_format_lines``, ``_CHUNK_VALUES`` values (at
-    least one line) at a time, from slices along the first axis, so a 2-D
-    column (a broadcast view, say) is never copied whole.
+    A column of an integer dtype is written as ``%d``, any other as
+    ``%.17g`` of its float64 values.  Lines are formatted by
+    ``_format_lines``, ``_CHUNK_VALUES`` values (at least one line) at a
+    time, from slices along the first axis, so a 2-D column (a broadcast
+    view, say) is never copied whole.
     """
-    parts = _CONVERSION.split(template)
-    conversions = parts[1::2]
-    if (any("%" in text or "\0" in text for text in parts[0::2])
-            or len(conversions) != len(columns)
-            or any(conversion == "d"
-                   and not np.can_cast(column.dtype, np.int64)
-                   for conversion, column in zip(conversions, columns))):
-        raise ParameterError(
-            f"Table template {template!r} must hold one %d (integer column) "
-            f"or %.17g conversion per column, and no other % or NUL.")
+    integer = [np.issubdtype(column.dtype, np.integer) for column in columns]
     literals = [np.frombuffer(text.encode("utf-8"), np.uint8)[:, None]
-                for text in parts[0::2]]
-    dtypes = [np.int64 if conversion == "d" else np.float64
-              for conversion in conversions]
+                for text in ["", *[sep] * (len(columns) - 1), "\n"]]
     shape = columns[0].shape
     step = max(1, _CHUNK_VALUES // (len(columns) * math.prod(shape[1:])))
     # Comparisons with NaN may raise the invalid flag; NaN is formatted by
@@ -128,14 +114,16 @@ def _write_table(path, header: str, template: str, *columns) -> None:
     with _replacing(path, "xb") as handle, np.errstate(invalid="ignore"):
         handle.write(header.encode("utf-8"))
         for lo in range(0, shape[0], step):
-            handle.write(_format_lines(literals, conversions, [
-                column[lo:lo + step].ravel().astype(dtype, copy=False)
-                for column, dtype in zip(columns, dtypes)]))
+            handle.write(_format_lines(literals, integer, [
+                column[lo:lo + step].ravel().astype(
+                    column.dtype if whole else np.float64, copy=False)
+                for column, whole in zip(columns, integer)]))
 
 
-def _format_lines(literals: list, conversions: list, values: list) -> bytes:
+def _format_lines(literals: list, integer: list, values: list) -> bytes:
     """The lines of one chunk: per row of ``values``, the ``literals``
-    (byte columns) with each value formatted by its conversion between them.
+    (byte columns) with each value between them, formatted as ``%d`` where
+    ``integer`` is true and as ``%.17g`` elsewhere.
 
     Each field becomes byte rows, one per character slot and one column per
     line, with 0 in a slot the line leaves empty.  Stacked between the
@@ -144,9 +132,8 @@ def _format_lines(literals: list, conversions: list, values: list) -> bytes:
     """
     count = values[0].size
     pieces = [np.broadcast_to(literals[0], (literals[0].shape[0], count))]
-    for conversion, column, literal in zip(conversions, values, literals[1:]):
-        field = (_int_field(column) if conversion == "d"
-                 else _float_field(column))
+    for whole, column, literal in zip(integer, values, literals[1:]):
+        field = _int_field(column) if whole else _float_field(column)
         # Slots no line of the chunk uses (a sign, say) cost no bytes.
         pieces.append(field[field.any(axis=1)])
         pieces.append(np.broadcast_to(literal, (literal.shape[0], count)))
@@ -162,8 +149,8 @@ _POWERS = np.array([10 ** k for k in range(20)], np.uint64)
 
 
 def _int_field(values: np.ndarray) -> np.ndarray:
-    """``"%d" % v`` for each int64 v: a sign slot, then the digits
-    right-aligned in as many slots as the longest needs."""
+    """``"%d" % v`` for each v of an integer dtype: a sign slot, then the
+    digits right-aligned in as many slots as the longest needs."""
     negative = values < 0
     magnitude = values.astype(np.uint64)
     # Two's complement negation, exact for the int64 minimum too.
@@ -297,8 +284,13 @@ def _write_json(payload: dict, path) -> None:
 
 def write_graph(graph: AlignmentGraph, path) -> None:
     """Write the edge-list format: header ``n <count>``, lines ``i j w a``."""
-    _write_table(path, f"n {graph.n}\n", f"%d %d {_FLOAT} {_FLOAT}\n",
-                 graph.rows, graph.cols, graph.weights, graph.angles)
+    _write_table(path, f"n {graph.n}\n", " ", graph.rows, graph.cols,
+                 graph.weights, graph.angles)
+
+
+# The fields of an edge line, as read and as hashed.
+_EDGE_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("w", "<f8"),
+                        ("a", "<f8")])
 
 
 def graph_hash(graph: AlignmentGraph) -> str:
@@ -308,14 +300,11 @@ def graph_hash(graph: AlignmentGraph) -> str:
     graph and its reloaded file hash alike.
     """
     digest = hashlib.sha256(f"n {graph.n}\n".encode("utf-8"))
-    for array, dtype in ((graph.rows, "<i8"), (graph.cols, "<i8"),
-                         (graph.weights, "<f8"), (graph.angles, "<f8")):
-        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    arrays = (graph.rows, graph.cols, graph.weights, graph.angles)
+    for field, array in enumerate(arrays):
+        digest.update(np.ascontiguousarray(
+            array, dtype=_EDGE_DTYPE[field]).tobytes())
     return digest.hexdigest()
-
-
-_EDGE_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("w", "<f8"),
-                        ("a", "<f8")])
 
 
 def read_graph(path) -> AlignmentGraph:
@@ -323,7 +312,8 @@ def read_graph(path) -> AlignmentGraph:
 
     The body is parsed from the open file by one ``np.loadtxt`` call and
     checked on arrays.  An error names the first offending line, as a
-    line-by-line reader would; only then is the file read as lines.
+    line-by-line reader would; only then is the file read as lines
+    (``_first_bad_line``).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -348,85 +338,68 @@ def read_graph(path) -> AlignmentGraph:
         n = int(header.split()[1])
     except (IndexError, ValueError) as exc:
         raise GraphFileError(f"{path}: bad header {header!r}.") from exc
-    if rejection is not None:
-        edges, error = _parse_edge_lines(path, rejection)
-        _check_edges(path, n, edges)
-        raise error from rejection
-    try:
-        return AlignmentGraph.from_edges(n, edges["i"], edges["j"],
-                                         edges["w"], edges["a"])
-    except BadEdgeError as exc:
-        raise GraphFileError(
-            f"{path}:{_edge_line(path, exc.index)}: {exc}") from exc
-    except ParameterError as exc:
-        raise GraphFileError(f"{path}: {exc}") from exc
+    if rejection is None:
+        try:
+            return AlignmentGraph.from_edges(n, edges["i"], edges["j"],
+                                             edges["w"], edges["a"])
+        except BadEdgeError as exc:
+            rejection = exc
+        except ParameterError as exc:
+            raise GraphFileError(f"{path}: {exc}") from exc
+    raise _first_bad_line(path, n, rejection) from rejection
 
 
-def _body_lines(path) -> list:
-    """The lines after a graph file's header, read only for error reports."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.readlines()[1:]
+def _first_bad_line(path, n: int, rejection: Exception) -> GraphFileError:
+    """The error naming the first body line that does not parse or whose
+    edge breaks one of ``first_bad_edge``'s rules, for a body that
+    ``np.loadtxt`` or ``from_edges`` rejected.
 
-
-def _parse_edge_lines(path, rejection):
-    """Find the first edge line that does not parse, for the error report.
-
-    Used only when ``np.loadtxt`` rejects the body. Returns the edges before
-    that line and the error naming it; when Python's parsers take every line
-    (a literal such as ``1_0``), the error is ``np.loadtxt``'s ``rejection``.
+    One walk parses the lines and records each edge's file line (blank
+    lines count as lines).  When Python's parsers take every line (a
+    literal such as ``1_0``) and every edge keeps the rules, the error is
+    ``rejection``'s.
     """
     limit = np.iinfo(np.int64)
-    records = []
-    for lineno, raw in enumerate(_body_lines(path), start=2):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            error = GraphFileError(f"{path}:{lineno}: expected 'i j w alpha'. "
-                                   f"Got {raw.strip()!r}.")
-            break
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w, a = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            error = GraphFileError(f"{path}:{lineno}: {exc}")
-            break
-        if not (limit.min <= i <= limit.max and limit.min <= j <= limit.max):
-            error = GraphFileError(f"{path}:{lineno}: endpoint out of range.")
-            break
-        records.append((i, j, w, a))
-    else:
-        error = GraphFileError(f"{path}: {rejection}")
-    return np.array(records, dtype=_EDGE_DTYPE), error
-
-
-def _check_edges(path, n: int, edges: np.ndarray) -> None:
-    """Raise GraphFileError naming the line of the first edge that breaks
-    one of ``first_bad_edge``'s rules."""
+    records, linenos = [], []
+    error = GraphFileError(f"{path}: {rejection}")
+    with open(path, "r", encoding="utf-8") as handle:
+        handle.readline()
+        for lineno, raw in enumerate(handle, start=2):
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 4:
+                error = GraphFileError(f"{path}:{lineno}: expected "
+                                       f"'i j w alpha'. Got {raw.strip()!r}.")
+                break
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                w, a = float(parts[2]), float(parts[3])
+            except ValueError as exc:
+                error = GraphFileError(f"{path}:{lineno}: {exc}")
+                break
+            if not (limit.min <= i <= limit.max
+                    and limit.min <= j <= limit.max):
+                error = GraphFileError(
+                    f"{path}:{lineno}: endpoint out of range.")
+                break
+            records.append((i, j, w, a))
+            linenos.append(lineno)
+    edges = np.array(records, dtype=_EDGE_DTYPE)
     bad = first_bad_edge(n, edges["i"], edges["j"], edges["w"], edges["a"])
-    if bad is None:
-        return
-    row, message = bad
-    raise GraphFileError(f"{path}:{_edge_line(path, row)}: {message}")
-
-
-def _edge_line(path, row: int) -> int:
-    """File line number of edge ``row``; blank lines count as lines."""
-    return [k for k, raw in enumerate(_body_lines(path), start=2)
-            if raw.strip()][row]
+    if bad is not None:
+        error = GraphFileError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
+    return error
 
 
 def write_truth(truth, path) -> None:
     """Serialize a ground truth (sphere rotations or torus angles)."""
     if isinstance(truth, SphereTruth):
-        _write_table(path, f"manifold sphere\nn {truth.n}\n",
-                     " ".join([_FLOAT] * 9) + "\n",
+        _write_table(path, f"manifold sphere\nn {truth.n}\n", " ",
                      *truth.rotations.reshape(truth.n, 9).T)
     elif isinstance(truth, TorusTruth):
-        radii = (f"radii {_FLOAT} {_FLOAT}\n"
-                 % (truth.radius_major, truth.radius_minor))
-        _write_table(path, f"manifold torus\nn {truth.n}\n{radii}",
-                     f"{_FLOAT} {_FLOAT} {_FLOAT}\n",
+        radii = f"radii {truth.radius_major:.17g} {truth.radius_minor:.17g}\n"
+        _write_table(path, f"manifold torus\nn {truth.n}\n{radii}", " ",
                      truth.u, truth.v, truth.frame_angles)
     else:
         raise ParameterError(f"Unknown truth type {type(truth)!r}.")
@@ -489,8 +462,7 @@ def _parse_truth(path, handle):
 def write_nn_csv(neighbors: NeighborList, path) -> None:
     """CSV rows (node, rank, neighbor, squared_distance), rank 1 nearest."""
     shape = (neighbors.n, neighbors.kappa)
-    _write_table(path, "node,rank,neighbor,squared_distance\n",
-                 f"%d,%d,%d,{_FLOAT}\n",
+    _write_table(path, "node,rank,neighbor,squared_distance\n", ",",
                  np.broadcast_to(np.arange(shape[0])[:, None], shape),
                  np.broadcast_to(np.arange(1, shape[1] + 1), shape),
                  neighbors.indices, neighbors.distances_sq)
@@ -498,14 +470,13 @@ def write_nn_csv(neighbors: NeighborList, path) -> None:
 
 def write_alignment_csv(table: AlignmentTable, path) -> None:
     """CSV rows (i, j, alpha_hat_radians, objective_value)."""
-    _write_table(path, "i,j,alpha_hat_radians,objective_value\n",
-                 f"%d,%d,{_FLOAT},{_FLOAT}\n", table.i, table.j,
-                 table.alpha_hat, table.objective)
+    _write_table(path, "i,j,alpha_hat_radians,objective_value\n", ",",
+                 table.i, table.j, table.alpha_hat, table.objective)
 
 
 def _write_histogram(path, edges: np.ndarray, counts: np.ndarray) -> None:
-    _write_table(path, "bin_lo,bin_hi,count\n", f"{_FLOAT},{_FLOAT},%d\n",
-                 edges[:-1], edges[1:], counts)
+    _write_table(path, "bin_lo,bin_hi,count\n", ",", edges[:-1], edges[1:],
+                 counts)
 
 
 def write_eval_report(report: EvalReport, prefix) -> list:
@@ -535,7 +506,7 @@ def write_spectral_report(report: SpectralReport, prefix) -> list:
     prefix = Path(prefix)
     csv_path = prefix.with_name(prefix.name + "_spectrum.csv")
     values = report.one_minus_lambda
-    _write_table(csv_path, "index,one_minus_lambda\n", f"%d,{_FLOAT}\n",
+    _write_table(csv_path, "index,one_minus_lambda\n", ",",
                  np.arange(values.size), values)
     json_path = prefix.with_name(prefix.name + "_clusters.json")
     payload = {
@@ -671,12 +642,14 @@ class RunManifest:
     It sits under ``<out>`` even when ``MFVDM_CACHE_DIR`` moves the cache,
     since it describes this directory's files.  A manifest that is missing
     or is not such a mapping reads as empty, so every artifact is rebuilt.
+    ``used`` holds the artifacts this run kept or recorded.
     """
 
     def __init__(self, out_dir) -> None:
         self.root = Path(out_dir)
         self.path = self.root / "cache" / "manifest.json"
         self.entries = _read_manifest(self.path)
+        self.used = set()
 
     def holds(self, names, key: str) -> bool:
         """Whether every artifact in ``names`` is recorded under ``key`` and
@@ -690,6 +663,7 @@ class RunManifest:
                     return False
             except OSError:
                 return False
+        self.used.update(names)
         return True
 
     def record(self, names, key: str) -> None:
@@ -698,8 +672,22 @@ class RunManifest:
         for name in names:
             self.entries[name] = {"key": key,
                                   "sha256": file_sha256(self.root / name)}
+        self.used.update(names)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         _write_json(self.entries, self.path)
+
+    def drop_unused(self, prefixes: tuple) -> list:
+        """Delete each recorded artifact whose name starts with one of
+        ``prefixes`` and that this run neither kept nor recorded, and its
+        entry; rewrite the manifest if one went, and return their names."""
+        stale = [name for name in self.entries
+                 if name.startswith(prefixes) and name not in self.used]
+        for name in stale:
+            (self.root / name).unlink(missing_ok=True)
+            del self.entries[name]
+        if stale:
+            _write_json(self.entries, self.path)
+        return stale
 
 
 def _read_manifest(path) -> dict:

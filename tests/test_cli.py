@@ -19,7 +19,7 @@ import pytest
 from mfvdm import alignment, cli, embedding
 from mfvdm import io as mio
 from mfvdm import spectral
-from mfvdm.config import ExperimentConfig, load_config_file
+from mfvdm.config import ExperimentConfig, load_config_file, resolve_config
 from mfvdm.errors import ConvergenceError
 from mfvdm.io import read_graph
 from mfvdm.spectral import DENSE_THRESHOLD
@@ -709,6 +709,48 @@ class TestManifest:
         assert _run(*self.ARGS, "--kappa", "8", "--out", str(fresh)) == 0
         assert _tree_digest(out) == _tree_digest(fresh)
 
+    def test_a_shorter_command_leaves_only_its_files(self, tmp_path):
+        """``nn`` after a ``pipeline`` of another kappa removes the
+        pipeline's alignments and alignment histogram, so --out holds what
+        a fresh ``nn`` writes, bundles and manifest included."""
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        args = ("--manifold", "sphere", *SMALL, "--p", "0.4", "--seed", "3")
+        assert _run("pipeline", *args, "--out", str(out)) == 0
+        assert (out / "p0.4" / "align_mfvdm.csv").exists()
+        assert _run("nn", *args, "--kappa", "8", "--out", str(out)) == 0
+        assert _run("nn", *args, "--kappa", "8", "--out", str(fresh)) == 0
+        assert _tree_digest(out, skip=()) == _tree_digest(fresh, skip=())
+
+    def test_dropped_baselines_leave_no_files(self, fresh, tmp_path):
+        out = tmp_path / "out"
+        args = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--seed", "3")
+        assert _run(*args, "--baselines", "dm,vdm", "--out", str(out)) == 0
+        assert _run(*args, "--out", str(out)) == 0
+        # The bundle cache keeps dm's k=0 bundle.
+        names = {name for name in _tree_digest(out, skip=())
+                 if not name.startswith("cache/bundle_")}
+        assert not {name for name in names if "_dm" in name or "_vdm" in name}
+        assert names == {name for name in _tree_digest(fresh, skip=())
+                         if not name.startswith("cache/bundle_")
+                         and "_vdm" not in name}
+
+    def test_spectrum_files_survive_a_pipeline(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ("--manifold", "sphere", *SMALL, "--p", "0.4", "--seed", "3",
+                "--ks", "1,2", "--out", str(out))
+        assert _run("spectrum", *args) == 0
+        spectra = {name: digest for name, digest in _tree_digest(out).items()
+                   if "/spectrum_k" in name}
+        assert len(spectra) == 4
+        assert _run("pipeline", *args) == 0
+        assert spectra.items() <= _tree_digest(out).items()
+        capsys.readouterr()
+        assert _run("spectrum", *args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {line.split(" kept ")[1] for line in lines
+                if " kept p0.4/" in line} == set(spectra)
+
     def test_another_program_rewrites_everything(self, fresh, tmp_path,
                                                  monkeypatch):
         """Every file under --out but the shared bundles is rebuilt: the
@@ -916,7 +958,8 @@ class TestCommaLists:
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = {text}\n")
         args = cli.build_parser().parse_args(["pipeline", flag, text])
-        assert cli._overrides(args)[key] == expected
+        config = resolve_config(overrides=cli._overrides(args))
+        assert getattr(config, key) == expected
         assert load_config_file(str(path))[key] == expected
 
     @pytest.mark.parametrize("ks", ["1,x", "2.5", ","])
