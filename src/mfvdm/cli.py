@@ -8,12 +8,13 @@ writes the same files whichever command ran it.  ``spectrum`` follows the
 graphs with the eigenvalue-cluster report of each frequency in ``--ks``,
 on the sphere.
 
-The cache directory holds the eigenbundles.  Every file under ``--out``
-goes through the run manifest (``_output``): a file made by this program
-from the same inputs, whose bytes are as recorded, is kept, and any other
-is rebuilt.  Each method's neighbor list and alignment angles are such
-files, under ``cache/p<tag>``, so ``nn`` followed by ``align`` searches
-once, and a kept result writes the same files as a computed one.  After
+Every file a run writes, the eigenbundles included (which
+``MFVDM_CACHE_DIR`` may move out of ``--out``), goes through the run
+manifest of ``--out``: a file made by this program from the same inputs,
+whose bytes are as recorded, is kept, and any other is rebuilt.  Each
+method's neighbor list and alignment angles are such files, under
+``cache/p<tag>``, so ``nn`` followed by ``align`` searches once, and a
+kept result writes the same files as a computed one.  After
 each p, every command but ``spectrum`` removes the ``nn_*``, ``align_*``
 and ``report_*`` files of that p that the manifest records and this run
 neither wrote nor kept, so ``--out`` holds no other config's results.
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from mfvdm import alignment, embedding
 from mfvdm.config import ExperimentConfig, load_config_file, resolve_config
@@ -151,9 +151,8 @@ def _truth_and_clean_graph(config: ExperimentConfig,
 
 def _graph_for_p(config: ExperimentConfig, manifest: mio.RunManifest, clean,
                  p: float):
-    """The graph ``clean()`` as given at p=1 or when external, else rewired
-    at p."""
-    if p >= 1.0 or config.manifold == "external":
+    """The graph ``clean()`` as given at p=1, else rewired at p."""
+    if p >= 1.0:
         return clean()
     return _output(
         manifest, f"graph_p{_p_tag(p)}.txt",
@@ -162,32 +161,39 @@ def _graph_for_p(config: ExperimentConfig, manifest: mio.RunManifest, clean,
         mio.read_graph)
 
 
-def _compute_bundles(config: ExperimentConfig, graph, ks, m: int,
-                     keep=lambda bundle: bundle) -> tuple:
+def _compute_bundles(config: ExperimentConfig, manifest: mio.RunManifest,
+                     graph, ks, m: int, keep=lambda bundle: bundle) -> tuple:
     """The graph's digest, and ``keep`` of the top-m eigenpairs per
-    frequency, through the on-disk cache.  Each worker applies ``keep`` as
-    soon as it has solved or loaded its bundle, so a bundle outlives its
-    worker only through what ``keep`` returns."""
+    frequency: run-manifest artifacts in the cache directory, made from the
+    digest, k and m.  The workers load the held bundles and solve the rest,
+    and each applies ``keep`` as soon as it has its bundle, so a bundle
+    outlives its worker only through what ``keep`` returns."""
     cache = mio.cache_dir_for(config.out_dir)
     digest = mio.graph_hash(graph)
     deg = degrees(graph)
     m = min(m, graph.n)
+    ks = sorted(set(ks))
+    paths = {k: mio.bundle_cache_path(cache, digest, k, m) for k in ks}
+    keys = {k: mio.artifact_key(["bundle", digest, k, m]) for k in ks}
+    held = {k for k in ks
+            if manifest.holds([manifest.name(paths[k])], keys[k])}
 
     def solve(k: int):
-        path = mio.bundle_cache_path(cache, digest, k, m)
-        bundle = mio.load_bundle(path, k=k, shape=(graph.n, m))
-        hit = bundle is not None
-        if not hit:
-            bundle = top_eigenpairs(build_sk(graph, k, deg), m)
-            mio.save_bundle(bundle, path)
-        return k, hit, keep(bundle)
+        if k in held:
+            return keep(mio.load_bundle(paths[k]))
+        bundle = top_eigenpairs(build_sk(graph, k, deg), m)
+        mio.save_bundle(bundle, paths[k])
+        return keep(bundle)
 
-    solved = map_workers(solve, sorted(set(ks)), config.workers)
-    # Printed here, not by the workers, so each hit is one whole line.
-    for k, hit, _ in solved:
-        if hit:
+    values = map_workers(solve, ks, config.workers)
+    # Printed and recorded here, not by the workers, so each hit is one
+    # whole line and only one thread uses the manifest.
+    for k in ks:
+        if k in held:
             print(f"[embed] k={k} cache hit", flush=True)
-    return digest, {k: value for k, _, value in solved}
+        else:
+            manifest.record([manifest.name(paths[k])], keys[k])
+    return digest, dict(zip(ks, values))
 
 
 def _method_embedding(method: str, features, config: ExperimentConfig):
@@ -245,11 +251,11 @@ def _spectrum(config: ExperimentConfig, manifest: mio.RunManifest, graph,
     tag = _p_tag(p)
     _stage(f"spectrum p={tag}")
     m = min(_SPECTRUM_M, graph.n)
-    digest, bundles = _compute_bundles(config, graph, config.spectrum_ks, m)
+    digest, bundles = _compute_bundles(config, manifest, graph,
+                                       config.spectrum_ks, m)
     for k in config.spectrum_ks:
-        bundle = mio.bundle_cache_path(Path(), digest, k, m).name
         _output(manifest, f"p{tag}/spectrum_k{k}",
-                [bundle, config.kappa_build],
+                ["spectrum", digest, k, m, config.kappa_build],
                 lambda: spectral_report(bundles[k], config.kappa_build),
                 mio.write_spectral_report,
                 suffixes=("_spectrum.csv", "_clusters.json"))
@@ -264,7 +270,7 @@ def _embed_and_score(config: ExperimentConfig, manifest: mio.RunManifest,
     _stage(f"embed p={tag}")
     ks = range(0 if "dm" in config.baselines else 1, config.k_max + 1)
     digest, features = _compute_bundles(
-        config, graph, ks, config.m_k,
+        config, manifest, graph, ks, config.m_k,
         keep=lambda bundle: build_features(bundle, config.t))
     if last == "embed":
         return

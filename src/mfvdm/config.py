@@ -55,6 +55,9 @@ class ExperimentConfig:
         if self.manifold != "external" and self.graph_path:
             raise ConfigError(f"graph_path is for manifold 'external'. "
                               f"Got manifold {self.manifold!r}.")
+        # An external graph is not rewired, so it has no other p.
+        if self.graph_path and self.p != (1.0,):
+            raise ConfigError(f"graph_path takes p = 1 only. Got {self.p}.")
         # An external graph brings its own node count, and n and kappa_build
         # go unused; kappa_search is checked against the graph once read.
         if self.manifold != "external":

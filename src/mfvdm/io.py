@@ -1,5 +1,5 @@
-"""File formats: graphs, ground truth, CSVs, reports, cache entries and
-the run manifest.
+"""File formats: graphs, ground truth, CSVs, reports, eigenbundles, results
+and the run manifest.
 
 All text output prints floats with 17 significant digits so that values
 round-trip exactly and repeated runs produce byte-identical files.  A
@@ -11,14 +11,13 @@ outside ``%.17g``'s fixed notation (0, |x| < 1e-4, |x| >= 1e17, nan, inf)
 go through Python's ``%``, one value each.  Every
 artifact, bundles included, is written to a hidden temp file beside its
 target and renamed into place, so a write that fails or is killed never
-leaves a partial file under the artifact's name, and writers sharing one
-bundle cache never see each other's half-written entry.  The bundle cache
-holds npz eigenbundles keyed by (graph content hash, k, m); its keys cover
-inputs only, not the program's version.  Each method's neighbor list and
-alignment angles are npz artifacts of an output directory
-(``save_result``).  The run manifest (``RunManifest``) records, for each
-artifact of an output directory, the key of the program and inputs that
-produced it and the sha256 of its bytes.
+leaves a partial file under the artifact's name, and runs writing one
+bundle never see each other's half-written file.  The eigenbundles
+(``save_bundle``) and each method's neighbor list and alignment angles
+(``save_result``) are npz artifacts of an output directory.  The run
+manifest (``RunManifest``) records, for each artifact, the key of the
+program and inputs that produced it and the sha256 of its bytes; a file
+is read back, unchecked, only once the manifest holds it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import json
 import math
 import os
 import warnings
-import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -524,7 +522,7 @@ def write_spectral_report(report: SpectralReport, prefix) -> list:
 
 
 def cache_dir_for(out_dir) -> Path:
-    """Cache directory of bundles: env override, else <out_dir>/cache."""
+    """Directory of the bundles: env override, else <out_dir>/cache."""
     env = os.environ.get(CACHE_ENV)
     base = Path(env) if env else Path(out_dir) / "cache"
     base.mkdir(parents=True, exist_ok=True)
@@ -546,28 +544,12 @@ def save_bundle(bundle: SpectralBundle, path) -> None:
                  eigenvectors=bundle.eigenvectors)
 
 
-def load_bundle(path, k: int, shape: tuple) -> SpectralBundle | None:
-    """Load a cached bundle; None if the file is absent or unreadable.
-
-    An unreadable entry (truncated, not an npz, missing arrays) is a cache
-    miss, so the caller recomputes the bundle and overwrites it.  So is an
-    entry whose stored frequency differs from ``k``, whose eigenvectors are
-    not of ``shape`` (n, m), or whose eigenvalues are not m finite float64
-    values.
-    """
-    try:
-        with open(path, "rb") as handle, np.load(handle) as data:
-            eigenvalues = data["eigenvalues"]
-            bundle = SpectralBundle(k=int(data["k"]), eigenvalues=eigenvalues,
-                                    eigenvectors=data["eigenvectors"])
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-    if (bundle.k != k or bundle.eigenvectors.shape != tuple(shape)
-            or eigenvalues.dtype != np.float64
-            or eigenvalues.shape != tuple(shape[1:])
-            or not np.isfinite(eigenvalues).all()):
-        return None
-    return bundle
+def load_bundle(path) -> SpectralBundle:
+    """The bundle ``save_bundle`` wrote to ``path``."""
+    with open(path, "rb") as handle, np.load(handle) as data:
+        return SpectralBundle(k=int(data["k"]),
+                              eigenvalues=data["eigenvalues"],
+                              eigenvectors=data["eigenvectors"])
 
 
 def save_result(result: NeighborList | AlignmentTable, path) -> None:
@@ -635,14 +617,14 @@ def file_sha256(path) -> str:
 
 
 class RunManifest:
-    """``<out>/cache/manifest.json``: for each artifact, by its path
-    relative to ``<out>``, the key of the inputs that produced it and the
-    sha256 of its bytes.
+    """``<out>/cache/manifest.json``: for each artifact, by its ``name``,
+    the key of the inputs that produced it and the sha256 of its bytes.
 
-    It sits under ``<out>`` even when ``MFVDM_CACHE_DIR`` moves the cache,
-    since it describes this directory's files.  A manifest that is missing
-    or is not such a mapping reads as empty, so every artifact is rebuilt.
-    ``used`` holds the artifacts this run kept or recorded.
+    It sits under ``<out>`` even when ``MFVDM_CACHE_DIR`` moves the
+    bundles, since it records this directory's own artifacts.  A manifest
+    that is missing or is not such a mapping reads as empty, so every
+    artifact is rebuilt.  ``used`` holds the artifacts this run kept or
+    recorded.
     """
 
     def __init__(self, out_dir) -> None:
@@ -650,6 +632,14 @@ class RunManifest:
         self.path = self.root / "cache" / "manifest.json"
         self.entries = _read_manifest(self.path)
         self.used = set()
+
+    def name(self, path) -> str:
+        """The name of the file ``path``: its path relative to ``<out>`` if
+        it lies under it, else its absolute path, both resolved (so a
+        symlinked ``<out>`` never turns one file into ``../`` names)."""
+        path, root = Path(path).resolve(), self.root.resolve()
+        return (path.relative_to(root) if root in path.parents
+                else path).as_posix()
 
     def holds(self, names, key: str) -> bool:
         """Whether every artifact in ``names`` is recorded under ``key`` and

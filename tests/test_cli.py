@@ -118,10 +118,10 @@ class TestPipeline:
                    if (method, kind) != ("dm", "align")}
         assert len(entries) == 10
         assert cache == bundles | entries | {"cache/manifest.json"}
-        # The manifest records every artifact under --out but the bundles.
+        # The manifest records every artifact under --out.
         manifest = json.loads((pipeline_out / "cache" / "manifest.json")
                               .read_text())
-        assert set(manifest) == expected | entries
+        assert set(manifest) == expected | entries | bundles
         assert files >= expected
         # Artifacts get the mode a plain open gives, cache entries included.
         umask = os.umask(0)
@@ -380,6 +380,67 @@ class TestCache:
                       for p in (out / "cache").rglob("*") if p.is_file()) == [
             "manifest.json", "p1/nn_mfvdm.npz"]
 
+    def test_a_second_out_solves_again_into_a_shared_cache(
+            self, tmp_path, monkeypatch, capsys):
+        """Each --out records its own bundles, under their absolute paths:
+        a second --out sharing MFVDM_CACHE_DIR solves again and rewrites
+        the shared bundles with the same bytes, and the first still holds
+        them."""
+        shared = tmp_path / "shared"
+        monkeypatch.setenv(mio.CACHE_ENV, str(shared))
+        args = ("embed", "--manifold", "torus", "--n", "120",
+                "--kappa-build", "6", "--kmax", "3", "--mk", "8", "--p", "1",
+                "--seed", "2")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert _run(*args, "--out", str(first)) == 0
+        bundles = {path: path.read_bytes() for path in shared.iterdir()}
+        assert len(bundles) == 3
+        solves = []
+        real = cli.top_eigenpairs
+        monkeypatch.setattr(cli, "top_eigenpairs",
+                            lambda *a: solves.append(a) or real(*a))
+        capsys.readouterr()
+        assert _run(*args, "--out", str(second)) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert len(solves) == 3
+        assert {path: path.read_bytes()
+                for path in shared.iterdir()} == bundles
+        for out in (first, second):
+            manifest = json.loads((out / "cache" / "manifest.json")
+                                  .read_text())
+            assert {path.resolve().as_posix()
+                    for path in bundles} <= set(manifest)
+        solves.clear()
+        assert _run(*args, "--out", str(first)) == 0
+        assert capsys.readouterr().out.count("cache hit") == 3
+        assert not solves
+
+    def test_another_program_solves_again_despite_a_shared_cache(
+            self, tmp_path, monkeypatch, capsys):
+        """A program whose solver starts from another vector, run into a
+        fresh --out beside a shared MFVDM_CACHE_DIR that the first
+        program filled, writes what it writes with a cache of its own."""
+        args = ("pipeline", "--manifold", "sphere", "--n", "2100",
+                "--kappa-build", "40", "--kmax", "3", "--mk", "10", "--p",
+                "0.4", "--seed", "0")
+        # The start vector is the sparse (ARPACK) path's.
+        assert 2100 > DENSE_THRESHOLD
+        monkeypatch.setenv(mio.CACHE_ENV, str(tmp_path / "shared"))
+        assert _run(*args, "--out", str(tmp_path / "first")) == 0
+        monkeypatch.setattr(spectral, "_SEED", 1)
+        monkeypatch.setattr(mio, "program_identity", lambda: "second")
+        capsys.readouterr()
+        assert _run(*args, "--out", str(tmp_path / "second")) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        monkeypatch.setenv(mio.CACHE_ENV, str(tmp_path / "own"))
+        assert _run(*args, "--out", str(tmp_path / "fresh")) == 0
+        second = _tree_digest(tmp_path / "second")
+        assert second == _tree_digest(tmp_path / "fresh")
+        # The start vector shows in the results, so a served bundle would.
+        first = _tree_digest(tmp_path / "first")
+        assert (second["p0.4/report_mfvdm_scalars.json"]
+                != first["p0.4/report_mfvdm_scalars.json"])
+
     def test_truncated_bundle_is_recomputed(self, tmp_path, monkeypatch):
         from mfvdm.io import CACHE_ENV, load_bundle
         monkeypatch.delenv(CACHE_ENV, raising=False)
@@ -393,7 +454,7 @@ class TestCache:
         bundle.write_bytes(whole[:len(whole) // 2])
         assert _run(*args, "--out", str(out)) == 0
         assert _tree_digest(out) == _tree_digest(clean)
-        assert load_bundle(bundle, k=1, shape=(250, 10)) is not None
+        assert load_bundle(bundle).eigenvectors.shape == (250, 10)
         assert sorted(p.name for p in (out / "cache").iterdir()) == sorted(
             p.name for p in (clean / "cache").iterdir())
 
@@ -408,11 +469,10 @@ class TestCache:
         (k1,) = (out / "cache").glob("bundle_*_k1_*.npz")
         (k2,) = (out / "cache").glob("bundle_*_k2_*.npz")
         k1.write_bytes(k2.read_bytes())
-        assert load_bundle(k1, k=1, shape=(250, 10)) is None
-        assert load_bundle(k1, k=2, shape=(250, 10)) is not None
+        assert load_bundle(k1).k == 2
         assert _run(*args, "--out", str(out)) == 0
         assert _tree_digest(out) == _tree_digest(clean)
-        assert load_bundle(k1, k=1, shape=(250, 10)) is not None
+        assert load_bundle(k1).k == 1
 
     @pytest.mark.parametrize("damage", ["extra-eigenvalue", "nan-eigenvalue"])
     def test_bundle_with_bad_eigenvalues_is_recomputed(self, tmp_path,
@@ -607,6 +667,12 @@ def _rewritten(before, after):
     return {name for name, stamp in after.items() if before.get(name) != stamp}
 
 
+def _bundles(out):
+    """The eigenbundles under ``out``, by relative path."""
+    return {path.relative_to(out).as_posix()
+            for path in (Path(out) / "cache").glob("bundle_*.npz")}
+
+
 class TestManifest:
     """``cache/manifest.json`` keys every file under --out by the program
     and the inputs that made it, with the sha256 of its bytes: a file is
@@ -688,7 +754,7 @@ class TestManifest:
             affected = self.REPORT
         else:
             (out / "cache" / "manifest.json").write_bytes(b"\x00{garbage")
-            affected = outputs | self.RESULTS
+            affected = outputs | self.RESULTS | _bundles(out)
         before = _stamps(out)
         assert _run(*self.ARGS, "--out", str(out)) == 0
         assert (_rewritten(before, _stamps(out))
@@ -753,9 +819,8 @@ class TestManifest:
 
     def test_another_program_rewrites_everything(self, fresh, tmp_path,
                                                  monkeypatch):
-        """Every file under --out but the shared bundles is rebuilt: the
-        results too, so no search or alignment of another program is
-        reused."""
+        """Every file under --out is rebuilt, the bundles and results too,
+        so no solve, search or alignment of another program is reused."""
         out = tmp_path / "out"
         assert _run(*self.ARGS, "--out", str(out)) == 0
         before = _stamps(out)
@@ -767,8 +832,9 @@ class TestManifest:
                                  ("nn_search", (1,)),
                                  ("nn_search", (1, 2, 3, 4, 5))]
         rewritten = _rewritten(before, _stamps(out))
+        assert len(_bundles(out)) == 5
         assert rewritten == (set(_tree_digest(out)) | self.RESULTS
-                             | {"cache/manifest.json"})
+                             | _bundles(out) | {"cache/manifest.json"})
         assert _tree_digest(out) == _tree_digest(fresh)
 
 
@@ -832,6 +898,20 @@ class TestExternalGraph:
                     "--p", "1", "--kappa", "5", "--kmax", "2", "--mk", "5",
                     "--out", str(out)) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["0.4,0.1", "0.5", "1,0.5"])
+    def test_a_p_below_one_is_a_config_error(self, tmp_path, p):
+        """An external graph is not rewired, so any p but 1 would run the
+        same graph under another p's name."""
+        out = tmp_path / "out"
+        assert _run("generate", "--manifold", "torus", "--n", "40",
+                    "--kappa-build", "4", "--p", "1", "--out", str(out),
+                    "--seed", "0", "--kappa", "10") == 0
+        ext_out = tmp_path / "ext"
+        assert _run("nn", "--graph", str(out / "graph_clean.txt"),
+                    "--p", p, "--kappa", "5", "--kmax", "2", "--mk", "5",
+                    "--out", str(ext_out)) == 1
+        assert not ext_out.exists()
 
     def test_kappa_is_checked_against_the_graph(self, tmp_path,
                                                 monkeypatch):

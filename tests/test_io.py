@@ -1,5 +1,6 @@
 """File formats: round-trips, strict parsing, cache behavior."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -717,28 +718,48 @@ class TestResultCache:
 
 
 class TestBundleCache:
+    """A bundle is a run-manifest artifact: held only under the key of the
+    graph digest, k and m it was recorded with, and with its recorded
+    bytes, so any damage is a miss before ``load_bundle`` reads it."""
+
+    DIGEST = "0" * 64
+
+    def _recorded(self, out, bundle):
+        """``bundle`` saved in ``out``'s cache and recorded as the bundle of
+        frequency k and m eigenpairs of ``DIGEST``'s graph; its path."""
+        path = bundle_cache_path(out / "cache", self.DIGEST, bundle.k,
+                                 bundle.m)
+        path.parent.mkdir(exist_ok=True)
+        save_bundle(bundle, path)
+        manifest = RunManifest(out)
+        manifest.record([manifest.name(path)], self._key(bundle.k, bundle.m))
+        return path
+
+    def _key(self, k, m, digest=DIGEST):
+        return artifact_key(["bundle", digest, k, m])
+
+    def _holds(self, out, path, k, m, digest=DIGEST) -> bool:
+        manifest = RunManifest(out)
+        return manifest.holds([manifest.name(path)], self._key(k, m, digest))
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         vecs = rng.normal(size=(20, 5)) + 1j * rng.normal(size=(20, 5))
         bundle = SpectralBundle(k=3, eigenvalues=np.linspace(1, 0.5, 5),
                                 eigenvectors=vecs)
-        path = tmp_path / "bundle.npz"
-        save_bundle(bundle, path)
-        back = load_bundle(path, k=3, shape=(20, 5))
+        path = self._recorded(tmp_path, bundle)
+        assert self._holds(tmp_path, path, 3, 5)
+        back = load_bundle(path)
         assert back.k == 3
         assert np.array_equal(back.eigenvalues, bundle.eigenvalues)
         assert np.array_equal(back.eigenvectors, bundle.eigenvectors)
-
-    def test_load_absent_returns_none(self, tmp_path):
-        assert load_bundle(tmp_path / "nope.npz", k=1, shape=(2, 2)) is None
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage",
                                         "missing_array"])
     def test_unreadable_bundle_is_a_miss(self, tmp_path, damage):
         bundle = SpectralBundle(k=1, eigenvalues=np.array([1.0, 0.5]),
                                 eigenvectors=np.eye(2, dtype=complex))
-        path = tmp_path / "bundle.npz"
-        save_bundle(bundle, path)
+        path = self._recorded(tmp_path, bundle)
         whole = path.read_bytes()
         if damage == "truncated":
             path.write_bytes(whole[:len(whole) // 2])
@@ -748,28 +769,29 @@ class TestBundleCache:
             path.write_bytes(b"not an npz archive\n" * 10)
         else:
             np.savez(path, k=1, eigenvalues=bundle.eigenvalues)
-        assert load_bundle(path, k=1, shape=(2, 2)) is None
+        assert not self._holds(tmp_path, path, 1, 2)
 
     @pytest.mark.parametrize("wanted", [
-        {"k": 2}, {"shape": (20, 4)}, {"shape": (19, 5)},
-        {"k": 3, "shape": (5, 20)},
+        {"k": 2}, {"m": 4}, {"digest": "1" * 64},
+        {"k": 5, "m": 3},
         # Stored eigenvalues that are not 5 finite values.
         {"eigenvalues": np.linspace(1, 0.5, 6)},
         {"eigenvalues": np.array([1.0, np.nan, 0.8, 0.7, 0.5])},
     ])
     def test_mismatched_bundle_is_a_miss(self, tmp_path, wanted):
-        """A bundle of another k or (n, m) than asked for, or whose
-        eigenvalues are not m finite values, is a miss."""
-        wanted = {"k": 3, "shape": (20, 5), **wanted}
+        """A bundle recorded for one graph, k and m is not held for
+        another, nor once the file holds eigenvalues other than the m
+        finite values that were recorded."""
+        wanted = {"k": 3, "m": 5, **wanted}
         stored = wanted.pop("eigenvalues", None)
-        bundle = SpectralBundle(k=3, eigenvalues=np.linspace(1, 0.5, 5)
-                                if stored is None else stored,
+        bundle = SpectralBundle(k=3, eigenvalues=np.linspace(1, 0.5, 5),
                                 eigenvectors=np.ones((20, 5), dtype=complex))
-        path = tmp_path / "bundle.npz"
-        save_bundle(bundle, path)
-        assert load_bundle(path, **wanted) is None
+        path = self._recorded(tmp_path, bundle)
+        if stored is not None:
+            save_bundle(dataclasses.replace(bundle, eigenvalues=stored), path)
+        assert not self._holds(tmp_path, path, **wanted)
         if stored is None:
-            assert load_bundle(path, k=3, shape=(20, 5)) is not None
+            assert self._holds(tmp_path, path, 3, 5)
 
     def test_concurrent_writers_leave_one_whole_bundle(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -788,7 +810,7 @@ class TestBundleCache:
                     bundles, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        back = load_bundle(path, k=2, shape=(400, 8))
+        back = load_bundle(path)
         assert any(np.array_equal(back.eigenvectors, b.eigenvectors)
                    for b in bundles)
         assert [p.name for p in tmp_path.iterdir()] == ["bundle.npz"]
@@ -831,6 +853,30 @@ class TestRunManifest:
             assert reread.holds(["truth.txt", "p1/nn.csv"], "a")
             assert not reread.holds(["truth.txt"], "b")
             assert not reread.holds(["truth.txt", "other.txt"], "a")
+
+    def test_names_are_relative_under_out_and_absolute_outside(
+            self, out, tmp_path_factory):
+        """A file under ``<out>`` is named by its resolved path relative to
+        ``<out>``, any other by its resolved absolute path, so a symlinked
+        ``<out>`` gives one name per file and no ``../`` name."""
+        elsewhere = tmp_path_factory.mktemp("elsewhere")
+        link = elsewhere / "link"
+        link.symlink_to(out, target_is_directory=True)
+        for root in (out, link):
+            manifest = RunManifest(root)
+            assert manifest.name(root / "p1" / "nn.csv") == "p1/nn.csv"
+            assert manifest.name(root / "p1" / ".." / "truth.txt") == (
+                "truth.txt")
+            assert manifest.name(elsewhere / "b.npz") == (
+                elsewhere.resolve() / "b.npz").as_posix()
+            # ``..`` of a symlink is that of its target.
+            assert manifest.name(root / ".." / "b.npz") == (
+                out.resolve().parent / "b.npz").as_posix()
+        (elsewhere / "b.npz").write_bytes(b"bundle")
+        manifest = RunManifest(link)
+        manifest.record([manifest.name(elsewhere / "b.npz")], "a")
+        assert RunManifest(out).holds([manifest.name(elsewhere / "b.npz")],
+                                      "a")
 
     @pytest.mark.parametrize("damage", ["edited", "deleted", "directory"])
     def test_a_file_that_changed_is_not_held(self, out, damage):
