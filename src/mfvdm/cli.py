@@ -14,7 +14,11 @@ manifest of ``--out``: a file made by this program from the same inputs,
 whose bytes are as recorded, is kept, and any other is rebuilt.  Each
 method's neighbor list and alignment angles are such files, under
 ``cache/p<tag>``, so ``nn`` followed by ``align`` searches once, and a
-kept result writes the same files as a computed one.  After
+kept result writes the same files as a computed one.  A kept truth or
+graph is parsed only when a stage this run reruns needs its values (a
+solve, a rewiring, a clean-graph build, or a report to score), and at most
+once.  Everything made from a graph is keyed by the sha256 of the graph's
+file, which the manifest records for a synthetic graph.  After
 each p, every command but ``spectrum`` removes the ``nn_*``, ``align_*``
 and ``report_*`` files of that p that the manifest records and this run
 neither wrote nor kept, so ``--out`` holds no other config's results.
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Callable, NamedTuple
 
 from mfvdm import alignment, embedding
 from mfvdm.config import ExperimentConfig, load_config_file, resolve_config
@@ -96,10 +101,9 @@ def _output(manifest: mio.RunManifest, name: str, inputs: list, build,
 
     Its files are ``name`` plus each of ``suffixes``.  If the manifest
     records each under the key of ``inputs`` and its bytes are still the
-    recorded ones, the files are kept: a truth, graph, neighbor list or
-    alignment table is read back by ``read``, and any other artifact gives
-    None.  Otherwise ``build()`` is written by ``write(value, path)`` and
-    recorded.
+    recorded ones, the files are kept: a neighbor list or alignment table
+    is read back by ``read``, and any other artifact gives None.  Otherwise
+    ``build()`` is written by ``write(value, path)`` and recorded.
     """
     key = mio.artifact_key(inputs)
     files = [name + suffix for suffix in suffixes]
@@ -111,7 +115,7 @@ def _output(manifest: mio.RunManifest, name: str, inputs: list, build,
     value = build()
     path.parent.mkdir(parents=True, exist_ok=True)
     write(value, path)
-    manifest.record(files, key)
+    manifest.record([(file, key) for file in files])
     return value
 
 
@@ -120,15 +124,46 @@ def _generate_inputs(config: ExperimentConfig, *more) -> list:
     return [config.manifold, config.n, config.seed, *more]
 
 
+def _loader(manifest: mio.RunManifest, name: str, inputs: list, build,
+            write, read) -> Callable:
+    """The truth or graph file ``name``, kept or rebuilt by ``_output``, as
+    a function that returns its value: the one built, or the kept file
+    parsed by ``read`` on the first call only."""
+    value = _output(manifest, name, inputs, build, write)
+    if value is None:
+        return functools.cache(functools.partial(read, manifest.root / name))
+    return lambda: value
+
+
+class _Graph(NamedTuple):
+    """A graph as the stages after generate take it: the sha256 of its
+    file, which keys everything made from it, its node count, and a
+    function that returns it."""
+
+    digest: str
+    n: int
+    load: Callable
+
+
+def _graph_file(config: ExperimentConfig, manifest: mio.RunManifest,
+                name: str, inputs: list, build) -> _Graph:
+    """The synthetic graph file ``name``, kept or rebuilt, keyed by the
+    sha256 that the manifest has just verified or recorded."""
+    load = _loader(manifest, name, _generate_inputs(config, *inputs), build,
+                   mio.write_graph, mio.read_graph)
+    return _Graph(manifest.entries[name]["sha256"], config.n, load)
+
+
 def _truth_and_clean_graph(config: ExperimentConfig,
                            manifest: mio.RunManifest):
-    """Ground truth, and a function that returns the graph every p starts
-    from.
+    """A function that returns the ground truth, and one that returns the
+    graph every p starts from.
 
-    An external graph has no truth and is read at once.  A synthetic truth
-    is built (or kept in ``--out``) at once, and its k-NN graph on the
-    function's first call only, so a rerun that keeps each p's rewired
-    graph never reads ``graph_clean.txt``.
+    An external graph has no truth and is read and checked at once.  A
+    synthetic truth is built (or kept in ``--out``) at once, and its k-NN
+    graph on the second function's first call only, so a rerun that keeps
+    each p's rewired graph never checks ``graph_clean.txt``.  A kept truth
+    or graph is parsed only when its value is asked for.
     """
     if config.manifold == "external":
         graph = mio.read_graph(config.graph_path)
@@ -136,52 +171,54 @@ def _truth_and_clean_graph(config: ExperimentConfig,
             raise ConfigError(
                 f"kappa_search must satisfy 1 <= kappa_search < n={graph.n} "
                 f"of {config.graph_path}. Got {config.kappa_search}.")
-        return None, lambda: graph
-    truth = _output(
+        external = _Graph(mio.file_sha256(config.graph_path), graph.n,
+                          lambda: graph)
+        return None, lambda: external
+    truth = _loader(
         manifest, "truth.txt", _generate_inputs(config),
         lambda: make_truth(config.manifold, config.n, config.seed),
         mio.write_truth, mio.read_truth)
-    clean = functools.cache(lambda: _output(
-        manifest, "graph_clean.txt",
-        _generate_inputs(config, config.kappa_build),
-        lambda: build_clean_knn_graph(truth, config.kappa_build),
-        mio.write_graph, mio.read_graph))
+    clean = functools.cache(lambda: _graph_file(
+        config, manifest, "graph_clean.txt", [config.kappa_build],
+        lambda: build_clean_knn_graph(truth(), config.kappa_build)))
     return truth, clean
 
 
 def _graph_for_p(config: ExperimentConfig, manifest: mio.RunManifest, clean,
-                 p: float):
+                 p: float) -> _Graph:
     """The graph ``clean()`` as given at p=1, else rewired at p."""
     if p >= 1.0:
         return clean()
-    return _output(
-        manifest, f"graph_p{_p_tag(p)}.txt",
-        _generate_inputs(config, config.kappa_build, repr(float(p))),
-        lambda: rewire_graph(clean(), p, config.seed), mio.write_graph,
-        mio.read_graph)
+    return _graph_file(
+        config, manifest, f"graph_p{_p_tag(p)}.txt",
+        [config.kappa_build, repr(float(p))],
+        lambda: rewire_graph(clean().load(), p, config.seed))
 
 
 def _compute_bundles(config: ExperimentConfig, manifest: mio.RunManifest,
-                     graph, ks, m: int, keep=lambda bundle: bundle) -> tuple:
-    """The graph's digest, and ``keep`` of the top-m eigenpairs per
-    frequency: run-manifest artifacts in the cache directory, made from the
+                     graph: _Graph, ks, m: int,
+                     keep=lambda bundle: bundle) -> dict:
+    """``keep`` of the top-m eigenpairs of ``graph`` per frequency:
+    run-manifest artifacts in the cache directory, made from the graph's
     digest, k and m.  The workers load the held bundles and solve the rest,
     and each applies ``keep`` as soon as it has its bundle, so a bundle
     outlives its worker only through what ``keep`` returns."""
     cache = mio.cache_dir_for(config.out_dir)
-    digest = mio.graph_hash(graph)
-    deg = degrees(graph)
     m = min(m, graph.n)
     ks = sorted(set(ks))
-    paths = {k: mio.bundle_cache_path(cache, digest, k, m) for k in ks}
-    keys = {k: mio.artifact_key(["bundle", digest, k, m]) for k in ks}
-    held = {k for k in ks
-            if manifest.holds([manifest.name(paths[k])], keys[k])}
+    paths = {k: mio.bundle_cache_path(cache, graph.digest, k, m) for k in ks}
+    keys = {k: mio.artifact_key(["bundle", graph.digest, k, m]) for k in ks}
+    missing = [k for k in ks
+               if not manifest.holds([manifest.name(paths[k])], keys[k])]
+    if missing:
+        # Parsed once, here, for every worker's solve.
+        edges = graph.load()
+        deg = degrees(edges)
 
     def solve(k: int):
-        if k in held:
+        if k not in missing:
             return keep(mio.load_bundle(paths[k]))
-        bundle = top_eigenpairs(build_sk(graph, k, deg), m)
+        bundle = top_eigenpairs(build_sk(edges, k, deg), m)
         mio.save_bundle(bundle, paths[k])
         return keep(bundle)
 
@@ -189,11 +226,12 @@ def _compute_bundles(config: ExperimentConfig, manifest: mio.RunManifest,
     # Printed and recorded here, not by the workers, so each hit is one
     # whole line and only one thread uses the manifest.
     for k in ks:
-        if k in held:
+        if k not in missing:
             print(f"[embed] k={k} cache hit", flush=True)
-        else:
-            manifest.record([manifest.name(paths[k])], keys[k])
-    return digest, dict(zip(ks, values))
+    if missing:
+        manifest.record([(manifest.name(paths[k]), keys[k])
+                         for k in missing])
+    return dict(zip(ks, values))
 
 
 def _method_embedding(method: str, features, config: ExperimentConfig):
@@ -251,11 +289,11 @@ def _spectrum(config: ExperimentConfig, manifest: mio.RunManifest, graph,
     tag = _p_tag(p)
     _stage(f"spectrum p={tag}")
     m = min(_SPECTRUM_M, graph.n)
-    digest, bundles = _compute_bundles(config, manifest, graph,
-                                       config.spectrum_ks, m)
+    bundles = _compute_bundles(config, manifest, graph, config.spectrum_ks,
+                               m)
     for k in config.spectrum_ks:
         _output(manifest, f"p{tag}/spectrum_k{k}",
-                ["spectrum", digest, k, m, config.kappa_build],
+                ["spectrum", graph.digest, k, m, config.kappa_build],
                 lambda: spectral_report(bundles[k], config.kappa_build),
                 mio.write_spectral_report,
                 suffixes=("_spectrum.csv", "_clusters.json"))
@@ -269,7 +307,7 @@ def _embed_and_score(config: ExperimentConfig, manifest: mio.RunManifest,
     tag = _p_tag(p)
     _stage(f"embed p={tag}")
     ks = range(0 if "dm" in config.baselines else 1, config.k_max + 1)
-    digest, features = _compute_bundles(
+    features = _compute_bundles(
         config, manifest, graph, ks, config.m_k,
         keep=lambda bundle: build_features(bundle, config.t))
     if last == "embed":
@@ -277,8 +315,8 @@ def _embed_and_score(config: ExperimentConfig, manifest: mio.RunManifest,
     params = _echo_params(config, p)
     for method in ["mfvdm", *config.baselines]:
         _stage(f"{method} p={tag}")
-        _run_method(config, manifest, method, features, digest, truth, params,
-                    tag, last)
+        _run_method(config, manifest, method, features, graph.digest, truth,
+                    params, tag, last)
 
 
 # The search and the alignment as ``--out`` artifacts.  They keep the
@@ -312,7 +350,8 @@ def _run_method(config: ExperimentConfig, manifest: mio.RunManifest,
     ``cache/p<tag>`` with the inputs that determine them: the graph
     ``digest``, the method's frequencies, m, t and kappa.  Each CSV has its
     result's inputs, and the report those of both and the echoed
-    ``params``, so a rerun that keeps them formats and scores nothing.
+    ``params``, so a rerun that keeps them formats and scores nothing, and
+    calls ``truth`` (None for an external graph) for no value.
     """
     embeddings = _method_embedding(method, features, config)
     inputs = [digest, embeddings.frequencies, min(config.m_k, embeddings.n),
@@ -339,11 +378,11 @@ def _run_method(config: ExperimentConfig, manifest: mio.RunManifest,
         return
 
     def report():
-        scores = score_nn(neighbors, truth, method=method, params=params)
+        scores = score_nn(neighbors, truth(), method=method, params=params)
         if table is None:
             return scores
         return merge_reports(scores, score_alignment(
-            table, truth, method=method, params=params))
+            table, truth(), method=method, params=params))
 
     _output(manifest, f"p{tag}/report_{method}", [kinds, *inputs, params],
             report, mio.write_eval_report,

@@ -295,7 +295,10 @@ def graph_hash(graph: AlignmentGraph) -> str:
     """Content hash of n and the edge arrays' little-endian bytes.
 
     The arrays hold exactly the values ``write_graph`` round-trips, so a
-    graph and its reloaded file hash alike.
+    graph and its reloaded file hash alike.  Tests pin graphs by this
+    digest and pipebench's tracer times it; the CLI keys what it makes from
+    a graph by the sha256 of the graph's file instead, so a kept graph is
+    never parsed just to be hashed.
     """
     digest = hashlib.sha256(f"n {graph.n}\n".encode("utf-8"))
     arrays = (graph.rows, graph.cols, graph.weights, graph.angles)
@@ -656,13 +659,13 @@ class RunManifest:
         self.used.update(names)
         return True
 
-    def record(self, names, key: str) -> None:
-        """Record the files ``names``, just written, under ``key``; then
-        rewrite the manifest."""
-        for name in names:
+    def record(self, pairs) -> None:
+        """Record each file ``name``, just written, under its ``key``, for
+        the (name, key) ``pairs``; then rewrite the manifest once."""
+        for name, key in pairs:
             self.entries[name] = {"key": key,
                                   "sha256": file_sha256(self.root / name)}
-        self.used.update(names)
+            self.used.add(name)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         _write_json(self.entries, self.path)
 

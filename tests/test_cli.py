@@ -315,8 +315,8 @@ class TestMemory:
             "--kmax", "10", "--mk", "20", "--p", "0.4", "--baselines",
             "dm,vdm", "--seed", "0", "--workers", "1")
 
-    def test_rerun_reads_only_the_rewired_graph(self, tmp_path,
-                                                monkeypatch):
+    def test_rerun_parses_only_the_truth_it_scores(self, tmp_path,
+                                                   monkeypatch):
         monkeypatch.setenv(mio.CACHE_ENV, str(tmp_path / "cache"))
         ref, out = tmp_path / "ref", tmp_path / "out"
         # A cold run builds and writes every graph it uses.
@@ -325,16 +325,26 @@ class TestMemory:
         assert _run("pipeline", *self.WARM, "--kappa", "30",
                     "--out", str(out)) == 0
         read = []
-        real = mio.read_graph
 
-        def spy(path):
-            read.append(Path(path).name)
-            return real(path)
+        def spy(real):
+            def wrapper(path):
+                read.append(Path(path).name)
+                return real(path)
+            return wrapper
 
-        monkeypatch.setattr(mio, "read_graph", spy)
+        for name in ("read_graph", "read_truth"):
+            monkeypatch.setattr(mio, name, spy(getattr(mio, name)))
+        # Every bundle is held, so no graph is parsed; the new kappa's
+        # reports are scored against the truth, parsed once.
         assert _run("pipeline", *self.WARM, "--kappa", "50",
                     "--out", str(out)) == 0
-        assert read == ["graph_p0.4.txt"]
+        assert read == ["truth.txt"]
+        assert _tree_digest(out) == _tree_digest(ref)
+        # A rerun that keeps every file parses neither.
+        read.clear()
+        assert _run("pipeline", *self.WARM, "--kappa", "50",
+                    "--out", str(out)) == 0
+        assert read == []
         assert _tree_digest(out) == _tree_digest(ref)
 
     def test_generate_writes_the_clean_graph(self, tmp_path):
@@ -532,6 +542,84 @@ class TestCache:
         lines = "".join(text for _, text in writes).splitlines()
         assert [line for line in lines if "cache hit" in line] == [
             f"[embed] k={k} cache hit" for k in range(4)]
+
+    def test_solved_bundles_are_recorded_in_one_manifest_write(
+            self, tmp_path, monkeypatch):
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+        bundles = []
+        real = mio._write_json
+
+        def spy(payload, path):
+            bundles.append([name for name in payload if "bundle_" in name])
+            real(payload, path)
+
+        monkeypatch.setattr(mio, "_write_json", spy)
+        assert _run("embed", "--manifold", "torus", "--n", "120",
+                    "--kappa-build", "6", "--kmax", "3", "--mk", "8", "--p",
+                    "1", "--seed", "2", "--out", str(tmp_path / "out")) == 0
+        # The truth, the clean graph, then the three bundles at once.
+        assert [len(names) for names in bundles] == [0, 0, 3]
+
+    def test_a_missing_bundle_parses_the_graph_once_on_the_main_thread(
+            self, tmp_path, monkeypatch):
+        """On two workers, a rerun that holds all bundles but one parses the
+        kept graph once, before the workers start, and solves only that
+        one; it writes what a fresh run writes."""
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+        args = ("pipeline", "--manifold", "sphere", *SMALL, "--p", "0.4",
+                "--baselines", "vdm", "--seed", "3", "--workers", "2")
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert _run(*args, "--out", str(fresh)) == 0
+        assert _run(*args, "--out", str(out)) == 0
+        (next((out / "cache").glob("bundle_*_k3_*.npz"))).unlink()
+        parsed, solves = [], []
+        real_read, real_solve = mio.read_graph, cli.top_eigenpairs
+
+        def read(path):
+            parsed.append((Path(path).name, threading.current_thread()
+                           is threading.main_thread()))
+            return real_read(path)
+
+        monkeypatch.setattr(mio, "read_graph", read)
+        monkeypatch.setattr(cli, "top_eigenpairs",
+                            lambda *a: solves.append(a) or real_solve(*a))
+        assert _run(*args, "--out", str(out)) == 0
+        assert parsed == [("graph_p0.4.txt", True)]
+        assert len(solves) == 1
+        assert _tree_digest(out, skip=()) == _tree_digest(fresh, skip=())
+
+    def test_an_edited_graph_file_is_solved_again(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """Bundles of a --graph file are keyed by the file's bytes: after one
+        angle is edited, every frequency is solved again and no kept bundle
+        is loaded."""
+        monkeypatch.delenv(mio.CACHE_ENV, raising=False)
+        source = tmp_path / "source"
+        assert _run("generate", "--manifold", "torus", "--n", "40",
+                    "--kappa-build", "4", "--kappa", "5", "--p", "1",
+                    "--seed", "0", "--out", str(source)) == 0
+        graph = tmp_path / "edges.txt"
+        lines = (source / "graph_clean.txt").read_text().splitlines(True)
+        i, j, w, angle = lines[1].split()
+        lines[1] = f"{i} {j} {w} {(float(angle) + 0.5) % 6.0!r}\n"
+        args = ("embed", "--graph", str(graph), "--kappa", "5", "--kmax",
+                "2", "--mk", "5", "--out", str(tmp_path / "out"))
+        graph.write_bytes((source / "graph_clean.txt").read_bytes())
+        assert _run(*args) == 0
+        capsys.readouterr()
+        assert _run(*args) == 0
+        assert capsys.readouterr().out.count("cache hit") == 2
+        graph.write_text("".join(lines))
+        solves, loads = [], []
+        real_solve, real_load = cli.top_eigenpairs, mio.load_bundle
+        monkeypatch.setattr(cli, "top_eigenpairs",
+                            lambda *a: solves.append(a) or real_solve(*a))
+        monkeypatch.setattr(mio, "load_bundle",
+                            lambda *a: loads.append(a) or real_load(*a))
+        assert _run(*args) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert len(solves) == 2
+        assert loads == []
 
 
 def _entry(out, kind, method):
@@ -1111,10 +1199,11 @@ class TestExitCodes:
                 lines = lines[:-10]
             else:
                 lines[3] = "nan 1.0 2.0\n"
-                (out / "graph_clean.txt").unlink()
             truth.write_text("".join(lines))
-            # The manifest vouches for the damaged bytes, so the file is
-            # read back rather than rebuilt.
+            # The clean graph is rebuilt from the truth, and the manifest
+            # vouches for the damaged bytes, so the file is parsed rather
+            # than rebuilt.
+            (out / "graph_clean.txt").unlink()
             manifest = out / "cache" / "manifest.json"
             entries = json.loads(manifest.read_text())
             entries["truth.txt"]["sha256"] = mio.file_sha256(truth)

@@ -655,7 +655,8 @@ class TestResultCache:
         (tmp_path / "cache" / "p1").mkdir(parents=True)
         save_result(neighbors, tmp_path / self.NN)
         save_result(table, tmp_path / self.ALIGN)
-        RunManifest(tmp_path).record([self.NN, self.ALIGN], "kappa4")
+        RunManifest(tmp_path).record([(self.NN, "kappa4"),
+                                      (self.ALIGN, "kappa4")])
         return neighbors, table
 
     def _edited(self, tmp_path, name, edit) -> bool:
@@ -732,7 +733,8 @@ class TestBundleCache:
         path.parent.mkdir(exist_ok=True)
         save_bundle(bundle, path)
         manifest = RunManifest(out)
-        manifest.record([manifest.name(path)], self._key(bundle.k, bundle.m))
+        manifest.record([(manifest.name(path),
+                          self._key(bundle.k, bundle.m))])
         return path
 
     def _key(self, k, m, digest=DIGEST):
@@ -848,11 +850,29 @@ class TestRunManifest:
     def test_recorded_files_are_held_under_their_key_only(self, out):
         manifest = RunManifest(out)
         assert not manifest.holds(["truth.txt"], "a")
-        manifest.record(["truth.txt", "p1/nn.csv"], "a")
+        manifest.record([("truth.txt", "a"), ("p1/nn.csv", "a")])
         for reread in (manifest, RunManifest(out)):
             assert reread.holds(["truth.txt", "p1/nn.csv"], "a")
             assert not reread.holds(["truth.txt"], "b")
             assert not reread.holds(["truth.txt", "other.txt"], "a")
+
+    def test_one_record_of_several_keys_writes_the_manifest_once(
+            self, out, monkeypatch):
+        written = []
+        real = mio._write_json
+
+        def spy(payload, path):
+            written.append(Path(path).name)
+            real(payload, path)
+
+        monkeypatch.setattr(mio, "_write_json", spy)
+        manifest = RunManifest(out)
+        manifest.record([("truth.txt", "a"), ("p1/nn.csv", "b")])
+        assert written == ["manifest.json"]
+        for reread in (manifest, RunManifest(out)):
+            assert reread.holds(["truth.txt"], "a")
+            assert reread.holds(["p1/nn.csv"], "b")
+            assert not reread.holds(["p1/nn.csv"], "a")
 
     def test_names_are_relative_under_out_and_absolute_outside(
             self, out, tmp_path_factory):
@@ -874,13 +894,13 @@ class TestRunManifest:
                 out.resolve().parent / "b.npz").as_posix()
         (elsewhere / "b.npz").write_bytes(b"bundle")
         manifest = RunManifest(link)
-        manifest.record([manifest.name(elsewhere / "b.npz")], "a")
+        manifest.record([(manifest.name(elsewhere / "b.npz"), "a")])
         assert RunManifest(out).holds([manifest.name(elsewhere / "b.npz")],
                                       "a")
 
     @pytest.mark.parametrize("damage", ["edited", "deleted", "directory"])
     def test_a_file_that_changed_is_not_held(self, out, damage):
-        RunManifest(out).record(["truth.txt", "p1/nn.csv"], "a")
+        RunManifest(out).record([("truth.txt", "a"), ("p1/nn.csv", "a")])
         target = out / "truth.txt"
         target.unlink()
         if damage == "edited":
@@ -893,8 +913,8 @@ class TestRunManifest:
 
     def test_drop_unused_removes_only_unused_prefixed_files(self, out):
         (out / "p1" / "nn_old.csv").write_text("old\n")
-        RunManifest(out).record(["truth.txt", "p1/nn.csv", "p1/nn_old.csv"],
-                                "a")
+        RunManifest(out).record([("truth.txt", "a"), ("p1/nn.csv", "a"),
+                                 ("p1/nn_old.csv", "a")])
         manifest = RunManifest(out)
         assert manifest.holds(["p1/nn.csv"], "a")
         assert manifest.drop_unused(("p1/nn",)) == ["p1/nn_old.csv"]
@@ -908,15 +928,15 @@ class TestRunManifest:
         b'{"truth.txt": {"key": "a", "sha256": null}}',
     ])
     def test_an_unreadable_manifest_reads_as_empty(self, out, garbage):
-        RunManifest(out).record(["truth.txt"], "a")
+        RunManifest(out).record([("truth.txt", "a")])
         (out / "cache" / "manifest.json").write_bytes(garbage)
         manifest = RunManifest(out)
         assert manifest.entries == {}
         assert not manifest.holds(["truth.txt"], "a")
 
     def test_content_is_sorted_json_of_keys_and_digests(self, out):
-        RunManifest(out).record(["truth.txt"], "a")
-        RunManifest(out).record(["p1/nn.csv"], "b")
+        RunManifest(out).record([("truth.txt", "a")])
+        RunManifest(out).record([("p1/nn.csv", "b")])
         text = (out / "cache" / "manifest.json").read_text()
         assert json.loads(text) == {
             "p1/nn.csv": {"key": "b", "sha256": hashlib.sha256(
@@ -929,12 +949,12 @@ class TestRunManifest:
 
     def test_failed_write_keeps_the_previous_manifest(self, out,
                                                       fail_writes):
-        RunManifest(out).record(["truth.txt"], "a")
+        RunManifest(out).record([("truth.txt", "a")])
         path = out / "cache" / "manifest.json"
         previous = path.read_bytes()
         with fail_writes("manifest.json", 10):
             with pytest.raises(OSError, match="injected write failure"):
-                RunManifest(out).record(["p1/nn.csv"], "b")
+                RunManifest(out).record([("p1/nn.csv", "b")])
         assert path.read_bytes() == previous
         assert [p.name for p in path.parent.iterdir()] == ["manifest.json"]
 
