@@ -18,10 +18,12 @@ kept result writes the same files as a computed one.  A kept truth or
 graph is parsed only when a stage this run reruns needs its values (a
 solve, a rewiring, a clean-graph build, or a report to score), and at most
 once.  Everything made from a graph is keyed by the sha256 of the graph's
-file, which the manifest records for a synthetic graph.  After
-each p, every command but ``spectrum`` removes the ``nn_*``, ``align_*``
-and ``report_*`` files of that p that the manifest records and this run
-neither wrote nor kept, so ``--out`` holds no other config's results.
+file, which the manifest records for a synthetic graph.  A p's graph is
+dropped once its bundles exist, and the clean graph (or ``--graph`` file)
+once the last p in ``--p`` has its graph.  After each p, every command but
+``spectrum`` removes the ``nn_*``, ``align_*`` and ``report_*`` files of
+that p that the manifest records and this run neither wrote nor kept, so
+``--out`` holds no other config's results.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
 failure.  All stochastic stages derive their randomness from the single
@@ -154,10 +156,21 @@ def _graph_file(config: ExperimentConfig, manifest: mio.RunManifest,
     return _Graph(manifest.entries[name]["sha256"], config.n, load)
 
 
+def _external_graph(config: ExperimentConfig) -> _Graph:
+    """The ``--graph`` file, read and checked against ``kappa_search``."""
+    graph = mio.read_graph(config.graph_path)
+    if not 1 <= config.kappa_search < graph.n:
+        raise ConfigError(
+            f"kappa_search must satisfy 1 <= kappa_search < n={graph.n} "
+            f"of {config.graph_path}. Got {config.kappa_search}.")
+    return _Graph(mio.file_sha256(config.graph_path), graph.n, lambda: graph)
+
+
 def _truth_and_clean_graph(config: ExperimentConfig,
                            manifest: mio.RunManifest):
     """A function that returns the ground truth, and one that returns the
-    graph every p starts from.
+    graph every p starts from, made on its first call and held until its
+    ``cache_clear``.
 
     An external graph has no truth and is read and checked at once.  A
     synthetic truth is built (or kept in ``--out``) at once, and its k-NN
@@ -166,14 +179,9 @@ def _truth_and_clean_graph(config: ExperimentConfig,
     or graph is parsed only when its value is asked for.
     """
     if config.manifold == "external":
-        graph = mio.read_graph(config.graph_path)
-        if not 1 <= config.kappa_search < graph.n:
-            raise ConfigError(
-                f"kappa_search must satisfy 1 <= kappa_search < n={graph.n} "
-                f"of {config.graph_path}. Got {config.kappa_search}.")
-        external = _Graph(mio.file_sha256(config.graph_path), graph.n,
-                          lambda: graph)
-        return None, lambda: external
+        external = functools.cache(functools.partial(_external_graph, config))
+        external()
+        return None, external
     truth = _loader(
         manifest, "truth.txt", _generate_inputs(config),
         lambda: make_truth(config.manifold, config.n, config.seed),
@@ -266,57 +274,64 @@ def _run(config: ExperimentConfig, last: str) -> None:
     if last == "generate":
         clean()  # written even when every p's rewired graph is kept
     for p in config.p:
-        tag = _p_tag(p)
-        _stage(f"generate p={tag}")
-        graph = _graph_for_p(config, manifest, clean, p)
-        if last == "spectrum":
-            _spectrum(config, manifest, graph, p)
-            continue
-        if last != "generate":
-            _embed_and_score(config, manifest, truth, graph, p, last)
-        # A result at p that this command neither made nor kept is another
-        # config's: a longer command's, or another method's.
-        for name in manifest.drop_unused(tuple(
-                f"{folder}p{tag}/{kind}_" for folder in ("", "cache/")
-                for kind in ("nn", "align", "report"))):
-            print(f"[{_CURRENT_STAGE}] removed {name}", flush=True)
+        _run_p(config, manifest, truth, clean, p, last)
 
 
-def _spectrum(config: ExperimentConfig, manifest: mio.RunManifest, graph,
-              p: float) -> None:
-    """The eigenvalue-cluster report of each frequency in
-    ``config.spectrum_ks``, for one p's graph."""
+def _run_p(config: ExperimentConfig, manifest: mio.RunManifest, truth,
+           clean, p: float, last: str) -> None:
+    """The chain at one p, from its graph on.  What it holds is dropped when
+    it returns, before the next p's graph is made."""
     tag = _p_tag(p)
-    _stage(f"spectrum p={tag}")
-    m = min(_SPECTRUM_M, graph.n)
-    bundles = _compute_bundles(config, manifest, graph, config.spectrum_ks,
-                               m)
-    for k in config.spectrum_ks:
-        _output(manifest, f"p{tag}/spectrum_k{k}",
-                ["spectrum", graph.digest, k, m, config.kappa_build],
-                lambda: spectral_report(bundles[k], config.kappa_build),
-                mio.write_spectral_report,
-                suffixes=("_spectrum.csv", "_clusters.json"))
+    digest, solved = _graph_and_bundles(config, manifest, clean, p, last)
+    if last == "spectrum":
+        for k in config.spectrum_ks:
+            _output(manifest, f"p{tag}/spectrum_k{k}",
+                    ["spectrum", digest, k, solved[k].m, config.kappa_build],
+                    lambda: spectral_report(solved[k], config.kappa_build),
+                    mio.write_spectral_report,
+                    suffixes=("_spectrum.csv", "_clusters.json"))
+        return
+    if last not in ("generate", "embed"):
+        params = _echo_params(config, p)
+        for method in ["mfvdm", *config.baselines]:
+            _stage(f"{method} p={tag}")
+            _run_method(config, manifest, method, solved, digest, truth,
+                        params, tag, last)
+    # A result at p that this command neither made nor kept is another
+    # config's: a longer command's, or another method's.
+    for name in manifest.drop_unused(tuple(
+            f"{folder}p{tag}/{kind}_" for folder in ("", "cache/")
+            for kind in ("nn", "align", "report"))):
+        print(f"[{_CURRENT_STAGE}] removed {name}", flush=True)
 
 
-def _embed_and_score(config: ExperimentConfig, manifest: mio.RunManifest,
-                     truth, graph, p: float, last: str) -> None:
-    """The stages after generate, for one p.  Each bundle becomes its
-    features as soon as it is solved or loaded, and the methods share
-    them, so each frequency's features are held once and no bundle is."""
+def _graph_and_bundles(config: ExperimentConfig, manifest: mio.RunManifest,
+                       clean, p: float, last: str):
+    """The generate stage at p, then embed or spectrum's solves: the digest
+    of p's graph, and what is kept of each of its bundles by frequency (the
+    features, or for ``spectrum`` the bundle; none for ``generate``).
+
+    Only this call holds p's graph, so the graph is dropped once its
+    bundles exist; the clean graph is dropped once the last p in ``--p``
+    has its graph.  The methods share each frequency's features, so each
+    is held once and no bundle is.
+    """
     tag = _p_tag(p)
+    _stage(f"generate p={tag}")
+    graph = _graph_for_p(config, manifest, clean, p)
+    if p == config.p[-1]:
+        clean.cache_clear()
+    if last == "generate":
+        return graph.digest, {}
+    if last == "spectrum":
+        _stage(f"spectrum p={tag}")
+        return graph.digest, _compute_bundles(
+            config, manifest, graph, config.spectrum_ks, _SPECTRUM_M)
     _stage(f"embed p={tag}")
     ks = range(0 if "dm" in config.baselines else 1, config.k_max + 1)
-    features = _compute_bundles(
+    return graph.digest, _compute_bundles(
         config, manifest, graph, ks, config.m_k,
         keep=lambda bundle: build_features(bundle, config.t))
-    if last == "embed":
-        return
-    params = _echo_params(config, p)
-    for method in ["mfvdm", *config.baselines]:
-        _stage(f"{method} p={tag}")
-        _run_method(config, manifest, method, features, graph.digest, truth,
-                    params, tag, last)
 
 
 # The search and the alignment as ``--out`` artifacts.  They keep the

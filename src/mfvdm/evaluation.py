@@ -15,6 +15,7 @@ import numpy as np
 
 from mfvdm.angles import wrap_pi
 from mfvdm.errors import ParameterError
+from mfvdm.sampling import pairs_in_blocks
 
 __all__ = [
     "EvalReport",
@@ -34,8 +35,6 @@ ALIGN_BINS = 72
 # The cluster boundary rule of ``detect_clusters``.
 _GAP_RATIO = 3.0
 _REL_FLOOR = 1e-2
-# Pairs per ground-truth gather in ``score_nn`` and ``score_alignment``.
-_SCORE_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def score_nn(neighbors, truth, method: str = "mfvdm",
         raise ParameterError(f"Neighbor list has n={n}, truth has "
                              f"n={truth.n}.")
     ii = np.repeat(np.arange(n, dtype=np.int64), kappa)
-    dist = _by_blocks(truth.geodesics, ii, neighbors.indices.ravel())
+    dist = pairs_in_blocks(truth.geodesics, ii, neighbors.indices.ravel())
     counts, edges = np.histogram(dist, bins=NN_BINS,
                                  range=(0.0, truth.max_geodesic))
     return EvalReport(
@@ -89,7 +88,7 @@ def score_nn(neighbors, truth, method: str = "mfvdm",
 def score_alignment(table, truth, method: str = "mfvdm",
                     params: dict | None = None) -> EvalReport:
     """Histogram of wrapped errors alpha_hat - alpha_true in degrees."""
-    alpha_true = _by_blocks(truth.pair_angles, table.i, table.j)
+    alpha_true = pairs_in_blocks(truth.pair_angles, table.i, table.j)
     err_deg = np.degrees(wrap_pi(table.alpha_hat - alpha_true))
     counts, edges = np.histogram(err_deg, bins=ALIGN_BINS,
                                  range=(-180.0, 180.0))
@@ -98,16 +97,6 @@ def score_alignment(table, truth, method: str = "mfvdm",
         align_bin_edges_deg=edges, align_counts=counts,
         align_median_abs_deg=float(np.median(np.abs(err_deg))),
     )
-
-
-def _by_blocks(per_pair, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """``per_pair(ii, jj)``, evaluated ``_SCORE_PAIRS`` pairs at a time so
-    the truth's per-pair gathers stay one block long."""
-    out = np.empty(ii.size)
-    for lo in range(0, ii.size, _SCORE_PAIRS):
-        out[lo:lo + _SCORE_PAIRS] = per_pair(ii[lo:lo + _SCORE_PAIRS],
-                                             jj[lo:lo + _SCORE_PAIRS])
-    return out
 
 
 def merge_reports(nn_report: EvalReport,

@@ -15,6 +15,7 @@ import numpy as np
 from mfvdm.angles import TWO_PI, wrap_two_pi
 from mfvdm.errors import BadEdgeError, ParameterError
 from mfvdm.rng import substream
+from mfvdm.sampling import pairs_in_blocks
 
 __all__ = [
     "AlignmentGraph",
@@ -207,8 +208,9 @@ def build_clean_knn_graph(truth, kappa_build: int) -> AlignmentGraph:
     weights: the paper's random graph model before rewiring.
 
     Edge (i, j) is present iff j is among the kappa_build nearest nodes of i
-    or vice versa; angles come from the ground truth.  Exact distance ties
-    break to the lower node index, as in ``smallest``.
+    or vice versa; angles come from the ground truth, gathered a block of
+    pairs at a time.  Exact distance ties break to the lower node index, as
+    in ``smallest``.
 
     Parameters
     ----------
@@ -241,8 +243,9 @@ def build_clean_knn_graph(truth, kappa_build: int) -> AlignmentGraph:
     keys = np.unique(lo * n + hi)
     rows = keys // n
     cols = keys % n
-    return AlignmentGraph.from_edges(n, rows, cols, np.ones(rows.size),
-                                     truth.pair_angles(rows, cols))
+    return AlignmentGraph.from_edges(
+        n, rows, cols, np.ones(rows.size),
+        pairs_in_blocks(truth.pair_angles, rows, cols))
 
 
 def rewire_graph(graph: AlignmentGraph, p: float, seed: int,

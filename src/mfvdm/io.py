@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -589,13 +590,30 @@ def load_alignment(path, neighbors: NeighborList) -> AlignmentTable:
 
 @functools.cache
 def program_identity() -> str:
-    """sha256 over this package's ``.py`` sources and numpy's version, so a
-    change to either changes every artifact key."""
+    """sha256 over this package's ``.py`` sources, numpy's version and
+    scipy's (``_scipy_version``), so a change to any of them changes every
+    artifact key: ARPACK, which solves the bundles, is scipy's."""
     digest = hashlib.sha256(f"numpy {np.__version__}\n".encode("utf-8"))
+    scipy = _scipy_version()
+    digest.update(f"scipy {len(scipy)}\n".encode("utf-8") + scipy)
     for path in sorted(Path(__file__).parent.glob("*.py")):
         data = path.read_bytes()
         digest.update(f"{path.name} {len(data)}\n".encode("utf-8") + data)
     return digest.hexdigest()
+
+
+def _scipy_version() -> bytes:
+    """The bytes of scipy's ``version.py``, which holds its version and git
+    revision, found without importing scipy (a warm rerun never loads it);
+    its installed version if that file is missing."""
+    spec = importlib.util.find_spec("scipy")
+    try:
+        return (Path(spec.submodule_search_locations[0])
+                / "version.py").read_bytes()
+    except OSError:
+        # Loaded only here: it costs tens of milliseconds to import.
+        from importlib.metadata import version
+        return version("scipy").encode("utf-8")
 
 
 def artifact_key(inputs: list) -> str:

@@ -5,6 +5,8 @@ direction (third column of R_i) and the in-plane alignment between two nodes
 is the angle of the closest planar rotation to the upper-left 2x2 block of
 R_i^T R_j.  Torus nodes are area-uniform points (u_i, v_i) carrying an
 independent uniform frame angle alpha_i; the alignment is alpha_i - alpha_j.
+``pairs_in_blocks`` evaluates a truth's per-pair query a block of pairs at a
+time, for the k-NN build and the scores.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ __all__ = [
     "sample_so3_uniform",
     "sample_torus_uniform",
     "make_truth",
+    "pairs_in_blocks",
 ]
+
+# Pairs per ground-truth gather in ``pairs_in_blocks``.
+_TRUTH_PAIRS = 4096
 
 
 def sample_so3_uniform(n: int, seed: int) -> np.ndarray:
@@ -254,6 +260,17 @@ def sample_torus_uniform(n: int, seed: int) -> TorusTruth:
     frame_angles = rng.uniform(0.0, TWO_PI, size=n)
     return TorusTruth(u=u, v=v, frame_angles=frame_angles,
                       radius_major=radius_major, radius_minor=radius_minor)
+
+
+def pairs_in_blocks(per_pair, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """``per_pair(ii, jj)`` (a truth's ``pair_angles`` or ``geodesics``),
+    evaluated ``_TRUTH_PAIRS`` pairs at a time so the truth's per-pair
+    gathers stay one block long."""
+    out = np.empty(ii.size)
+    for lo in range(0, ii.size, _TRUTH_PAIRS):
+        out[lo:lo + _TRUTH_PAIRS] = per_pair(ii[lo:lo + _TRUTH_PAIRS],
+                                             jj[lo:lo + _TRUTH_PAIRS])
+    return out
 
 
 def make_truth(manifold: str, n: int, seed: int):

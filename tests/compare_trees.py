@@ -60,11 +60,15 @@ The rules, fixed before anything is compared:
   median.  Without that floor a median that is itself rounding noise (1e-7
   degrees on a clean torus) fails on a 1e-14 rad move.
 * ``cache/manifest.json`` (the run manifest): both record the same
-  artifact paths.  The keys are not compared, since each covers the
-  program's identity, so any two programs differ in all of them; nor are
-  the digests, since they follow the files, which the rules here compare.
-  A tree written before the manifest existed has none, and its absence
-  is a note, not a mismatch.
+  artifact paths.  An entry recorded by absolute path (a bundle kept in an
+  ``MFVDM_CACHE_DIR`` outside ``--out``) matches an absolute entry of the
+  other tree with the same file name, which carries the graph digest, k
+  and m, so two trees whose bundles sit in different cache directories
+  pass.  The keys are not compared, since each covers the program's
+  identity, so any two programs differ in all of them; nor are the
+  digests, since they follow the files, which the rules here compare.  A
+  tree written before the manifest existed has none, and its absence is a
+  note, not a mismatch.
 * Every other file (truth, graphs, histogram CSVs) is byte-identical.
 """
 
@@ -337,11 +341,19 @@ def _compare_bundle(name: str, a: Path, b: Path, result) -> None:
 
 
 def _compare_manifest(name: str, a: Path, b: Path, result) -> None:
-    left = json.loads(a.read_text(encoding="utf-8"))
-    right = json.loads(b.read_text(encoding="utf-8"))
-    only = sorted(set(left) ^ set(right))
+    left = _recorded(json.loads(a.read_text(encoding="utf-8")))
+    right = _recorded(json.loads(b.read_text(encoding="utf-8")))
+    only = sorted({**left, **right}[key] for key in left.keys() ^ right.keys())
     if only:
         result.problems.append(f"{name}: records {only} in one tree only")
+
+
+def _recorded(entries: dict) -> dict:
+    """The artifact names a manifest records, by what they are matched on:
+    the name itself, or for an absolute path (a bundle in an
+    ``MFVDM_CACHE_DIR`` outside ``--out``) its file name alone."""
+    return {(True, Path(name).name) if Path(name).is_absolute()
+            else (False, name): name for name in entries}
 
 
 def _compare_scalars(name: str, a: Path, b: Path, result) -> None:

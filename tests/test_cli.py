@@ -309,6 +309,65 @@ class TestMemory:
             assert vdm.features[0].phi is mfvdm.features[0].phi
             assert dm.frequencies == (0,)
 
+    def test_no_graph_outlives_its_bundles(self, tmp_path, monkeypatch):
+        """At each search, and at each spectrum report, the graph of that p
+        is gone, built or parsed; the clean graph lives on only while a
+        later p may still be rewired from it."""
+        made, checked, last = [], [], {}
+
+        def spy(real, name):
+            def wrapper(*args, **kwargs):
+                graph = real(*args, **kwargs)
+                made.append((name(*args), weakref.ref(graph)))
+                return graph
+            return wrapper
+
+        def check(real):
+            def wrapper(*args, **kwargs):
+                gc.collect()
+                tag = cli._CURRENT_STAGE.split("p=")[1]
+                alive = {name for name, ref in made if ref() is not None}
+                want = set() if tag == last["tag"] else {"graph_clean.txt"}
+                assert alive == want, (cli._CURRENT_STAGE, alive)
+                checked.append(tag)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_clean_knn_graph", spy(
+            cli.build_clean_knn_graph, lambda *args: "graph_clean.txt"))
+        monkeypatch.setattr(cli, "rewire_graph", spy(
+            cli.rewire_graph, lambda graph, p, seed: f"graph_p{p:g}.txt"))
+        monkeypatch.setattr(mio, "read_graph", spy(
+            mio.read_graph, lambda path: Path(path).name))
+        monkeypatch.setattr(cli, "nn_search", check(cli.nn_search))
+        monkeypatch.setattr(cli, "spectral_report",
+                            check(cli.spectral_report))
+
+        def run(command, p, out, graph=("--manifold", "sphere", *SMALL)):
+            made.clear()
+            checked.clear()
+            last["tag"] = p.split(",")[-1]
+            assert _run(command, *graph, "--p", p, "--baselines", "vdm",
+                        "--ks", "1,2", "--seed", "3", "--out", str(out)) == 0
+            return [name for name, _ in made], checked[:]
+
+        assert run("pipeline", "0.4", tmp_path / "a") == (
+            ["graph_clean.txt", "graph_p0.4.txt"], ["0.4"] * 2)
+        # p=1 searches on the clean graph itself, which p=0.4 then rewires.
+        assert run("pipeline", "1,0.4", tmp_path / "b") == (
+            ["graph_clean.txt", "graph_p0.4.txt"], ["1"] * 2 + ["0.4"] * 2)
+        assert run("spectrum", "1,0.5", tmp_path / "c") == (
+            ["graph_clean.txt", "graph_p0.5.txt"], ["1"] * 2 + ["0.5"] * 2)
+        # A rerun parses the kept graph to solve the missing bundle again.
+        next((tmp_path / "a" / "cache").glob("bundle_*_k2_*.npz")).unlink()
+        assert run("pipeline", "0.4", tmp_path / "a") == (
+            ["graph_p0.4.txt"], ["0.4"] * 2)
+        # A --graph file is the clean graph of its only p.
+        external = ("--graph", str(tmp_path / "a" / "graph_p0.4.txt"),
+                    *SMALL[4:])
+        assert run("pipeline", "1", tmp_path / "d", external) == (
+            ["graph_p0.4.txt"], ["1"] * 2)
+
     # pipebench's sphere_warm workload: set-up primes --out with kappa 30,
     # then each timed run reruns with kappa 50.
     WARM = ("--manifold", "sphere", "--n", "2100", "--kappa-build", "60",

@@ -230,6 +230,38 @@ def test_manifest_of_other_artifacts_fails(tree, copy):
                for p in result.problems)
 
 
+def _move_bundles(tree, target, cache):
+    """A copy of ``tree`` whose bundles sit in ``cache``, outside it, so its
+    manifest records them by absolute path."""
+    shutil.copytree(tree, target)
+    path = target / "cache" / "manifest.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    for name in [name for name in entries if "/bundle_" in name]:
+        (target / name).unlink()
+        entries[(cache / name.split("/")[-1]).as_posix()] = entries.pop(name)
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return path
+
+
+def test_bundles_in_other_cache_dirs_match_by_file_name(tree, tmp_path):
+    left = _move_bundles(tree, tmp_path / "left", tmp_path / "cache_a")
+    right = _move_bundles(tree, tmp_path / "right", tmp_path / "cache_b")
+    result = compare_trees(left.parents[1], right.parents[1])
+    assert result.ok, result.problems
+    # A bundle of another k is another artifact, wherever it sits.
+    entries = json.loads(right.read_text(encoding="utf-8"))
+    name = next(name for name in entries if "_k1_" in name)
+    entries[name.replace("_k1_", "_k9_")] = entries.pop(name)
+    right.write_text(json.dumps(entries), encoding="utf-8")
+    result = compare_trees(left.parents[1], right.parents[1])
+    assert any("manifest.json" in p and "_k1_" in p and "_k9_" in p
+               for p in result.problems), result.problems
+    # A bundle recorded under --out is not one recorded outside it.
+    result = compare_trees(tree, left.parents[1])
+    assert any("manifest.json" in p and "cache/bundle_" in p
+               for p in result.problems), result.problems
+
+
 def test_tree_without_a_manifest_passes_with_a_note(tree, copy):
     (copy / "cache" / "manifest.json").unlink()
     result = compare_trees(tree, copy)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfvdm import evaluation
+from mfvdm import sampling
 from mfvdm.alignment import AlignmentTable
 from mfvdm.embedding import NeighborList
 from mfvdm.errors import ParameterError
@@ -104,7 +104,8 @@ class TestScoreAlignment:
 
 
 class TestScoreBlocks:
-    """Both scores gather the truth ``_SCORE_PAIRS`` pairs at a time."""
+    """Both scores gather the truth ``sampling._TRUTH_PAIRS`` pairs at a
+    time."""
 
     @pytest.fixture(scope="class")
     def pairs(self):
@@ -133,7 +134,7 @@ class TestScoreBlocks:
                     al_rep.align_median_abs_deg)
         want = digest()
         for size in (97, 1000, 10 ** 6):
-            monkeypatch.setattr(evaluation, "_SCORE_PAIRS", size)
+            monkeypatch.setattr(sampling, "_TRUTH_PAIRS", size)
             assert digest() == want, size
 
     @pytest.mark.parametrize("which", [0, 1])
@@ -156,7 +157,7 @@ class TestScoreBlocks:
 
         histogram = peak(lambda: np.histogram(
             np.linspace(0.0, 1.0, size), bins=NN_BINS, range=(0.0, 1.0)))
-        budget = histogram + 2 * 8 * size + 8 * 24 * evaluation._SCORE_PAIRS
+        budget = histogram + 2 * 8 * size + 8 * 24 * sampling._TRUTH_PAIRS
         assert peak(score) <= budget
 
 

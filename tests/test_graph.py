@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfvdm import embedding
 from mfvdm import graph as mgraph
+from mfvdm import sampling
 from mfvdm.angles import TWO_PI, wrap_pi
 from mfvdm.embedding import EmbeddingSet, FrequencyFeatures, nn_search
 from mfvdm.errors import BadEdgeError, ParameterError
@@ -125,6 +126,28 @@ class TestBuild:
             tracemalloc.stop()
         budget = 8 * n * (blocks * 512 + mgraph._SELECT_ROWS + kappa)
         assert peak <= budget + 2 ** 18
+
+    @pytest.mark.parametrize("manifold", ["sphere", "torus"])
+    def test_angles_are_gathered_a_block_at_a_time(self, manifold,
+                                                   monkeypatch):
+        """The true angles of the edges come ``_TRUTH_PAIRS`` pairs at a
+        time, and the block size does not change the graph."""
+        truth = make_truth(manifold, 300, seed=2)
+        want = build_clean_knn_graph(truth, kappa_build=8)
+        sizes = []
+        real = type(truth).pair_angles
+
+        def pair_angles(self, ii, jj):
+            sizes.append(ii.size)
+            return real(self, ii, jj)
+
+        monkeypatch.setattr(type(truth), "pair_angles", pair_angles)
+        monkeypatch.setattr(sampling, "_TRUTH_PAIRS", 97)
+        got = build_clean_knn_graph(truth, kappa_build=8)
+        assert max(sizes) == 97 and sum(sizes) == want.edge_count
+        for name in ("rows", "cols", "weights", "angles"):
+            assert getattr(got, name).tobytes() == getattr(
+                want, name).tobytes(), name
 
     def test_min_degree_at_least_kappa(self, small_graph):
         assert small_graph.degree_counts().min() >= 3

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import re
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import __version__ as scipy_version
 
 from mfvdm.alignment import AlignmentTable
 from mfvdm.embedding import NeighborList
@@ -968,13 +971,26 @@ class TestRunManifest:
         assert artifact_key(["sphere", 300, 7, {"p": "0.4"}]) != key
 
     def test_program_identity_covers_sources_and_numpy(self):
+        """And scipy: its ``version.py``, which names its version and git
+        revision."""
         identity = mio.program_identity()
         assert re.fullmatch(r"[0-9a-f]{64}", identity)
         digest = hashlib.sha256(f"numpy {np.__version__}\n".encode())
+        folder = importlib.util.find_spec("scipy").submodule_search_locations
+        scipy = (Path(folder[0]) / "version.py").read_bytes()
+        assert f'"{scipy_version}"'.encode() in scipy
+        digest.update(f"scipy {len(scipy)}\n".encode() + scipy)
         for path in sorted(Path(mio.__file__).parent.glob("*.py")):
             data = path.read_bytes()
             digest.update(f"{path.name} {len(data)}\n".encode() + data)
         assert identity == digest.hexdigest()
+
+    def test_scipy_without_its_version_file_gives_its_version(
+            self, tmp_path, monkeypatch):
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        assert mio._scipy_version() == scipy_version.encode()
 
     def test_file_digest_reads_every_block(self, tmp_path):
         data = np.random.default_rng(0).bytes(3 * 2 ** 20 + 5)
