@@ -426,7 +426,7 @@ _FLAGS = (
     ("--graph", "graph_path",
      "edge-list file; without --manifold, means manifold=external"),
     ("--out", "out_dir", "output directory"),
-    ("--workers", "workers", "worker threads"),
+    ("--workers", "workers", "threads, the calling one included"),
     ("--baselines", "baselines", "comma list from: dm, vdm"),
     ("--ks", "spectrum_ks", "comma list of frequencies for spectrum"),
 )

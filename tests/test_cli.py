@@ -1368,7 +1368,7 @@ class TestThreads:
         the thread settings, and scipy's own OpenBLAS where it exports its
         thread count, still say one thread."""
         probe = """
-import ctypes, glob, os, sys
+import ctypes, glob, os, sys, threading
 import numpy as np
 from mfvdm.connection import build_sk
 from mfvdm.graph import AlignmentGraph
@@ -1382,7 +1382,12 @@ rows = np.arange(n)
 graph = AlignmentGraph.from_edges(n=n, rows=np.minimum(rows, (rows + 1) % n),
                                   cols=np.maximum(rows, (rows + 1) % n),
                                   weights=np.ones(n), angles=np.zeros(n))
-map_workers(lambda k: top_eigenpairs(build_sk(graph, k), 4), [1, 2], 2)
+# The calling thread works through items too, so the call itself runs off
+# the main thread.
+caller = threading.Thread(target=map_workers, args=(
+    lambda k: top_eigenpairs(build_sk(graph, k), 4), [1, 2], 2))
+caller.start()
+caller.join()
 assert "scipy.sparse.linalg" in sys.modules
 import scipy
 counts = []
