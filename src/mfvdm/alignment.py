@@ -178,8 +178,7 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
         then node 1's, and so on.
     """
     n = neighbors.n
-    ii = np.repeat(np.arange(n, dtype=np.int64), neighbors.kappa)
-    jj = neighbors.indices.ravel()
+    ii, jj = neighbors.pairs()
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
     keys, inverse = np.unique(lo * n + hi, return_inverse=True)

@@ -242,6 +242,12 @@ class NeighborList:
     def kappa(self) -> int:
         return self.indices.shape[1]
 
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (node, neighbor) pair as int64 arrays ``(i, j)``: node 0's
+        neighbors by rank, then node 1's, and so on."""
+        return (np.repeat(np.arange(self.n, dtype=np.int64), self.kappa),
+                self.indices.ravel())
+
     def validate(self) -> None:
         if self.indices.shape != self.distances_sq.shape:
             raise ParameterError("Index and distance shapes differ.")

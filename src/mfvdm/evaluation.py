@@ -70,12 +70,11 @@ class SpectralReport:
 def score_nn(neighbors, truth, method: str = "mfvdm",
              params: dict | None = None) -> EvalReport:
     """Histogram of geodesic distances between each node and its neighbors."""
-    n, kappa = neighbors.indices.shape
+    n = neighbors.n
     if n != truth.n:
         raise ParameterError(f"Neighbor list has n={n}, truth has "
                              f"n={truth.n}.")
-    ii = np.repeat(np.arange(n, dtype=np.int64), kappa)
-    dist = pairs_in_blocks(truth.geodesics, ii, neighbors.indices.ravel())
+    dist = pairs_in_blocks(truth.geodesics, *neighbors.pairs())
     counts, edges = np.histogram(dist, bins=NN_BINS,
                                  range=(0.0, truth.max_geodesic))
     return EvalReport(

@@ -580,12 +580,10 @@ def load_neighbors(path) -> NeighborList:
 def load_alignment(path, neighbors: NeighborList) -> AlignmentTable:
     """The alignment table of ``neighbors``' pairs, in their order, whose
     angles and objectives ``save_result`` wrote to ``path``."""
+    i, j = neighbors.pairs()
     with open(path, "rb") as handle, np.load(handle) as data:
-        return AlignmentTable(
-            i=np.repeat(np.arange(neighbors.n, dtype=np.int64),
-                        neighbors.kappa),
-            j=neighbors.indices.ravel(), alpha_hat=data["alpha_hat"],
-            objective=data["objective"])
+        return AlignmentTable(i=i, j=j, alpha_hat=data["alpha_hat"],
+                              objective=data["objective"])
 
 
 @functools.cache

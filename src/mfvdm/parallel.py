@@ -25,8 +25,6 @@ def map_workers(func, items, workers: int) -> list:
     the lowest failing item is raised."""
     items = list(items)
     count = min(workers, len(items))
-    if count <= 1:
-        return [func(item) for item in items]
     results = [None] * len(items)
     failures = {}
     todo = enumerate(items)

@@ -372,6 +372,14 @@ class TestNNSearch:
         with pytest.raises(ParameterError, match="negative"):
             neighbors.validate()
 
+    def test_pairs_are_node_major_then_rank(self):
+        neighbors = NeighborList(indices=[[2, 1], [0, 2], [1, 0]],
+                                 distances_sq=np.zeros((3, 2)))
+        i, j = neighbors.pairs()
+        assert i.dtype == j.dtype == np.int64
+        assert i.tolist() == [0, 0, 1, 1, 2, 2]
+        assert j.tolist() == [2, 1, 0, 2, 1, 0]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_within_strip_budget(self, workers):
         n, kappa, block_size = 1500, 10, embedding._STRIP_ROWS

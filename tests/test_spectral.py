@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from mfvdm import spectral
 from mfvdm.connection import build_sk
@@ -82,19 +83,23 @@ def test_breakdown_restart_recovers_multiplicities(sparse):
     verify(bundle, sk, tol=1e-8)
 
 
-def _ring_sk(n):
-    """S_k of an n-cycle with unit weights and zero angles: W / 2."""
+def _ring_sk(n, copies=1):
+    """S_k of ``copies`` disjoint n-cycles with unit weights and zero
+    angles: W / 2."""
+    starts = n * np.arange(copies)[:, None]
     graph = AlignmentGraph.from_edges(
-        n=n, rows=np.r_[np.arange(n - 1), 0],
-        cols=np.r_[np.arange(1, n), n - 1],
-        weights=np.ones(n), angles=np.zeros(n),
+        n=n * copies, rows=(starts + np.r_[np.arange(n - 1), 0]).ravel(),
+        cols=(starts + np.r_[np.arange(1, n), n - 1]).ravel(),
+        weights=np.ones(n * copies), angles=np.zeros(n * copies),
     )
     return build_sk(graph, 1)
 
 
-def _ring_top(n, m):
-    """The closed form: the top m of cos(2 pi j / n), each j once."""
-    return np.sort(np.cos(2.0 * np.pi * np.arange(n) / n))[::-1][:m]
+def _ring_top(n, m, copies=1):
+    """The closed form: the top m of cos(2 pi j / n), each j once per
+    ring."""
+    vals = np.cos(2.0 * np.pi * np.arange(n) / n)
+    return np.sort(np.tile(vals, copies))[::-1][:m]
 
 
 def test_ring_keeps_every_double_eigenvalue():
@@ -111,6 +116,39 @@ def test_ring_keeps_every_double_eigenvalue():
 def test_sparse_path_keeps_every_double_eigenvalue():
     bundle = top_eigenpairs(_ring_sk(2100), m=6)
     assert np.abs(bundle.eigenvalues - _ring_top(2100, 6)).max() < 1e-8
+
+
+def test_dense_path_keeps_every_copy_of_a_triple_eigenvalue():
+    # Three disjoint 40-rings: 1 three times, cos(2 pi / 40) six times.  A
+    # solver that keeps at most two copies of an eigenvalue fails here.
+    bundle = top_eigenpairs(_ring_sk(40, copies=3), m=10)
+    assert np.abs(bundle.eigenvalues - _ring_top(40, 10, copies=3)).max() \
+        < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ARPACK (eigsh) returns two copies of the eigenvalue 1 of a clean "
+    "torus graph with seven connected components, and no error"))
+def test_sparse_path_keeps_every_copy_on_a_disconnected_torus():
+    # S_k has the eigenvalue 1 once per connected component, for every k.
+    graph = build_clean_knn_graph(make_truth("torus", 2100, seed=0),
+                                  kappa_build=3)
+    copies, want = [], []
+    for k in (0, 1):
+        sk = build_sk(graph, k)
+        want.append(connected_components(abs(sk.csr), directed=False)[0])
+        bundle = top_eigenpairs(sk, m=10)
+        copies.append(np.count_nonzero(np.abs(bundle.eigenvalues - 1.0)
+                                       < 1e-8))
+    assert copies == want
+
+
+def test_dense_path_checks_every_residual(medium_sk, monkeypatch):
+    monkeypatch.setattr(spectral, "_TOL", 0.0)
+    with pytest.raises(ConvergenceError) as err:
+        top_eigenpairs(medium_sk, m=10)
+    assert err.value.residuals.shape == (10,)
+    assert np.all(np.isfinite(err.value.residuals))
 
 
 def test_convergence_error_carries_residuals(medium_sk, sparse,
