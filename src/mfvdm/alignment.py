@@ -30,10 +30,11 @@ __all__ = [
 # The fewest grid angles.  The grid keeps at least four samples per period
 # of the highest frequency, so from k_max = 257 on it has 4*k_max angles.
 _MIN_GRID = 1024
-# Pairs per grid-evaluation batch.  Rows are independent, so the size never
-# changes a result.  On a 1024-angle grid a 512-pair block of objective
-# values is 4 MB, small enough to be reused from the heap instead of being
-# faulted in anew for every batch.
+# Pairs per grid-evaluation batch; ``align_neighbors``' workers share it, N
+# of them taking ``_CHUNK // N`` pairs each.  Rows are independent, so the
+# size never changes a result.  On a 1024-angle grid a 512-pair block of
+# objective values is 4 MB, small enough to be reused from the heap instead
+# of being faulted in anew for every batch.
 _CHUNK = 512
 
 
@@ -168,8 +169,10 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     T = max(1024, 4*k_max) angles that the embedding's k_max sets.  Each
     unordered pair is solved once in canonical orientation i < j; the
     reversed direction is reported as the negated angle with the same
-    objective value.  The pairs are solved in ``_CHUNK``-sized batches on
-    ``workers`` threads; neither changes a result.
+    objective value.  The pairs are solved on ``workers`` threads in
+    batches of ``_CHUNK // workers`` pairs, so the threads together hold
+    one ``_CHUNK``-pair block of objective values; neither changes a
+    result.
 
     Returns
     -------
@@ -189,14 +192,16 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     alpha_u = np.empty(keys.shape[0])
     objective_u = np.empty(keys.shape[0])
 
+    batch = max(1, _CHUNK // workers)
+
     def run_chunk(start: int) -> None:
-        stop = min(start + _CHUNK, keys.shape[0])
+        stop = min(start + batch, keys.shape[0])
         z = alignment_sequences(embeddings, lo_u[start:stop],
                                 hi_u[start:stop])
         alpha_u[start:stop], objective_u[start:stop] = _estimate_rows(
             z, table)
 
-    map_workers(run_chunk, range(0, keys.shape[0], _CHUNK), workers)
+    map_workers(run_chunk, range(0, keys.shape[0], batch), workers)
 
     alpha = np.where(ii <= jj, alpha_u[inverse],
                      wrap_two_pi(-alpha_u[inverse]))

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 from mfvdm import alignment, embedding
 from mfvdm.config import ExperimentConfig, load_config_file, resolve_config
-from mfvdm.connection import build_sk, degrees
+from mfvdm.connection import build_sk, csr_layout, degrees
 from mfvdm.embedding import (
     baseline_embedding,
     build_embedding_set,
@@ -219,14 +219,16 @@ def _compute_bundles(config: ExperimentConfig, manifest: mio.RunManifest,
     missing = [k for k in ks
                if not manifest.holds([manifest.name(paths[k])], keys[k])]
     if missing:
-        # Parsed once, here, for every worker's solve.
+        # Parsed once, here, for every worker's solve; each worker's S_k
+        # fills its own data array in the one shared CSR structure.
         edges = graph.load()
         deg = degrees(edges)
+        layout = csr_layout(edges)
 
     def solve(k: int):
         if k not in missing:
             return keep(mio.load_bundle(paths[k]))
-        bundle = top_eigenpairs(build_sk(edges, k, deg), m)
+        bundle = top_eigenpairs(build_sk(edges, k, deg, layout), m)
         mio.save_bundle(bundle, paths[k])
         return keep(bundle)
 

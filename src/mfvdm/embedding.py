@@ -34,11 +34,15 @@ __all__ = [
 # The distance chunks' ``rows`` side is zero-padded to a multiple of this
 # many nodes, which covers the column unroll of the BLAS zgemm kernels.
 _TILE = 8
-# Largest complex product per distance chunk; small enough to stay in cache
-# while it is squared and summed.
+# Largest complex product per distance chunk of a ``_STRIP_ROWS``-row strip;
+# small enough to stay in cache while it is squared and summed.
 _CHUNK_BYTES = 1 << 21
-# Nodes per ``nn_search`` strip.
+# Nodes per ``nn_search`` strip on one worker.  The workers share this
+# budget: each of N workers takes strips of ``_STRIP_ROWS // N`` rows, but
+# never fewer than ``_MIN_STRIP_ROWS``, since the merges of later columns
+# grow as n^2 / rows.
 _STRIP_ROWS = 256
+_MIN_STRIP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -147,12 +151,14 @@ class EmbeddingSet:
             strip[:, lo:lo + len(chunk)] = chunk.T
         return strip
 
-    def _chunks(self, rows: np.ndarray, start: int, distances: bool = True):
+    def _chunks(self, rows: np.ndarray, start: int, distances: bool = True,
+                chunk_bytes: int | None = None):
         """Squared distances (or affinities) between the ``rows`` nodes and
-        the nodes [start, n), in chunks: yields (lo, chunk) where
-        chunk[c, r] is the pair (lo + c, rows[r]).  Each chunk is a view of
-        a buffer the next one overwrites.  The package's one distance
-        definition.
+        the nodes [start, n), in chunks of at most ``chunk_bytes`` of
+        complex product (default ``_CHUNK_BYTES``): yields (lo, chunk)
+        where chunk[c, r] is the pair (lo + c, rows[r]).  Each chunk is a
+        view of a buffer the next one overwrites.  The package's one
+        distance definition.
 
         Each frequency's product goes into one reused complex buffer, is
         squared in place through its float view and added into one real
@@ -169,8 +175,10 @@ class EmbeddingSet:
         whole range is (then its one pair is a node with itself).
         """
         width = rows.size
-        padded = -(-width // _TILE) * _TILE
+        padded = _padded(width)
         length = self.n - start
+        if chunk_bytes is None:
+            chunk_bytes = _CHUNK_BYTES
         lhs = []
         for f in self.features:
             conj = np.zeros((padded, f.m), dtype=np.complex128)
@@ -180,9 +188,9 @@ class EmbeddingSet:
         # 2 acc / (norm_i norm_j): scaling by 2 commutes with rounding.
         half_norms = np.ones(padded)
         half_norms[:width] = 0.5 * self.norms[rows]
-        # Chunks of equal length to one row, at most _CHUNK_BYTES each
+        # Chunks of equal length to one row, at most chunk_bytes each
         # unless that would leave a chunk a single row.
-        count = max(1, min(-(-length * padded * 16 // _CHUNK_BYTES),
+        count = max(1, min(-(-length * padded * 16 // chunk_bytes),
                            length // 2))
         bounds = start + length * np.arange(count + 1) // count
         size = np.diff(bounds).max()
@@ -210,6 +218,11 @@ class EmbeddingSet:
                 np.subtract(2.0, acc, out=acc)
                 np.maximum(acc, 0.0, out=acc)
             yield int(lo), acc[:, :width]
+
+
+def _padded(rows: int) -> int:
+    """``rows`` rounded up to whole ``_TILE`` tiles."""
+    return -(-rows // _TILE) * _TILE
 
 
 def build_embedding_set(features) -> EmbeddingSet:
@@ -264,24 +277,28 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
     """Exact kappa-NN under the squared diffusion distance.
 
     The distance is symmetric, so each pair is evaluated once.  Nodes are
-    cut into blocks I of ``_STRIP_ROWS``; block I's strip holds its rows
-    against the columns [start of I, n).  The strip gives each of its rows
-    its kappa nearest candidates in those columns, and each later column
-    its kappa nearest among the block's nodes.  Every candidate list is
-    merged into its node's running top kappa by (distance, index), a total
-    order, so the result is the prefix of a stable sort of the whole row:
-    ties break to the lower node index, and the result is identical for
-    any worker count and block size.
+    cut into blocks I of b rows; block I's strip holds its rows against the
+    columns [start of I, n).  The strip gives each of its rows its kappa
+    nearest candidates in those columns, and each later column its kappa
+    nearest among the block's nodes.  Every candidate list is merged into
+    its node's running top kappa by (distance, index), a total order, so
+    the result is the prefix of a stable sort of the whole row: ties break
+    to the lower node index, and the result is identical for any worker
+    count and block size.
 
-    Memory: each worker holds one strip of b * n doubles at a time, with
-    b = ``_STRIP_ROWS``.  While it fills the strip it also holds the chunk
-    buffers and selects from each chunk (at most 7 MiB together).  Every
-    selection goes through ``graph.smallest``, 64 rows at a time: int64
-    positions, then a bool tie mask, and for rows tied at the kappa-th
-    distance a stably sorted copy, at most 1 KiB per node.  Peak memory
-    stays within workers * (8 * b * n + 1024 * n + 7 MiB) bytes, plus the
-    n * kappa result and the candidates of one merge.  At b = 256 that is
-    3 KiB per node and 7 MiB per worker: 38 MB per worker at n = 10000.
+    Memory: the workers share one scratch budget.  Each of them holds one
+    strip of b * n doubles at a time, with b = ``_STRIP_ROWS // workers``
+    (at least 64, or ``_STRIP_ROWS`` if that is smaller).  While it fills
+    the strip it also holds the chunk buffers and selects from each chunk;
+    the chunk budget shrinks with b, so a chunk keeps its rows and the
+    workers together hold about 7 MiB of them (7.22 MiB on three workers,
+    whose 85-row strips pad to 88).  Every selection goes through
+    ``graph.smallest``, 64 rows at a time: int64 positions, then a bool tie
+    mask, and for rows tied at the kappa-th distance a stably sorted copy,
+    at most 1 KiB per node and worker.  So while b = 256 / workers >= 64,
+    peak memory stays within 8 * 256 * n + workers * 1024 * n bytes plus
+    the chunks, the n * kappa result and the candidates of one merge:
+    38 MB at n = 10000 on one worker, 48 MB on two.
 
     Parameters
     ----------
@@ -316,11 +333,15 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
             best[nodes] = np.sort(np.hstack([best[nodes], new]), axis=1,
                                   kind="stable")[:, :kappa]
 
+    rows = max(_STRIP_ROWS // workers, min(_STRIP_ROWS, _MIN_STRIP_ROWS))
+    chunk_bytes = _CHUNK_BYTES * _padded(rows) // _padded(_STRIP_ROWS)
+
     def run_strip(start: int) -> None:
-        stop = min(start + _STRIP_ROWS, n)
+        stop = min(start + rows, n)
         width = stop - start
         strip = np.empty((width, n - start))
-        for lo, chunk in embeddings._chunks(np.arange(start, stop), start):
+        for lo, chunk in embeddings._chunks(np.arange(start, stop), start,
+                                            chunk_bytes=chunk_bytes):
             strip[:, lo - start:lo - start + len(chunk)] = chunk.T
             # Nodes after the block take their candidates from it here.
             later = max(lo, stop)
@@ -330,7 +351,7 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
         strip[np.arange(width), np.arange(width)] = np.inf
         merge(start, strip, smallest(strip, kappa), start)
 
-    map_workers(run_strip, range(0, n, _STRIP_ROWS), workers)
+    map_workers(run_strip, range(0, n, rows), workers)
     return NeighborList(indices=best.imag.astype(np.int64),
                         distances_sq=best.real.copy())
 

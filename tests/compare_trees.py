@@ -39,6 +39,14 @@ The rules, fixed before anything is compared:
   For each cluster the sine of the largest principal angle between the two
   spans must be at most ``SUBSPACE_SIN_TOL``.  Across a gap of 1e-4 a
   1e-15 residual turns a vector by about 1e-11, so 1e-10 is last-bit noise.
+* ``spectrum_k*_spectrum.csv`` and ``spectrum_k*_clusters.json`` (the
+  ``spectrum`` report): the CSV's header and index column are identical,
+  and its one_minus_lambda values agree within ``EIGENVALUE_ATOL``; the
+  JSON holds the same keys and list lengths, its float values (cluster
+  means, gaps, theory values, h) agree within ``EIGENVALUE_ATOL``, with NaN
+  matching NaN, and every other value (k, cluster sizes, multiplicities)
+  is equal.  The report's floats are one minus eigenvalues, means of them
+  or closed forms, so last-bit eigenvalue moves are all they see.
 * ``align_*.csv``: the header and the i column are identical, and each
   node i keeps the same set of j.  Rows are matched by (i, j) within a
   node, since they follow the neighbor order, which near ties may change.
@@ -340,6 +348,43 @@ def _compare_bundle(name: str, a: Path, b: Path, result) -> None:
         "cluster"))
 
 
+def _compare_spectrum(name: str, a: Path, b: Path, result) -> None:
+    rows = _keyed_rows(name, a, b, 1, "index", result)
+    if rows is None:
+        return
+    left, right = rows
+    result.max_eigenvalue = max(result.max_eigenvalue, _within(
+        name, "one_minus_lambda", np.abs(left[:, 1] - right[:, 1]),
+        EIGENVALUE_ATOL, result))
+
+
+def _compare_clusters(name: str, a: Path, b: Path, result) -> None:
+    left = json.loads(a.read_text(encoding="utf-8"))
+    right = json.loads(b.read_text(encoding="utf-8"))
+    if sorted(left) != sorted(right):
+        result.problems.append(f"{name}: keys {sorted(left)} != "
+                               f"{sorted(right)}")
+        return
+    for key in sorted(left):
+        x, y = left[key], right[key]
+        xs, ys = (x, y) if isinstance(x, list) else ([x], [y])
+        if not isinstance(ys, list) or len(xs) != len(ys):
+            result.problems.append(f"{name}: {key} {x!r} != {y!r}")
+            continue
+        floats = [isinstance(u, float) and isinstance(v, float)
+                  for u, v in zip(xs, ys)]
+        if any(u != v for u, v, real in zip(xs, ys, floats) if not real):
+            result.problems.append(f"{name}: {key} {x!r} != {y!r}")
+            continue
+        u = np.array([u for u, real in zip(xs, floats) if real], dtype=float)
+        v = np.array([v for v, real in zip(ys, floats) if real], dtype=float)
+        with np.errstate(invalid="ignore"):
+            gap = np.where(np.isnan(u) & np.isnan(v), 0.0, np.abs(u - v))
+        result.max_eigenvalue = max(result.max_eigenvalue, _within(
+            name, key, np.nan_to_num(gap, nan=np.inf), EIGENVALUE_ATOL,
+            result, "entry"))
+
+
 def _compare_manifest(name: str, a: Path, b: Path, result) -> None:
     left = _recorded(json.loads(a.read_text(encoding="utf-8")))
     right = _recorded(json.loads(b.read_text(encoding="utf-8")))
@@ -386,6 +431,8 @@ _RULES = (
     ("nn_", ".npz", _compare_nn),
     ("align_", ".npz", _compare_alignment),
     ("bundle_", ".npz", _compare_bundle),
+    ("spectrum_k", "_spectrum.csv", _compare_spectrum),
+    ("spectrum_k", "_clusters.json", _compare_clusters),
     ("report_", "_scalars.json", _compare_scalars),
     ("manifest.json", "", _compare_manifest),
 )

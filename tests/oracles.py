@@ -57,6 +57,24 @@ def build_wk(graph, k: int) -> np.ndarray:
     return dense
 
 
+def sk_coo_csr(graph, k: int):
+    """S_k through a COO round trip: each edge's scaled value at (i, j) and
+    its conjugate at (j, i), converted by scipy's ``tocsr``, which sorts
+    each row's columns and sums duplicates."""
+    import scipy.sparse
+
+    from mfvdm.connection import degrees
+
+    inv_sqrt = 1.0 / np.sqrt(degrees(graph))
+    values = (graph.weights * np.exp(1j * k * graph.angles)
+              * inv_sqrt[graph.rows] * inv_sqrt[graph.cols])
+    return scipy.sparse.coo_array(
+        (np.concatenate([values, np.conj(values)]),
+         (np.concatenate([graph.rows, graph.cols]),
+          np.concatenate([graph.cols, graph.rows]))),
+        shape=(graph.n, graph.n)).tocsr()
+
+
 def verify(bundle, matrix=None, tol: float = 1e-8) -> None:
     """Raise MfvdmError unless the eigenvalues descend inside [-1, 1], the
     eigenvectors are orthonormal and, given the matrix, every dense

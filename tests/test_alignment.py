@@ -3,6 +3,8 @@
 The objective grid is checked against a zero-padded FFT of z, the textbook
 evaluation of the same truncated Fourier sum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from mfvdm.alignment import (
 )
 from mfvdm.angles import TWO_PI, wrap_pi
 from mfvdm.connection import build_sk
-from mfvdm.embedding import build_embedding_set, build_features, nn_search
+from mfvdm.embedding import (
+    EmbeddingSet,
+    FrequencyFeatures,
+    build_embedding_set,
+    build_features,
+    nn_search,
+)
 from mfvdm.errors import ParameterError, UndefinedAlignmentError
 from mfvdm.graph import build_clean_knn_graph
 from mfvdm.sampling import make_truth
@@ -255,6 +263,27 @@ class TestAlignNeighbors:
         large = align_neighbors(emb, nn)
         assert np.array_equal(small.alpha_hat, large.alpha_hat)
         assert np.array_equal(small.objective, large.objective)
+
+    def test_two_workers_share_one_batch_budget(self):
+        # N workers take _CHUNK // N pairs each, so together they hold one
+        # batch's block of objective values.
+        rng = np.random.default_rng(0)
+        emb = EmbeddingSet(features=tuple(
+            FrequencyFeatures(k=k, phi=rng.normal(size=(1500, 8))
+                              + 1j * rng.normal(size=(1500, 8)))
+            for k in range(1, 6)))
+        nn = nn_search(emb, kappa=10)
+        peaks, tables = [], []
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                tables.append(align_neighbors(emb, nn, workers=workers))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert np.array_equal(tables[0].alpha_hat, tables[1].alpha_hat)
+        assert np.array_equal(tables[0].objective, tables[1].objective)
 
     def test_frame_rotation_shifts_estimate(self, clean_instance, grid):
         # Rotating node j's features by e^{ik theta} multiplies z(k) by

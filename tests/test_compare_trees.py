@@ -442,3 +442,57 @@ def test_tied_swap_in_entries_passes_with_a_note(tree, tmp_path):
            f"1e-12" in result.notes, result.notes
     assert f"{align}: rows of 1 node(s) reordered (first node 0)" in \
         result.notes, result.notes
+
+
+@pytest.fixture(scope="module")
+def spectrum_tree(tmp_path_factory):
+    out = tmp_path_factory.mktemp("spectrum") / "out"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(mio.CACHE_ENV, raising=False)
+        # n=400 with kappa_build=10 splits each frequency's spectrum into
+        # three clusters.
+        assert cli.main(["spectrum", "--manifold", "sphere", "--n", "400",
+                         "--kappa-build", "10", "--ks", "1,2",
+                         "--out", str(out)]) == 0
+    return out
+
+
+def _edit_clusters(path, edit):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def test_last_bit_spectrum_values_pass(spectrum_tree, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(spectrum_tree, copy)
+
+    def nudge(line):
+        index, value = line.rstrip("\n").split(",")
+        return f"{index},{math.nextafter(float(value), 1.0)!r}\n"
+
+    _edit_line(copy / "p1" / "spectrum_k1_spectrum.csv", 3, nudge)
+
+    def nudge_mean(payload):
+        payload["cluster_means"][1] = math.nextafter(
+            payload["cluster_means"][1], 1.0)
+
+    _edit_clusters(copy / "p1" / "spectrum_k2_clusters.json", nudge_mean)
+    result = compare_trees(spectrum_tree, copy)
+    assert result.ok, result.problems
+    assert 0.0 < result.max_eigenvalue < 1e-15
+
+
+def test_changed_cluster_size_fails(spectrum_tree, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(spectrum_tree, copy)
+
+    def move_one(payload):
+        sizes = payload["cluster_sizes"]
+        sizes[0], sizes[1] = sizes[0] + 1, sizes[1] - 1
+
+    _edit_clusters(copy / "p1" / "spectrum_k1_clusters.json", move_one)
+    result = compare_trees(spectrum_tree, copy)
+    assert not result.ok
+    assert any("spectrum_k1_clusters.json" in p and "cluster_sizes" in p
+               for p in result.problems)

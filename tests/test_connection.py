@@ -1,13 +1,16 @@
 """Frequency matrices S_k, their CSR matvec, and the W_k they normalize."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from mfvdm.connection import SparseHermitian, build_sk, degrees
+from mfvdm.connection import SparseHermitian, build_sk, csr_layout, degrees
 from mfvdm.errors import ParameterError, ZeroDegreeError
-from mfvdm.graph import AlignmentGraph, build_clean_knn_graph
+from mfvdm.graph import AlignmentGraph, build_clean_knn_graph, rewire_graph
+from mfvdm.parallel import map_workers
 from mfvdm.sampling import make_truth
-from oracles import build_wk
+from oracles import build_wk, sk_coo_csr
 
 
 def _triangle():
@@ -175,25 +178,27 @@ class TestSk:
                    np.abs(lead + target).max()) < 1e-10
 
 
-def _random_triangle(rng, n, nnz):
-    """A matrix from random strict-upper-triangle entries, drawn with
-    replacement so that duplicates occur, and its dense oracle."""
-    rows = rng.integers(0, n - 1, nnz).astype(np.int64)
-    cols = (rows + 1 + rng.integers(0, n, nnz) % (n - 1 - rows)).astype(
-        np.int64
-    )
-    values = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
-    dense = np.zeros((n, n), dtype=np.complex128)
-    for r, c, v in zip(rows, cols, values):
-        dense[r, c] += v
-        dense[c, r] += np.conj(v)
-    return SparseHermitian.from_triangle(n, rows, cols, values, k=1), dense
+def _random_graph(rng, n, edges):
+    """A graph of ``edges`` distinct random edges on n nodes, a path through
+    every node among them so that no degree is zero, and its dense S_1
+    oracle."""
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    while len(pairs) < edges:
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        pairs.add((i, j))
+    rows, cols = np.array(sorted(pairs)).T
+    graph = AlignmentGraph.from_edges(
+        n=n, rows=rows, cols=cols, weights=rng.uniform(0.5, 2.0, edges),
+        angles=rng.uniform(0.0, 2.0 * np.pi, edges))
+    inv_sqrt = 1.0 / np.sqrt(degrees(graph))
+    dense = build_wk(graph, 1) * np.outer(inv_sqrt, inv_sqrt)
+    return build_sk(graph, 1), dense
 
 
 @pytest.mark.parametrize("n,nnz", [(2, 1), (17, 40), (120, 800)])
 def test_matvec_matches_dense_oracle(n, nnz):
     rng = np.random.default_rng(42)
-    matrix, dense = _random_triangle(rng, n, nnz)
+    matrix, dense = _random_graph(rng, n, nnz)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     expected = dense @ x
     got = matrix.matvec(x)
@@ -204,9 +209,54 @@ def test_matvec_matches_dense_oracle(n, nnz):
 
 def test_noncontiguous_inputs_are_accepted():
     rng = np.random.default_rng(11)
-    matrix, dense = _random_triangle(rng, 50, 200)
+    matrix, dense = _random_graph(rng, 50, 200)
     x2 = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
     assert not x2[:, 0].flags.c_contiguous
     got = matrix.matvec(x2[:, 0])
     want = dense @ x2[:, 0].copy()
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+class TestCsrLayout:
+    @pytest.fixture(scope="class")
+    def rewired(self):
+        graph = build_clean_knn_graph(make_truth("torus", 300, seed=4),
+                                      kappa_build=6)
+        return rewire_graph(graph, 0.3, seed=4)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_bits_match_coo_round_trip(self, rewired, shared):
+        layout = csr_layout(rewired) if shared else None
+        for k in (0, 3):
+            got = build_sk(rewired, k, layout=layout).csr
+            want = sk_coo_csr(rewired, k)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_frequencies_share_read_only_structure(self, rewired):
+        # More workers than cores and a tiny switch interval, so the
+        # frequencies' builds and matvecs interleave on the one structure;
+        # a scipy call that sorted it in place would fail on the read-only
+        # arrays or change another frequency's bits.
+        layout = csr_layout(rewired)
+        assert all(not array.flags.writeable for array in layout)
+        deg = degrees(rewired)
+        x = np.ones(rewired.n, dtype=np.complex128)
+
+        def build(k):
+            matrix = build_sk(rewired, k, deg, layout)
+            matrix.matvec(x)
+            return matrix.csr
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            built = map_workers(build, range(12), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        for k, csr in enumerate(built):
+            assert np.shares_memory(csr.indices, layout.indices)
+            assert np.shares_memory(csr.indptr, layout.indptr)
+            assert csr.data.tobytes() == sk_coo_csr(rewired, k).data.tobytes()

@@ -390,14 +390,50 @@ class TestNNSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # nn_search's documented budget (block_size is a multiple of 8):
-        # the strips, the n x kappa result, and one merge's candidates
-        # (five more n x kappa arrays of 16 bytes at most).
+        # nn_search's documented budget (block_size is a multiple of 8),
+        # which the workers share: the strips, the n x kappa result, and
+        # one merge's candidates (five more n x kappa arrays of 16 bytes at
+        # most).
         strip = block_size * n
         result = 16 * n * kappa
-        budget = workers * max((16 + 8 + 8) * strip,
-                               8 * strip + 7 * 2 ** 20) + 6 * result
+        budget = max((16 + 8 + 8) * strip,
+                     8 * strip + 7 * 2 ** 20) + 6 * result
         assert peak <= budget
+
+    def test_two_workers_share_one_scratch_budget(self):
+        # Each worker's strip and chunks shrink with the worker count, so
+        # a second worker adds no strip of its own.
+        emb = _random_embedding(1500, ks=range(1, 6), m=8)
+        peaks = []
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                nn_search(emb, 10, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("workers,rows", [(1, 256), (2, 128), (3, 85),
+                                              (8, 64)])
+    def test_strip_rows_follow_worker_count(self, workers, rows,
+                                            monkeypatch):
+        # Strips of _STRIP_ROWS // workers rows, never below 64, each with
+        # chunks of the one-worker strip's 512 rows.
+        emb = _random_embedding(1500)
+        seen = {}
+        chunks = EmbeddingSet._chunks
+
+        def spy(self, rows, start, distances=True, chunk_bytes=None):
+            for lo, chunk in chunks(self, rows, start, distances,
+                                    chunk_bytes):
+                seen[lo, start] = chunk.shape
+                yield lo, chunk
+
+        monkeypatch.setattr(EmbeddingSet, "_chunks", spy)
+        nn_search(emb, 5, workers=workers)
+        assert seen[0, 0] == (500, rows)
+        assert max(width for _, width in seen.values()) == rows
 
     def test_rejects_bad_kappa(self, small_instance):
         _, bundles = small_instance
