@@ -30,11 +30,12 @@ __all__ = [
 # The fewest grid angles.  The grid keeps at least four samples per period
 # of the highest frequency, so from k_max = 257 on it has 4*k_max angles.
 _MIN_GRID = 1024
-# Pairs per grid-evaluation batch; ``align_neighbors``' workers share it, N
-# of them taking ``_CHUNK // N`` pairs each.  Rows are independent, so the
-# size never changes a result.  On a 1024-angle grid a 512-pair block of
-# objective values is 4 MB, small enough to be reused from the heap instead
-# of being faulted in anew for every batch.
+# Pairs per grid-evaluation batch, 4 MB of objective values on a
+# 1024-angle grid.  Rows are independent, so the size never changes a
+# result.  ``align_neighbors``' threads share one batch: each of N >= 2
+# takes ``_CHUNK // N`` pairs, and one thread takes what each of two would
+# (2 MB), since the larger block saves no time.  Blocks this small are
+# reused from the heap instead of being faulted in anew for every batch.
 _CHUNK = 512
 
 
@@ -170,9 +171,9 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     unordered pair is solved once in canonical orientation i < j; the
     reversed direction is reported as the negated angle with the same
     objective value.  The pairs are solved on ``workers`` threads in
-    batches of ``_CHUNK // workers`` pairs, so the threads together hold
-    one ``_CHUNK``-pair block of objective values; neither changes a
-    result.
+    batches of ``_CHUNK // max(2, workers)`` pairs, so one thread holds
+    half of a ``_CHUNK``-pair block of objective values and N >= 2
+    threads together hold one; neither changes a result.
 
     Returns
     -------
@@ -192,7 +193,7 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     alpha_u = np.empty(keys.shape[0])
     objective_u = np.empty(keys.shape[0])
 
-    batch = max(1, _CHUNK // workers)
+    batch = max(1, _CHUNK // max(2, workers))
 
     def run_chunk(start: int) -> None:
         stop = min(start + batch, keys.shape[0])

@@ -34,13 +34,17 @@ __all__ = [
 # The distance chunks' ``rows`` side is zero-padded to a multiple of this
 # many nodes, which covers the column unroll of the BLAS zgemm kernels.
 _TILE = 8
-# Largest complex product per distance chunk of a ``_STRIP_ROWS``-row strip;
-# small enough to stay in cache while it is squared and summed.
+# Largest complex product per distance chunk of a ``_STRIP_ROWS``-row
+# strip; a strip of fewer rows gets a share in proportion.  ``nn_search``'s
+# strips hold at most half of ``_STRIP_ROWS``, so a chunk's product and its
+# real accumulator (1 and 0.5 MiB) stay in a 2 MiB L2 cache while they are
+# squared and summed.
 _CHUNK_BYTES = 1 << 21
-# Nodes per ``nn_search`` strip on one worker.  The workers share this
-# budget: each of N workers takes strips of ``_STRIP_ROWS // N`` rows, but
-# never fewer than ``_MIN_STRIP_ROWS``, since the merges of later columns
-# grow as n^2 / rows.
+# Nodes per ``nn_search`` strip, shared by the workers: each of N >= 2
+# takes strips of ``_STRIP_ROWS // N`` rows, and one worker takes what each
+# of two would, since the larger strip saves no time.  No strip has fewer
+# than ``_MIN_STRIP_ROWS`` rows, since the merges of later columns grow as
+# n^2 / rows.
 _STRIP_ROWS = 256
 _MIN_STRIP_ROWS = 64
 
@@ -287,18 +291,20 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
     count and block size.
 
     Memory: the workers share one scratch budget.  Each of them holds one
-    strip of b * n doubles at a time, with b = ``_STRIP_ROWS // workers``
-    (at least 64, or ``_STRIP_ROWS`` if that is smaller).  While it fills
+    strip of b * n doubles at a time, with b = ``_STRIP_ROWS //
+    max(2, workers)`` (at least 64, or ``_STRIP_ROWS`` if that is
+    smaller): 128 rows on one or two workers, 85 on three.  While it fills
     the strip it also holds the chunk buffers and selects from each chunk;
-    the chunk budget shrinks with b, so a chunk keeps its rows and the
-    workers together hold about 7 MiB of them (7.22 MiB on three workers,
-    whose 85-row strips pad to 88).  Every selection goes through
-    ``graph.smallest``, 64 rows at a time: int64 positions, then a bool tie
-    mask, and for rows tied at the kappa-th distance a stably sorted copy,
-    at most 1 KiB per node and worker.  So while b = 256 / workers >= 64,
-    peak memory stays within 8 * 256 * n + workers * 1024 * n bytes plus
-    the chunks, the n * kappa result and the candidates of one merge:
-    38 MB at n = 10000 on one worker, 48 MB on two.
+    the chunk budget shrinks with b, so a chunk keeps its 512 columns, at
+    24 bytes per column and padded strip row: 1.5 MiB on one worker, 3 MiB
+    on two together (3.09 MiB on three, whose 85-row strips pad to 88).
+    Every selection goes through ``graph.smallest``, 64 rows at a time:
+    int64 positions, then a bool tie mask, and for rows tied at the
+    kappa-th distance a stably sorted copy, at most 1 KiB per node and
+    worker.  So peak memory stays within 8 * b * workers * n +
+    workers * 1024 * n bytes plus the chunks, the n * kappa result and the
+    candidates of one merge: 22 MB at n = 10000 on one worker, 44 MB on
+    two.
 
     Parameters
     ----------
@@ -333,7 +339,8 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
             best[nodes] = np.sort(np.hstack([best[nodes], new]), axis=1,
                                   kind="stable")[:, :kappa]
 
-    rows = max(_STRIP_ROWS // workers, min(_STRIP_ROWS, _MIN_STRIP_ROWS))
+    rows = max(_STRIP_ROWS // max(2, workers),
+               min(_STRIP_ROWS, _MIN_STRIP_ROWS))
     chunk_bytes = _CHUNK_BYTES * _padded(rows) // _padded(_STRIP_ROWS)
 
     def run_strip(start: int) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 
 from mfvdm.angles import TWO_PI, wrap_two_pi
 from mfvdm.errors import MfvdmError
+from mfvdm.graph import AlignmentGraph
 from mfvdm.rng import substream
 
 
@@ -177,3 +178,29 @@ def rewire_rounds(graph, p: float, seed: int):
             np.array([c for _, c in pairs], dtype=np.int64),
             np.array([table[e][0] for e in pairs]),
             np.array([table[e][1] for e in pairs]), counts)
+
+
+def lattice_torus(a: int, b: int, seed: int = 0):
+    """The a x b lattice on a torus, built directly rather than by k-NN, so
+    no distance tie can break its symmetry: node (p, q) is p * b + q and
+    links to (p +- 1 mod a, q) and (p, q +- 1 mod b) with unit weight.
+    Each edge's angle is theta_i - theta_j for frames theta drawn from
+    ``seed``, so every S_k is unitarily similar to S_0 = A / 4.  Needs
+    a, b >= 3."""
+    nodes = np.arange(a * b).reshape(a, b)
+    ii = np.concatenate([nodes.ravel(), nodes.ravel()])
+    jj = np.concatenate([np.roll(nodes, -1, axis=0).ravel(),
+                         np.roll(nodes, -1, axis=1).ravel()])
+    rows, cols = np.minimum(ii, jj), np.maximum(ii, jj)
+    theta = np.random.default_rng(seed).uniform(0.0, TWO_PI, a * b)
+    return AlignmentGraph.from_edges(
+        n=a * b, rows=rows, cols=cols, weights=np.ones(rows.size),
+        angles=wrap_two_pi(theta[rows] - theta[cols]))
+
+
+def lattice_torus_top(a: int, b: int, m: int) -> np.ndarray:
+    """The closed form: the top m of (cos 2 pi p / a + cos 2 pi q / b) / 2
+    over the a * b pairs (p, q), each pair once."""
+    vals = 0.5 * np.add.outer(np.cos(TWO_PI * np.arange(a) / a),
+                              np.cos(TWO_PI * np.arange(b) / b))
+    return np.sort(vals.ravel())[::-1][:m]

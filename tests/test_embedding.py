@@ -382,7 +382,9 @@ class TestNNSearch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_within_strip_budget(self, workers):
-        n, kappa, block_size = 1500, 10, embedding._STRIP_ROWS
+        # One worker takes a 128-row strip, two take 128 rows each.
+        n, kappa = 1500, 10
+        block_size = embedding._STRIP_ROWS // 2 * workers
         emb = _random_embedding(n, ks=range(1, 6), m=8)
         tracemalloc.start()
         try:
@@ -390,36 +392,40 @@ class TestNNSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # nn_search's documented budget (block_size is a multiple of 8),
-        # which the workers share: the strips, the n x kappa result, and
-        # one merge's candidates (five more n x kappa arrays of 16 bytes at
-        # most).
+        # nn_search's documented budget for the rows the workers hold
+        # together (a multiple of 8): the strips, the chunks, the n x kappa
+        # result, and one merge's candidates (five more n x kappa arrays of
+        # 16 bytes at most).
         strip = block_size * n
         result = 16 * n * kappa
         budget = max((16 + 8 + 8) * strip,
-                     8 * strip + 7 * 2 ** 20) + 6 * result
+                     8 * strip + 7 * 2 ** 20 * block_size // 256) \
+            + 6 * result
         assert peak <= budget
 
     def test_two_workers_share_one_scratch_budget(self):
-        # Each worker's strip and chunks shrink with the worker count, so
-        # a second worker adds no strip of its own.
+        # One worker takes what each of two would, so it holds about half
+        # of their scratch; more workers take smaller strips and chunks,
+        # so a third adds no strip of its own.
         emb = _random_embedding(1500, ks=range(1, 6), m=8)
         peaks = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             tracemalloc.start()
             try:
                 nn_search(emb, 10, workers=workers)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[0] <= 0.7 * peaks[1]
+        assert peaks[2] <= 1.1 * peaks[1]
 
-    @pytest.mark.parametrize("workers,rows", [(1, 256), (2, 128), (3, 85),
+    @pytest.mark.parametrize("workers,rows", [(1, 128), (2, 128), (3, 85),
                                               (8, 64)])
     def test_strip_rows_follow_worker_count(self, workers, rows,
                                             monkeypatch):
-        # Strips of _STRIP_ROWS // workers rows, never below 64, each with
-        # chunks of the one-worker strip's 512 rows.
+        # Strips of _STRIP_ROWS // max(2, workers) rows, never below 64,
+        # each with chunks of at most 512 columns (here 500), as the
+        # chunk budget shrinks with the strip.
         emb = _random_embedding(1500)
         seen = {}
         chunks = EmbeddingSet._chunks

@@ -10,7 +10,7 @@ from mfvdm.errors import ConvergenceError, MfvdmError, ParameterError
 from mfvdm.graph import AlignmentGraph, build_clean_knn_graph
 from mfvdm.sampling import make_truth
 from mfvdm.spectral import SpectralBundle, gauge_fix, top_eigenpairs
-from oracles import verify
+from oracles import lattice_torus, lattice_torus_top, verify
 
 
 @pytest.fixture
@@ -116,6 +116,42 @@ def test_ring_keeps_every_double_eigenvalue():
 def test_sparse_path_keeps_every_double_eigenvalue():
     bundle = top_eigenpairs(_ring_sk(2100), m=6)
     assert np.abs(bundle.eigenvalues - _ring_top(2100, 6)).max() < 1e-8
+
+
+def test_dense_path_matches_the_lattice_torus_closed_form():
+    # The oracle itself, where the dense path keeps every copy: a 12 x 10
+    # lattice, all 120 eigenvalues, at three frequencies.
+    graph = lattice_torus(12, 10)
+    for k in (0, 1, 3):
+        bundle = top_eigenpairs(build_sk(graph, k), m=120)
+        assert np.abs(bundle.eigenvalues
+                      - lattice_torus_top(12, 10, 120)).max() < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ARPACK (eigsh) returns two of the four copies of 0.990968 on the "
+    "50 x 44 lattice torus, and 0.984292 twice in their place, for k = 0 "
+    "and k = 1, with no error"))
+def test_sparse_path_keeps_every_copy_on_a_lattice_torus():
+    # S_0 = A / 4 on the lattice; its top 9 are 1, 0.996057 twice, 0.994911
+    # twice and 0.990968 four times, and the next is 0.984292.  Every S_k
+    # has them.  A Hermitian matrix has an eigenvalue within a unit
+    # vector's residual of its Rayleigh quotient; n eps covers the closed
+    # form's rounding.
+    a, b, m = 50, 44, 9
+    assert a * b > spectral.DENSE_THRESHOLD
+    graph = lattice_torus(a, b)
+    want = lattice_torus_top(a, b, m)
+    held = []
+    for k in (0, 1):
+        sk = build_sk(graph, k)
+        bundle = top_eigenpairs(sk, m)
+        vecs = bundle.eigenvectors
+        resid = np.linalg.norm(sk.matvec(vecs) - vecs * bundle.eigenvalues,
+                               axis=0)
+        dev = np.abs(bundle.eigenvalues - want)
+        held.append(bool(np.all(dev <= resid + a * b * np.finfo(float).eps)))
+    assert held == [True, True]
 
 
 def test_dense_path_keeps_every_copy_of_a_triple_eigenvalue():
