@@ -175,6 +175,22 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     half of a ``_CHUNK``-pair block of objective values and N >= 2
     threads together hold one; neither changes a result.
 
+    Memory: beside the batch block, each array of the list's P = n * kappa
+    pairs or its U <= P unordered pairs is held once, and only while a
+    step needs it.  ``_unordered_pairs`` builds the int64 canonical key
+    min(i, j) * n + max(i, j) in place, and sorts it into the U distinct
+    ``keys`` and the P-long ``inverse`` that maps each pair to its key,
+    through a sort order and a sorted copy of the key.  The solve holds
+    the keys, the inverse and the U angles and objective values; each
+    batch takes its nodes from its own slice of the keys, which are freed
+    once the batches are done.  The output ``objective`` and
+    ``alpha_hat`` are gathered through the inverse, one at a time, each
+    unordered array freed after its gather, and the rows with i > j then
+    take the wrapped negated angle.  The node array ``i`` is built last;
+    ``j`` is a view of the neighbor list.  So at most three P-sized int64
+    or float arrays and one U-sized one are live at a time, or the two
+    outputs and ``wrap_two_pi``'s three arrays of the rows with i > j.
+
     Returns
     -------
     table : AlignmentTable
@@ -182,12 +198,7 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
         then node 1's, and so on.
     """
     n = neighbors.n
-    ii, jj = neighbors.pairs()
-    lo = np.minimum(ii, jj)
-    hi = np.maximum(ii, jj)
-    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
-    lo_u = keys // n
-    hi_u = keys % n
+    keys, inverse = _unordered_pairs(neighbors)
 
     table = _grid_table(embeddings.k_max)
     alpha_u = np.empty(keys.shape[0])
@@ -197,14 +208,47 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
 
     def run_chunk(start: int) -> None:
         stop = min(start + batch, keys.shape[0])
-        z = alignment_sequences(embeddings, lo_u[start:stop],
-                                hi_u[start:stop])
+        lo, hi = np.divmod(keys[start:stop], n)
+        z = alignment_sequences(embeddings, lo, hi)
         alpha_u[start:stop], objective_u[start:stop] = _estimate_rows(
             z, table)
 
     map_workers(run_chunk, range(0, keys.shape[0], batch), workers)
+    del keys
 
-    alpha = np.where(ii <= jj, alpha_u[inverse],
-                     wrap_two_pi(-alpha_u[inverse]))
-    return AlignmentTable(i=ii, j=jj, alpha_hat=alpha,
-                          objective=objective_u[inverse])
+    objective = objective_u[inverse]
+    del objective_u
+    alpha = alpha_u[inverse]
+    del alpha_u, inverse
+    flip = (neighbors.indices < np.arange(n)[:, None]).ravel()
+    alpha[flip] = wrap_two_pi(-alpha[flip])
+    ii, jj = neighbors.pairs()
+    return AlignmentTable(i=ii, j=jj, alpha_hat=alpha, objective=objective)
+
+
+def _unordered_pairs(neighbors: NeighborList):
+    """(keys, inverse) of the neighbor list's pairs (i, j): the sorted
+    distinct keys min(i, j) * n + max(i, j), and each pair's position among
+    them, in list order, as ``np.unique(..., return_inverse=True)`` gives
+    them but without its flattened and gathered copies."""
+    n = neighbors.n
+    nodes = np.arange(n, dtype=np.int64)[:, None]
+    # min * n + max = min * (n - 1) + i + j, built in one array.
+    key = np.minimum(nodes, neighbors.indices)
+    key *= n - 1
+    key += nodes
+    key += neighbors.indices
+    key = key.ravel()
+    order = np.argsort(key)
+    ordered = key[order]
+    del key
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[first]
+    # The sorted copy turns into each sorted pair's key position.
+    np.cumsum(first, out=ordered)
+    ordered -= 1
+    inverse = np.empty_like(ordered)
+    inverse[order] = ordered
+    return keys, inverse

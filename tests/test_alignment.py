@@ -16,7 +16,7 @@ from mfvdm.alignment import (
     alignment_sequences,
     estimate_angles,
 )
-from mfvdm.angles import TWO_PI, wrap_pi
+from mfvdm.angles import TWO_PI, wrap_pi, wrap_two_pi
 from mfvdm.connection import build_sk
 from mfvdm.embedding import (
     EmbeddingSet,
@@ -287,6 +287,57 @@ class TestAlignNeighbors:
         for table in tables[1:]:
             assert np.array_equal(table.alpha_hat, tables[0].alpha_hat)
             assert np.array_equal(table.objective, tables[0].objective)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rows_match_one_pair_oracle(self, clean_instance, workers):
+        # Each row equals its pair solved alone in canonical orientation,
+        # negated and wrapped when i > j, bit for bit, whether the pair's
+        # reverse is listed (mutual) or not (one-way).
+        _, _, emb = clean_instance
+        nn = nn_search(emb, kappa=6)
+        table = align_neighbors(emb, nn, workers=workers)
+        listed = set(zip(table.i.tolist(), table.j.tolist()))
+        mutual = sum((j, i) in listed for i, j in listed)
+        assert 0 < mutual < len(listed)
+        for row, (i, j) in enumerate(zip(table.i.tolist(),
+                                         table.j.tolist())):
+            alpha, objective = estimate_angles(alignment_sequences(
+                emb, np.array([min(i, j)]), np.array([max(i, j)])))
+            if i > j:
+                alpha = wrap_two_pi(-alpha)
+            assert table.alpha_hat[row] == alpha[0], (i, j)
+            assert table.objective[row] == objective[0], (i, j)
+
+    def test_pair_arrays_held_once(self):
+        # At n * kappa = 100000 pairs the per-pair arrays outweigh the
+        # 256-pair block of objective values that one worker holds.
+        n, kappa = 2000, 50
+        rng = np.random.default_rng(1)
+        emb = EmbeddingSet(features=tuple(
+            FrequencyFeatures(k=k, phi=rng.normal(size=(n, 8))
+                              + 1j * rng.normal(size=(n, 8)))
+            for k in range(1, 6)))
+        nn = nn_search(emb, kappa)
+        tracemalloc.start()
+        try:
+            align_neighbors(emb, nn, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = _grid_table(emb.k_max)
+        block = alignment._CHUNK // 2 * table.shape[1] * 8
+        pairs = n * kappa
+        nodes = np.arange(n)[:, None]
+        unordered = np.unique(np.minimum(nodes, nn.indices) * n
+                              + np.maximum(nodes, nn.indices)).size
+        flipped = int(np.count_nonzero(nn.indices < nodes))
+        # What align_neighbors holds beside the block, in 8-byte entries:
+        # three pair-sized arrays and one of the unordered pairs while the
+        # inverse is built or the angles are gathered, or the two outputs
+        # and wrap_two_pi's three arrays of the flipped rows; beside either
+        # a one-byte mask per pair, and the grid table.
+        entries = max(3 * pairs + unordered, 2 * pairs + 3 * flipped)
+        assert peak - block <= 8 * entries + pairs + table.nbytes
 
     def test_frame_rotation_shifts_estimate(self, clean_instance, grid):
         # Rotating node j's features by e^{ik theta} multiplies z(k) by

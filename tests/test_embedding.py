@@ -18,7 +18,7 @@ from mfvdm.embedding import (
     nn_search,
 )
 from mfvdm.errors import DegenerateEmbeddingError, ParameterError
-from mfvdm.graph import build_clean_knn_graph
+from mfvdm.graph import _SELECT_ROWS, build_clean_knn_graph
 from mfvdm.sampling import make_truth
 from mfvdm.spectral import SpectralBundle, top_eigenpairs
 from oracles import affinity_k, mfvdm_affinity, mfvdm_distance
@@ -384,7 +384,7 @@ class TestNNSearch:
     def test_peak_memory_within_strip_budget(self, workers):
         # One worker takes a 128-row strip, two take 128 rows each.
         n, kappa = 1500, 10
-        block_size = embedding._STRIP_ROWS // 2 * workers
+        rows = embedding._STRIP_ROWS // 2
         emb = _random_embedding(n, ks=range(1, 6), m=8)
         tracemalloc.start()
         try:
@@ -392,16 +392,19 @@ class TestNNSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # nn_search's documented budget for the rows the workers hold
-        # together (a multiple of 8): the strips, the chunks, the n x kappa
-        # result, and one merge's candidates (five more n x kappa arrays of
-        # 16 bytes at most).
-        strip = block_size * n
+        # What nn_search holds: each worker's strip of doubles and its
+        # chunk buffers (a complex product and a real accumulator, 24
+        # bytes per padded strip row and column of a 512-column chunk),
+        # one 64-row selection of int64 positions, and the n x kappa result
+        # (16 bytes per entry) with one merge's candidates, five more such
+        # arrays at most.  The 512 columns are stated, not derived from
+        # _CHUNK_BYTES, so doubled chunk buffers exceed the two-worker
+        # budget.
+        strips = 8 * rows * n * workers
+        chunks = 24 * 512 * embedding._padded(rows) * workers
+        selection = 8 * _SELECT_ROWS * n
         result = 16 * n * kappa
-        budget = max((16 + 8 + 8) * strip,
-                     8 * strip + 7 * 2 ** 20 * block_size // 256) \
-            + 6 * result
-        assert peak <= budget
+        assert peak <= strips + chunks + selection + 6 * result
 
     def test_two_workers_share_one_scratch_budget(self):
         # One worker takes what each of two would, so it holds about half
