@@ -18,6 +18,7 @@ import numpy as np
 from mfvdm.angles import TWO_PI, wrap_two_pi
 from mfvdm.embedding import EmbeddingSet, NeighborList
 from mfvdm.errors import ParameterError, UndefinedAlignmentError
+from mfvdm.graph import unordered_pairs
 from mfvdm.parallel import map_workers
 
 __all__ = [
@@ -177,7 +178,7 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
 
     Memory: beside the batch block, each array of the list's P = n * kappa
     pairs or its U <= P unordered pairs is held once, and only while a
-    step needs it.  ``_unordered_pairs`` builds the int64 canonical key
+    step needs it.  ``graph.unordered_pairs`` builds the int64 canonical key
     min(i, j) * n + max(i, j) in place, and sorts it into the U distinct
     ``keys`` and the P-long ``inverse`` that maps each pair to its key,
     through a sort order and a sorted copy of the key.  The solve holds
@@ -198,7 +199,7 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
         then node 1's, and so on.
     """
     n = neighbors.n
-    keys, inverse = _unordered_pairs(neighbors)
+    keys, inverse = unordered_pairs(neighbors.indices)
 
     table = _grid_table(embeddings.k_max)
     alpha_u = np.empty(keys.shape[0])
@@ -225,30 +226,3 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     ii, jj = neighbors.pairs()
     return AlignmentTable(i=ii, j=jj, alpha_hat=alpha, objective=objective)
 
-
-def _unordered_pairs(neighbors: NeighborList):
-    """(keys, inverse) of the neighbor list's pairs (i, j): the sorted
-    distinct keys min(i, j) * n + max(i, j), and each pair's position among
-    them, in list order, as ``np.unique(..., return_inverse=True)`` gives
-    them but without its flattened and gathered copies."""
-    n = neighbors.n
-    nodes = np.arange(n, dtype=np.int64)[:, None]
-    # min * n + max = min * (n - 1) + i + j, built in one array.
-    key = np.minimum(nodes, neighbors.indices)
-    key *= n - 1
-    key += nodes
-    key += neighbors.indices
-    key = key.ravel()
-    order = np.argsort(key)
-    ordered = key[order]
-    del key
-    first = np.empty(ordered.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    keys = ordered[first]
-    # The sorted copy turns into each sorted pair's key position.
-    np.cumsum(first, out=ordered)
-    ordered -= 1
-    inverse = np.empty_like(ordered)
-    inverse[order] = ordered
-    return keys, inverse

@@ -140,10 +140,7 @@ def build_sk(graph: AlignmentGraph, k: int, deg: np.ndarray | None = None,
 
     if layout is None:
         layout = csr_layout(graph)
-    if k == 0:
-        values = graph.weights.astype(np.complex128)
-    else:
-        values = graph.weights * np.exp(1j * k * graph.angles)
+    values = graph.weights * np.exp(1j * k * graph.angles)
     inv_sqrt = 1.0 / np.sqrt(degrees(graph) if deg is None else deg)
     values = values * inv_sqrt[graph.rows] * inv_sqrt[graph.cols]
     data = np.empty(2 * graph.edge_count, dtype=np.complex128)

@@ -1,5 +1,7 @@
 """Alignment graphs: k-NN construction from ground truth and random rewiring,
-and the kappa-smallest selection that the k-NN build and NN search share.
+and the two neighbor-list primitives that the k-NN build and the neighbor
+pipeline share: the kappa-smallest selection (``smallest``) and the
+symmetrization of a neighbor list into unordered pairs (``unordered_pairs``).
 
 An AlignmentGraph stores each undirected edge once with row < col; reading an
 edge against its stored orientation uses w_ji = w_ij and alpha_ji = -alpha_ij
@@ -24,6 +26,7 @@ __all__ = [
     "first_bad_edge",
     "rewire_graph",
     "smallest",
+    "unordered_pairs",
 ]
 
 
@@ -193,6 +196,36 @@ def smallest(dist: np.ndarray, kappa: int) -> np.ndarray:
     return out
 
 
+def unordered_pairs(indices: np.ndarray):
+    """(keys, inverse) of the pairs (i, j) of an (n, kappa) int64 neighbor
+    list, j = indices[i, r]: the sorted distinct keys min(i, j) * n +
+    max(i, j), and each pair's position among them, in row-major order, as
+    ``np.unique(..., return_inverse=True)`` gives them but without its
+    flattened and gathered copies.  ``np.divmod(keys, n)`` splits the keys
+    into the pairs' lower and upper nodes."""
+    n = indices.shape[0]
+    nodes = np.arange(n, dtype=np.int64)[:, None]
+    # min * n + max = min * (n - 1) + i + j, built in one array.
+    key = np.minimum(nodes, indices)
+    key *= n - 1
+    key += nodes
+    key += indices
+    key = key.ravel()
+    order = np.argsort(key)
+    ordered = key[order]
+    del key
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[first]
+    # The sorted copy turns into each sorted pair's key position.
+    np.cumsum(first, out=ordered)
+    ordered -= 1
+    inverse = np.empty_like(ordered)
+    inverse[order] = ordered
+    return keys, inverse
+
+
 @dataclass(frozen=True)
 class RewireDiagnostics:
     """Edge bookkeeping for one rewiring pass."""
@@ -208,9 +241,9 @@ def build_clean_knn_graph(truth, kappa_build: int) -> AlignmentGraph:
     weights: the paper's random graph model before rewiring.
 
     Edge (i, j) is present iff j is among the kappa_build nearest nodes of i
-    or vice versa; angles come from the ground truth, gathered a block of
-    pairs at a time.  Exact distance ties break to the lower node index, as
-    in ``smallest``.
+    or vice versa (``unordered_pairs`` of the neighbor list); angles come
+    from the ground truth, gathered a block of pairs at a time.  Exact
+    distance ties break to the lower node index, as in ``smallest``.
 
     Parameters
     ----------
@@ -236,13 +269,7 @@ def build_clean_knn_graph(truth, kappa_build: int) -> AlignmentGraph:
         dist[np.arange(block.size), block] = np.inf
         neighbors[start:start + _BUILD_ROWS] = smallest(dist, kappa_build)
         del dist  # before the next block is computed
-    sources = np.repeat(np.arange(n, dtype=np.int64), kappa_build)
-    targets = neighbors.ravel()
-    lo = np.minimum(sources, targets)
-    hi = np.maximum(sources, targets)
-    keys = np.unique(lo * n + hi)
-    rows = keys // n
-    cols = keys % n
+    rows, cols = np.divmod(unordered_pairs(neighbors)[0], n)
     return AlignmentGraph.from_edges(
         n, rows, cols, np.ones(rows.size),
         pairs_in_blocks(truth.pair_angles, rows, cols))

@@ -383,28 +383,29 @@ class TestNNSearch:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_within_strip_budget(self, workers):
         # One worker takes a 128-row strip, two take 128 rows each.
-        n, kappa = 1500, 10
+        n = 1500
         rows = embedding._STRIP_ROWS // 2
         emb = _random_embedding(n, ks=range(1, 6), m=8)
-        tracemalloc.start()
-        try:
-            nn_search(emb, kappa, workers=workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # What nn_search holds: each worker's strip of doubles and its
         # chunk buffers (a complex product and a real accumulator, 24
         # bytes per padded strip row and column of a 512-column chunk),
         # one 64-row selection of int64 positions, and the n x kappa result
         # (16 bytes per entry) with one merge's candidates, five more such
         # arrays at most.  The 512 columns are stated, not derived from
-        # _CHUNK_BYTES, so doubled chunk buffers exceed the two-worker
-        # budget.
+        # _CHUNK_BYTES; at kappa = 2 the result term is small, so doubled
+        # chunk buffers exceed the budget on one worker and on two.
         strips = 8 * rows * n * workers
         chunks = 24 * 512 * embedding._padded(rows) * workers
         selection = 8 * _SELECT_ROWS * n
-        result = 16 * n * kappa
-        assert peak <= strips + chunks + selection + 6 * result
+        for kappa in (2, 10):
+            tracemalloc.start()
+            try:
+                nn_search(emb, kappa, workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            result = 16 * n * kappa
+            assert peak <= strips + chunks + selection + 6 * result, kappa
 
     def test_two_workers_share_one_scratch_budget(self):
         # One worker takes what each of two would, so it holds about half

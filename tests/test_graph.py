@@ -159,6 +159,59 @@ class TestBuild:
             build_clean_knn_graph(small_truth, kappa_build=40)
 
 
+def _unique_oracle(indices):
+    """``np.unique`` of the canonical keys of a neighbor list's pairs."""
+    n = indices.shape[0]
+    i = np.repeat(np.arange(n), indices.shape[1])
+    j = indices.ravel()
+    return np.unique(np.minimum(i, j) * n + np.maximum(i, j),
+                     return_inverse=True)
+
+
+class TestUnorderedPairs:
+    def test_mutual_and_one_way_pairs(self):
+        # {0, 1}, {1, 2} and {2, 3} are listed from both ends, {0, 2} only
+        # by 0 and {0, 3} only by 3.
+        indices = np.array([[1, 2], [0, 2], [3, 1], [2, 0]], dtype=np.int64)
+        keys, inverse = mgraph.unordered_pairs(indices)
+        assert keys.dtype == inverse.dtype == np.int64
+        assert keys.tolist() == [1, 2, 3, 6, 11]
+        assert inverse.tolist() == [0, 1, 0, 3, 4, 3, 4, 2]
+        want_keys, want_inverse = _unique_oracle(indices)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(inverse, want_inverse)
+
+    @settings(deadline=None, max_examples=50)
+    @given(n=st.integers(2, 40), kappa=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_lists_match_unique_oracle(self, n, kappa, seed):
+        # Any j != i, repeats within a row included.
+        rng = np.random.default_rng(seed)
+        nodes = np.arange(n)[:, None]
+        indices = (nodes + rng.integers(1, n, size=(n, kappa))) % n
+        keys, inverse = mgraph.unordered_pairs(indices)
+        want_keys, want_inverse = _unique_oracle(indices)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(inverse, want_inverse)
+
+    @settings(deadline=None, max_examples=20)
+    @given(manifold=st.sampled_from(["sphere", "torus"]),
+           n=st.integers(3, 120), kappa=st.integers(1, 10),
+           seed=st.integers(0, 1000))
+    def test_build_edges_match_unique_oracle(self, manifold, n, kappa, seed):
+        # Below 512 nodes the build's one distance block is this one, and
+        # its selection is a stable sort's prefix.
+        kappa = min(kappa, n - 1)
+        truth = make_truth(manifold, n, seed=seed)
+        dist = truth.geodesic_block(np.arange(n))
+        np.fill_diagonal(dist, np.inf)
+        knn = np.argsort(dist, axis=1, kind="stable")[:, :kappa]
+        rows, cols = np.divmod(_unique_oracle(knn)[0], n)
+        graph = build_clean_knn_graph(truth, kappa_build=kappa)
+        assert np.array_equal(graph.rows, rows)
+        assert np.array_equal(graph.cols, cols)
+
+
 class TestCanonicalization:
     def test_from_edges_names_the_bad_edge_by_input_index(self):
         edges = dict(n=4, rows=np.array([2, 0, 3, 3]),
