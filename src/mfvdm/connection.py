@@ -5,9 +5,9 @@ antisymmetry convention makes W_k Hermitian.  S_k = D^{-1/2} W_k D^{-1/2}
 shares the sparsity pattern and has spectrum inside [-1, 1].
 
 Every S_k of a graph is a scipy CSR array with the same structure: its
-index arrays, and the slot of each edge's two entries, are built once per
-graph by ``csr_layout``, and each frequency fills only its data array.
-Every matvec is a CSR product.
+index arrays, and the slot of each edge's two entries, come once per graph
+from ``csr_layout``'s COO-to-CSR conversion, and each frequency fills only
+its data array.  Every matvec is a CSR product.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class CsrLayout(NamedTuple):
     the column ``indices`` of the full Hermitian matrix, and for edge e the
     data slot of its entry (rows[e], cols[e]) in ``upper`` and of the
     conjugate entry (cols[e], rows[e]) in ``lower``.  ``indptr`` and
-    ``indices`` have the index dtype that scipy's COO-to-CSR conversion
-    gives the graph's int64 edges (int64 on current scipy), so the CSR
+    ``indices`` are those of scipy's COO-to-CSR conversion, so the CSR
     constructor keeps them without a copy.  All four are read-only, so no
     scipy call can sort them in place while another frequency's matrix
     uses them."""
@@ -64,48 +63,36 @@ class CsrLayout(NamedTuple):
 def csr_layout(graph: AlignmentGraph) -> CsrLayout:
     """The canonical CSR structure of the graph's full Hermitian matrix.
 
-    Row i holds its lower entries (edges (j, i), j < i) before its upper
-    ones (edges (i, j), j > i), each group by column.  The edges are sorted
-    and distinct, so the upper entries of a row are its edges in order, a
-    stable sort by column orders the lower ones, and no entry repeats.
+    scipy converts the matrix whose entry (rows[e], cols[e]) is e + 1 and
+    whose conjugate entry is e + 1 + E, for E edges: the conversion sorts
+    each row by column, and the edges are sorted and distinct, so no entry
+    repeats.  The converted data then name each slot's entry.
     """
     import mmap
 
     import scipy.sparse
 
-    n, rows, cols = graph.n, graph.rows, graph.cols
-    # The index dtype of scipy's COO-to-CSR conversion of int64 entries; an
-    # empty matrix would not do, since scipy builds that one from its shape.
-    entry = np.zeros(1, dtype=np.int64)
-    index = scipy.sparse.coo_array((np.ones(1), (entry, entry)),
-                                   shape=(n, n)).tocsr().indices.dtype
-    lower_count = np.bincount(cols, minlength=n)
-    upper_count = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(lower_count + upper_count, out=indptr[1:])
+    rows, cols = graph.rows, graph.cols
+    count = 2 * rows.size
+    entries = np.arange(1, count + 1, dtype=np.int64)
+    pattern = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    csr = scipy.sparse.coo_array((entries, pattern),
+                                 shape=(graph.n, graph.n)).tocsr()
     # The large arrays share one anonymous mapping, not the heap.  They are
     # freed after the graph's last solve, while the features made between
     # the solves live on; on the heap they would leave a hole that the NN
     # strips do not fit, and the heap would grow past it.
-    count = 2 * rows.size
-    offset = count * np.dtype(index).itemsize
+    offset = count * csr.indices.itemsize
     memory = mmap.mmap(-1, max(1, offset + 8 * count))
-    indices = np.frombuffer(memory, dtype=index, count=count)
+    indices = np.frombuffer(memory, dtype=csr.indices.dtype, count=count)
     slots = np.frombuffer(memory, dtype=np.int64, count=count, offset=offset)
-    upper, lower = slots[:rows.size], slots[rows.size:]
-    edge = np.arange(rows.size, dtype=np.int64)
-    # Slot of the e-th edge = e + (row start - edges before the row), for
-    # the upper entries in edge order and the lower ones in column order.
-    first_upper = np.cumsum(upper_count) - upper_count
-    np.add((indptr[:-1] + lower_count - first_upper)[rows], edge, out=upper)
-    by_col = np.argsort(cols, kind="stable")
-    first_lower = np.cumsum(lower_count) - lower_count
-    lower[by_col] = (indptr[:-1] - first_lower)[cols[by_col]] + edge
-    indices[upper] = cols
-    indices[lower] = rows
-    for array in (indptr, indices, upper, lower):
+    indices[:] = csr.indices
+    slots[csr.data - 1] = entries - 1
+    layout = CsrLayout(csr.indptr, indices, slots[:rows.size],
+                       slots[rows.size:])
+    for array in layout:
         array.flags.writeable = False
-    return CsrLayout(indptr, indices, upper, lower)
+    return layout
 
 
 def degrees(graph: AlignmentGraph) -> np.ndarray:

@@ -34,12 +34,11 @@ __all__ = [
 # The distance chunks' ``rows`` side is zero-padded to a multiple of this
 # many nodes, which covers the column unroll of the BLAS zgemm kernels.
 _TILE = 8
-# Largest complex product per distance chunk of a ``_STRIP_ROWS``-row
-# strip; a strip of fewer rows gets a share in proportion.  ``nn_search``'s
-# strips hold at most half of ``_STRIP_ROWS``, so a chunk's product and its
-# real accumulator (1 and 0.5 MiB) stay in a 2 MiB L2 cache while they are
-# squared and summed.
-_CHUNK_BYTES = 1 << 21
+# Nodes per distance chunk: the columns of the strip that it fills.
+# ``nn_search``'s strips hold at most 128 rows, so a chunk's complex
+# product and its real accumulator (1 and 0.5 MiB) stay in a 2 MiB L2
+# cache while they are squared and summed.
+_CHUNK_COLUMNS = 512
 # Nodes per ``nn_search`` strip, shared by the workers: each of N >= 2
 # takes strips of ``_STRIP_ROWS // N`` rows, and one worker takes what each
 # of two would, since the larger strip saves no time.  No strip has fewer
@@ -155,14 +154,12 @@ class EmbeddingSet:
             strip[:, lo:lo + len(chunk)] = chunk.T
         return strip
 
-    def _chunks(self, rows: np.ndarray, start: int, distances: bool = True,
-                chunk_bytes: int | None = None):
+    def _chunks(self, rows: np.ndarray, start: int, distances: bool = True):
         """Squared distances (or affinities) between the ``rows`` nodes and
-        the nodes [start, n), in chunks of at most ``chunk_bytes`` of
-        complex product (default ``_CHUNK_BYTES``): yields (lo, chunk)
-        where chunk[c, r] is the pair (lo + c, rows[r]).  Each chunk is a
-        view of a buffer the next one overwrites.  The package's one
-        distance definition.
+        the nodes [start, n), in chunks of at most ``_CHUNK_COLUMNS`` nodes:
+        yields (lo, chunk) where chunk[c, r] is the pair (lo + c, rows[r]).
+        Each chunk is a view of a buffer the next one overwrites.  The
+        package's one distance definition.
 
         Each frequency's product goes into one reused complex buffer, is
         squared in place through its float view and added into one real
@@ -181,8 +178,6 @@ class EmbeddingSet:
         width = rows.size
         padded = _padded(width)
         length = self.n - start
-        if chunk_bytes is None:
-            chunk_bytes = _CHUNK_BYTES
         lhs = []
         for f in self.features:
             conj = np.zeros((padded, f.m), dtype=np.complex128)
@@ -192,10 +187,9 @@ class EmbeddingSet:
         # 2 acc / (norm_i norm_j): scaling by 2 commutes with rounding.
         half_norms = np.ones(padded)
         half_norms[:width] = 0.5 * self.norms[rows]
-        # Chunks of equal length to one row, at most chunk_bytes each
-        # unless that would leave a chunk a single row.
-        count = max(1, min(-(-length * padded * 16 // chunk_bytes),
-                           length // 2))
+        # Chunks of equal length to one node, at most _CHUNK_COLUMNS nodes
+        # each unless that would leave a chunk a single node.
+        count = max(1, min(-(-length // _CHUNK_COLUMNS), length // 2))
         bounds = start + length * np.arange(count + 1) // count
         size = np.diff(bounds).max()
         buf = np.empty((size, padded), dtype=np.complex128)
@@ -294,10 +288,10 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
     strip of b * n doubles at a time, with b = ``_STRIP_ROWS //
     max(2, workers)`` (at least 64, or ``_STRIP_ROWS`` if that is
     smaller): 128 rows on one or two workers, 85 on three.  While it fills
-    the strip it also holds the chunk buffers and selects from each chunk;
-    the chunk budget shrinks with b, so a chunk keeps its 512 columns, at
-    24 bytes per column and padded strip row: 1.5 MiB on one worker, 3 MiB
-    on two together (3.09 MiB on three, whose 85-row strips pad to 88).
+    the strip it also holds the buffers of one chunk of at most
+    ``_CHUNK_COLUMNS`` = 512 columns and selects from each chunk, at 24
+    bytes per column and padded strip row: 1.5 MiB on one worker, 3 MiB on
+    two together (3.09 MiB on three, whose 85-row strips pad to 88).
     Every selection goes through ``graph.smallest``, 64 rows at a time:
     int64 positions, then a bool tie mask, and for rows tied at the
     kappa-th distance a stably sorted copy, at most 1 KiB per node and
@@ -341,14 +335,12 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
 
     rows = max(_STRIP_ROWS // max(2, workers),
                min(_STRIP_ROWS, _MIN_STRIP_ROWS))
-    chunk_bytes = _CHUNK_BYTES * _padded(rows) // _padded(_STRIP_ROWS)
 
     def run_strip(start: int) -> None:
         stop = min(start + rows, n)
         width = stop - start
         strip = np.empty((width, n - start))
-        for lo, chunk in embeddings._chunks(np.arange(start, stop), start,
-                                            chunk_bytes=chunk_bytes):
+        for lo, chunk in embeddings._chunks(np.arange(start, stop), start):
             strip[:, lo - start:lo - start + len(chunk)] = chunk.T
             # Nodes after the block take their candidates from it here.
             later = max(lo, stop)

@@ -410,12 +410,13 @@ def write_truth(truth, path) -> None:
 _TRUTH_COLUMNS = {"sphere": 9, "torus": 3}
 
 
-def _header_words(handle) -> list:
-    """The words of the next non-blank line; [] at the end of the file."""
-    for line in handle:
-        if line.strip():
-            return line.split()
-    return []
+def _header_values(path, handle, name: str, count: int) -> list:
+    """The ``count`` values after ``name`` on the next non-blank line."""
+    words = next((line.split() for line in handle if line.strip()), [])
+    if words[:1] != [name] or len(words) != count + 1:
+        raise GraphFileError(f"{path}: expected the header line {name!r} "
+                             f"with {count} value(s), got {words!r}.")
+    return words[1:]
 
 
 def read_truth(path):
@@ -436,11 +437,11 @@ def read_truth(path):
 
 
 def _parse_truth(path, handle):
-    manifold = _header_words(handle)[1]
-    n = int(_header_words(handle)[1])
+    [manifold] = _header_values(path, handle, "manifold", 1)
+    n = int(_header_values(path, handle, "n", 1)[0])
     if manifold not in _TRUTH_COLUMNS:
         raise GraphFileError(f"{path}: unknown manifold {manifold!r}.")
-    radii = ([float(x) for x in _header_words(handle)[1:]]
+    radii = ([float(x) for x in _header_values(path, handle, "radii", 2)]
              if manifold == "torus" else [])
     with warnings.catch_warnings():
         # No rows: the row count check reports it.

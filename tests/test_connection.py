@@ -235,6 +235,28 @@ class TestCsrLayout:
                 assert a.dtype == b.dtype, name
                 assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("which", ["rewired", "two_node"])
+    def test_slots_hold_their_entries(self, rewired, which):
+        # Without scipy, since the layout and sk_coo_csr both come from its
+        # conversion: each edge's upper slot lies in its row and holds its
+        # column, its lower slot likewise with the two swapped, the slots
+        # cover the data array once, and each row's columns increase.
+        graph = rewired if which == "rewired" else AlignmentGraph.from_edges(
+            n=2, rows=np.array([0]), cols=np.array([1]),
+            weights=np.array([2.5]), angles=np.array([0.7]))
+        layout = csr_layout(graph)
+        indptr, indices = layout.indptr, layout.indices
+        for slots, rows, cols in ((layout.upper, graph.rows, graph.cols),
+                                  (layout.lower, graph.cols, graph.rows)):
+            assert np.all(indptr[rows] <= slots)
+            assert np.all(slots < indptr[rows + 1])
+            assert np.array_equal(indices[slots], cols)
+        both = np.concatenate([layout.upper, layout.lower])
+        assert np.array_equal(np.sort(both), np.arange(2 * graph.edge_count))
+        assert indptr[0] == 0 and indptr[-1] == 2 * graph.edge_count
+        for i in range(graph.n):
+            assert np.all(np.diff(indices[indptr[i]:indptr[i + 1]]) > 0)
+
     def test_frequencies_share_read_only_structure(self, rewired):
         # More workers than cores and a tiny switch interval, so the
         # frequencies' builds and matvecs interleave on the one structure;

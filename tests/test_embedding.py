@@ -343,7 +343,7 @@ class TestNNSearch:
         emb = _random_embedding(203)
         want = emb.distance_sq_block(np.arange(203))
         # Chunks of two or three rows; none may be a single row.
-        monkeypatch.setattr(embedding, "_CHUNK_BYTES", 16)
+        monkeypatch.setattr(embedding, "_CHUNK_COLUMNS", 1)
         assert np.array_equal(emb.distance_sq_block(np.arange(203)), want)
         monkeypatch.setattr(embedding, "_STRIP_ROWS", 7)
         got = nn_search(emb, 11, workers=2)
@@ -391,8 +391,8 @@ class TestNNSearch:
         # bytes per padded strip row and column of a 512-column chunk),
         # one 64-row selection of int64 positions, and the n x kappa result
         # (16 bytes per entry) with one merge's candidates, five more such
-        # arrays at most.  The 512 columns are stated, not derived from
-        # _CHUNK_BYTES; at kappa = 2 the result term is small, so doubled
+        # arrays at most.  The 512 columns are stated, not read from
+        # _CHUNK_COLUMNS; at kappa = 2 the result term is small, so doubled
         # chunk buffers exceed the budget on one worker and on two.
         strips = 8 * rows * n * workers
         chunks = 24 * 512 * embedding._padded(rows) * workers
@@ -428,15 +428,13 @@ class TestNNSearch:
     def test_strip_rows_follow_worker_count(self, workers, rows,
                                             monkeypatch):
         # Strips of _STRIP_ROWS // max(2, workers) rows, never below 64,
-        # each with chunks of at most 512 columns (here 500), as the
-        # chunk budget shrinks with the strip.
+        # each with chunks of at most 512 columns (here 500).
         emb = _random_embedding(1500)
         seen = {}
         chunks = EmbeddingSet._chunks
 
-        def spy(self, rows, start, distances=True, chunk_bytes=None):
-            for lo, chunk in chunks(self, rows, start, distances,
-                                    chunk_bytes):
+        def spy(self, rows, start, distances=True):
+            for lo, chunk in chunks(self, rows, start, distances):
                 seen[lo, start] = chunk.shape
                 yield lo, chunk
 

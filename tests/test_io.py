@@ -260,6 +260,35 @@ class TestTruthFormat:
         with pytest.raises(GraphFileError):
             read_truth(tmp_path / "absent.txt")
 
+    # Each header line is its name and a fixed number of values.  A wrong
+    # name, or a missing radii line whose place the first data row would
+    # take, is an error that names the file.
+    @pytest.mark.parametrize("manifold,line,words", [
+        ("sphere", 0, ["garbage", "sphere"]),
+        ("torus", 0, ["garbage", "torus"]),
+        ("torus", 1, ["count", "20"]),
+        ("torus", 2, ["whatever", "1", "0.2"]),
+        ("torus", 2, None),
+        ("sphere", 0, ["manifold"]),
+        ("sphere", 1, ["n", "20", "20"]),
+        ("torus", 2, ["radii", "1"]),
+    ], ids=["sphere-manifold-word", "torus-manifold-word", "n-word",
+            "radii-word", "no-radii-line", "manifold-without-value",
+            "n-extra-value", "radii-one-value"])
+    def test_rejects_malformed_header_lines(self, tmp_path, manifold, line,
+                                            words):
+        path = tmp_path / "t.txt"
+        write_truth(make_truth(manifold, 20, seed=1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        if words is None:
+            del lines[line]
+        else:
+            lines[line] = " ".join(words) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(GraphFileError,
+                           match=re.escape(str(path)) + ".*header line"):
+            read_truth(path)
+
     @pytest.mark.parametrize("manifold", ["sphere", "torus"])
     @pytest.mark.parametrize("change", ["truncated", "extended"])
     def test_row_count_must_match_header(self, tmp_path, manifold, change):
