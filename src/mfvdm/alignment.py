@@ -31,13 +31,12 @@ __all__ = [
 # The fewest grid angles.  The grid keeps at least four samples per period
 # of the highest frequency, so from k_max = 257 on it has 4*k_max angles.
 _MIN_GRID = 1024
-# Pairs per grid-evaluation batch, 4 MB of objective values on a
-# 1024-angle grid.  Rows are independent, so the size never changes a
-# result.  ``align_neighbors``' threads share one batch: each of N >= 2
-# takes ``_CHUNK // N`` pairs, and one thread takes what each of two would
-# (2 MB), since the larger block saves no time.  Blocks this small are
-# reused from the heap instead of being faulted in anew for every batch.
-_CHUNK = 512
+# Pairs per grid-evaluation batch, 2 MB of objective values on a
+# 1024-angle grid: one block per thread whatever the worker count, since a
+# larger block saves no time.  Rows are independent, so the size never
+# changes a result.  Blocks this small are reused from the heap instead of
+# being faulted in anew for every batch.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,8 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     unordered pair is solved once in canonical orientation i < j; the
     reversed direction is reported as the negated angle with the same
     objective value.  The pairs are solved on ``workers`` threads in
-    batches of ``_CHUNK // max(2, workers)`` pairs, so one thread holds
-    half of a ``_CHUNK``-pair block of objective values and N >= 2
-    threads together hold one; neither changes a result.
+    batches of ``_CHUNK`` = 256 pairs, one block of objective values per
+    thread; neither the batch size nor the thread count changes a result.
 
     Memory: beside the batch block, each array of the list's P = n * kappa
     pairs or its U <= P unordered pairs is held once, and only while a
@@ -205,16 +203,14 @@ def align_neighbors(embeddings: EmbeddingSet, neighbors: NeighborList,
     alpha_u = np.empty(keys.shape[0])
     objective_u = np.empty(keys.shape[0])
 
-    batch = max(1, _CHUNK // max(2, workers))
-
     def run_chunk(start: int) -> None:
-        stop = min(start + batch, keys.shape[0])
+        stop = min(start + _CHUNK, keys.shape[0])
         lo, hi = np.divmod(keys[start:stop], n)
         z = alignment_sequences(embeddings, lo, hi)
         alpha_u[start:stop], objective_u[start:stop] = _estimate_rows(
             z, table)
 
-    map_workers(run_chunk, range(0, keys.shape[0], batch), workers)
+    map_workers(run_chunk, range(0, keys.shape[0], _CHUNK), workers)
     del keys
 
     objective = objective_u[inverse]

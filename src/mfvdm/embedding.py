@@ -39,13 +39,10 @@ _TILE = 8
 # product and its real accumulator (1 and 0.5 MiB) stay in a 2 MiB L2
 # cache while they are squared and summed.
 _CHUNK_COLUMNS = 512
-# Nodes per ``nn_search`` strip, shared by the workers: each of N >= 2
-# takes strips of ``_STRIP_ROWS // N`` rows, and one worker takes what each
-# of two would, since the larger strip saves no time.  No strip has fewer
-# than ``_MIN_STRIP_ROWS`` rows, since the merges of later columns grow as
-# n^2 / rows.
-_STRIP_ROWS = 256
-_MIN_STRIP_ROWS = 64
+# Nodes per ``nn_search`` strip, one block per thread whatever the worker
+# count: a larger strip saves no time, and a smaller one grows the merges
+# of later columns as n^2 / rows.
+_STRIP_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -259,16 +256,6 @@ class NeighborList:
         return (np.repeat(np.arange(self.n, dtype=np.int64), self.kappa),
                 self.indices.ravel())
 
-    def validate(self) -> None:
-        if self.indices.shape != self.distances_sq.shape:
-            raise ParameterError("Index and distance shapes differ.")
-        if np.any(self.indices == np.arange(self.n)[:, None]):
-            raise ParameterError("A node lists itself as neighbor.")
-        if np.any(self.distances_sq < 0.0):
-            raise ParameterError("A squared distance is negative.")
-        if np.any(np.diff(self.distances_sq, axis=1) < 0.0):
-            raise ParameterError("Distances are not nondecreasing.")
-
 
 def nn_search(embeddings: EmbeddingSet, kappa: int,
               workers: int = 1) -> NeighborList:
@@ -284,21 +271,17 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
     to the lower node index, and the result is identical for any worker
     count and block size.
 
-    Memory: the workers share one scratch budget.  Each of them holds one
-    strip of b * n doubles at a time, with b = ``_STRIP_ROWS //
-    max(2, workers)`` (at least 64, or ``_STRIP_ROWS`` if that is
-    smaller): 128 rows on one or two workers, 85 on three.  While it fills
-    the strip it also holds the buffers of one chunk of at most
-    ``_CHUNK_COLUMNS`` = 512 columns and selects from each chunk, at 24
-    bytes per column and padded strip row: 1.5 MiB on one worker, 3 MiB on
-    two together (3.09 MiB on three, whose 85-row strips pad to 88).
+    Memory: one block per thread.  Each worker holds one strip of b * n
+    doubles at a time, b = ``_STRIP_ROWS`` = 128 rows whatever the worker
+    count.  While it fills the strip it also holds the buffers of one
+    chunk of at most ``_CHUNK_COLUMNS`` = 512 columns and selects from
+    each chunk, at 24 bytes per column and strip row: 1.5 MiB per worker.
     Every selection goes through ``graph.smallest``, 64 rows at a time:
     int64 positions, then a bool tie mask, and for rows tied at the
     kappa-th distance a stably sorted copy, at most 1 KiB per node and
-    worker.  So peak memory stays within 8 * b * workers * n +
-    workers * 1024 * n bytes plus the chunks, the n * kappa result and the
-    candidates of one merge: 22 MB at n = 10000 on one worker, 44 MB on
-    two.
+    worker.  So peak memory stays within workers * (8 * 128 * n + 1024 * n
+    + 1.5 MiB) bytes plus the n * kappa result and the candidates of one
+    merge: 22 MB at n = 10000 on one worker, 44 MB on two.
 
     Parameters
     ----------
@@ -333,11 +316,8 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
             best[nodes] = np.sort(np.hstack([best[nodes], new]), axis=1,
                                   kind="stable")[:, :kappa]
 
-    rows = max(_STRIP_ROWS // max(2, workers),
-               min(_STRIP_ROWS, _MIN_STRIP_ROWS))
-
     def run_strip(start: int) -> None:
-        stop = min(start + rows, n)
+        stop = min(start + _STRIP_ROWS, n)
         width = stop - start
         strip = np.empty((width, n - start))
         for lo, chunk in embeddings._chunks(np.arange(start, stop), start):
@@ -350,7 +330,7 @@ def nn_search(embeddings: EmbeddingSet, kappa: int,
         strip[np.arange(width), np.arange(width)] = np.inf
         merge(start, strip, smallest(strip, kappa), start)
 
-    map_workers(run_strip, range(0, n, rows), workers)
+    map_workers(run_strip, range(0, n, _STRIP_ROWS), workers)
     return NeighborList(indices=best.imag.astype(np.int64),
                         distances_sq=best.real.copy())
 

@@ -74,6 +74,7 @@ def score_nn(neighbors, truth, method: str = "mfvdm",
     if n != truth.n:
         raise ParameterError(f"Neighbor list has n={n}, truth has "
                              f"n={truth.n}.")
+    _check_indices(truth.n, neighbors.indices)
     dist = pairs_in_blocks(truth.geodesics, *neighbors.pairs())
     counts, edges = np.histogram(dist, bins=NN_BINS,
                                  range=(0.0, truth.max_geodesic))
@@ -87,6 +88,7 @@ def score_nn(neighbors, truth, method: str = "mfvdm",
 def score_alignment(table, truth, method: str = "mfvdm",
                     params: dict | None = None) -> EvalReport:
     """Histogram of wrapped errors alpha_hat - alpha_true in degrees."""
+    _check_indices(truth.n, table.i, table.j)
     alpha_true = pairs_in_blocks(truth.pair_angles, table.i, table.j)
     err_deg = np.degrees(wrap_pi(table.alpha_hat - alpha_true))
     counts, edges = np.histogram(err_deg, bins=ALIGN_BINS,
@@ -96,6 +98,16 @@ def score_alignment(table, truth, method: str = "mfvdm",
         align_bin_edges_deg=edges, align_counts=counts,
         align_median_abs_deg=float(np.median(np.abs(err_deg))),
     )
+
+
+def _check_indices(n: int, *nodes: np.ndarray) -> None:
+    """Raise ParameterError unless every index in ``nodes`` is a node of
+    an n-node truth: numpy would wrap a negative index, and an index of n
+    or more would fail inside a truth's gather."""
+    for array in nodes:
+        if array.size and not 0 <= array.min() <= array.max() < n:
+            raise ParameterError(f"Node indices must lie in [0, {n}). Got "
+                                 f"{array.min()} to {array.max()}.")
 
 
 def merge_reports(nn_report: EvalReport,

@@ -68,31 +68,6 @@ class AlignmentGraph:
         return (np.bincount(self.rows, minlength=self.n)
                 + np.bincount(self.cols, minlength=self.n))
 
-    def validate(self) -> None:
-        """Raise ParameterError on a broken invariant: the per-edge rules
-        of ``first_bad_edge`` (as BadEdgeError), sorted edges, and then
-        ``n >= 1``, at least one edge and no isolated node."""
-        e = self.edge_count
-        if not (self.cols.shape == self.weights.shape == self.angles.shape
-                == (e,)):
-            raise ParameterError("Edge arrays must have equal length.")
-        _raise_bad_edge(self.n, self.rows, self.cols, self.weights,
-                        self.angles)
-        if np.any(np.diff(self.rows * self.n + self.cols) < 0):
-            raise ParameterError("Edges must be sorted.")
-        self._check_nodes()
-
-    def _check_nodes(self) -> None:
-        """The rules of ``validate`` that no single edge breaks."""
-        if self.n < 1:
-            raise ParameterError(f"Node count must be >= 1. Got {self.n}.")
-        if self.edge_count == 0:
-            raise ParameterError("Graph has no edges.")
-        degree = self.degree_counts()
-        if np.any(degree == 0):
-            bad = int(np.flatnonzero(degree == 0)[0])
-            raise ParameterError(f"Node {bad} has no incident edges.")
-
     @staticmethod
     def from_edges(n: int, rows: np.ndarray, cols: np.ndarray,
                    weights: np.ndarray,
@@ -100,21 +75,35 @@ class AlignmentGraph:
         """Sort and validate edge arrays: the constructor of every graph the
         package builds or reads.
 
+        The edge arrays must be 1-d and of equal length (ParameterError).
         The per-edge rules run once, on the edges as given and in input
         order, so i > j or an angle outside [0, 2*pi) is an error, as in an
         edge-list file.  A broken rule raises BadEdgeError with the edge's
         input index.  One stable sort of the keys i*n + j orders the edges
-        and finds the duplicates.
+        and finds the duplicates.  Then ``n >= 1``, at least one edge and no
+        isolated node are required, each raising ParameterError.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
         angles = np.asarray(angles, dtype=float)
+        if not rows.shape == cols.shape == weights.shape == angles.shape \
+                == (rows.size,):
+            raise ParameterError("Edge arrays must be 1-d, of equal length.")
         order, repeated = _stable_order(rows * n + cols)
-        _raise_bad_edge(n, rows, cols, weights, angles, repeated)
+        bad = first_bad_edge(n, rows, cols, weights, angles, repeated)
+        if bad is not None:
+            raise BadEdgeError(*bad)
+        if n < 1:
+            raise ParameterError(f"Node count must be >= 1. Got {n}.")
+        if rows.shape[0] == 0:
+            raise ParameterError("Graph has no edges.")
         graph = AlignmentGraph(n=n, rows=rows[order], cols=cols[order],
                                weights=weights[order], angles=angles[order])
-        graph._check_nodes()
+        isolated = np.flatnonzero(graph.degree_counts() == 0)
+        if isolated.size:
+            raise ParameterError(
+                f"Node {int(isolated[0])} has no incident edges.")
         return graph
 
 
@@ -154,13 +143,6 @@ def first_bad_edge(n: int, rows: np.ndarray, cols: np.ndarray,
     index = int(np.argmax(bad))
     message = next(text for mask, text in rules if mask[index])
     return index, message.format(i=int(rows[index]), j=int(cols[index]))
-
-
-def _raise_bad_edge(n: int, rows, cols, weights, angles,
-                    repeated=None) -> None:
-    bad = first_bad_edge(n, rows, cols, weights, angles, repeated)
-    if bad is not None:
-        raise BadEdgeError(*bad)
 
 
 # Rows that each int64 selection and tie mask of ``smallest`` covers.

@@ -334,11 +334,13 @@ def read_graph(path) -> AlignmentGraph:
                 rejection = exc
     except OSError as exc:
         raise GraphFileError(f"Cannot read graph file {path}: {exc}") from exc
-    if not header.startswith("n "):
-        raise GraphFileError(f"{path}: first line must be 'n <count>'.")
+    words = header.split()
+    if not header.startswith("n ") or len(words) != 2:
+        raise GraphFileError(f"{path}: first line must be 'n <count>'. "
+                             f"Got {header.strip()!r}.")
     try:
-        n = int(header.split()[1])
-    except (IndexError, ValueError) as exc:
+        n = int(words[1])
+    except ValueError as exc:
         raise GraphFileError(f"{path}: bad header {header!r}.") from exc
     if rejection is None:
         try:

@@ -214,6 +214,32 @@ class TestBatch:
             estimate_angles(z)
 
 
+@pytest.fixture(scope="module")
+def many_pairs():
+    """An embedding, its neighbor list of n * kappa = 100000 pairs, whose
+    per-pair arrays outweigh the 256-pair block of objective values that
+    one worker holds, and the bytes ``align_neighbors`` holds beside its
+    batches."""
+    n, kappa = 2000, 50
+    rng = np.random.default_rng(1)
+    emb = EmbeddingSet(features=tuple(
+        FrequencyFeatures(k=k, phi=rng.normal(size=(n, 8))
+                          + 1j * rng.normal(size=(n, 8)))
+        for k in range(1, 6)))
+    nn = nn_search(emb, kappa)
+    pairs = n * kappa
+    nodes = np.arange(n)[:, None]
+    unordered = np.unique(np.minimum(nodes, nn.indices) * n
+                          + np.maximum(nodes, nn.indices)).size
+    flipped = int(np.count_nonzero(nn.indices < nodes))
+    # In 8-byte entries: three pair-sized arrays and one of the unordered
+    # pairs while the inverse is built or the angles are gathered, or the
+    # two outputs and wrap_two_pi's three arrays of the flipped rows; beside
+    # either a one-byte mask per pair, and the grid table.
+    entries = max(3 * pairs + unordered, 2 * pairs + 3 * flipped)
+    return emb, nn, 8 * entries + pairs + _grid_table(emb.k_max).nbytes
+
+
 class TestAlignNeighbors:
     def test_clean_instance_recovers_truth(self, clean_instance):
         truth, _, emb = clean_instance
@@ -264,29 +290,26 @@ class TestAlignNeighbors:
         assert np.array_equal(small.alpha_hat, large.alpha_hat)
         assert np.array_equal(small.objective, large.objective)
 
-    def test_two_workers_share_one_batch_budget(self):
-        # One worker takes _CHUNK // 2 pairs, what each of two would, so it
-        # holds about half of their objective values; N >= 2 workers take
-        # _CHUNK // N pairs each and together hold one batch's block.
-        rng = np.random.default_rng(0)
-        emb = EmbeddingSet(features=tuple(
-            FrequencyFeatures(k=k, phi=rng.normal(size=(1500, 8))
-                              + 1j * rng.normal(size=(1500, 8)))
-            for k in range(1, 6)))
-        nn = nn_search(emb, kappa=10)
-        peaks, tables = [], []
-        for workers in (1, 2, 3):
-            tracemalloc.start()
-            try:
-                tables.append(align_neighbors(emb, nn, workers=workers))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 0.7 * peaks[1]
-        assert peaks[2] <= 1.1 * peaks[1]
-        for table in tables[1:]:
-            assert np.array_equal(table.alpha_hat, tables[0].alpha_hat)
-            assert np.array_equal(table.objective, tables[0].objective)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_batches_take_one_block_per_thread(self, clean_instance,
+                                               workers, monkeypatch):
+        # Batches of _CHUNK = 256 pairs whatever the worker count; only the
+        # last one is shorter.
+        _, _, emb = clean_instance
+        nn = nn_search(emb, kappa=16)
+        sizes = []
+        estimate_rows = alignment._estimate_rows
+
+        def spy(z, table):
+            sizes.append(z.shape[0])
+            return estimate_rows(z, table)
+
+        monkeypatch.setattr(alignment, "_estimate_rows", spy)
+        align_neighbors(emb, nn, workers=workers)
+        full, rest = divmod(sum(sizes), 256)
+        assert full > 3
+        assert sorted(sizes, reverse=True) \
+            == [256] * full + [rest] * bool(rest)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_rows_match_one_pair_oracle(self, clean_instance, workers):
@@ -308,36 +331,38 @@ class TestAlignNeighbors:
             assert table.alpha_hat[row] == alpha[0], (i, j)
             assert table.objective[row] == objective[0], (i, j)
 
-    def test_pair_arrays_held_once(self):
-        # At n * kappa = 100000 pairs the per-pair arrays outweigh the
-        # 256-pair block of objective values that one worker holds.
-        n, kappa = 2000, 50
-        rng = np.random.default_rng(1)
-        emb = EmbeddingSet(features=tuple(
-            FrequencyFeatures(k=k, phi=rng.normal(size=(n, 8))
-                              + 1j * rng.normal(size=(n, 8)))
-            for k in range(1, 6)))
-        nn = nn_search(emb, kappa)
+    def test_pair_arrays_held_once(self, many_pairs):
+        emb, nn, beside = many_pairs
         tracemalloc.start()
         try:
             align_neighbors(emb, nn, workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = _grid_table(emb.k_max)
-        block = alignment._CHUNK // 2 * table.shape[1] * 8
-        pairs = n * kappa
-        nodes = np.arange(n)[:, None]
-        unordered = np.unique(np.minimum(nodes, nn.indices) * n
-                              + np.maximum(nodes, nn.indices)).size
-        flipped = int(np.count_nonzero(nn.indices < nodes))
-        # What align_neighbors holds beside the block, in 8-byte entries:
-        # three pair-sized arrays and one of the unordered pairs while the
-        # inverse is built or the angles are gathered, or the two outputs
-        # and wrap_two_pi's three arrays of the flipped rows; beside either
-        # a one-byte mask per pair, and the grid table.
-        entries = max(3 * pairs + unordered, 2 * pairs + 3 * flipped)
-        assert peak - block <= 8 * entries + pairs + table.nbytes
+        block = alignment._CHUNK * _grid_table(emb.k_max).shape[1] * 8
+        assert peak - block <= beside
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_peak_memory_within_one_batch_per_thread(self, many_pairs,
+                                                     workers):
+        # One worker is test_pair_arrays_held_once.  Each of N workers
+        # holds at most one batch at a time: its block of objective values
+        # and, per pair, its z and their real and imaginary parts (4 k_max
+        # entries) and the peak refinement's arrays (16 entries).  The
+        # table is the same on any count.
+        emb, nn, beside = many_pairs
+        want = align_neighbors(emb, nn, workers=1)
+        tracemalloc.start()
+        try:
+            got = align_neighbors(emb, nn, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_length = _grid_table(emb.k_max).shape[1]
+        block = alignment._CHUNK * 8 * (grid_length + 4 * emb.k_max + 16)
+        assert peak <= workers * block + beside
+        assert np.array_equal(got.alpha_hat, want.alpha_hat)
+        assert np.array_equal(got.objective, want.objective)
 
     def test_frame_rotation_shifts_estimate(self, clean_instance, grid):
         # Rotating node j's features by e^{ik theta} multiplies z(k) by

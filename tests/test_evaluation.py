@@ -61,6 +61,14 @@ class TestScoreNN:
         with pytest.raises(ParameterError):
             score_nn(nn, truth)
 
+    @pytest.mark.parametrize("bad", [-1, 400])
+    def test_rejects_neighbor_outside_truth(self, truth, bad):
+        idx = (np.arange(400)[:, None] + np.arange(1, 4)) % 400
+        idx[7, 1] = bad
+        nn = NeighborList(indices=idx, distances_sq=np.zeros((400, 3)))
+        with pytest.raises(ParameterError, match=r"\[0, 400\)"):
+            score_nn(nn, truth)
+
 
 class TestScoreAlignment:
     def test_perfect_estimates_concentrate_at_zero(self, truth):
@@ -86,6 +94,16 @@ class TestScoreAlignment:
         report = score_alignment(table, truth)
         assert abs(report.align_median_abs_deg - 90.0) < 5.0
         assert abs(align_mass_within(report, 10.0) - 10.0 / 180.0) < 0.02
+
+    @pytest.mark.parametrize("column,bad", [("i", -1), ("j", 60)])
+    def test_rejects_node_outside_truth(self, column, bad):
+        small = make_truth("sphere", 50, seed=0)
+        pairs = dict(i=np.arange(50), j=(np.arange(50) + 1) % 50)
+        pairs[column][3] = bad
+        table = AlignmentTable(alpha_hat=np.zeros(50),
+                               objective=np.ones(50), **pairs)
+        with pytest.raises(ParameterError, match=r"\[0, 50\)"):
+            score_alignment(table, small)
 
     def test_merge_keeps_both_histograms(self, truth):
         nn = NeighborList(indices=np.array([[1], [0]]),

@@ -31,6 +31,15 @@ def small_graph(small_truth):
     return build_clean_knn_graph(small_truth, kappa_build=3)
 
 
+def _assert_round_trip(graph):
+    """``from_edges`` accepts the graph's own arrays and returns them
+    unchanged: the edges keep every rule and are already in order."""
+    again = AlignmentGraph.from_edges(graph.n, graph.rows, graph.cols,
+                                      graph.weights, graph.angles)
+    for field in ("rows", "cols", "weights", "angles"):
+        assert np.array_equal(getattr(again, field), getattr(graph, field))
+
+
 class TestBuild:
     def test_edges_match_knn_union_oracle(self, small_truth, small_graph):
         n = small_truth.n
@@ -43,6 +52,7 @@ class TestBuild:
                 expected.add((min(i, int(j)), max(i, int(j))))
         got = set(zip(small_graph.rows.tolist(), small_graph.cols.tolist()))
         assert got == expected
+        _assert_round_trip(small_graph)
 
     def test_angles_match_scalar_oracle(self, small_truth, small_graph):
         for e in range(small_graph.edge_count):
@@ -210,6 +220,7 @@ class TestUnorderedPairs:
         graph = build_clean_knn_graph(truth, kappa_build=kappa)
         assert np.array_equal(graph.rows, rows)
         assert np.array_equal(graph.cols, cols)
+        _assert_round_trip(graph)
 
 
 class TestCanonicalization:
@@ -238,13 +249,17 @@ class TestCanonicalization:
         ([0], [3], [1.0], [0.1], "endpoint out of range"),
         ([0, 1], [1, 2], [1.0, np.nan], [0.1, 0.2], "nan weight"),
         ([0, 1], [1, 2], [np.inf, 1.0], [0.1, 0.2], "infinite weight"),
+        ([0, 1], [1, 2], [1.0], [0.1, 0.2], "unequal lengths"),
     ])
     def test_validate_rejects(self, rows, cols, weights, angles, what):
-        graph = AlignmentGraph(n=3, rows=np.array(rows), cols=np.array(cols),
-                               weights=np.array(weights),
-                               angles=np.array(angles))
-        with pytest.raises(ParameterError):
-            graph.validate()
+        """The rules ``from_edges`` validates on every graph the package
+        builds or reads: an edge's as BadEdgeError, a node's as
+        ParameterError."""
+        with pytest.raises(ParameterError) as info:
+            AlignmentGraph.from_edges(3, np.array(rows), np.array(cols),
+                                      np.array(weights), np.array(angles))
+        assert isinstance(info.value, BadEdgeError) \
+            == (what not in ("isolated node", "unequal lengths"))
 
 
 class TestPinnedDigests:
@@ -287,7 +302,7 @@ class TestRewire:
             == small_graph.edge_count
         assert rewired.edge_count \
             == diag.replaced + diag.forced_links
-        rewired.validate()
+        _assert_round_trip(rewired)
 
     def test_diagnostics_account_for_every_edge(self, small_graph):
         rewired, diag = rewire_graph(small_graph, p=0.35, seed=2,
@@ -347,7 +362,7 @@ class TestRewire:
         truth = make_truth("torus", 8, seed=1)
         graph = build_clean_knn_graph(truth, kappa_build=2)
         rewired = rewire_graph(graph, p=p, seed=seed)
-        rewired.validate()
+        _assert_round_trip(rewired)
         assert rewired.degree_counts().min() >= 1
 
     @staticmethod

@@ -109,6 +109,7 @@ class TestGraphFormat:
         ("x 3\n0 1 1.0 0.5\n", "first line"),
         ("n\n", "first line"),
         ("n x\n", "bad header"),
+        ("n 3 junk words\n0 1 1.0 0.5\n1 2 1.0 0.5\n", "first line"),
         ("n 3\n0 1 1.0\n", "i j w alpha"),
         ("n 3\n1 1 1.0 0.5\n", "self-loop"),
         ("n 3\n1 0 1.0 0.5\n", "i < j"),
