@@ -22,8 +22,8 @@ file, which the manifest records for a synthetic graph.  A p's graph is
 dropped once its bundles exist, and the clean graph (or ``--graph`` file)
 once the last p in ``--p`` has its graph.  After each p, every command but
 ``spectrum`` removes the ``nn_*``, ``align_*`` and ``report_*`` files of
-that p that the manifest records and this run neither wrote nor kept, so
-``--out`` holds no other config's results.
+that p that the manifest records and this run neither wrote nor kept; the
+``spectrum_k*`` files, other p's files and the bundles are never removed.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
 failure.  All stochastic stages derive their randomness from the single
@@ -98,23 +98,23 @@ def _echo_params(config: ExperimentConfig, p: float) -> dict:
 
 
 def _output(manifest: mio.RunManifest, name: str, inputs: list, build,
-            write, read=None, suffixes=("",)):
+            write, suffixes=("",)):
     """The artifact ``name`` under ``--out``, made from ``inputs``.
 
     Its files are ``name`` plus each of ``suffixes``.  If the manifest
     records each under the key of ``inputs`` and its bytes are still the
-    recorded ones, the files are kept: a neighbor list or alignment table
-    is read back by ``read``, and any other artifact gives None.  Otherwise
-    ``build()`` is written by ``write(value, path)`` and recorded.
+    recorded ones, the files are kept and give None (``_loader`` reads a
+    kept file back).  Otherwise ``build()`` is written by
+    ``write(value, path)``, recorded and returned.
     """
     key = mio.artifact_key(inputs)
     files = [name + suffix for suffix in suffixes]
-    path = manifest.root / name
     if manifest.holds(files, key):
         for file in files:
             print(f"[{_CURRENT_STAGE}] kept {file}", flush=True)
-        return None if read is None else read(path)
+        return None
     value = build()
+    path = manifest.root / name
     path.parent.mkdir(parents=True, exist_ok=True)
     write(value, path)
     manifest.record([(file, key) for file in files])
@@ -128,9 +128,9 @@ def _generate_inputs(config: ExperimentConfig, *more) -> list:
 
 def _loader(manifest: mio.RunManifest, name: str, inputs: list, build,
             write, read) -> Callable:
-    """The truth or graph file ``name``, kept or rebuilt by ``_output``, as
-    a function that returns its value: the one built, or the kept file
-    parsed by ``read`` on the first call only."""
+    """The file ``name``, kept or rebuilt by ``_output``, as a function that
+    returns its value: the one built, or the kept file parsed by ``read``
+    on the first call only.  The one path by which a kept file is read."""
     value = _output(manifest, name, inputs, build, write)
     if value is None:
         return functools.cache(functools.partial(read, manifest.root / name))
@@ -341,20 +341,20 @@ def _graph_and_bundles(config: ExperimentConfig, manifest: mio.RunManifest,
 # the CLI's calls, so a trace of a run that keeps a result shows its read in
 # the span of the stage it replaces.
 def nn_search(embeddings, kappa: int, workers: int, output):
-    """``embedding.nn_search``'s neighbor list, kept or searched by
-    ``output`` (``_output`` but for its build, write and read)."""
+    """``embedding.nn_search``'s neighbor list, kept and read or searched
+    by ``output`` (``_loader`` but for its build, write and read)."""
     return output(
         lambda: embedding.nn_search(embeddings, kappa, workers=workers),
-        mio.save_result, mio.load_neighbors)
+        mio.save_result, mio.load_neighbors)()
 
 
 def align_neighbors(embeddings, neighbors, workers: int, output):
     """``alignment.align_neighbors``' table of the pairs in ``neighbors``,
-    kept or estimated by ``output`` as in ``nn_search``."""
+    kept and read or estimated by ``output`` as in ``nn_search``."""
     return output(
         lambda: alignment.align_neighbors(embeddings, neighbors,
                                           workers=workers),
-        mio.save_result, lambda path: mio.load_alignment(path, neighbors))
+        mio.save_result, lambda path: mio.load_alignment(path, neighbors))()
 
 
 def _run_method(config: ExperimentConfig, manifest: mio.RunManifest,
@@ -375,7 +375,7 @@ def _run_method(config: ExperimentConfig, manifest: mio.RunManifest,
               config.t, config.kappa_search]
 
     def output(kind):
-        return functools.partial(_output, manifest,
+        return functools.partial(_loader, manifest,
                                  f"cache/p{tag}/{kind}_{method}.npz",
                                  [kind, *inputs])
 

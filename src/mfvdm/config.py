@@ -1,8 +1,10 @@
 """Experiment configuration: defaults, file parsing, CLI precedence.
 
 Configs are flat ``key = value`` text files; command-line overrides beat
-file values, which beat defaults.  Every value, from a file line or a flag,
-is parsed by ``_parse_value`` and checked by ``ExperimentConfig.validate``.
+file values, which beat defaults.  Every value, from a file line, a flag or
+Python, is parsed by ``_parse_value`` (anything but a string as the text
+of its config line) and checked by ``ExperimentConfig.validate`` when the
+``ExperimentConfig`` is made.
 The resolved config is echoed into every report so outputs are
 self-describing.
 """
@@ -43,10 +45,15 @@ class ExperimentConfig:
     graph_path: str = ""
     spectrum_ks: tuple = (1, 2, 5)
 
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            object.__setattr__(self, f.name, _parse_value(
+                f.name, value if isinstance(value, str) else _text(value)))
+        self.validate()
+
     def validate(self) -> None:
         """Raise ConfigError on any invalid field or combination."""
-        for f in dataclasses.fields(self):
-            _check_type(f.name, getattr(self, f.name), type(f.default))
         if self.manifold not in _MANIFOLDS:
             raise ConfigError(f"manifold must be one of {_MANIFOLDS}. "
                               f"Got {self.manifold!r}.")
@@ -84,6 +91,12 @@ class ExperimentConfig:
             if b not in _BASELINES:
                 raise ConfigError(f"Unknown baseline {b!r}; expected "
                                   f"{_BASELINES}.")
+        # A repeated method or frequency would run, and echo, twice.
+        for name in ("baselines", "spectrum_ks"):
+            items = getattr(self, name)
+            if len(set(items)) < len(items):
+                raise ConfigError(f"{name} names an item twice. "
+                                  f"Got {_text(items)}.")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1. Got {self.workers}.")
         if not self.spectrum_ks or any(k < 1 for k in self.spectrum_ks):
@@ -106,27 +119,6 @@ def _text(value) -> str:
 
 # The item type of each comma-list field; other lists hold strings.
 _LIST_ITEMS = {"p": float, "spectrum_ks": int}
-
-
-def _check_type(name: str, value, kind: type) -> None:
-    """Raise ConfigError unless ``value`` is of ``kind``, the type of the
-    field's default, or for a comma-list field a tuple of its item type."""
-    if kind is tuple:
-        item = _LIST_ITEMS.get(name, str)
-        ok = isinstance(value, tuple) and all(_is(v, item) for v in value)
-        what = f"a tuple of {item.__name__}"
-    else:
-        ok, what = _is(value, kind), kind.__name__
-    if not ok:
-        raise ConfigError(f"{name} must be {what}. Got {value!r}.")
-
-
-def _is(value, kind: type) -> bool:
-    """``isinstance``, where an int may stand for a float and a bool is no
-    number."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _parse_value(name: str, text: str):
@@ -181,17 +173,11 @@ def _level(values: dict | None) -> dict:
 
 def resolve_config(file_values: dict | None = None,
                    overrides: dict | None = None) -> ExperimentConfig:
-    """Merge defaults <- config file <- explicit overrides, then validate."""
+    """Merge defaults <- config file <- explicit overrides into a parsed,
+    validated ``ExperimentConfig``."""
     merged = {**_level(file_values), **_level(overrides)}
     unknown = set(merged) - {f.name for f in
                              dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"Unknown config keys: {sorted(unknown)}.")
-    # A value means the same from a flag, a file line or Python: a string
-    # is parsed as given, anything else as the text of its config line.
-    config = ExperimentConfig(**{
-        name: _parse_value(name, value if isinstance(value, str)
-                           else _text(value))
-        for name, value in merged.items()})
-    config.validate()
-    return config
+    return ExperimentConfig(**merged)

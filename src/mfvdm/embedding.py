@@ -131,30 +131,20 @@ class EmbeddingSet:
     def k_max(self) -> int:
         return max(self.frequencies)
 
-    def affinity_block(self, block: np.ndarray) -> np.ndarray:
-        """Unnormalized affinities from nodes in ``block`` to all nodes."""
-        return self._strip(block, distances=False)
-
     def distance_sq_block(self, block: np.ndarray) -> np.ndarray:
         """Squared diffusion distances from ``block`` to all nodes."""
         block = np.asarray(block, dtype=np.int64)
-        dist_sq = self._strip(block)
+        dist_sq = np.empty((block.size, self.n))
+        for lo, chunk in self._chunks(block, 0):
+            dist_sq[:, lo:lo + len(chunk)] = chunk.T
         # diagonal is exactly zero by definition
         dist_sq[np.arange(block.size), block] = 0.0
         return dist_sq
 
-    def _strip(self, rows, distances: bool = True) -> np.ndarray:
-        """``_chunks`` of ``rows`` against all nodes, as one array."""
-        rows = np.asarray(rows, dtype=np.int64)
-        strip = np.empty((rows.size, self.n))
-        for lo, chunk in self._chunks(rows, 0, distances):
-            strip[:, lo:lo + len(chunk)] = chunk.T
-        return strip
-
-    def _chunks(self, rows: np.ndarray, start: int, distances: bool = True):
-        """Squared distances (or affinities) between the ``rows`` nodes and
-        the nodes [start, n), in chunks of at most ``_CHUNK_COLUMNS`` nodes:
-        yields (lo, chunk) where chunk[c, r] is the pair (lo + c, rows[r]).
+    def _chunks(self, rows: np.ndarray, start: int):
+        """Squared distances between the ``rows`` nodes and the nodes
+        [start, n), in chunks of at most ``_CHUNK_COLUMNS`` nodes: yields
+        (lo, chunk) where chunk[c, r] is the pair (lo + c, rows[r]).
         Each chunk is a view of a buffer the next one overwrites.  The
         package's one distance definition.
 
@@ -205,13 +195,12 @@ class EmbeddingSet:
                     acc += parts[:, 1::2]
                 else:
                     acc += parts[:, 0::2]
-            if distances:
-                norm_prod = parts[:, :padded]
-                np.multiply(self.norms[lo:hi, None], half_norms[None, :],
-                            out=norm_prod)
-                acc /= norm_prod
-                np.subtract(2.0, acc, out=acc)
-                np.maximum(acc, 0.0, out=acc)
+            norm_prod = parts[:, :padded]
+            np.multiply(self.norms[lo:hi, None], half_norms[None, :],
+                        out=norm_prod)
+            acc /= norm_prod
+            np.subtract(2.0, acc, out=acc)
+            np.maximum(acc, 0.0, out=acc)
             yield int(lo), acc[:, :width]
 
 

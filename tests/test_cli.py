@@ -1189,7 +1189,7 @@ class TestCommaLists:
         assert getattr(config, key) == expected
         assert load_config_file(str(path))[key] == expected
 
-    @pytest.mark.parametrize("ks", ["1,x", "2.5", ","])
+    @pytest.mark.parametrize("ks", ["1,x", "2.5", ",", "1,1"])
     def test_bad_ks_is_a_config_error(self, tmp_path, ks):
         assert _run("spectrum", "--manifold", "sphere", "--n", "100",
                     "--kappa-build", "5", "--ks", ks, "--p", "1",
@@ -1202,9 +1202,11 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")) == 1
         assert _run("pipeline", "--manifold", "hyperbolic",
                     "--out", str(tmp_path / "out")) == 1
-        # A malformed or unknown flag is a configuration error too.
+        # A malformed or unknown flag, or a list that repeats an item, is a
+        # configuration error too.
         for flag, text in (("--n", "abc"), ("--kmax", "2.5"),
                            ("--p", "0.4,x"), ("--p", ","), ("--p", "nan"),
+                           ("--baselines", "vdm,vdm"),
                            ("--no-such-flag", "3"), ("--tfft", "64")):
             assert _run("pipeline", "--manifold", "sphere", flag, text,
                         "--out", str(tmp_path / "out")) == 1

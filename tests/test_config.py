@@ -56,6 +56,9 @@ def test_defaults_are_valid_and_match_contract():
     {"n": True},
     {"seed": 0.5},
     {"p": [0.4]},
+    # A repeated method or frequency.
+    {"baselines": ("vdm", "vdm")},
+    {"spectrum_ks": (1, 1)},
 ])
 def test_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -138,9 +141,11 @@ def test_unknown_override_rejected():
     ({"p": (1, 0.4)}, "p", (1.0, 0.4)),
     ({"n": "500"}, "n", 500),
     ({"baselines": "dm, vdm"}, "baselines", ("dm", "vdm")),
+    ({"baselines": "dm"}, "baselines", ("dm",)),
 ])
 def test_python_value_means_its_config_line(overrides, field, want):
     assert getattr(resolve_config(overrides=overrides), field) == want
+    assert getattr(ExperimentConfig(**overrides), field) == want
 
 
 def test_echo_items_order_and_format():
@@ -154,17 +159,16 @@ def test_echo_items_order_and_format():
     assert as_dict["baselines"] == "dm"
 
 
-
 @pytest.mark.parametrize("field,value", [
-    ("p", 0.4), ("n", "500"), ("workers", 1.5), ("workers", True),
-    ("baselines", "dm"), ("spectrum_ks", (1, 2.0)),
+    ("workers", 1.5), ("workers", True), ("spectrum_ks", (1, 2.0)),
 ])
 def test_direct_config_of_a_wrong_type_is_a_config_error(field, value):
-    """A config built in Python skips the parser; ``validate`` still names
-    the field instead of failing on a comparison."""
-    with pytest.raises(ConfigError, match=f"^{field} must be "):
-        ExperimentConfig(**{field: value}).validate()
+    """A config built in Python parses each value as its config line, so a
+    wrong-typed value is named by its field instead of failing on a
+    comparison."""
+    with pytest.raises(ConfigError, match=f"^Bad value for '{field}'"):
+        ExperimentConfig(**{field: value})
 
 
 def test_direct_config_may_give_p_as_ints():
-    ExperimentConfig(p=(1, 0.4)).validate()
+    assert ExperimentConfig(p=(1, 0.4)).p == (1.0, 0.4)

@@ -95,8 +95,8 @@ class TestAffinityOracles:
             dense = build_sk(graph, bundle.k).to_dense()
             want = np.abs(np.linalg.matrix_power(dense, 2 * t)) ** 2
             feats = build_features(bundle, t)
-            single = EmbeddingSet(features=(feats,))
-            assert np.abs(single.affinity_block(ALL) - want).max() < 1e-10
+            got = np.abs(feats.phi @ feats.phi.conj().T) ** 2
+            assert np.abs(got - want).max() < 1e-10
             for _ in range(15):
                 i, j = (int(a) for a in rng.integers(0, 60, 2))
                 assert abs(affinity_k(feats, i, j) - want[i, j]) < 1e-10
@@ -104,18 +104,20 @@ class TestAffinityOracles:
     def test_affinity_is_inner_product_of_outer_vectors(self, small_instance):
         _, bundles = small_instance
         bundle = bundles[1]
-        single = EmbeddingSet(features=(build_features(bundle, t=2),))
+        phi = build_features(bundle, t=2).phi
         vecs = _outer_vectors(bundle, t=2)
         inner = vecs @ vecs.conj().T
         assert np.abs(inner.imag).max() < 1e-12
-        assert np.abs(single.affinity_block(ALL) - inner.real).max() < 1e-12
+        got = np.abs(phi @ phi.conj().T) ** 2
+        assert np.abs(got - inner.real).max() < 1e-12
 
     def test_multi_frequency_affinity_sums(self, small_instance):
         _, bundles = small_instance
         emb = build_embedding_set(build_features(b, 1) for b in bundles)
         per_k = [build_features(b, 1) for b in bundles]
         want = sum(affinity_k(f, 3, 17) for f in per_k)
-        assert abs(emb.affinity_block([3])[0, 17] - want) < 1e-13
+        got = sum(np.abs(f.phi @ f.phi.conj().T) ** 2 for f in emb.features)
+        assert abs(got[3, 17] - want) < 1e-13
         assert abs(mfvdm_affinity(emb, 3, 17) - want) < 1e-13
 
 
@@ -411,8 +413,8 @@ class TestNNSearch:
         seen = {}
         chunks = EmbeddingSet._chunks
 
-        def spy(self, rows, start, distances=True):
-            for lo, chunk in chunks(self, rows, start, distances):
+        def spy(self, rows, start):
+            for lo, chunk in chunks(self, rows, start):
                 seen[lo, start] = chunk.shape
                 yield lo, chunk
 
@@ -465,8 +467,8 @@ class TestBaselines:
         # modulus like them; only the lone k = 0 block is linear.
         emb = _random_embedding(20, ks=(0, 1))
         assert emb.mode == "squared"
-        got = emb.affinity_block([3])[0, 11]
-        assert abs(got - mfvdm_affinity(emb, 3, 11)) < 1e-12 * abs(got)
+        got = emb.distance_sq_block([3])[0, 11]
+        assert abs(got - mfvdm_distance(emb, 3, 11)) < 1e-12
 
 
 def test_repeated_frequency_raises():
